@@ -9,7 +9,6 @@ system whose rows are evaluated here in closed form as well.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable
@@ -49,10 +48,11 @@ class PhaseAssignment:
             )
         )
 
-    def phase_vector(self, theta1: float, theta2: float) -> np.ndarray:
+    def phase_vector(self, theta1, theta2) -> np.ndarray:
+        """exp(i Phi_k) of the four components, along a trailing axis of the angles."""
         return np.exp(
-            1j * (np.array([p[0] for p in self.pairs]) * theta1
-                  + np.array([p[1] for p in self.pairs]) * theta2)
+            1j * (np.array([p[0] for p in self.pairs]) * np.expand_dims(theta1, -1)
+                  + np.array([p[1] for p in self.pairs]) * np.expand_dims(theta2, -1))
         )
 
     def in_half_step_band(self, j1: float, j2: float, tol: float = 1e-12) -> bool:
@@ -66,7 +66,9 @@ class PhaseAssignment:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Radial factor of one spinor component with its analytic partials."""
+    """Radial factor of one spinor component with its analytic partials.
+
+    The callables map r1, r2 (floats or arrays of one shape) to that shape."""
 
     value: Callable[[float, float], float]
     d_r1: Callable[[float, float], float]
@@ -77,7 +79,7 @@ class RadialProfile:
         """coef * r1^s1 * r2^s2 * exp(-beta1 r1 - beta2 r2)."""
 
         def value(r1, r2):
-            return coef * r1**s1 * r2**s2 * math.exp(-beta1 * r1 - beta2 * r2)
+            return coef * r1**s1 * r2**s2 * np.exp(-beta1 * r1 - beta2 * r2)
 
         def d_r1(r1, r2):
             return (s1 / r1 - beta1) * value(r1, r2)
@@ -89,7 +91,9 @@ class RadialProfile:
 
     @classmethod
     def zero(cls) -> "RadialProfile":
-        return cls(value=lambda r1, r2: 0.0, d_r1=lambda r1, r2: 0.0, d_r2=lambda r1, r2: 0.0)
+        def zero(r1, r2):
+            return np.zeros(np.shape(r1))
+        return cls(value=zero, d_r1=zero, d_r2=zero)
 
 
 def build_spinor(assignment: PhaseAssignment, profiles) -> SpinorField:
@@ -99,7 +103,7 @@ def build_spinor(assignment: PhaseAssignment, profiles) -> SpinorField:
 
     def fn(p: ConfigPoint) -> np.ndarray:
         r1, r2 = p.r1, p.r2
-        values = np.array([prof.value(r1, r2) for prof in profiles], dtype=complex)
+        values = np.stack([prof.value(r1, r2) for prof in profiles], axis=-1)
         return values * assignment.phase_vector(p.theta1, p.theta2)
 
     return SpinorField(fn)
@@ -107,8 +111,8 @@ def build_spinor(assignment: PhaseAssignment, profiles) -> SpinorField:
 
 def point_from_polar(r1, theta1, r2, theta2) -> ConfigPoint:
     return ConfigPoint(
-        r1 * math.cos(theta1), r1 * math.sin(theta1),
-        r2 * math.cos(theta2), r2 * math.sin(theta2),
+        r1 * np.cos(theta1), r1 * np.sin(theta1),
+        r2 * np.cos(theta2), r2 * np.sin(theta2),
     )
 
 
@@ -116,8 +120,8 @@ def separation_residual(params: ModelParams, assignment: PhaseAssignment, profil
                         energy, angle_samples, radial_point, rho0, step) -> float:
     """Angle spread of the phase-stripped component residuals at fixed radii.
 
-    For each (theta1, theta2) sample, the four component equations are
-    evaluated by finite differences with the interelectron distance frozen
+    The four component equations are evaluated for all (theta1, theta2) samples
+    in one batch by finite differences with the interelectron distance frozen
     at rho0 and divided componentwise by exp(i Phi_k).  Full angular
     cancellation means the results agree across all samples; the returned
     number is the largest componentwise deviation from the first sample.
@@ -127,17 +131,15 @@ def separation_residual(params: ModelParams, assignment: PhaseAssignment, profil
     angle and its principal value can differ by 2 pi, which flips the
     phase sign.
     """
-    r1, r2 = radial_point
-    field = build_spinor(assignment, profiles)
-    values = []
-    for theta1, theta2 in angle_samples:
-        p = point_from_polar(r1, theta1, r2, theta2)
-        res = component_system_residual(params, field, p, step, energy, rho_freeze=rho0)
-        values.append(res / assignment.phase_vector(p.theta1, p.theta2))
-    if len(values) <= 1:
+    angles = np.asarray(angle_samples, dtype=float).reshape(-1, 2)
+    if len(angles) == 0:
         return 0.0
-    stack = np.array(values)
-    return float(np.abs(stack - stack[0]).max())
+    r1, r2 = radial_point
+    p = point_from_polar(r1, angles[:, 0], r2, angles[:, 1])
+    res = component_system_residual(params, build_spinor(assignment, profiles), p, step,
+                                    energy, rho_freeze=rho0)
+    values = res / assignment.phase_vector(p.theta1, p.theta2)
+    return float(np.abs(values - values[0]).max())
 
 
 def radial_system_residual(params: ModelParams, profiles, energy, rho0, point) -> np.ndarray:

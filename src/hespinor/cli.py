@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full identity-check battery")
     add_physics(p)
-    p.add_argument("--fast", action="store_true", help="skip the slow operator scans")
+    p.add_argument("--fast", action="store_true", help="skip the operator and angular batteries")
     p.add_argument("--inject-gamma-fault", action="store_true",
                    help="flip one gamma-table sign (self-test of failure reporting)")
 

@@ -13,7 +13,6 @@ coordinates and the nucleus sits at the origin.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable
@@ -28,6 +27,14 @@ _GAMMA = {i: clifford.gamma(i) for i in clifford.GAMMA_INDICES}
 _SPIN_SHIFT = clifford.spin_shift_matrix()
 _I4 = np.eye(4, dtype=complex)
 
+# Stencil offsets: the centre, then +step and -step along each of the four axes.
+_STENCIL = np.concatenate([np.zeros((1, 4)), np.kron(np.eye(4), [[1.0], [-1.0]])])
+
+
+def _col(x) -> np.ndarray:
+    """Per-point values with a trailing axis, to scale spinors of shape (..., 4)."""
+    return np.asarray(x)[..., None]
+
 
 class SingularPointError(ValueError):
     """Evaluation point too close to a Coulomb singularity for the stencil."""
@@ -35,40 +42,43 @@ class SingularPointError(ValueError):
 
 @dataclass(frozen=True)
 class ConfigPoint:
-    """Planar configuration-space point for the two electrons."""
+    """Planar configuration of the two electrons; a batch of N if coordinates have shape (N,)."""
 
     x1: float
     y1: float
     x2: float
     y2: float
 
-    @property
-    def r1(self) -> float:
-        return math.hypot(self.x1, self.y1)
+    @classmethod
+    def stack(cls, points) -> "ConfigPoint":
+        """One batch holding the coordinates of a sequence of points."""
+        coords = np.array([(p.x1, p.y1, p.x2, p.y2) for p in points], dtype=float)
+        if len(coords) == 0:
+            raise ValueError("points must hold at least one ConfigPoint")
+        return cls(*coords.T)
 
     @property
-    def r2(self) -> float:
-        return math.hypot(self.x2, self.y2)
+    def r1(self):
+        return np.hypot(self.x1, self.y1)
 
     @property
-    def r12(self) -> float:
-        return math.hypot(self.x1 - self.x2, self.y1 - self.y2)
+    def r2(self):
+        return np.hypot(self.x2, self.y2)
 
     @property
-    def theta1(self) -> float:
-        return math.atan2(self.y1, self.x1)
+    def r12(self):
+        return np.hypot(self.x1 - self.x2, self.y1 - self.y2)
 
     @property
-    def theta2(self) -> float:
-        return math.atan2(self.y2, self.x2)
+    def theta1(self):
+        return np.arctan2(self.y1, self.x1)
 
-    def min_radius(self) -> float:
-        return min(self.r1, self.r2, self.r12)
+    @property
+    def theta2(self):
+        return np.arctan2(self.y2, self.x2)
 
-    def shifted(self, axis: int, delta: float) -> "ConfigPoint":
-        coords = [self.x1, self.y1, self.x2, self.y2]
-        coords[axis] += delta
-        return ConfigPoint(*coords)
+    def min_radius(self):
+        return np.minimum(np.minimum(self.r1, self.r2), self.r12)
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,10 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class SpinorField:
-    """Smooth map from configuration space to four complex components."""
+    """Smooth map from configuration space to four complex components.
+
+    ``fn`` takes a point or a batch: coordinates of shape S give spinors of
+    shape S + (4,), i.e. (4,) for one point and (N, 4) for N points."""
 
     fn: Callable[[ConfigPoint], np.ndarray]
 
@@ -108,7 +121,7 @@ class SpinorField:
     @staticmethod
     def constant(values) -> "SpinorField":
         v = np.asarray(values, dtype=complex)
-        return SpinorField(lambda p: v.copy())
+        return SpinorField(lambda p: np.broadcast_to(v, np.shape(p.x1) + v.shape).copy())
 
     @staticmethod
     def plane_wave(wavevector, values) -> "SpinorField":
@@ -118,7 +131,7 @@ class SpinorField:
 
         def fn(p: ConfigPoint) -> np.ndarray:
             phase = k[0] * p.x1 + k[1] * p.y1 + k[2] * p.x2 + k[3] * p.y2
-            return v * np.exp(1j * phase)
+            return v * _col(np.exp(1j * phase))
 
         return SpinorField(fn)
 
@@ -132,11 +145,11 @@ class SpinorField:
         lin = np.zeros(4) if linear is None else np.asarray(linear, dtype=float)
 
         def fn(p: ConfigPoint) -> np.ndarray:
-            dx = np.array([p.x1, p.y1, p.x2, p.y2]) - c
-            env = math.exp(-float(dx @ dx) / width**2)
-            poly = 1.0 + float(lin @ np.array([p.x1, p.y1, p.x2, p.y2]))
+            x = np.stack([p.x1, p.y1, p.x2, p.y2], axis=-1)
+            env = np.exp(-np.sum((x - c) ** 2, axis=-1) / width**2)
+            poly = 1.0 + np.sum(lin * x, axis=-1)
             phase = np.exp(1j * (n1 * p.theta1 + n2 * p.theta2))
-            return v * (env * poly * phase)
+            return v * _col(env * poly * phase)
 
         return SpinorField(fn)
 
@@ -184,66 +197,63 @@ def potential_radii(params: ModelParams, r1: float, r2: float, r12: float) -> fl
 
 
 def _require_clearance(point: ConfigPoint, margin: float):
-    if point.min_radius() <= margin:
-        raise SingularPointError(
-            f"point with min radius {point.min_radius():.3e} is within {margin:.3e} "
-            "of a Coulomb singularity"
-        )
+    closest = float(np.min(point.min_radius()))
+    if closest <= margin:
+        raise SingularPointError(f"point with min radius {closest:.3e} is within "
+                                 f"{margin:.3e} of a Coulomb singularity")
 
 
-def _derivative(field: SpinorField, point: ConfigPoint, axis: int, step: float) -> np.ndarray:
-    return (field(point.shifted(axis, step)) - field(point.shifted(axis, -step))) / (2 * step)
+def _gradient(field: SpinorField, point: ConfigPoint, step: float):
+    """Field values (shape S + (4,) for points of shape S) and central-difference
+    derivatives along x1, y1, x2, y2 (shape (4,) + S + (4,)), from one field
+    call on the stacked 9-point stencil of every point."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    coords = (point.x1, point.y1, point.x2, point.y2)
+    f = field(ConfigPoint(*(np.add.outer(step * _STENCIL[:, k], x) for k, x in enumerate(coords))))
+    return f[0], (f[1::2] - f[2::2]) / (2 * step)
 
 
-def _apply_h_raw(params, field, point, step, assignment) -> np.ndarray:
-    _require_clearance(point, 2 * step)
+def _h_terms(params, point, f0, d, assignment) -> np.ndarray:
     s, a = params.sigma, params.alpha
-    f0 = field(point)
-    d = [_derivative(field, point, ax, step) for ax in range(4)]
     (ix1, sx1), (iy1, sy1) = assignment.e1
     (ix2, sx2), (iy2, sy2) = assignment.e2
-    out = (1 - s) * (
-        1j * (sx1 * (_GAMMA[ix1] @ d[0]) + sy1 * (_GAMMA[iy1] @ d[1])) - (2 * a / point.r1) * f0
-    )
-    out = out + 2 * s * (
-        1j * (sx2 * (_GAMMA[ix2] @ d[2]) + sy2 * (_GAMMA[iy2] @ d[3])) - (2 * a / point.r2) * f0
-    )
-    out = out + (1 + s) * (params.m * (_GAMMA[0] @ f0) + (a / point.r12) * f0)
-    return out
+    out = (1 - s) * (1j * (sx1 * (d[0] @ _GAMMA[ix1].T) + sy1 * (d[1] @ _GAMMA[iy1].T))
+                     - _col(2 * a / point.r1) * f0)
+    out = out + 2 * s * (1j * (sx2 * (d[2] @ _GAMMA[ix2].T) + sy2 * (d[3] @ _GAMMA[iy2].T))
+                         - _col(2 * a / point.r2) * f0)
+    return out + (1 + s) * (params.m * (f0 @ _GAMMA[0].T) + _col(a / point.r12) * f0)
 
 
-def _apply_jz_raw(field, point, step) -> np.ndarray:
-    # no Coulomb coefficients here, so no singularity clearance is required
-    d = [_derivative(field, point, ax, step) for ax in range(4)]
-    return 1j * (point.y1 * d[0] - point.x1 * d[1] + point.y2 * d[2] - point.x2 * d[3])
+def _jz_terms(point, d) -> np.ndarray:
+    return 1j * (_col(point.y1) * d[0] - _col(point.x1) * d[1]
+                 + _col(point.y2) * d[2] - _col(point.x2) * d[3])
 
 
 def apply_H(params, field, point, step, assignment=CANONICAL_ASSIGNMENT) -> np.ndarray:
-    """Central-difference application of the Hamiltonian at one point.
+    """Central-difference application of the Hamiltonian at a point or batch.
 
-    The point must keep all three radii r1, r2, r12 above 4*step so the
+    Every point must keep all three radii r1, r2, r12 above 4*step so the
     stencil stays clear of the Coulomb singularities.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     _require_clearance(point, 4 * step)
-    return _apply_h_raw(params, field, point, step, assignment)
+    return _h_terms(params, point, *_gradient(field, point, step), assignment)
 
 
 def apply_Jz(field, point, step) -> np.ndarray:
     """Central-difference application of the orbital angular momentum Jz.
 
     Convention check: Jz e^{i theta1} = +1 e^{i theta1}, i.e. a phase
-    winding +n in either angle carries Jz eigenvalue +n.
+    winding +n in either angle carries Jz eigenvalue +n.  There are no
+    Coulomb coefficients here, so no singularity clearance is required.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    return _apply_jz_raw(field, point, step)
+    return _jz_terms(point, _gradient(field, point, step)[1])
 
 
 def apply_M(field, point, step) -> np.ndarray:
     """Jz plus the constant spin shift diag(-1, 1, 0, 0)."""
-    return apply_Jz(field, point, step) + _SPIN_SHIFT @ field(point)
+    f0, d = _gradient(field, point, step)
+    return _jz_terms(point, d) + f0 @ _SPIN_SHIFT.T
 
 
 def operator_factories(params, step, assignment=CANONICAL_ASSIGNMENT) -> dict:
@@ -255,40 +265,42 @@ def operator_factories(params, step, assignment=CANONICAL_ASSIGNMENT) -> dict:
     """
 
     def H(field):
-        return SpinorField(lambda p: _apply_h_raw(params, field, p, step, assignment))
+        def apply(p):
+            _require_clearance(p, 2 * step)
+            return _h_terms(params, p, *_gradient(field, p, step), assignment)
+        return SpinorField(apply)
 
     def Jz(field):
-        return SpinorField(lambda p: _apply_jz_raw(field, p, step))
+        return SpinorField(lambda p: apply_Jz(field, p, step))
 
     def M(field):
-        jz = Jz(field)
-        return SpinorField(lambda p: jz(p) + _SPIN_SHIFT @ field(p))
+        return SpinorField(lambda p: apply_M(field, p, step))
 
     return {"H": H, "Jz": Jz, "M": M}
 
 
 def commutator_residual(op_a, op_b, params, field, points, step,
                         assignment=CANONICAL_ASSIGNMENT) -> float:
-    """max over points of |(A B - B A) field| for operator tags 'H'/'Jz'/'M'."""
+    """max over points, taken as one batch, of |(A B - B A) field| for tags 'H'/'Jz'/'M'."""
     ops = operator_factories(params, step, assignment)
     if op_a not in ops or op_b not in ops:
         raise ValueError(f"operator tags must be in {sorted(ops)}")
-    for p in points:
-        _require_clearance(p, 4 * step)
+    batch = ConfigPoint.stack(points)
+    _require_clearance(batch, 4 * step)
     ab = ops[op_a](ops[op_b](field))
     ba = ops[op_b](ops[op_a](field))
-    return max(float(np.abs(ab(p) - ba(p)).max()) for p in points)
+    return float(np.abs(ab(batch) - ba(batch)).max())
 
 
 def component_system_residual(params, field, point, step, energy,
                               rho_freeze=None) -> np.ndarray:
     """Evaluate the four componentwise equations of the energy eigenproblem.
 
-    Returns the left-hand sides; they equal gamma(0) (H - E) field up to
-    the O(step^2) difference of independently taken stencils.  With
-    ``rho_freeze`` set, the interelectron distance inside the potential is
-    held at that constant (the separation constraint) while the derivative
-    terms are untouched.
+    Returns the left-hand sides, shape (4,) for one point and (N, 4) for a
+    batch; they equal gamma(0) (H - E) field up to the O(step^2) difference
+    of independently taken stencils.  With ``rho_freeze`` set, the
+    interelectron distance inside the potential is held at that constant
+    (the separation constraint) while the derivative terms are untouched.
     """
     _require_clearance(point, 4 * step)
     s, a = params.sigma, params.alpha
@@ -296,20 +308,16 @@ def component_system_residual(params, field, point, step, energy,
     phi = potential_radii(params, point.r1, point.r2, r12)
     qp = (1 + s) * params.m + (phi - energy)
     qm = (1 + s) * params.m - (phi - energy)
-    f0 = field(point)
-    dx1 = _derivative(field, point, 0, step)
-    dy1 = _derivative(field, point, 1, step)
-    dx2 = _derivative(field, point, 2, step)
-    dy2 = _derivative(field, point, 3, step)
+    f0, (dx1, dy1, dx2, dy2) = _gradient(field, point, step)
+    # component-first views, so f0[k] holds component k at every point
+    f0, dx1, dy1, dx2, dy2 = (np.moveaxis(v, -1, 0) for v in (f0, dx1, dy1, dx2, dy2))
     w1, w2 = 1 - s, 2 * s
-    return np.array(
-        [
-            qp * f0[0] - w1 * (dx1[2] + 1j * dy1[2]) - w2 * (dx2[3] + 1j * dy2[3]),
-            qp * f0[1] + w1 * (dx1[3] - 1j * dy1[3]) - w2 * (dx2[2] - 1j * dy2[2]),
-            qm * f0[2] - w1 * (dx1[0] - 1j * dy1[0]) - w2 * (dx2[1] + 1j * dy2[1]),
-            qm * f0[3] + w1 * (dx1[1] + 1j * dy1[1]) - w2 * (dx2[0] - 1j * dy2[0]),
-        ]
-    )
+    return np.stack([
+        qp * f0[0] - w1 * (dx1[2] + 1j * dy1[2]) - w2 * (dx2[3] + 1j * dy2[3]),
+        qp * f0[1] + w1 * (dx1[3] - 1j * dy1[3]) - w2 * (dx2[2] - 1j * dy2[2]),
+        qm * f0[2] - w1 * (dx1[0] - 1j * dy1[0]) - w2 * (dx2[1] + 1j * dy2[1]),
+        qm * f0[3] + w1 * (dx1[1] + 1j * dy1[1]) - w2 * (dx2[0] - 1j * dy2[0]),
+    ], axis=-1)
 
 
 def covariant_zetas() -> tuple:
@@ -319,32 +327,29 @@ def covariant_zetas() -> tuple:
     return z1, z2
 
 
-def covariant_form_residual(params, field, point, step, energy) -> float:
+def covariant_form_residual(params, field, point, step, energy):
     """Max-norm difference between the covariant contraction and gamma(0)(H - E).
 
     The contraction is (1-sigma) zeta_1.pi_1 + 2 sigma zeta_2.pi_2 with
     effective momenta pi_k = (m, -i d/dx_k, -i d/dy_k, -2a/r_k + a/r12 - E'),
     where E' = E / (1 + sigma).  The energy component must carry that
     weight because the mixing prefactors sum to 1 + sigma while E enters
-    the eigenproblem exactly once.
+    the eigenproblem exactly once.  Returns a float for one point and an
+    array of shape (N,) for a batch.
     """
     _require_clearance(point, 4 * step)
     s, a = params.sigma, params.alpha
-    f0 = field(point)
-    d = [_derivative(field, point, ax, step) for ax in range(4)]
+    f0, d = _gradient(field, point, step)
     z1, z2 = covariant_zetas()
     eshift = energy / (1 + s)
     pi1 = (params.m * f0, -1j * d[0], -1j * d[1],
-           (-2 * a / point.r1 + a / point.r12 - eshift) * f0)
+           _col(-2 * a / point.r1 + a / point.r12 - eshift) * f0)
     pi2 = (params.m * f0, -1j * d[2], -1j * d[3],
-           (-2 * a / point.r2 + a / point.r12 - eshift) * f0)
-    total = np.zeros(4, dtype=complex)
-    for zmat, pvec in zip(z1, pi1):
-        total = total + (1 - s) * (zmat @ pvec)
-    for zmat, pvec in zip(z2, pi2):
-        total = total + 2 * s * (zmat @ pvec)
-    reference = _GAMMA[0] @ (apply_H(params, field, point, step) - energy * f0)
-    return float(np.abs(total - reference).max())
+           _col(-2 * a / point.r2 + a / point.r12 - eshift) * f0)
+    total = sum((1 - s) * (pvec @ zmat.T) for zmat, pvec in zip(z1, pi1))
+    total = total + sum(2 * s * (pvec @ zmat.T) for zmat, pvec in zip(z2, pi2))
+    reference = (_h_terms(params, point, f0, d, CANONICAL_ASSIGNMENT) - energy * f0) @ _GAMMA[0].T
+    return np.abs(total - reference).max(axis=-1)
 
 
 def scan_derivative_assignments(params, field, points, step) -> list:

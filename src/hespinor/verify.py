@@ -143,33 +143,29 @@ def operator_checks(step: float = 1e-3) -> list:
 
     kvec = (0.6, -0.4, 0.3, 0.8)
     wave = SpinorField.plane_wave(kvec, (1, 1, 1, 1))
-    point = ConfigPoint(1.1, 0.4, -0.8, 0.9)
-
-    def analytic_h(p):
-        f0 = wave(p)
-        d = [1j * kvec[ax] * f0 for ax in range(4)]
-        g = {i: clifford.gamma(i) for i in (0, 1, 2, 3, 5)}
-        s, a = params.sigma, params.alpha
-        out = (1 - s) * (1j * (g[3] @ d[0] - g[5] @ d[1]) - (2 * a / p.r1) * f0)
-        out = out + 2 * s * (1j * (g[1] @ d[2] - g[2] @ d[3]) - (2 * a / p.r2) * f0)
-        out = out + (1 + s) * (params.m * (g[0] @ f0) + (a / p.r12) * f0)
-        return out
-
-    err = [float(np.abs(apply_H(params, wave, point, h) - analytic_h(point)).max())
-           for h in (step, step / 2)]
+    p = ConfigPoint(1.1, 0.4, -0.8, 0.9)
+    f0 = wave(p)
+    d = [1j * kvec[ax] * f0 for ax in range(4)]
+    g = {i: clifford.gamma(i) for i in (0, 1, 2, 3, 5)}
+    s, a = params.sigma, params.alpha
+    exact = (1 - s) * (1j * (g[3] @ d[0] - g[5] @ d[1]) - (2 * a / p.r1) * f0)
+    exact = exact + 2 * s * (1j * (g[1] @ d[2] - g[2] @ d[3]) - (2 * a / p.r2) * f0)
+    exact = exact + (1 + s) * (params.m * (g[0] @ f0) + (a / p.r12) * f0)
+    err = [float(np.abs(apply_H(params, wave, p, h) - exact).max()) for h in (step, step / 2)]
     results.append(_bounded("plane-wave FD order (|ratio - 4|)", abs(err[0] / err[1] - 4), 0.5,
                             note=f"errors {err[0]:.2e} -> {err[1]:.2e}"))
 
     energy = 1.2 * params.m
     g0 = clifford.gamma(0)
+    batch = ConfigPoint.stack(points[:8])
     dev_cs = max(
-        float(np.abs(component_system_residual(params, f, p, step, energy)
-                     - g0 @ (apply_H(params, f, p, step) - energy * f(p))).max())
-        for f in fields for p in points[:8]
+        float(np.abs(component_system_residual(params, f, batch, step, energy)
+                     - (apply_H(params, f, batch, step) - energy * f(batch)) @ g0.T).max())
+        for f in fields
     )
     results.append(_bounded("component expansion equals g0(H-E)", dev_cs, 1e-10))
-    dev_cov = max(covariant_form_residual(params, f, p, step, energy)
-                  for f in fields for p in points[:8])
+    dev_cov = max(float(covariant_form_residual(params, f, batch, step, energy).max())
+                  for f in fields)
     results.append(_bounded("covariant contraction equals g0(H-E)", dev_cov, 1e-10))
 
     scan = scan_derivative_assignments(params, fields[0], points[:4], step)
@@ -188,16 +184,16 @@ def angular_checks(step: float = 1e-5) -> list:
     assignment = angular.PhaseAssignment.canonical(params.j1, params.j2)
     profiles = [
         angular.RadialProfile(
-            value=lambda r1, r2: math.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
-            d_r1=lambda r1, r2: -(r1 - 1.0) * math.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
-            d_r2=lambda r1, r2: -(r2 - 1.3) * math.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
+            value=lambda r1, r2: np.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
+            d_r1=lambda r1, r2: -(r1 - 1.0) * np.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
+            d_r2=lambda r1, r2: -(r2 - 1.3) * np.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
         ),
         angular.RadialProfile.power_exponential(0.8, 1.0, 0.5, 0.9, 0.4),
         angular.RadialProfile.power_exponential(-0.6, 0.5, 1.0, 0.7, 0.8),
         angular.RadialProfile(
-            value=lambda r1, r2: math.exp(-0.8 * r1 - 1.1 * r2) * (1 + 0.3 * r2),
-            d_r1=lambda r1, r2: -0.8 * math.exp(-0.8 * r1 - 1.1 * r2) * (1 + 0.3 * r2),
-            d_r2=lambda r1, r2: math.exp(-0.8 * r1 - 1.1 * r2) * (0.3 - 1.1 * (1 + 0.3 * r2)),
+            value=lambda r1, r2: np.exp(-0.8 * r1 - 1.1 * r2) * (1 + 0.3 * r2),
+            d_r1=lambda r1, r2: -0.8 * np.exp(-0.8 * r1 - 1.1 * r2) * (1 + 0.3 * r2),
+            d_r2=lambda r1, r2: np.exp(-0.8 * r1 - 1.1 * r2) * (0.3 - 1.1 * (1 + 0.3 * r2)),
         ),
     ]
     energy = 1.1 * params.m
@@ -206,20 +202,17 @@ def angular_checks(step: float = 1e-5) -> list:
     rng = np.random.default_rng(7)
     radial_points = [(float(r1), float(r2)) for r1, r2 in rng.uniform(0.6, 1.6, (10, 2))]
 
-    worst_rel = 0.0
-    worst_dev = 0.0
-    for rp in radial_points:
-        scale = max(abs(prof.value(*rp)) for prof in profiles)
-        spread = angular.separation_residual(params, assignment, profiles, energy,
-                                             angles, rp, rho0, step)
-        worst_rel = max(worst_rel, spread / scale)
-        one_angle = angles[0]
-        p = angular.point_from_polar(rp[0], one_angle[0], rp[1], one_angle[1])
-        fd = component_system_residual(params, angular.build_spinor(assignment, profiles),
-                                       p, step, energy, rho_freeze=rho0)
-        fd = fd / assignment.phase_vector(p.theta1, p.theta2)
-        exact = angular.radial_system_residual(params, profiles, energy, rho0, rp)
-        worst_dev = max(worst_dev, float(np.abs(fd - exact).max()))
+    worst_rel = max(angular.separation_residual(params, assignment, profiles, energy,
+                                                angles, rp, rho0, step)
+                    / max(abs(prof.value(*rp)) for prof in profiles) for rp in radial_points)
+    r1, r2 = np.array(radial_points).T
+    p = angular.point_from_polar(r1, angles[0][0], r2, angles[0][1])
+    fd = component_system_residual(params, angular.build_spinor(assignment, profiles),
+                                   p, step, energy, rho_freeze=rho0)
+    fd = fd / assignment.phase_vector(p.theta1, p.theta2)
+    exact = [angular.radial_system_residual(params, profiles, energy, rho0, rp)
+             for rp in radial_points]
+    worst_dev = float(np.abs(fd - exact).max())
     results = [
         _bounded("angular cancellation spread / field scale", worst_rel, 1e-8,
                  note="8 angles x 10 radial points, canonical phases"),
@@ -405,8 +398,8 @@ def run_all(gamma_override=None, fast: bool = False) -> VerifyReport:
     """Full verification battery.
 
     ``gamma_override`` injects alternative gamma tables into the Clifford
-    checks (fault-injection hook).  ``fast`` skips the slow operator
-    commutator scans.
+    checks (fault-injection hook).  ``fast`` skips the operator and
+    angular batteries.
     """
     report = VerifyReport()
     report.results += clifford_checks(gamma_override=gamma_override)

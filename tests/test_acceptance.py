@@ -184,16 +184,16 @@ def test_criterion_10_angular_separation():
     assignment = angular.PhaseAssignment.canonical(params.j1, params.j2)
     profiles = [
         angular.RadialProfile(
-            value=lambda r1, r2: math.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
-            d_r1=lambda r1, r2: -(r1 - 1.0) * math.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
-            d_r2=lambda r1, r2: -(r2 - 1.3) * math.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
+            value=lambda r1, r2: np.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
+            d_r1=lambda r1, r2: -(r1 - 1.0) * np.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
+            d_r2=lambda r1, r2: -(r2 - 1.3) * np.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
         ),
         angular.RadialProfile.power_exponential(0.8, 1.0, 0.5, 0.9, 0.4),
         angular.RadialProfile.power_exponential(-0.6, 0.5, 1.0, 0.7, 0.8),
         angular.RadialProfile(
-            value=lambda r1, r2: math.exp(-0.8 * r1 - 1.1 * r2) * (1 + 0.3 * r2),
-            d_r1=lambda r1, r2: -0.8 * math.exp(-0.8 * r1 - 1.1 * r2) * (1 + 0.3 * r2),
-            d_r2=lambda r1, r2: math.exp(-0.8 * r1 - 1.1 * r2) * (0.3 - 1.1 * (1 + 0.3 * r2)),
+            value=lambda r1, r2: np.exp(-0.8 * r1 - 1.1 * r2) * (1 + 0.3 * r2),
+            d_r1=lambda r1, r2: -0.8 * np.exp(-0.8 * r1 - 1.1 * r2) * (1 + 0.3 * r2),
+            d_r2=lambda r1, r2: np.exp(-0.8 * r1 - 1.1 * r2) * (0.3 - 1.1 * (1 + 0.3 * r2)),
         ),
     ]
     angles = [(0.1 + 0.7 * k, 0.4 + 1.1 * k) for k in range(8)]

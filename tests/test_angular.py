@@ -23,16 +23,16 @@ def smooth_profiles():
     """Generic smooth profiles unrelated to any exact solution."""
     return [
         angular.RadialProfile(
-            value=lambda r1, r2: math.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
-            d_r1=lambda r1, r2: -(r1 - 1.0) * math.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
-            d_r2=lambda r1, r2: -(r2 - 1.3) * math.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
+            value=lambda r1, r2: np.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
+            d_r1=lambda r1, r2: -(r1 - 1.0) * np.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
+            d_r2=lambda r1, r2: -(r2 - 1.3) * np.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
         ),
         angular.RadialProfile.power_exponential(0.8, 1.0, 0.5, 0.9, 0.4),
         angular.RadialProfile.power_exponential(-0.6, 0.5, 1.0, 0.7, 0.8),
         angular.RadialProfile(
-            value=lambda r1, r2: math.exp(-0.8 * r1 - 1.1 * r2) * (1 + 0.3 * r2),
-            d_r1=lambda r1, r2: -0.8 * math.exp(-0.8 * r1 - 1.1 * r2) * (1 + 0.3 * r2),
-            d_r2=lambda r1, r2: math.exp(-0.8 * r1 - 1.1 * r2) * (0.3 - 1.1 * (1 + 0.3 * r2)),
+            value=lambda r1, r2: np.exp(-0.8 * r1 - 1.1 * r2) * (1 + 0.3 * r2),
+            d_r1=lambda r1, r2: -0.8 * np.exp(-0.8 * r1 - 1.1 * r2) * (1 + 0.3 * r2),
+            d_r2=lambda r1, r2: np.exp(-0.8 * r1 - 1.1 * r2) * (0.3 - 1.1 * (1 + 0.3 * r2)),
         ),
     ]
 
@@ -186,3 +186,33 @@ def test_find_cancelling_assignments_unique_in_band():
 def test_phase_assignment_needs_four_pairs():
     with pytest.raises(ValueError):
         angular.PhaseAssignment(pairs=((1.5, 1.5),))
+
+
+def test_built_spinor_shapes_for_point_and_batch():
+    spinor = angular.build_spinor(angular.PhaseAssignment.canonical(1.0, 1.0),
+                                  smooth_profiles()[:3] + [angular.RadialProfile.zero()])
+    p = angular.point_from_polar(0.9, 0.52, 1.2, -1.1)
+    assert spinor(p).shape == (4,)
+    batch = angular.point_from_polar(np.array([0.9, 1.1, 0.7]), np.array([0.52, 2.0, -1.0]),
+                                     np.array([1.2, 0.8, 1.4]), np.array([-1.1, 0.3, 2.5]))
+    out = spinor(batch)
+    assert out.shape == (3, 4)
+    assert np.array_equal(out[0], spinor(p))
+
+
+def test_separation_batch_matches_per_angle_loop(params):
+    # reference: one component-system evaluation per angle sample
+    profiles = smooth_profiles()
+    assignment = angular.PhaseAssignment.canonical(params.j1, params.j2)
+    spinor = angular.build_spinor(assignment, profiles)
+    r1, r2 = 0.9, 1.2
+    rows = []
+    for theta1, theta2 in ANGLES:
+        p = angular.point_from_polar(r1, theta1, r2, theta2)
+        res = component_system_residual(params, spinor, p, 1e-5, 1.1, rho_freeze=0.86)
+        rows.append(res / assignment.phase_vector(p.theta1, p.theta2))
+    rows = np.array(rows)
+    expected = float(np.abs(rows - rows[0]).max())
+    spread = angular.separation_residual(params, assignment, profiles, 1.1,
+                                         ANGLES, (r1, r2), 0.86, step=1e-5)
+    assert spread == pytest.approx(expected, rel=0, abs=1e-15)

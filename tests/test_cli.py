@@ -124,3 +124,10 @@ def test_ion_limit_command(capsys):
 
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
+
+
+def test_verify_full_battery_exits_zero(capsys):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert "[FAIL]" not in out
+    assert out.strip().split("\n")[-1] == "38/38 checks passed"

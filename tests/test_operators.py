@@ -116,8 +116,9 @@ def test_h_singular_point_guard(params):
 
 def test_jz_annihilates_rotation_invariants():
     def fn(p):
-        g = math.exp(-p.r1 - 0.5 * p.r2) * (1 + 0.1 * p.r12**2)
-        return np.array([g, 0, 0, 0], dtype=complex)
+        g = np.exp(-p.r1 - 0.5 * p.r2) * (1 + 0.1 * p.r12**2)
+        zero = np.zeros_like(g)
+        return np.stack([g, zero, zero, zero], axis=-1).astype(complex)
 
     field = SpinorField(fn)
     point = ConfigPoint(0.9, 0.5, -0.7, 1.1)
@@ -128,7 +129,9 @@ def test_jz_annihilates_rotation_invariants():
 def test_jz_winding_eigenvalue_is_plus_one():
     # exp(i theta1) = (x1 + i y1)/r1 is smooth away from the origin
     def fn(p):
-        return np.array([(p.x1 + 1j * p.y1) / p.r1, 0, 0, 0])
+        w = (p.x1 + 1j * p.y1) / p.r1
+        zero = np.zeros_like(w)
+        return np.stack([w, zero, zero, zero], axis=-1)
 
     field = SpinorField(fn)
     point = ConfigPoint(0.8, 0.45, 1.0, -0.3)
@@ -138,7 +141,11 @@ def test_jz_winding_eigenvalue_is_plus_one():
 
 
 def test_jz_polynomial_case():
-    field = SpinorField(lambda p: np.array([p.x1, 0, 0, 0], dtype=complex))
+    def fn(p):
+        zero = np.zeros_like(p.x1)
+        return np.stack([p.x1, zero, zero, zero], axis=-1).astype(complex)
+
+    field = SpinorField(fn)
     at_axis = ConfigPoint(1.0, 0.0, 1.0, 0.0)
     assert np.abs(apply_Jz(field, at_axis, STEP)).max() < 1e-10
     generic = ConfigPoint(0.7, 1.2, 0.5, -0.9)
@@ -250,3 +257,56 @@ def test_commutator_rejects_unsafe_points(params, test_fields):
 def test_unknown_operator_tag(params, safe_points, test_fields):
     with pytest.raises(ValueError):
         commutator_residual("H", "Q", params, test_fields[0], safe_points[:2], STEP)
+
+
+def test_empty_points_are_rejected_by_name(params, test_fields):
+    with pytest.raises(ValueError, match="points"):
+        commutator_residual("H", "M", params, test_fields[0], [], STEP)
+    with pytest.raises(ValueError, match="points"):
+        scan_derivative_assignments(params, test_fields[0], [], STEP)
+
+
+@pytest.mark.parametrize("name", ["H", "Jz", "M", "component", "covariant"])
+def test_batch_equals_stacked_single_points(name, params, safe_points, test_fields):
+    energy = 1.2 * params.m
+    apply = {
+        "H": lambda f, p: apply_H(params, f, p, STEP),
+        "Jz": lambda f, p: apply_Jz(f, p, STEP),
+        "M": lambda f, p: apply_M(f, p, STEP),
+        "component": lambda f, p: component_system_residual(params, f, p, STEP, energy),
+        "covariant": lambda f, p: covariant_form_residual(params, f, p, STEP, energy),
+    }[name]
+    for field in test_fields:
+        batch = apply(field, ConfigPoint.stack(safe_points))
+        stacked = np.stack([apply(field, p) for p in safe_points])
+        assert batch.shape == stacked.shape
+        assert np.abs(batch - stacked).max() <= 1e-15
+
+
+def test_one_singular_point_in_a_batch_raises(params, safe_points, test_fields):
+    bad = ConfigPoint(1e-4, 0.0, 1.0, -1.0)
+    batch = ConfigPoint.stack(safe_points[:3] + [bad] + safe_points[3:6])
+    energy = 1.2 * params.m
+    for call in (
+        lambda: apply_H(params, test_fields[0], batch, STEP),
+        lambda: component_system_residual(params, test_fields[0], batch, STEP, energy),
+        lambda: covariant_form_residual(params, test_fields[0], batch, STEP, energy),
+        lambda: commutator_residual("H", "M", params, test_fields[0],
+                                    safe_points[:3] + [bad], STEP),
+    ):
+        with pytest.raises(SingularPointError):
+            call()
+
+
+@pytest.mark.parametrize("field", [
+    SpinorField.constant((1, 0.5j, 0, -1)),
+    SpinorField.plane_wave((0.6, -0.4, 0.3, 0.8), (1, 1, 1, 1)),
+    SpinorField.gaussian((0.1, -0.2, 0.3, 0.0), 2.0, (1, 2j, 3, 4),
+                         winding=(1, -2), linear=(0.2, 0.0, -0.1, 0.05)),
+])
+def test_builtin_field_shapes(field, safe_points):
+    single = field(safe_points[0])
+    assert single.shape == (4,) and single.dtype == complex
+    batch = field(ConfigPoint.stack(safe_points[:5]))
+    assert batch.shape == (5, 4) and batch.dtype == complex
+    assert np.array_equal(batch[0], single)
