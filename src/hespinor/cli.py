@@ -40,6 +40,16 @@ class RunConfig:
     fast: bool = False
     inject_gamma_fault: bool = False
 
+    def __post_init__(self):
+        # the library's parameter checks, before any numeric work: a bad value exits 2
+        if self.command == "scan":
+            optimize.ScanConfig(self.sigma_min, self.sigma_max, self.points,
+                                self.j1, self.j2, self.alpha, self.m)
+        sigmas = {"minimize": (self.sigma_min, self.sigma_max), "ion-limit": self.sigmas}
+        optimize.check_parameters(self.alpha, self.m, self.j1, self.j2,
+                                  sigmas.get(self.command, ()),
+                                  self.tol if self.command == "minimize" else None)
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -64,6 +74,10 @@ def _rows_to_json(rows, fields) -> str:
     return json.dumps([dict(zip(fields, row)) for row in rows], indent=2) + "\n"
 
 
+def _rows_to_text(rows, fields, fmt: str) -> str:
+    return _rows_to_csv(rows, fields) if fmt == "csv" else _rows_to_json(rows, fields)
+
+
 def cmd_verify(config: RunConfig) -> int:
     override = None
     if config.inject_gamma_fault:
@@ -84,12 +98,7 @@ def _scan_rows(config: RunConfig):
 
 
 def cmd_scan(config: RunConfig) -> int:
-    rows = _scan_rows(config)
-    if config.fmt == "csv":
-        text = _rows_to_csv(rows, SCAN_FIELDS)
-    else:
-        text = _rows_to_json(rows, SCAN_FIELDS)
-    _emit(text, config.output)
+    _emit(_rows_to_text(_scan_rows(config), SCAN_FIELDS, config.fmt), config.output)
     return 0
 
 
@@ -129,10 +138,7 @@ def _print_minimize_summary(record):
 def cmd_ion_limit(config: RunConfig) -> int:
     rows = optimize.ion_limit_report(config.sigmas, alpha=config.alpha, m=config.m,
                                      j1=config.j1, j2=config.j2)
-    fields = ("sigma", "delta_e_hartree")
-    text = (_rows_to_csv(rows, fields) if config.fmt == "csv"
-            else _rows_to_json(rows, fields))
-    _emit(text, config.output)
+    _emit(_rows_to_text(rows, ("sigma", "delta_e_hartree"), config.fmt), config.output)
     if config.output:
         print(f"limit value {_fmt(spectrum.ion_limit(config.alpha, config.j1))}")
     return 0

@@ -13,6 +13,7 @@ coordinates and the nucleus sits at the origin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable
@@ -99,11 +100,13 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 <= self.sigma <= 1.0:
             raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
-        if self.alpha <= 0 or self.m <= 0:
-            raise ValueError("alpha and m must be positive")
+        for name, value in (("alpha", self.alpha), ("mass m", self.m)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} = {value!r}: need a finite {name} > 0")
         for name, j in (("j1", self.j1), ("j2", self.j2)):
-            if j * j <= 4 * self.alpha**2:
-                raise ValueError(f"{name}^2 must exceed 4*alpha^2 for real exponents")
+            if not 4 * self.alpha**2 < j * j < math.inf:
+                raise ValueError(f"{name} = {j!r}: need a finite {name} with "
+                                 f"{name}^2 > 4 alpha^2 for real exponents")
 
 
 @dataclass(frozen=True)

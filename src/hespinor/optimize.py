@@ -3,18 +3,35 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import FINE_STRUCTURE_ALPHA
+from .operators import FINE_STRUCTURE_ALPHA, ModelParams
 from .spectrum import EquilibriumPoint, closed_form, delta_e, equilibrium_point, ion_limit
 
 _INV_PHI = (math.sqrt(5) - 1) / 2
+_PRESCAN_POINTS = 32
 
 
 class NonUnimodalError(ValueError):
     """Coarse pre-scan found no interior minimum inside the bracket."""
+
+
+def check_parameters(alpha: float, m: float, j1: float, j2: float, sigmas=(),
+                     tol: float | None = None):
+    """Raise a ValueError naming the first parameter outside the model's domain.
+
+    ``ModelParams`` checks alpha, m, j1 and j2.  Every sigma must lie in
+    (0, 1], and ``tol``, a golden-section bracket width, must be at least
+    one ulp of the largest sigma, since the bracket cannot shrink below that.
+    """
+    ModelParams(sigma=1.0, alpha=alpha, m=m, j1=j1, j2=j2)
+    for sigma in sigmas:
+        if not 0 < sigma <= 1:
+            raise ValueError(f"sigma = {sigma!r}: need 0 < sigma <= 1")
+    if tol is not None and not tol >= (floor := math.ulp(max(sigmas))):
+        raise ValueError(f"tol = {tol!r}: need tol >= {floor:.3g}, one ulp of sigma")
 
 
 @dataclass(frozen=True)
@@ -28,10 +45,11 @@ class ScanConfig:
     m: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.sigma_min < self.sigma_max <= 1):
-            raise ValueError("need 0 < sigma_min < sigma_max <= 1")
+        check_parameters(self.alpha, self.m, self.j1, self.j2, (self.sigma_min, self.sigma_max))
+        if not self.sigma_min < self.sigma_max:
+            raise ValueError(f"sigma_min = {self.sigma_min!r}: need sigma_min < sigma_max")
         if self.n_points < 2:
-            raise ValueError("need at least two grid points")
+            raise ValueError(f"points = {self.n_points!r}: need at least two grid points")
 
 
 @dataclass(frozen=True)
@@ -43,47 +61,28 @@ class MinimizeResult:
 
 
 def scan_sigma(config: ScanConfig) -> list:
-    """Equilibrium rows on a uniform sigma grid, ascending.
-
-    Per-point numeric failures are flagged with NaN entries rather than
-    aborting the scan.
-    """
-    rows = []
-    for sigma in np.linspace(config.sigma_min, config.sigma_max, config.n_points):
-        sigma = float(sigma)
-        try:
-            rows.append(equilibrium_point(sigma, alpha=config.alpha, m=config.m,
-                                          j1=config.j1, j2=config.j2))
-        except (ValueError, ZeroDivisionError):
-            nan = float("nan")
-            rows.append(EquilibriumPoint(sigma=sigma, delta_e=nan, rho0=nan,
-                                         r10=nan, r20=nan, energy=nan))
-    return rows
+    """Equilibrium rows on a uniform sigma grid, ascending, from one array evaluation."""
+    grid = np.linspace(config.sigma_min, config.sigma_max, config.n_points)
+    table = equilibrium_point(grid, alpha=config.alpha, m=config.m, j1=config.j1, j2=config.j2)
+    columns = [getattr(table, f.name).tolist() for f in fields(EquilibriumPoint)]
+    return [EquilibriumPoint(*row) for row in zip(*columns)]
 
 
 def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_ALPHA,
-                     m: float = 1.0, j1: float = 1.0, j2: float = 1.0,
-                     objective=None, prescan_points: int = 32) -> MinimizeResult:
+                     m: float = 1.0, j1: float = 1.0, j2: float = 1.0) -> MinimizeResult:
     """Golden-section minimization of the excess energy over sigma.
 
     A coarse pre-scan first verifies unimodality (some interior grid point
-    must lie strictly below both bracket ends).  ``objective`` substitutes
-    an arbitrary callable for the excess energy, as a solver test hook.
+    must lie strictly below both bracket ends).
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     lo, hi = sorted(map(float, bracket))
+    check_parameters(alpha, m, j1, j2, (lo, hi), tol)
 
-    if objective is None:
-        def objective_fn(sigma):
-            return delta_e(closed_form(sigma, alpha=alpha, m=m, j1=j1, j2=j2))
-    else:
-        objective_fn = objective
+    def objective(sigma):
+        return delta_e(closed_form(sigma, alpha=alpha, m=m, j1=j1, j2=j2))
 
-    grid = np.linspace(lo, hi, prescan_points)
-    values = [objective_fn(float(s)) for s in grid]
-    imin = int(np.argmin(values))
-    if imin in (0, len(grid) - 1) or not (values[imin] < values[0] and values[imin] < values[-1]):
+    values = objective(np.linspace(lo, hi, _PRESCAN_POINTS))
+    if not values[0] > values.min() < values[-1]:
         raise NonUnimodalError(
             f"no interior minimum on [{lo}, {hi}]: coarse scan bottoms out at the "
             "bracket edge; widen or reposition the bracket"
@@ -92,45 +91,38 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = objective_fn(c), objective_fn(d)
+    fc, fd = objective(c), objective(d)
     iterations = 0
     while abs(b - a) > tol:
         iterations += 1
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = objective_fn(c)
+            fc = objective(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = objective_fn(d)
+            fd = objective(d)
     sigma0 = 0.5 * (a + b)
-    point = equilibrium_point(sigma0, alpha=alpha, m=m, j1=j1, j2=j2)
-    if objective is not None:
-        # test-hook objective: report the minimizer itself, geometry fields untouched
-        point = EquilibriumPoint(sigma=sigma0, delta_e=objective_fn(sigma0),
-                                 rho0=point.rho0, r10=point.r10, r20=point.r20,
-                                 energy=point.energy)
-    return MinimizeResult(point=point, iterations=iterations, bracket=(a, b),
+    return MinimizeResult(point=equilibrium_point(sigma0, alpha=alpha, m=m, j1=j1, j2=j2),
+                          iterations=iterations, bracket=(a, b),
                           tolerance_achieved=abs(b - a))
 
 
 def ion_limit_report(sigmas, alpha: float = FINE_STRUCTURE_ALPHA, m: float = 1.0,
                      j1: float = 1.0, j2: float = 1.0) -> list:
     """(sigma, delta_e) rows approaching the one-electron limit as sigma -> 0+."""
-    rows = []
-    for sigma in sigmas:
-        if sigma <= 0:
-            raise ValueError("ion-limit sequence must keep sigma > 0")
-        cf = closed_form(float(sigma), alpha=alpha, m=m, j1=j1, j2=j2)
-        rows.append((float(sigma), delta_e(cf)))
-    return rows
+    sigmas = [float(sigma) for sigma in sigmas]
+    check_parameters(alpha, m, j1, j2, sigmas)
+    values = delta_e(closed_form(np.array(sigmas), alpha=alpha, m=m, j1=j1, j2=j2))
+    return list(zip(sigmas, values.tolist()))
 
 
 __all__ = [
     "MinimizeResult",
     "NonUnimodalError",
     "ScanConfig",
+    "check_parameters",
     "ion_limit",
     "ion_limit_report",
     "minimize_delta_e",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 
 from . import radial
@@ -30,7 +31,8 @@ from .operators import FINE_STRUCTURE_ALPHA, ModelParams
 
 @dataclass(frozen=True)
 class ClosedFormParams:
-    """Shape parameters of the closed-form energy at one sigma."""
+    """Shape parameters of the closed-form energy at a float sigma, or at an
+    array of sigma (then sigma, h, bracket, c1, c2 and c2sq_minus_1 are arrays)."""
 
     sigma: float
     alpha: float
@@ -43,6 +45,7 @@ class ClosedFormParams:
     bracket: float  # B above
     c1: float
     c2: float
+    c2sq_minus_1: float  # D / B^2, exact where C2^2 - 1 would cancel
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,7 @@ class EquilibriumPoint:
 
     delta_e is in Hartree; rho0, r10, r20 in Bohr radii; energy in natural
     units.  rho0 = r10 + r20 and r10 = sigma r20 hold by construction.
+    For an array sigma every field is an array of sigma's shape.
     """
 
     sigma: float
@@ -68,85 +72,86 @@ def h_ratio(sigma: float, s1: float, s2: float) -> float:
     return sigma * s2 / s1
 
 
-def c_params(sigma: float, s1: float, s2: float, alpha: float,
+def c_params(sigma, s1: float, s2: float, alpha: float,
              m: float = 1.0, j1: float = 1.0, j2: float = 1.0) -> ClosedFormParams:
-    """Evaluate B, C1, C2 and h for given exponents."""
-    b = (1 - sigma) ** 2 * (s1 + 0.5) * s1 + 4 * sigma**3 * (s2 + 1.5) * s2
-    if b == 0:
+    """Evaluate B, C1, C2 and h for given exponents, at a float or an array sigma.
+
+    A vanishing B raises ZeroDivisionError: by Python's float division, or
+    by one check of the whole array, which numpy would divide silently.
+    """
+    w = (1 - sigma) * (1 - sigma)
+    cube = sigma * sigma * sigma
+    b = w * (s1 + 0.5) * s1 + 4 * cube * (s2 + 1.5) * s2
+    if type(b) is not float and not np.all(b):
         raise ZeroDivisionError("shape bracket B vanished; C2 is undefined")
-    d = 4 * alpha**2 * (1 + sigma) ** 2 * ((1 - sigma) ** 2 * s1**2 + 4 * sigma**4 * s2**2)
-    c1 = math.sqrt(b * b + d)
-    c2 = math.sqrt(1 + d / (b * b))
+    d = 4 * alpha**2 * (1 + sigma) * (1 + sigma) * (w * s1**2 + 4 * cube * sigma * s2**2)
+    c2sq_minus_1 = d / (b * b)
     return ClosedFormParams(sigma=sigma, alpha=alpha, m=m, j1=j1, j2=j2,
-                            s1=s1, s2=s2, h=h_ratio(sigma, s1, s2),
-                            bracket=b, c1=c1, c2=c2)
+                            s1=s1, s2=s2, h=h_ratio(sigma, s1, s2), bracket=b,
+                            c1=(b * b + d) ** 0.5, c2=(1 + c2sq_minus_1) ** 0.5,
+                            c2sq_minus_1=c2sq_minus_1)
 
 
-def closed_form(sigma: float, alpha: float = FINE_STRUCTURE_ALPHA, m: float = 1.0,
+def closed_form(sigma, alpha: float = FINE_STRUCTURE_ALPHA, m: float = 1.0,
                 j1: float = 1.0, j2: float = 1.0) -> ClosedFormParams:
     """c_params with the exponents derived from (j1, j2, alpha)."""
     s1, s2 = radial.exponents(j1, j2, alpha)
     return c_params(sigma, s1, s2, alpha, m=m, j1=j1, j2=j2)
 
 
-def delta_e(cf: ClosedFormParams) -> float:
+def delta_e(cf: ClosedFormParams):
     """Excess energy (E - (1+sigma) m) / (m alpha^2), dimensionless Hartree.
 
     The second term is evaluated as (1+sigma)(1 - C2)/(C2 alpha^2) with
-    1 - C2 = -(C2^2 - 1)/(1 + C2), which avoids the catastrophic
-    cancellation of the naive difference near sigma = 0.  At alpha = 0 the
-    relativistic term is defined to vanish and the first term remains.
+    1 - C2 = -(D/B^2)/(1 + C2), which avoids the catastrophic cancellation
+    of the naive difference near sigma = 0.  At alpha = 0 the relativistic
+    term is defined to vanish and the first term remains.
     """
     s = cf.sigma
-    lead = 2 * s * (1 + s) ** 2 / cf.c1
+    lead = 2 * s * (1 + s) * (1 + s) / cf.c1
     if cf.alpha == 0:
         return lead
-    c2sq_minus_1 = (cf.c2 - 1) * (cf.c2 + 1)
-    rel = -(1 + s) * c2sq_minus_1 / ((1 + cf.c2) * cf.c2 * cf.alpha**2)
-    return lead + rel
-
-
-def rho0_bohr(cf: ClosedFormParams) -> float:
-    """Equilibrium interelectron distance C1 / (2 sigma (1 + sigma)), Bohr.
-
-    Diverges as sigma -> 0 (the remaining electron's partner recedes to
-    infinity); sigma = 0 returns math.inf.
-    """
-    if cf.sigma == 0:
-        return math.inf
-    return cf.c1 / (2 * cf.sigma * (1 + cf.sigma))
-
-
-def rho0_natural(cf: ClosedFormParams) -> float:
-    """Same distance in natural length units, C1 / (2 sigma m alpha (1 + sigma))."""
-    if cf.sigma == 0:
-        return math.inf
-    return cf.c1 / (2 * cf.sigma * cf.m * cf.alpha * (1 + cf.sigma))
+    return lead - (1 + s) * cf.c2sq_minus_1 / ((1 + cf.c2) * cf.c2 * cf.alpha**2)
 
 
 def radii_bohr(cf: ClosedFormParams) -> tuple:
-    """(r10, r20) with r10 = sigma/(1+sigma) rho0 and r20 = rho0/(1+sigma).
+    """(r10, r20) with r10 = C1 / (2 (1+sigma)^2) and r20 = r10 / sigma, Bohr.
 
-    r10 is computed as C1 / (2 (1+sigma)^2), which cancels the sigma
-    division and stays finite at sigma = 0.
+    r10 stays finite at sigma = 0, where the partner electron recedes to
+    infinity: r20 is inf there, for a float sigma as for an array (numpy warns).
     """
-    r10 = cf.c1 / (2 * (1 + cf.sigma) ** 2)
-    r20 = math.inf if cf.sigma == 0 else cf.c1 / (2 * cf.sigma * (1 + cf.sigma) ** 2)
+    r10 = cf.c1 / (2 * (1 + cf.sigma) * (1 + cf.sigma))
+    try:
+        r20 = r10 / cf.sigma
+    except ZeroDivisionError:  # a float sigma = 0
+        r20 = math.inf
     return r10, r20
 
 
-def energy_closed_form(cf: ClosedFormParams) -> float:
+def rho0_bohr(cf: ClosedFormParams):
+    """Equilibrium interelectron distance r10 + r20 = C1 / (2 sigma (1 + sigma)), Bohr."""
+    r10, r20 = radii_bohr(cf)
+    return r10 + r20
+
+
+def rho0_natural(cf: ClosedFormParams):
+    """Same distance in natural length units, rho0_bohr / (m alpha)."""
+    return rho0_bohr(cf) / (cf.m * cf.alpha)
+
+
+def energy_closed_form(cf: ClosedFormParams):
     """Total energy 2 sigma m a^2 (1+sigma)^2 / C1 + (1+sigma) m / C2."""
     s = cf.sigma
-    return (2 * s * cf.m * cf.alpha**2 * (1 + s) ** 2 / cf.c1
+    return (2 * s * cf.m * cf.alpha**2 * (1 + s) * (1 + s) / cf.c1
             + (1 + s) * cf.m / cf.c2)
 
 
-def equilibrium_point(sigma: float, alpha: float = FINE_STRUCTURE_ALPHA, m: float = 1.0,
+def equilibrium_point(sigma, alpha: float = FINE_STRUCTURE_ALPHA, m: float = 1.0,
                       j1: float = 1.0, j2: float = 1.0) -> EquilibriumPoint:
+    """Excess energy and geometry at a float sigma, or at every sigma of an array."""
     cf = closed_form(sigma, alpha=alpha, m=m, j1=j1, j2=j2)
     r10, r20 = radii_bohr(cf)
-    return EquilibriumPoint(sigma=sigma, delta_e=delta_e(cf), rho0=rho0_bohr(cf),
+    return EquilibriumPoint(sigma=sigma, delta_e=delta_e(cf), rho0=r10 + r20,
                             r10=r10, r20=r20, energy=energy_closed_form(cf))
 
 

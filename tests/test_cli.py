@@ -1,4 +1,9 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +108,44 @@ def test_verify_fault_injection_exits_one_and_names_pair(capsys):
 def test_usage_error_exit_code(capsys):
     assert cli.main(["no-such-command"]) == 2
     assert cli.main(["scan", "--format", "xml"]) == 2
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["scan", "--alpha", "-1"], "alpha"),
+    (["scan", "--alpha", "nan"], "alpha"),
+    (["scan", "--alpha", "inf"], "alpha"),
+    (["scan", "--j1", "0.001"], "j1"),
+    (["scan", "--mass", "0"], "mass"),
+    (["scan", "--points", "1"], "points"),
+    (["scan", "--points", "0"], "points"),
+    (["scan", "--sigma-min", "0.5", "--sigma-max", "0.1"], "sigma_min"),
+    (["minimize", "--alpha", "nan"], "alpha"),
+    (["minimize", "--tol", "0"], "tol"),
+    (["ion-limit", "--sigmas", "0,0.1"], "sigma"),
+])
+def test_invalid_parameter_is_usage_error(tmp_path, capsys, argv, name):
+    path = tmp_path / "out.txt"
+    code, _, err = run(capsys, *argv, "--output", str(path))
+    assert code == 2
+    assert err.startswith("invalid arguments: " + name)
+    assert not path.exists()
+
+
+def _run_cli(*argv, timeout):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "hespinor.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_minimize_tolerance_below_one_ulp_exits_two_and_the_floor_terminates(tmp_path):
+    proc = _run_cli("minimize", "--tol", "1e-20", timeout=60)
+    assert proc.returncode == 2
+    assert "tol" in proc.stderr
+    path = tmp_path / "min.json"
+    proc = _run_cli("minimize", "--tol", repr(math.ulp(0.5)), "--format", "json",
+                    "--output", str(path), timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(path.read_text())["sigma0"] == pytest.approx(0.17711646742155152, abs=1e-6)
 
 
 def test_numeric_error_exit_code(capsys):

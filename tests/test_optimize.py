@@ -15,6 +15,15 @@ def test_scan_config_validation():
         optimize.ScanConfig(sigma_min=0.5, sigma_max=0.1, n_points=10)
     with pytest.raises(ValueError):
         optimize.ScanConfig(sigma_min=0.1, sigma_max=0.5, n_points=1)
+    bad = [("alpha", dict(alpha=-1.0)), ("alpha", dict(alpha=math.nan)),
+           ("alpha", dict(alpha=math.inf)), ("alpha", dict(alpha=0.0)),
+           ("j1", dict(j1=0.001)), ("j2", dict(j2=math.nan)), ("mass", dict(m=0.0)),
+           ("mass", dict(m=math.inf)), ("points", dict(n_points=0)),
+           ("sigma", dict(sigma_min=0.0)), ("sigma", dict(sigma_max=1.5))]
+    for name, override in bad:
+        kwargs = dict(dict(sigma_min=0.1, sigma_max=0.5, n_points=10), **override)
+        with pytest.raises(ValueError, match=name):
+            optimize.ScanConfig(**kwargs)
 
 
 def test_scan_rows_ascending_and_counted():
@@ -87,11 +96,10 @@ def test_minimize_tolerance_stability():
     assert abs(fine - coarse) < 1e-5
 
 
-def test_minimize_quadratic_test_hook():
-    result = optimize.minimize_delta_e((0.05, 0.5), tol=1e-6,
-                                       objective=lambda s: (s - 0.3) ** 2)
-    assert result.point.sigma == pytest.approx(0.3, abs=1e-6)
-    assert result.point.delta_e == pytest.approx(0.0, abs=1e-10)
+def test_minimize_sigma0_near_50_digit_root():
+    # root of d(delta_e)/d(sigma) at the default constants, to 50 digits
+    result = optimize.minimize_delta_e((0.05, 0.5), tol=1e-6)
+    assert abs(result.point.sigma - 0.17711646742155152) <= 1e-6
 
 
 def test_minimize_rejects_non_unimodal_bracket():
@@ -103,6 +111,23 @@ def test_minimize_rejects_non_unimodal_bracket():
 def test_minimize_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         optimize.minimize_delta_e((0.05, 0.5), tol=0.0)
+    # golden section cannot shrink the bracket below one ulp of its larger end
+    for tol in (1e-20, math.ulp(0.5) / 2, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            optimize.minimize_delta_e((0.05, 0.5), tol=tol)
+
+
+def test_minimize_terminates_at_the_tolerance_floor():
+    floor = math.ulp(0.5)
+    assert optimize.minimize_delta_e((0.05, 0.5), tol=floor).tolerance_achieved <= floor
+
+
+def test_minimize_validates_parameters():
+    for kwargs in (dict(alpha=math.nan), dict(m=-1.0), dict(j2=0.0)):
+        with pytest.raises(ValueError):
+            optimize.minimize_delta_e((0.05, 0.5), **kwargs)
+    with pytest.raises(ValueError, match="sigma"):
+        optimize.minimize_delta_e((0.0, 0.5))
 
 
 def test_ion_limit_report_bounds_and_monotonicity():
@@ -119,6 +144,15 @@ def test_ion_limit_report_bounds_and_monotonicity():
 
 def test_ion_limit_report_empty_sequence():
     assert optimize.ion_limit_report([]) == []
+
+
+def test_ion_limit_report_equals_closed_form_per_sigma():
+    sigmas = [1e-2, 3e-3, 1e-4]
+    rows = optimize.ion_limit_report(sigmas)
+    assert [r[0] for r in rows] == sigmas
+    for sigma, de in rows:
+        assert type(de) is float
+        assert de == pytest.approx(spectrum.delta_e(spectrum.closed_form(sigma)), rel=1e-15)
 
 
 def test_ion_limit_report_rejects_nonpositive_sigma():

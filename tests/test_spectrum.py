@@ -170,3 +170,47 @@ def test_equilibrium_point_geometry_identities():
         assert abs(pt.r10 - pt.sigma * pt.r20) <= 1e-12 * max(pt.r10, 1e-300)
         assert pt.r10 == pytest.approx(pt.sigma / (1 + pt.sigma) * pt.rho0, rel=1e-12)
         assert pt.r20 == pytest.approx(pt.rho0 / (1 + pt.sigma), rel=1e-12)
+
+
+def _mp_delta_e(sigma, alpha, digits=50):
+    """The closed-form excess energy in mpmath arithmetic, binary64 inputs taken exactly."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(digits):
+        s, a = mp.mpf(sigma), mp.mpf(alpha)
+        s1 = s2 = -mp.mpf(1) / 2 + mp.sqrt(1 - 4 * a**2)
+        b = (1 - s) ** 2 * (s1 + mp.mpf(1) / 2) * s1 + 4 * s**3 * (s2 + mp.mpf(3) / 2) * s2
+        d = 4 * a**2 * (1 + s) ** 2 * ((1 - s) ** 2 * s1**2 + 4 * s**4 * s2**2)
+        c2 = mp.sqrt(1 + d / (b * b))
+        return 2 * s * (1 + s) ** 2 / mp.sqrt(b * b + d) + (1 + s) * (1 - c2) / (c2 * a**2)
+
+
+def test_delta_e_matches_50_digit_oracle():
+    pytest.importorskip("mpmath")
+    sigmas = np.linspace(0.01, 0.99, 400)
+    batch = spectrum.delta_e(spectrum.closed_form(sigmas))
+    for sigma, de_batch in zip(sigmas.tolist(), batch.tolist()):
+        ref = float(_mp_delta_e(sigma, ALPHA))
+        scale = max(abs(ref), 1.0)
+        assert abs(spectrum.delta_e(spectrum.closed_form(sigma)) - ref) <= 1e-13 * scale
+        assert abs(de_batch - ref) <= 1e-13 * scale
+
+
+def test_c2sq_minus_1_is_exact_d_over_b_squared():
+    cf = spectrum.closed_form(0.1775)
+    assert cf.c2 ** 2 - 1 == pytest.approx(cf.c2sq_minus_1, rel=1e-11)
+
+
+def test_array_sigma_zero_gives_infinite_outer_radius():
+    with np.errstate(divide="ignore"):
+        cf = spectrum.closed_form(np.array([0.0, 0.2]))
+        r10, r20 = spectrum.radii_bohr(cf)
+        rho0 = spectrum.rho0_bohr(cf)
+    assert np.isinf(r20[0]) and np.isinf(rho0[0])
+    assert r10[0] == spectrum.radii_bohr(spectrum.closed_form(0.0))[0]
+    assert np.isfinite(r20[1])
+
+
+def test_array_zero_bracket_rejected():
+    with pytest.raises(ZeroDivisionError):
+        spectrum.c_params(np.array([0.5, 0.0]), 0.0, 0.5, alpha=ALPHA)
+
