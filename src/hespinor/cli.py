@@ -26,10 +26,10 @@ EXPERIMENTAL_DELTA_E = -2.90330   # measured helium ground-state excess energy
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    alpha: float
-    m: float
-    j1: float
-    j2: float
+    alpha: float = FINE_STRUCTURE_ALPHA
+    m: float = 1.0
+    j1: float = 1.0
+    j2: float = 1.0
     sigma_min: float = 0.01
     sigma_max: float = 0.5
     points: int = 100
@@ -47,7 +47,7 @@ class RunConfig:
                                 self.j1, self.j2, self.alpha, self.m)
         sigmas = {"minimize": (self.sigma_min, self.sigma_max), "ion-limit": self.sigmas}
         optimize.check_parameters(self.alpha, self.m, self.j1, self.j2,
-                                  sigmas.get(self.command, ()),
+                                  sigmas.get(self.command),
                                   self.tol if self.command == "minimize" else None)
 
 
@@ -64,10 +64,9 @@ def _emit(text: str, output: str):
 
 
 def _rows_to_csv(rows, fields) -> str:
-    lines = [",".join(fields)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    # one %-format per row; "%.17g" % x is the same conversion as _fmt(x)
+    template = ",".join(["%.17g"] * len(fields))
+    return "\n".join([",".join(fields), *[template % row for row in rows]]) + "\n"
 
 
 def _rows_to_json(rows, fields) -> str:
@@ -90,15 +89,12 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
-def _scan_rows(config: RunConfig):
-    scan = optimize.scan_sigma(optimize.ScanConfig(
+def cmd_scan(config: RunConfig) -> int:
+    table = optimize.scan_sigma(optimize.ScanConfig(
         sigma_min=config.sigma_min, sigma_max=config.sigma_max, n_points=config.points,
         j1=config.j1, j2=config.j2, alpha=config.alpha, m=config.m))
-    return [(p.sigma, p.delta_e, p.rho0, p.r10, p.r20) for p in scan]
-
-
-def cmd_scan(config: RunConfig) -> int:
-    _emit(_rows_to_text(_scan_rows(config), SCAN_FIELDS, config.fmt), config.output)
+    columns = [c.tolist() for c in (table.sigma, table.delta_e, table.rho0, table.r10, table.r20)]
+    _emit(_rows_to_text(zip(*columns), SCAN_FIELDS, config.fmt), config.output)
     return 0
 
 
@@ -154,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_physics(p):
         p.add_argument("--alpha", type=float, default=FINE_STRUCTURE_ALPHA,
                        help="fine-structure constant (default CODATA)")
-        p.add_argument("--mass", type=float, default=1.0, help="electron mass, natural units")
+        p.add_argument("--mass", dest="m", metavar="MASS", type=float, default=1.0,
+                       help="electron mass, natural units")
         p.add_argument("--j1", type=float, default=1.0, help="inner-electron quantum number")
         p.add_argument("--j2", type=float, default=1.0, help="outer-electron quantum number")
 
@@ -162,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default="", help="write data to this path instead of stdout")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
+    # no physics flags: the battery runs at its own fixed constants
     p = sub.add_parser("verify", help="run the full identity-check battery")
-    add_physics(p)
     p.add_argument("--fast", action="store_true", help="skip the operator and angular batteries")
     p.add_argument("--inject-gamma-fault", action="store_true",
                    help="flip one gamma-table sign (self-test of failure reporting)")
@@ -191,13 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    kwargs = dict(command=args.command, alpha=args.alpha, m=args.mass,
-                  j1=args.j1, j2=args.j2)
-    for name in ("sigma_min", "sigma_max", "points", "tol", "output", "fmt",
-                 "fast", "inject_gamma_fault"):
-        if hasattr(args, name):
-            kwargs[name] = getattr(args, name)
-    if hasattr(args, "sigmas"):
+    kwargs = dict(vars(args))  # each subcommand's dests are RunConfig fields
+    if "sigmas" in kwargs:
         kwargs["sigmas"] = tuple(float(tok) for tok in args.sigmas.split(",") if tok)
     return RunConfig(**kwargs)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,15 +18,20 @@ class NonUnimodalError(ValueError):
     """Coarse pre-scan found no interior minimum inside the bracket."""
 
 
-def check_parameters(alpha: float, m: float, j1: float, j2: float, sigmas=(),
+def check_parameters(alpha: float, m: float, j1: float, j2: float, sigmas=None,
                      tol: float | None = None):
     """Raise a ValueError naming the first parameter outside the model's domain.
 
-    ``ModelParams`` checks alpha, m, j1 and j2.  Every sigma must lie in
-    (0, 1], and ``tol``, a golden-section bracket width, must be at least
-    one ulp of the largest sigma, since the bracket cannot shrink below that.
+    ``ModelParams`` checks alpha, m, j1 and j2.  ``sigmas``, when given, must
+    be non-empty with every sigma in (0, 1], and ``tol``, a golden-section
+    bracket width, must be at least one ulp of the largest sigma, since the
+    bracket cannot shrink below that.
     """
     ModelParams(sigma=1.0, alpha=alpha, m=m, j1=j1, j2=j2)
+    if sigmas is None:
+        sigmas = ()
+    elif not len(sigmas):
+        raise ValueError("sigmas is empty: need at least one sigma")
     for sigma in sigmas:
         if not 0 < sigma <= 1:
             raise ValueError(f"sigma = {sigma!r}: need 0 < sigma <= 1")
@@ -60,12 +65,10 @@ class MinimizeResult:
     tolerance_achieved: float
 
 
-def scan_sigma(config: ScanConfig) -> list:
-    """Equilibrium rows on a uniform sigma grid, ascending, from one array evaluation."""
+def scan_sigma(config: ScanConfig) -> EquilibriumPoint:
+    """Equilibrium columns on a uniform sigma grid, ascending: one EquilibriumPoint of arrays."""
     grid = np.linspace(config.sigma_min, config.sigma_max, config.n_points)
-    table = equilibrium_point(grid, alpha=config.alpha, m=config.m, j1=config.j1, j2=config.j2)
-    columns = [getattr(table, f.name).tolist() for f in fields(EquilibriumPoint)]
-    return [EquilibriumPoint(*row) for row in zip(*columns)]
+    return equilibrium_point(grid, alpha=config.alpha, m=config.m, j1=config.j1, j2=config.j2)
 
 
 def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_ALPHA,

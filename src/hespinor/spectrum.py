@@ -50,7 +50,7 @@ class ClosedFormParams:
 
 @dataclass(frozen=True)
 class EquilibriumPoint:
-    """One row of a sigma scan: excess energy and equilibrium geometry.
+    """Excess energy and equilibrium geometry at one sigma, or a whole scan.
 
     delta_e is in Hartree; rho0, r10, r20 in Bohr radii; energy in natural
     units.  rho0 = r10 + r20 and r10 = sigma r20 hold by construction.

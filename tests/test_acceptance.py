@@ -226,10 +226,10 @@ def test_criterion_11_consistency_oracle():
 
 def test_fig_shape_single_interior_minimum():
     # scan companion to criterion 1: a single interior well on (0.01, 0.5)
-    rows = optimize.scan_sigma(optimize.ScanConfig(0.01, 0.5, 60))
-    values = np.array([r.delta_e for r in rows])
+    table = optimize.scan_sigma(optimize.ScanConfig(0.01, 0.5, 60))
+    values = table.delta_e
     imin = int(np.argmin(values))
     single_well = (np.count_nonzero(np.diff(np.sign(np.diff(values))) != 0) == 1
                    and 0 < imin < len(values) - 1)
     report("1b", single_well,
-           f"sigma scan shows one interior minimum at sigma = {rows[imin].sigma:.4f}")
+           f"sigma scan shows one interior minimum at sigma = {table.sigma[imin]:.4f}")

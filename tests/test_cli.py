@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hespinor import cli
+from hespinor import cli, spectrum
 
 
 def run(capsys, *argv):
@@ -54,12 +55,40 @@ def test_scan_csv_round_trips_exactly(tmp_path, capsys):
     path = tmp_path / "scan.csv"
     assert cli.main(["scan", "--sigma-min", "0.05", "--sigma-max", "0.4",
                      "--points", "23", "--output", str(path)]) == 0
-    rows = optimize.scan_sigma(optimize.ScanConfig(0.05, 0.4, 23))
+    table = optimize.scan_sigma(optimize.ScanConfig(0.05, 0.4, 23))
     lines = path.read_text().strip().split("\n")[1:]
-    assert len(lines) == 23
-    for line, pt in zip(lines, rows):
+    assert len(lines) == len(table.sigma) == 23
+    for i, line in enumerate(lines):
         parsed = [float(tok) for tok in line.split(",")]
-        assert parsed == [pt.sigma, pt.delta_e, pt.rho0, pt.r10, pt.r20]
+        assert parsed == [table.sigma[i], table.delta_e[i], table.rho0[i],
+                          table.r10[i], table.r20[i]]
+
+
+def _reference_scan_csv(lo, hi, n):
+    # independent rendering: the closed form on the grid, one f"{x:.17g}" per value
+    table = spectrum.equilibrium_point(np.linspace(lo, hi, n))
+    columns = [table.sigma, table.delta_e, table.rho0, table.r10, table.r20]
+    lines = ["sigma,delta_e_hartree,rho0_bohr,r10_bohr,r20_bohr"]
+    lines += [",".join(f"{float(x):.17g}" for x in row) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("n", [23, 2000])
+def test_scan_bytes_pinned_to_per_value_rendering(tmp_path, capsys, n):
+    lo, hi = 0.05, 0.4
+    argv = ["scan", "--sigma-min", repr(lo), "--sigma-max", repr(hi), "--points", str(n)]
+    path = tmp_path / "scan.csv"
+    assert cli.main([*argv, "--output", str(path)]) == 0
+    assert path.read_bytes() == _reference_scan_csv(lo, hi, n)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == path.read_bytes()
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    table = spectrum.equilibrium_point(np.linspace(lo, hi, n))
+    expected = [[float(x) for x in row]
+                for row in zip(table.sigma, table.delta_e, table.rho0, table.r10, table.r20)]
+    assert [list(record.values()) for record in json.loads(out)] == expected
 
 
 def test_minimize_defaults(capsys):
@@ -98,6 +127,15 @@ def test_verify_fast_exits_zero(capsys):
     assert "gamma5 product phase" in out
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--mass", "--j1", "--j2"])
+def test_verify_rejects_physics_flags(capsys, flag):
+    # the battery runs at fixed constants, so a physics value it would ignore is a usage error
+    code, _, err = run(capsys, "verify", "--fast", flag, "0.1")
+    assert code == 2
+    assert "unrecognized arguments" in err
+    assert run(capsys, "verify", "--fast")[0] == 0
+
+
 def test_verify_fault_injection_exits_one_and_names_pair(capsys):
     code, out, _ = run(capsys, "verify", "--fast", "--inject-gamma-fault")
     assert code == 1
@@ -122,6 +160,8 @@ def test_usage_error_exit_code(capsys):
     (["minimize", "--alpha", "nan"], "alpha"),
     (["minimize", "--tol", "0"], "tol"),
     (["ion-limit", "--sigmas", "0,0.1"], "sigma"),
+    (["ion-limit", "--sigmas", ""], "sigmas"),
+    (["ion-limit", "--sigmas", ","], "sigmas"),
 ])
 def test_invalid_parameter_is_usage_error(tmp_path, capsys, argv, name):
     path = tmp_path / "out.txt"

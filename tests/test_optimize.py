@@ -27,33 +27,33 @@ def test_scan_config_validation():
 
 
 def test_scan_rows_ascending_and_counted():
-    rows = optimize.scan_sigma(optimize.ScanConfig(0.01, 0.5, 50))
-    assert len(rows) == 50
-    sigmas = [r.sigma for r in rows]
+    table = optimize.scan_sigma(optimize.ScanConfig(0.01, 0.5, 50))
+    assert len(table.sigma) == 50
+    sigmas = table.sigma.tolist()
     assert sigmas == sorted(sigmas)
     assert sigmas[0] == pytest.approx(0.01) and sigmas[-1] == pytest.approx(0.5)
 
 
 def test_scan_two_points_endpoints_only():
-    rows = optimize.scan_sigma(optimize.ScanConfig(0.1, 0.3, 2))
-    assert [r.sigma for r in rows] == [pytest.approx(0.1), pytest.approx(0.3)]
+    table = optimize.scan_sigma(optimize.ScanConfig(0.1, 0.3, 2))
+    assert table.sigma.tolist() == [pytest.approx(0.1), pytest.approx(0.3)]
 
 
 def test_scan_first_point_near_ion_limit():
-    rows = optimize.scan_sigma(optimize.ScanConfig(0.01, 0.5, 50))
-    assert abs(rows[0].delta_e - (-2.0)) < 0.1
+    table = optimize.scan_sigma(optimize.ScanConfig(0.01, 0.5, 50))
+    assert abs(table.delta_e[0] - (-2.0)) < 0.1
 
 
 def test_scan_single_well_shape():
-    rows = optimize.scan_sigma(optimize.ScanConfig(0.01, 0.5, 50))
-    values = np.array([r.delta_e for r in rows])
+    table = optimize.scan_sigma(optimize.ScanConfig(0.01, 0.5, 50))
+    values = table.delta_e
     diffs = np.sign(np.diff(values))
     # strictly decreasing then strictly increasing: exactly one sign change
     changes = np.count_nonzero(np.diff(diffs) != 0)
     assert changes == 1
     imin = int(np.argmin(values))
     assert 0 < imin < len(values) - 1
-    assert 0.15 < rows[imin].sigma < 0.21
+    assert 0.15 < table.sigma[imin] < 0.21
     assert values[imin - 1] > values[imin] < values[imin + 1]
 
 
@@ -142,10 +142,6 @@ def test_ion_limit_report_bounds_and_monotonicity():
     assert limit == pytest.approx(-2.0, abs=2 * (1 / 137.0) ** 2 * 1.01)
 
 
-def test_ion_limit_report_empty_sequence():
-    assert optimize.ion_limit_report([]) == []
-
-
 def test_ion_limit_report_equals_closed_form_per_sigma():
     sigmas = [1e-2, 3e-3, 1e-4]
     rows = optimize.ion_limit_report(sigmas)
@@ -160,10 +156,15 @@ def test_ion_limit_report_rejects_nonpositive_sigma():
         optimize.ion_limit_report([0.0])
 
 
+def test_ion_limit_report_rejects_empty_sequence():
+    with pytest.raises(ValueError, match="sigmas"):
+        optimize.ion_limit_report([])
+
+
 def test_scan_neighbors_of_minimum_both_exceed():
     result = optimize.minimize_delta_e((0.05, 0.5), tol=1e-6)
-    rows = optimize.scan_sigma(optimize.ScanConfig(0.05, 0.5, 200))
-    values = [r.delta_e for r in rows]
+    table = optimize.scan_sigma(optimize.ScanConfig(0.05, 0.5, 200))
+    values = table.delta_e.tolist()
     imin = int(np.argmin(values))
     assert values[imin - 1] > result.point.delta_e
     assert values[imin + 1] > result.point.delta_e
