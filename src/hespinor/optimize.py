@@ -1,4 +1,4 @@
-"""Sigma scan and derivative-free minimization of the excess energy."""
+"""Sigma scan and ground-state search: brentq on the complex-step slope of the excess energy."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import numpy as np
 from .operators import FINE_STRUCTURE_ALPHA, ModelParams
 from .spectrum import EquilibriumPoint, closed_form, delta_e, equilibrium_point, ion_limit
 
-_INV_PHI = (math.sqrt(5) - 1) / 2
 _PRESCAN_POINTS = 32
 
 
@@ -23,9 +22,9 @@ def check_parameters(alpha: float, m: float, j1: float, j2: float, sigmas=None,
     """Raise a ValueError naming the first parameter outside the model's domain.
 
     ``ModelParams`` checks alpha, m, j1 and j2.  ``sigmas``, when given, must
-    be non-empty with every sigma in (0, 1], and ``tol``, a golden-section
-    bracket width, must be at least one ulp of the largest sigma, since the
-    bracket cannot shrink below that.
+    be non-empty with every sigma in (0, 1], and ``tol``, the root-finder's
+    absolute sigma tolerance, must be at least one ulp of the largest sigma,
+    since no sigma can be located more finely than that.
     """
     ModelParams(sigma=1.0, alpha=alpha, m=m, j1=j1, j2=j2)
     if sigmas is None:
@@ -60,9 +59,7 @@ class ScanConfig:
 @dataclass(frozen=True)
 class MinimizeResult:
     point: EquilibriumPoint
-    iterations: int
-    bracket: tuple
-    tolerance_achieved: float
+    iterations: int  # brentq steps in the cell around the pre-scan's minimum
 
 
 def scan_sigma(config: ScanConfig) -> EquilibriumPoint:
@@ -73,43 +70,33 @@ def scan_sigma(config: ScanConfig) -> EquilibriumPoint:
 
 def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_ALPHA,
                      m: float = 1.0, j1: float = 1.0, j2: float = 1.0) -> MinimizeResult:
-    """Golden-section minimization of the excess energy over sigma.
+    """Ground state: the root of d(delta_e)/d(sigma) next to the lowest pre-scan point.
 
-    A coarse pre-scan first verifies unimodality (some interior grid point
-    must lie strictly below both bracket ends).
+    A 32-point pre-scan must find some interior grid point strictly below
+    both bracket ends; brentq then solves for the zero slope between that
+    point's two neighbours.  The slope is the complex step
+    Im delta_e(sigma + i h) / h, exact to rounding through the one closed-form
+    path, so sigma0 obeys brentq's contract |sigma0 - sigma*| <= tol + 4 eps |sigma*|.
     """
+    from scipy.optimize import brentq
+
     lo, hi = sorted(map(float, bracket))
     check_parameters(alpha, m, j1, j2, (lo, hi), tol)
-
-    def objective(sigma):
-        return delta_e(closed_form(sigma, alpha=alpha, m=m, j1=j1, j2=j2))
-
-    values = objective(np.linspace(lo, hi, _PRESCAN_POINTS))
+    grid = np.linspace(lo, hi, _PRESCAN_POINTS)
+    values = delta_e(closed_form(grid, alpha=alpha, m=m, j1=j1, j2=j2))
     if not values[0] > values.min() < values[-1]:
         raise NonUnimodalError(
             f"no interior minimum on [{lo}, {hi}]: coarse scan bottoms out at the "
             "bracket edge; widen or reposition the bracket"
         )
 
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = objective(c), objective(d)
-    iterations = 0
-    while abs(b - a) > tol:
-        iterations += 1
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = objective(d)
-    sigma0 = 0.5 * (a + b)
+    def slope(sigma):
+        return delta_e(closed_form(sigma + 1e-30j, alpha=alpha, m=m, j1=j1, j2=j2)).imag / 1e-30
+
+    k = int(np.argmin(values))
+    sigma0, root = brentq(slope, grid[k - 1], grid[k + 1], xtol=tol, full_output=True)
     return MinimizeResult(point=equilibrium_point(sigma0, alpha=alpha, m=m, j1=j1, j2=j2),
-                          iterations=iterations, bracket=(a, b),
-                          tolerance_achieved=abs(b - a))
+                          iterations=root.iterations)
 
 
 def ion_limit_report(sigmas, alpha: float = FINE_STRUCTURE_ALPHA, m: float = 1.0,

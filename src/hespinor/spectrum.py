@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import radial
 from .operators import FINE_STRUCTURE_ALPHA, ModelParams
@@ -76,13 +75,15 @@ def c_params(sigma, s1: float, s2: float, alpha: float,
              m: float = 1.0, j1: float = 1.0, j2: float = 1.0) -> ClosedFormParams:
     """Evaluate B, C1, C2 and h for given exponents, at a float or an array sigma.
 
-    A vanishing B raises ZeroDivisionError: by Python's float division, or
-    by one check of the whole array, which numpy would divide silently.
+    A complex sigma follows the float path (the minimizer's complex-step
+    slope relies on it).  A vanishing B raises ZeroDivisionError:
+    by Python's division, or by one check of the whole array, which numpy
+    would divide silently.
     """
     w = (1 - sigma) * (1 - sigma)
     cube = sigma * sigma * sigma
     b = w * (s1 + 0.5) * s1 + 4 * cube * (s2 + 1.5) * s2
-    if type(b) is not float and not np.all(b):
+    if type(b) not in (float, complex) and not np.all(b):
         raise ZeroDivisionError("shape bracket B vanished; C2 is undefined")
     d = 4 * alpha**2 * (1 + sigma) * (1 + sigma) * (w * s1**2 + 4 * cube * sigma * s2**2)
     c2sq_minus_1 = d / (b * b)
@@ -178,6 +179,8 @@ def energy_consistency_solve(sigma: float, rho: float, cf: ClosedFormParams,
     sigma = 0 is the degenerate one-electron case and is answered with its
     limiting relation directly.
     """
+    from scipy.optimize import brentq
+
     if sigma == 0:
         return _one_electron_energy(cf)
     params = ModelParams(sigma=sigma, alpha=cf.alpha, m=cf.m, j1=cf.j1, j2=cf.j2)

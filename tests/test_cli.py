@@ -188,6 +188,14 @@ def test_minimize_tolerance_below_one_ulp_exits_two_and_the_floor_terminates(tmp
     assert json.loads(path.read_text())["sigma0"] == pytest.approx(0.17711646742155152, abs=1e-6)
 
 
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    code = ("import sys, hespinor.cli; hespinor.cli.build_parser(); "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
+
+
 def test_numeric_error_exit_code(capsys):
     # increasing objective on (0.3, 0.9): the pre-scan rejects the bracket
     code, _, err = run(capsys, "minimize", "--sigma-min", "0.3", "--sigma-max", "0.9")

@@ -5,9 +5,10 @@ import pytest
 
 from hespinor import optimize, spectrum
 
-# frozen from a tight (1e-12) golden-section run at the default constants
-SIGMA0_REF = 0.1771164394098163
-DELTA_E_MIN_REF = -2.9058986787222714
+# the root of d(delta_e)/d(sigma) at the default constants and delta_e there,
+# both from a 50-digit mpmath evaluation of the closed form
+SIGMA0_REF = 0.17711646742155152
+DELTA_E_MIN_REF = -2.9058986787204573
 
 
 def test_scan_config_validation():
@@ -64,8 +65,7 @@ def test_minimize_defaults_hits_reference_window():
     assert -2.911 <= pt.delta_e <= -2.901
     assert pt.sigma == pytest.approx(SIGMA0_REF, abs=2e-6)
     assert pt.delta_e == pytest.approx(DELTA_E_MIN_REF, abs=1e-9)
-    assert result.tolerance_achieved <= 1e-6
-    assert result.bracket[0] <= pt.sigma <= result.bracket[1]
+    assert abs(pt.sigma - SIGMA0_REF) <= 1e-6
     assert result.iterations > 0
 
 
@@ -97,9 +97,22 @@ def test_minimize_tolerance_stability():
 
 
 def test_minimize_sigma0_near_50_digit_root():
-    # root of d(delta_e)/d(sigma) at the default constants, to 50 digits
     result = optimize.minimize_delta_e((0.05, 0.5), tol=1e-6)
-    assert abs(result.point.sigma - 0.17711646742155152) <= 1e-6
+    assert abs(result.point.sigma - SIGMA0_REF) <= 1e-6
+
+
+def test_minimize_tight_tolerance_reaches_the_50_digit_root():
+    result = optimize.minimize_delta_e((0.05, 0.5), tol=1e-12)
+    assert abs(result.point.sigma - SIGMA0_REF) <= 1e-12
+
+
+def test_minimize_refines_the_prescan_minimum_not_the_whole_bracket():
+    # for j2 = 2 the excess energy also falls toward sigma = 0.99; the global minimum is near 0.0999
+    pt = optimize.minimize_delta_e((0.01, 0.99), tol=1e-6, j1=1.0, j2=2.0).point
+    assert pt.sigma == pytest.approx(0.0999, abs=1e-3)
+    assert pt.delta_e < -2.4
+    table = optimize.scan_sigma(optimize.ScanConfig(0.01, 0.99, 2000, j1=1.0, j2=2.0))
+    assert pt.delta_e <= table.delta_e.min()
 
 
 def test_minimize_rejects_non_unimodal_bracket():
@@ -111,7 +124,7 @@ def test_minimize_rejects_non_unimodal_bracket():
 def test_minimize_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         optimize.minimize_delta_e((0.05, 0.5), tol=0.0)
-    # golden section cannot shrink the bracket below one ulp of its larger end
+    # no sigma can be located more finely than one ulp of the larger bracket end
     for tol in (1e-20, math.ulp(0.5) / 2, math.nan):
         with pytest.raises(ValueError, match="tol"):
             optimize.minimize_delta_e((0.05, 0.5), tol=tol)
@@ -119,7 +132,7 @@ def test_minimize_rejects_bad_tolerance():
 
 def test_minimize_terminates_at_the_tolerance_floor():
     floor = math.ulp(0.5)
-    assert optimize.minimize_delta_e((0.05, 0.5), tol=floor).tolerance_achieved <= floor
+    assert abs(optimize.minimize_delta_e((0.05, 0.5), tol=floor).point.sigma - SIGMA0_REF) <= floor
 
 
 def test_minimize_validates_parameters():

@@ -195,6 +195,17 @@ def test_delta_e_matches_50_digit_oracle():
         assert abs(de_batch - ref) <= 1e-13 * scale
 
 
+def test_complex_sigma_slope_matches_50_digit_derivative():
+    mp = pytest.importorskip("mpmath")
+    step = mp.mpf(10) ** -20
+    for sigma in np.linspace(0.01, 0.99, 25).tolist():
+        slope = spectrum.delta_e(spectrum.closed_form(sigma + 1e-30j)).imag / 1e-30
+        with mp.workdps(50):
+            ref = float((_mp_delta_e(mp.mpf(sigma) + step, ALPHA)
+                         - _mp_delta_e(mp.mpf(sigma) - step, ALPHA)) / (2 * step))
+        assert abs(slope - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+
 def test_c2sq_minus_1_is_exact_d_over_b_squared():
     cf = spectrum.closed_form(0.1775)
     assert cf.c2 ** 2 - 1 == pytest.approx(cf.c2sq_minus_1, rel=1e-11)
