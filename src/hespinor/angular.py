@@ -173,31 +173,24 @@ def radial_system_residual(params: ModelParams, profiles, energy, rho0, point) -
 def find_cancelling_assignments(j1: float, j2: float) -> list:
     """Enumerate winding assignments that cancel the angular dependence.
 
-    Candidates draw each coefficient from {+-(j - 1/2), +-(j + 1/2)}.  A
-    candidate cancels exactly when the row phases match term by term:
+    Coefficients are drawn from {+-(j - 1/2), +-(j + 1/2)}.  An assignment
+    cancels exactly when the row phases match term by term:
 
         Phi1 - Phi3 = theta1     Phi4 - Phi2 = theta1
         Phi3 - Phi2 = theta2     Phi1 - Phi4 = theta2
 
-    Solutions come in ladders shifted by whole windings; exactly one lies
-    in the (j +- 1/2) band and ``PhaseAssignment.canonical`` returns it.
+    These fix components 2-4 from component 1's pair (a, b): they are
+    (a-1, b-1), (a-1, b) and (a, b-1), so the 16 choices of (a, b) are
+    kept when all four pairs lie in the coefficient sets.  Solutions come
+    in ladders shifted by whole windings; exactly one lies in the
+    (j +- 1/2) band and ``PhaseAssignment.canonical`` returns it.
     """
     m1_opts = {j1 - 0.5, j1 + 0.5, -(j1 - 0.5), -(j1 + 0.5)}
     m2_opts = {j2 - 0.5, j2 + 0.5, -(j2 - 0.5), -(j2 + 0.5)}
 
-    def close(a, b):
-        return abs(a - b) <= 1e-12
+    def below(opts, m):
+        return [o for o in opts if abs(m - 1 - o) <= 1e-12]
 
-    found = []
-    for pairs in product(product(m1_opts, m2_opts), repeat=4):
-        (m11, m21), (m12, m22), (m13, m23), (m14, m24) = pairs
-        if not (close(m11 - m13, 1) and close(m21, m23)):
-            continue
-        if not (close(m14 - m12, 1) and close(m24, m22)):
-            continue
-        if not (close(m23 - m22, 1) and close(m13, m12)):
-            continue
-        if not (close(m21 - m24, 1) and close(m11, m14)):
-            continue
-        found.append(PhaseAssignment(pairs=pairs))
-    return found
+    return [PhaseAssignment(pairs=((a, b), (a1, b1), (a1, b), (a, b1)))
+            for a, b in product(m1_opts, m2_opts)
+            for a1, b1 in product(below(m1_opts, a), below(m2_opts, b))]

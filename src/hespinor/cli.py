@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from . import clifford, optimize, spectrum, verify
+from . import optimize, spectrum, verify
 from .operators import FINE_STRUCTURE_ALPHA
 
 SCAN_FIELDS = ("sigma", "delta_e_hartree", "rho0_bohr", "r10_bohr", "r20_bohr")
@@ -38,7 +38,6 @@ class RunConfig:
     fmt: str = "csv"
     sigmas: tuple = (1e-2, 1e-3, 1e-4)
     fast: bool = False
-    inject_gamma_fault: bool = False
 
     def __post_init__(self):
         # the library's parameter checks, before any numeric work: a bad value exits 2
@@ -78,12 +77,7 @@ def _rows_to_text(rows, fields, fmt: str) -> str:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    override = None
-    if config.inject_gamma_fault:
-        bad = clifford.gamma(1)
-        bad[0, 3] = -bad[0, 3]  # flip one sign; the report must name the pair
-        override = {1: bad}
-    report = verify.run_all(gamma_override=override, fast=config.fast)
+    report = verify.run_all(fast=config.fast)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
@@ -162,8 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     # no physics flags: the battery runs at its own fixed constants
     p = sub.add_parser("verify", help="run the full identity-check battery")
     p.add_argument("--fast", action="store_true", help="skip the operator and angular batteries")
-    p.add_argument("--inject-gamma-fault", action="store_true",
-                   help="flip one gamma-table sign (self-test of failure reporting)")
 
     p = sub.add_parser("scan", help="tabulate excess energy and geometry over sigma")
     add_physics(p)

@@ -136,23 +136,16 @@ class CliffordReport:
         return max(self.rows, key=lambda r: r[2])
 
 
-def verify_clifford(tolerance: float, gammas=None) -> CliffordReport:
-    """Check {gamma(mu), gamma(nu)} = 2 delta I for all 15 unordered pairs.
-
-    ``gammas`` may supply an alternative index -> matrix table (used by the
-    fault-injection checks); by default the module tables are verified.
-    """
+def verify_clifford(tolerance: float) -> CliffordReport:
+    """Check {gamma(mu), gamma(nu)} = 2 delta I for all 15 unordered pairs of the tables."""
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    table = {i: _GAMMA_TABLES[i] for i in GAMMA_INDICES}
-    if gammas is not None:
-        table.update({i: np.asarray(m, dtype=complex) for i, m in gammas.items()})
     eye2 = 2.0 * np.eye(4, dtype=complex)
     rows = []
     for i, mu in enumerate(GAMMA_INDICES):
         for nu in GAMMA_INDICES[i:]:
             target = eye2 if mu == nu else 0.0
-            dev = float(np.abs(anticommutator(table[mu], table[nu]) - target).max())
+            dev = float(np.abs(anticommutator(_GAMMA_TABLES[mu], _GAMMA_TABLES[nu]) - target).max())
             rows.append((mu, nu, dev))
     passed = all(dev <= tolerance for _, _, dev in rows)
     return CliffordReport(rows=tuple(rows), tolerance=tolerance, passed=passed)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Callable
 
@@ -169,23 +170,13 @@ class DerivativeAssignment:
     e1: tuple
     e2: tuple
 
-    def label(self) -> str:
-        (ax, sx), (ay, sy) = self.e1
-        (bx, tx), (by, ty) = self.e2
-        def term(i, s, var):
-            return f"{'+' if s > 0 else '-'}g{i}*d{var}"
-        return (
-            f"e1[{term(ax, sx, 'x1')} {term(ay, sy, 'y1')}] "
-            f"e2[{term(bx, tx, 'x2')} {term(by, ty, 'y2')}]"
-        )
-
 
 # Assignment under which [H, M] vanishes and the componentwise expansion
 # below holds with real radial coefficients.
 CANONICAL_ASSIGNMENT = DerivativeAssignment(e1=((3, +1), (5, -1)), e2=((1, +1), (2, -1)))
 
 # Electron-2 pair attached to the opposite axes; breaks [H, M] = 0 and is
-# kept only as input to the assignment scan / verify report.
+# kept as the contrast case of the verify report.
 E2_EXCHANGED_ASSIGNMENT = DerivativeAssignment(e1=((3, +1), (5, -1)), e2=((2, +1), (1, -1)))
 
 
@@ -355,22 +346,34 @@ def covariant_form_residual(params, field, point, step, energy):
     return np.abs(total - reference).max(axis=-1)
 
 
-def scan_derivative_assignments(params, field, points, step) -> list:
-    """[H, M] residual for every pairing/sign variant of the derivative terms.
+def scan_derivative_assignments() -> list:
+    """Exact [H, M] test of every pairing/sign variant of the derivative terms.
+
+    Per electron Jz = i(y d/dx - x d/dy), so [Jz, d/dx] = i d/dy and [Jz, d/dy] = -i d/dx.
+    So i(P d/dx + Q d/dy) commutes with M = Jz + S, S = diag(-1, 1, 0, 0),
+    exactly when i[S, P] = -Q and i[S, Q] = P.
+    The rest of H commutes with M: [S, gamma(0)] = 0 and the potential is rotation-invariant.
 
     Both electrons are scanned over their two axis pairings and four sign
     combinations (64 variants).  Returns (assignment, residual) sorted by
-    residual; the commuting variants sit at the top separated from the
-    rest by many orders of magnitude.
+    residual: the largest entry of i[S, P] + Q, i[S, Q] - P (either
+    electron) and [S, gamma(0)].  The entries are 0, +-1 and +-1j, so a
+    commuting variant reads exactly 0.0.
     """
-    results = []
-    for (a1, b1), s1x, s1y, (a2, b2), s2x, s2y in product(
-        ((3, 5), (5, 3)), (+1, -1), (+1, -1), ((1, 2), (2, 1)), (+1, -1), (+1, -1)
-    ):
-        assignment = DerivativeAssignment(
-            e1=((a1, s1x), (b1, s1y)), e2=((a2, s2x), (b2, s2y))
-        )
-        res = commutator_residual("H", "M", params, field, points, step, assignment)
-        results.append((assignment, res))
-    results.sort(key=lambda t: t[1])
-    return results
+    def comm(a):
+        return _SPIN_SHIFT @ a - a @ _SPIN_SHIFT
+
+    @cache
+    def residual(pair):
+        (ix, sx), (iy, sy) = pair
+        p, q = sx * _GAMMA[ix], sy * _GAMMA[iy]
+        return max(np.abs(1j * comm(p) + q).max(), np.abs(1j * comm(q) - p).max())
+
+    mass = np.abs(comm(_GAMMA[0])).max()
+    variants = (
+        DerivativeAssignment(e1=((a1, s1x), (b1, s1y)), e2=((a2, s2x), (b2, s2y)))
+        for (a1, b1), s1x, s1y, (a2, b2), s2x, s2y in product(
+            ((3, 5), (5, 3)), (+1, -1), (+1, -1), ((1, 2), (2, 1)), (+1, -1), (+1, -1))
+    )
+    return sorted(((v, float(max(residual(v.e1), residual(v.e2), mass))) for v in variants),
+                  key=lambda t: t[1])

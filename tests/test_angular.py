@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -176,11 +177,33 @@ def test_radial_rows_reject_nonpositive_radii(params):
         angular.radial_system_residual(params, smooth_profiles(), 1.0, 0.86, (0.0, 1.0))
 
 
-def test_find_cancelling_assignments_unique_in_band():
-    ladder = angular.find_cancelling_assignments(1.0, 1.0)
-    assert len(ladder) == 9  # whole-winding shifts of one solution
-    in_band = [a for a in ladder if a.in_half_step_band(1.0, 1.0)]
-    assert in_band == [angular.PhaseAssignment.canonical(1.0, 1.0)]
+def _brute_force_ladders(j1, j2):
+    # reference: all 16^4 candidates, each row constraint tested directly
+    m1_opts = {j1 - 0.5, j1 + 0.5, -(j1 - 0.5), -(j1 + 0.5)}
+    m2_opts = {j2 - 0.5, j2 + 0.5, -(j2 - 0.5), -(j2 + 0.5)}
+
+    def close(a, b):
+        return abs(a - b) <= 1e-12
+
+    found = set()
+    for pairs in itertools.product(itertools.product(m1_opts, m2_opts), repeat=4):
+        (m11, m21), (m12, m22), (m13, m23), (m14, m24) = pairs
+        if (close(m11 - m13, 1) and close(m21, m23) and close(m14 - m12, 1) and close(m24, m22)
+                and close(m23 - m22, 1) and close(m13, m12)
+                and close(m21 - m24, 1) and close(m11, m14)):
+            found.add(pairs)
+    return found
+
+
+@pytest.mark.parametrize("j1, j2, n_ladders", [
+    (1.0, 1.0, 9), (1.5, 1.0, 6), (2.0, 0.5, 4), (1.0, 2.5, 6), (0.5, 0.5, 4),
+])
+def test_find_cancelling_assignments_unique_in_band(j1, j2, n_ladders):
+    ladder = angular.find_cancelling_assignments(j1, j2)
+    assert len(ladder) == n_ladders  # whole-winding shifts of one solution
+    assert {a.pairs for a in ladder} == _brute_force_ladders(j1, j2)
+    in_band = [a for a in ladder if a.in_half_step_band(j1, j2)]
+    assert in_band == [angular.PhaseAssignment.canonical(j1, j2)]
 
 
 def test_phase_assignment_needs_four_pairs():

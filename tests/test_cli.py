@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hespinor import cli, spectrum
+from hespinor import cli, clifford, spectrum
 
 
 def run(capsys, *argv):
@@ -136,11 +136,16 @@ def test_verify_rejects_physics_flags(capsys, flag):
     assert run(capsys, "verify", "--fast")[0] == 0
 
 
-def test_verify_fault_injection_exits_one_and_names_pair(capsys):
-    code, out, _ = run(capsys, "verify", "--fast", "--inject-gamma-fault")
+def test_verify_fault_injection_exits_one_and_names_pair(capsys, monkeypatch):
+    bad = clifford.gamma(1)
+    bad[0, 3] = -bad[0, 3]  # flip one sign; the report must name the pair
+    monkeypatch.setitem(clifford._GAMMA_TABLES, 1, bad)
+    code, out, err = run(capsys, "verify", "--fast")
     assert code == 1
     fail_lines = [line for line in out.split("\n") if line.startswith("[FAIL]")]
     assert any("clifford anticommutation" in line and "(1," in line for line in fail_lines)
+    assert any("gamma5 product phase" in line for line in fail_lines)
+    assert err == ""
 
 
 def test_usage_error_exit_code(capsys):

@@ -49,3 +49,13 @@ def test_full_battery_passes_every_check_in_order():
     notes = {r.name: r.note for r in report.results}
     assert notes["canonical assignment commutes with M"].startswith("16 of 64 variants commute")
     assert notes["phase assignment search"].startswith("9 winding ladders cancel")
+
+
+def test_assignment_check_needs_canonical_in_exact_set(monkeypatch):
+    # the FD ratio alone still passes; the exact scan must also list the canonical variant
+    exact = verify.scan_derivative_assignments()
+    monkeypatch.setattr(verify, "scan_derivative_assignments", lambda: [
+        (a, 2.0 if a == verify.CANONICAL_ASSIGNMENT else r) for a, r in exact])
+    checks = {r.name: r for r in verify.operator_checks()}
+    assert not checks["canonical assignment commutes with M"].passed
+    assert checks["canonical assignment commutes with M"].value < 1e-4
