@@ -117,7 +117,7 @@ def point_from_polar(r1, theta1, r2, theta2) -> ConfigPoint:
 
 
 def separation_residual(params: ModelParams, assignment: PhaseAssignment, profiles,
-                        energy, angle_samples, radial_point, rho0, step) -> float:
+                        energy, angle_samples, radial_point, rho0, step):
     """Angle spread of the phase-stripped component residuals at fixed radii.
 
     The four component equations are evaluated for all (theta1, theta2) samples
@@ -125,6 +125,8 @@ def separation_residual(params: ModelParams, assignment: PhaseAssignment, profil
     at rho0 and divided componentwise by exp(i Phi_k).  Full angular
     cancellation means the results agree across all samples; the returned
     number is the largest componentwise deviation from the first sample.
+    ``radial_point`` is (r1, r2): two floats give a float, two arrays of
+    shape (R,) give the R spreads as one array from one batch.
 
     The stripping phases are computed from the constructed point's own
     atan2 angles: with half-integer winding coefficients the raw sample
@@ -132,14 +134,15 @@ def separation_residual(params: ModelParams, assignment: PhaseAssignment, profil
     phase sign.
     """
     angles = np.asarray(angle_samples, dtype=float).reshape(-1, 2)
+    r1, r2 = (np.expand_dims(r, -1) for r in radial_point)
     if len(angles) == 0:
-        return 0.0
-    r1, r2 = radial_point
+        return 0.0 if r1.ndim == 1 else np.zeros(len(r1))
     p = point_from_polar(r1, angles[:, 0], r2, angles[:, 1])
     res = component_system_residual(params, build_spinor(assignment, profiles), p, step,
                                     energy, rho_freeze=rho0)
     values = res / assignment.phase_vector(p.theta1, p.theta2)
-    return float(np.abs(values - values[0]).max())
+    spread = np.abs(values - values[..., :1, :]).max(axis=(-2, -1))
+    return float(spread) if spread.ndim == 0 else spread
 
 
 def radial_system_residual(params: ModelParams, profiles, energy, rho0, point) -> np.ndarray:

@@ -102,28 +102,6 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def mats_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Entrywise comparison with an absolute tolerance (all entries are O(1))."""
-    return bool(np.abs(np.asarray(a) - np.asarray(b)).max() <= tol)
-
-
-def gamma_product_phase() -> complex:
-    """Scalar c such that gamma(5) == c * gamma(0)gamma(1)gamma(2)gamma(3) exactly.
-
-    With the table convention above the product equals -gamma(5), i.e. the
-    phase is -1 (the frequently quoted -1j prefactor does not reproduce the
-    tabulated gamma(5) for this block convention; see the verify report).
-    """
-    prod = _GAMMA_TABLES[0] @ _GAMMA_TABLES[1] @ _GAMMA_TABLES[2] @ _GAMMA_TABLES[3]
-    g5 = _GAMMA_TABLES[5]
-    # both matrices have the same support; read the phase off one entry
-    idx = np.unravel_index(np.argmax(np.abs(g5)), g5.shape)
-    c = g5[idx] / prod[idx]
-    if not np.array_equal(c * prod, g5):
-        raise ArithmeticError("gamma(5) is not proportional to the product of the other four")
-    return complex(c)
-
-
 @dataclass(frozen=True)
 class CliffordReport:
     """Outcome of the pairwise anticommutation check."""

@@ -197,15 +197,24 @@ def _require_clearance(point: ConfigPoint, margin: float):
                                  f"{margin:.3e} of a Coulomb singularity")
 
 
+def _stencil(point: ConfigPoint, step: float) -> ConfigPoint:
+    """The 9-point stencil of every point: coordinates of shape (9,) + S for points of shape S."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    coords = (point.x1, point.y1, point.x2, point.y2)
+    return ConfigPoint(*(np.add.outer(step * _STENCIL[:, k], x) for k, x in enumerate(coords)))
+
+
+def _differences(f, step: float):
+    """Centre values and central differences along x1, y1, x2, y2 of stencil values f."""
+    return f[0], (f[1::2] - f[2::2]) / (2 * step)
+
+
 def _gradient(field: SpinorField, point: ConfigPoint, step: float):
     """Field values (shape S + (4,) for points of shape S) and central-difference
     derivatives along x1, y1, x2, y2 (shape (4,) + S + (4,)), from one field
     call on the stacked 9-point stencil of every point."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    coords = (point.x1, point.y1, point.x2, point.y2)
-    f = field(ConfigPoint(*(np.add.outer(step * _STENCIL[:, k], x) for k, x in enumerate(coords))))
-    return f[0], (f[1::2] - f[2::2]) / (2 * step)
+    return _differences(field(_stencil(point, step)), step)
 
 
 def _h_terms(params, point, f0, d, assignment) -> np.ndarray:
@@ -222,6 +231,14 @@ def _h_terms(params, point, f0, d, assignment) -> np.ndarray:
 def _jz_terms(point, d) -> np.ndarray:
     return 1j * (_col(point.y1) * d[0] - _col(point.x1) * d[1]
                  + _col(point.y2) * d[2] - _col(point.x2) * d[3])
+
+
+def _op_terms(tag, point, f0, d, params=None, assignment=None) -> np.ndarray:
+    """Operator 'H', 'Jz' or 'M' applied to a field with values f0 and derivatives d."""
+    if tag == "H":
+        return _h_terms(params, point, f0, d, assignment)
+    jz = _jz_terms(point, d)
+    return jz if tag == "Jz" else jz + f0 @ _SPIN_SHIFT.T
 
 
 def apply_H(params, field, point, step, assignment=CANONICAL_ASSIGNMENT) -> np.ndarray:
@@ -241,49 +258,37 @@ def apply_Jz(field, point, step) -> np.ndarray:
     winding +n in either angle carries Jz eigenvalue +n.  There are no
     Coulomb coefficients here, so no singularity clearance is required.
     """
-    return _jz_terms(point, _gradient(field, point, step)[1])
+    return _op_terms("Jz", point, *_gradient(field, point, step))
 
 
 def apply_M(field, point, step) -> np.ndarray:
     """Jz plus the constant spin shift diag(-1, 1, 0, 0)."""
-    f0, d = _gradient(field, point, step)
-    return _jz_terms(point, d) + f0 @ _SPIN_SHIFT.T
-
-
-def operator_factories(params, step, assignment=CANONICAL_ASSIGNMENT) -> dict:
-    """Lazy field -> field operators, nestable for commutator evaluation.
-
-    Nested applications reuse the same step on both levels; inner
-    evaluations run with a reduced (2*step) singularity clearance so the
-    outer stencil may shift points toward a singularity by one step.
-    """
-
-    def H(field):
-        def apply(p):
-            _require_clearance(p, 2 * step)
-            return _h_terms(params, p, *_gradient(field, p, step), assignment)
-        return SpinorField(apply)
-
-    def Jz(field):
-        return SpinorField(lambda p: apply_Jz(field, p, step))
-
-    def M(field):
-        return SpinorField(lambda p: apply_M(field, p, step))
-
-    return {"H": H, "Jz": Jz, "M": M}
+    return _op_terms("M", point, *_gradient(field, point, step))
 
 
 def commutator_residual(op_a, op_b, params, field, points, step,
                         assignment=CANONICAL_ASSIGNMENT) -> float:
-    """max over points, taken as one batch, of |(A B - B A) field| for tags 'H'/'Jz'/'M'."""
-    ops = operator_factories(params, step, assignment)
-    if op_a not in ops or op_b not in ops:
-        raise ValueError(f"operator tags must be in {sorted(ops)}")
+    """max over points, taken as one batch, of |(A B - B A) field| for tags 'H'/'Jz'/'M'.
+
+    Both products share one field call: the field's gradient on the outer
+    9-point stencil of the batch gives A field and B field at every stencil
+    point, and each outer difference then takes the other operator at the
+    batch, with the same step on both levels.  The 4*step clearance of the
+    batch covers both levels: a stencil point moves one step along one
+    coordinate, so r1, r2 and r12 each change by at most one step, and every
+    outer stencil point keeps them above 3*step, every inner one above 2*step.
+    """
+    tags = ("H", "Jz", "M")
+    if op_a not in tags or op_b not in tags:
+        raise ValueError(f"operator tags must be in {list(tags)}")
     batch = ConfigPoint.stack(points)
     _require_clearance(batch, 4 * step)
-    ab = ops[op_a](ops[op_b](field))
-    ba = ops[op_b](ops[op_a](field))
-    return float(np.abs(ab(batch) - ba(batch)).max())
+    outer = _stencil(batch, step)
+    f0, d = _gradient(field, outer, step)
+    inner = {tag: _op_terms(tag, outer, f0, d, params, assignment) for tag in (op_a, op_b)}
+    ab = _op_terms(op_a, batch, *_differences(inner[op_b], step), params, assignment)
+    ba = _op_terms(op_b, batch, *_differences(inner[op_a], step), params, assignment)
+    return float(np.abs(ab - ba).max())
 
 
 def component_system_residual(params, field, point, step, energy,

@@ -181,7 +181,7 @@ def first_order_shift(j: float, alpha: float, sign: int) -> float:
 
 def recurrence_R(params: ModelParams, gr: GammaRho, ansatz: RadialAnsatz,
                  a110=0.0, a210=0.0, a310=0.0, a410=0.0) -> np.ndarray:
-    """First-order recurrence functions R1..R4.
+    """First-order recurrence functions R1..R4, shape S + (4,) for inputs of shape S.
 
     With all first-order coefficients zero this reduces exactly to the
     spectral matrix acting on (a100, a200, a300, a400).  The sign of the
@@ -203,21 +203,17 @@ def recurrence_R(params: ModelParams, gr: GammaRho, ansatz: RadialAnsatz,
           + w1 * b1 * ansatz.a100 - w2 * a2m * a210 + w2 * b2 * ansatz.a200)
     r4 = (gr.gamma1 * ansatz.a400 + cmix * a410 - w2 * a2p * a110
           + w2 * b2 * ansatz.a100 + w1 * a1m * a210 - w1 * b1 * ansatz.a200)
-    return np.array([r1, r2, r3, r4])
+    return np.stack(np.broadcast_arrays(r1, r2, r3, r4), axis=-1)
 
 
-def spectral_matrix(gr: GammaRho, sigma: float, beta1: float, beta2: float) -> np.ndarray:
-    """4x4 matrix of the power-free conditions on the leading coefficients."""
-    a = (1 - sigma) * beta1
-    b = 2 * sigma * beta2
-    return np.array(
-        [
-            [gr.gamma2, 0.0, a, b],
-            [0.0, gr.gamma2, b, -a],
-            [a, b, gr.gamma1, 0.0],
-            [b, -a, 0.0, gr.gamma1],
-        ]
-    )
+def spectral_matrix(gr: GammaRho, sigma, beta1, beta2) -> np.ndarray:
+    """4x4 matrix of the power-free conditions on the leading coefficients,
+    shape S + (4, 4) for inputs of shape S."""
+    g1, g2, a, b = np.broadcast_arrays(gr.gamma1, gr.gamma2, (1 - sigma) * beta1,
+                                       2 * sigma * beta2)
+    z = np.zeros(a.shape)
+    rows = ((g2, z, a, b), (z, g2, b, -a), (a, b, g1, z), (b, -a, z, g1))
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def spectral_quadratic(gr: GammaRho, sigma, beta1, beta2) -> float:
@@ -228,18 +224,22 @@ def spectral_quadratic(gr: GammaRho, sigma, beta1, beta2) -> float:
     return gr.gamma1 * gr.gamma2 - (1 - sigma) ** 2 * beta1**2 - 4 * sigma**2 * beta2**2
 
 
-def beta1_from_determinant(gr: GammaRho, sigma: float, beta2: float) -> float:
-    """Nonnegative root of the spectral determinant condition."""
-    if sigma >= 1:
+def beta1_from_determinant(gr: GammaRho, sigma, beta2):
+    """Nonnegative root of the spectral determinant condition, shape S for inputs of shape S.
+
+    Raises if any entry has sigma >= 1 or a negative discriminant.
+    """
+    if np.any(sigma >= 1):
         raise ZeroDivisionError("sigma = 1 removes beta1 from the determinant condition")
     disc = gr.gamma1 * gr.gamma2 - 4 * sigma**2 * beta2**2
-    if disc < 0:
-        raise NoRealDecayError(f"discriminant {disc:.3e} is negative")
-    return math.sqrt(disc) / (1 - sigma)
+    if np.any(disc < 0):
+        raise NoRealDecayError(f"discriminant {np.min(disc):.3e} is negative")
+    return np.sqrt(disc) / (1 - sigma)
 
 
-def kernel_vectors(gr: GammaRho, sigma: float, beta1: float, beta2: float) -> tuple:
-    """Two independent null vectors of the spectral matrix at the beta1 root.
+def kernel_vectors(gr: GammaRho, sigma, beta1, beta2) -> tuple:
+    """Two independent null vectors of the spectral matrix at the beta1 root,
+    each of shape S + (4,) for inputs of shape S.
 
     psi1 = (-(1-s) b1 / g2, -2 s b2 / g2, 1, 0)
     psi2 = (-2 s b2 / g2, +(1-s) b1 / g2, 0, 1)
@@ -247,13 +247,11 @@ def kernel_vectors(gr: GammaRho, sigma: float, beta1: float, beta2: float) -> tu
     The + sign on psi2's second entry is required for annihilation: the
     second spectral row reads g2 a2 + 2 s b2 a3 - (1-s) b1 a4.
     """
-    if gr.gamma2 == 0:
+    if np.any(gr.gamma2 == 0):
         raise DegenerateKernelError("gamma2 = 0")
-    p = (1 - sigma) * beta1 / gr.gamma2
-    q = 2 * sigma * beta2 / gr.gamma2
-    psi1 = np.array([-p, -q, 1.0, 0.0])
-    psi2 = np.array([-q, +p, 0.0, 1.0])
-    return psi1, psi2
+    p, q = np.broadcast_arrays((1 - sigma) * beta1 / gr.gamma2, 2 * sigma * beta2 / gr.gamma2)
+    one, zero = np.ones(p.shape), np.zeros(p.shape)
+    return np.stack([-p, -q, one, zero], axis=-1), np.stack([-q, p, zero, one], axis=-1)
 
 
 def kernel_contraction(params: ModelParams, gr: GammaRho, beta1: float, beta2: float,

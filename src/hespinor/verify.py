@@ -203,10 +203,11 @@ def angular_checks(step: float = 1e-5) -> list:
     rng = np.random.default_rng(7)
     radial_points = [(float(r1), float(r2)) for r1, r2 in rng.uniform(0.6, 1.6, (10, 2))]
 
-    worst_rel = max(angular.separation_residual(params, assignment, profiles, energy,
-                                                angles, rp, rho0, step)
-                    / max(abs(prof.value(*rp)) for prof in profiles) for rp in radial_points)
     r1, r2 = np.array(radial_points).T
+    spread = angular.separation_residual(params, assignment, profiles, energy,
+                                         angles, (r1, r2), rho0, step)
+    scale = np.max([np.abs(prof.value(r1, r2)) for prof in profiles], axis=0)
+    worst_rel = np.max(spread / scale)
     p = angular.point_from_polar(r1, angles[0][0], r2, angles[0][1])
     fd = component_system_residual(params, angular.build_spinor(assignment, profiles),
                                    p, step, energy, rho_freeze=rho0)
@@ -242,6 +243,11 @@ def angular_checks(step: float = 1e-5) -> list:
     return results
 
 
+def _matvec(mats, vecs) -> np.ndarray:
+    """Stacked matrix-vector products, term for term as one ``mat @ vec`` each."""
+    return (mats @ vecs[..., None])[..., 0]
+
+
 def radial_checks(seed: int = 20240802) -> list:
     alpha = FINE_STRUCTURE_ALPHA
     results = []
@@ -267,62 +273,52 @@ def radial_checks(seed: int = 20240802) -> list:
     ))
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(100):
-        g1v, g2v, sig, b1, b2 = rng.uniform(0.2, 2.5, 5)
-        gr = radial.GammaRho(gamma1=g1v, gamma2=g2v)
-        det = np.linalg.det(radial.spectral_matrix(gr, sig, b1, b2))
-        fac = radial.spectral_quadratic(gr, sig, b1, b2) ** 2
-        worst = max(worst, abs(det - fac) / max(abs(fac), 1e-30))
+    g1v, g2v, sig, b1, b2 = rng.uniform(0.2, 2.5, (100, 5)).T
+    gr = radial.GammaRho(g1v, g2v)
+    det = np.linalg.det(radial.spectral_matrix(gr, sig, b1, b2))
+    fac = radial.spectral_quadratic(gr, sig, b1, b2) ** 2
+    worst = np.max(np.abs(det - fac) / np.maximum(np.abs(fac), 1e-30))
     results.append(_bounded("spectral determinant factorization (100 draws)", worst, 1e-10))
 
-    worst = 0.0
-    for _ in range(100):
-        g1v, g2v, sig, b2 = rng.uniform(0.2, 1.2, 4)
-        sig = min(sig, 0.9)
-        try:
-            b1 = radial.beta1_from_determinant(radial.GammaRho(g1v, g2v), sig, b2)
-        except radial.NoRealDecayError:
-            continue
-        gr = radial.GammaRho(g1v, g2v)
-        mat = radial.spectral_matrix(gr, sig, b1, b2)
-        scale = float(np.abs(mat).max())
-        for vec in radial.kernel_vectors(gr, sig, b1, b2):
-            worst = max(worst, float(np.abs(mat @ vec).max()) / scale)
+    g1v, g2v, sig, b2 = rng.uniform(0.2, 1.2, (100, 4)).T
+    sig = np.minimum(sig, 0.9)
+    real = radial.spectral_quadratic(radial.GammaRho(g1v, g2v), sig, 0.0, b2) >= 0
+    gr, sig, b2 = radial.GammaRho(g1v[real], g2v[real]), sig[real], b2[real]
+    b1 = radial.beta1_from_determinant(gr, sig, b2)
+    mat = radial.spectral_matrix(gr, sig, b1, b2)
+    scale = np.abs(mat).max(axis=(-2, -1))
+    worst = max(np.max(np.abs(_matvec(mat, vec)).max(axis=-1) / scale)
+                for vec in radial.kernel_vectors(gr, sig, b1, b2))
     results.append(_bounded("kernel vectors annihilated", worst, 1e-10))
 
     params = ModelParams(sigma=0.3)
-    worst = 0.0
-    for _ in range(50):
-        g1v, g2v, b1, b2 = rng.uniform(0.2, 2.0, 4)
-        gr = radial.GammaRho(g1v, g2v)
-        a00 = rng.uniform(-1, 1, 4)
-        ansatz = radial.RadialAnsatz(s1=0.5, s2=0.5, beta1=b1, beta2=b2,
-                                     a100=a00[0], a200=a00[1], a300=a00[2], a400=a00[3])
-        rvec = radial.recurrence_R(params, gr, ansatz)
-        svec = radial.spectral_matrix(gr, params.sigma, b1, b2) @ a00
-        worst = max(worst, float(np.abs(rvec - svec).max()) / float(np.abs(svec).max()))
+    # per draw: gamma1, gamma2, beta1, beta2 in [0.2, 2], then a100..a400 in [-1, 1]
+    draws = rng.uniform([0.2] * 4 + [-1] * 4, [2.0] * 4 + [1] * 4, (50, 8))
+    g1v, g2v, b1, b2 = draws[:, :4].T
+    gr = radial.GammaRho(g1v, g2v)
+    a00 = draws[:, 4:]
+    rvec = radial.recurrence_R(params, gr, radial.RadialAnsatz(0.5, 0.5, b1, b2, *a00.T))
+    svec = _matvec(radial.spectral_matrix(gr, params.sigma, b1, b2), a00)
+    worst = np.max(np.abs(rvec - svec).max(axis=-1) / np.abs(svec).max(axis=-1))
     results.append(_bounded("recurrence reduces to spectral matrix", worst, 1e-12))
 
-    worst = 0.0
+    # a draw with no real decay rate takes no coefficient draws
+    draws = []
     for _ in range(50):
-        g1v, g2v, b2 = rng.uniform(0.2, 1.2, 3)
-        try:
-            b1 = radial.beta1_from_determinant(radial.GammaRho(g1v, g2v), params.sigma, b2)
-        except radial.NoRealDecayError:
-            continue
-        gr = radial.GammaRho(g1v, g2v)
-        a10 = rng.uniform(-1, 1, 4)
-        a10[3] = 0.0
-        a00 = rng.uniform(-1, 1, 4)
-        ansatz = radial.RadialAnsatz(s1=0.5, s2=0.5, beta1=b1, beta2=b2,
-                                     a100=a00[0], a200=a00[1], a300=a00[2], a400=a00[3],
-                                     j1=params.j1, j2=params.j2)
-        rvec = radial.recurrence_R(params, gr, ansatz, *a10)
-        psi1, _ = radial.kernel_vectors(gr, params.sigma, b1, b2)
-        direct = float(psi1 @ rvec)
-        form = radial.kernel_contraction(params, gr, b1, b2, a10[0], a10[1], a10[2])
-        worst = max(worst, abs(direct - form) / max(abs(form), 1e-12))
+        g = rng.uniform(0.2, 1.2, 3)
+        if radial.spectral_quadratic(radial.GammaRho(g[0], g[1]), params.sigma, 0.0, g[2]) >= 0:
+            draws.append(np.concatenate([g, rng.uniform(-1, 1, 8)]))
+    # the drawn a410 is unused: the contraction form holds for a410 = 0
+    g1v, g2v, b2, a110, a210, a310, _, a100, a200, a300, a400 = np.array(draws).T
+    gr = radial.GammaRho(g1v, g2v)
+    b1 = radial.beta1_from_determinant(gr, params.sigma, b2)
+    ansatz = radial.RadialAnsatz(0.5, 0.5, b1, b2, a100, a200, a300, a400,
+                                 j1=params.j1, j2=params.j2)
+    rvec = radial.recurrence_R(params, gr, ansatz, a110, a210, a310)
+    psi1, _ = radial.kernel_vectors(gr, params.sigma, b1, b2)
+    direct = _matvec(psi1[:, None, :], rvec)[:, 0]
+    form = radial.kernel_contraction(params, gr, b1, b2, a110, a210, a310)
+    worst = np.max(np.abs(direct - form) / np.maximum(np.abs(form), 1e-12))
     results.append(_bounded("kernel contraction equals dot product", worst, 1e-10))
     return results
 

@@ -239,3 +239,26 @@ def test_separation_batch_matches_per_angle_loop(params):
     spread = angular.separation_residual(params, assignment, profiles, 1.1,
                                          ANGLES, (r1, r2), 0.86, step=1e-5)
     assert spread == pytest.approx(expected, rel=0, abs=1e-15)
+
+
+def test_separation_radial_batch_matches_per_point_loop(params):
+    profiles = smooth_profiles()
+    assignment = angular.PhaseAssignment.canonical(params.j1, params.j2)
+    r1, r2 = np.random.default_rng(7).uniform(0.6, 1.6, (10, 2)).T
+    spread = angular.separation_residual(params, assignment, profiles, 1.1,
+                                         ANGLES, (r1, r2), 0.86, step=1e-5)
+    assert spread.shape == (10,)
+    loop = [angular.separation_residual(params, assignment, profiles, 1.1,
+                                        ANGLES, (a, b), 0.86, step=1e-5) for a, b in zip(r1, r2)]
+    assert all(type(x) is float for x in loop)
+    assert np.array_equal(spread, loop)
+
+
+def test_separation_without_angles_keeps_the_radial_shape(params):
+    assignment = angular.PhaseAssignment.canonical(params.j1, params.j2)
+    radii = np.array([0.8, 1.1, 1.4])
+    assert angular.separation_residual(params, assignment, smooth_profiles(), 1.1,
+                                       [], (0.9, 1.2), 0.86, step=1e-5) == 0.0
+    empty = angular.separation_residual(params, assignment, smooth_profiles(), 1.1,
+                                        [], (radii, radii), 0.86, step=1e-5)
+    assert np.array_equal(empty, np.zeros(3))

@@ -319,3 +319,35 @@ def test_builtin_field_shapes(field, safe_points):
     batch = field(ConfigPoint.stack(safe_points[:5]))
     assert batch.shape == (5, 4) and batch.dtype == complex
     assert np.array_equal(batch[0], single)
+
+
+def _nested_commutator(op_a, op_b, params, field, points, step):
+    """Reference: A applied to a field that wraps B field, minus the reverse."""
+    apply = {
+        "H": lambda f, p: apply_H(params, f, p, step),
+        "Jz": lambda f, p: apply_Jz(f, p, step),
+        "M": lambda f, p: apply_M(f, p, step),
+    }
+
+    def wrap(tag, f):
+        return SpinorField(lambda p: apply[tag](f, p))
+
+    batch = ConfigPoint.stack(points)
+    ab = apply[op_a](wrap(op_b, field), batch)
+    ba = apply[op_b](wrap(op_a, field), batch)
+    return float(np.abs(ab - ba).max())
+
+
+@pytest.mark.parametrize("step", [STEP, STEP / 2])
+@pytest.mark.parametrize("op_a,op_b", [(a, b) for a in ("H", "Jz", "M") for b in ("H", "Jz", "M")])
+def test_commutator_equals_nested_composition(op_a, op_b, step, params, safe_points, test_fields):
+    for field in test_fields:
+        assert (commutator_residual(op_a, op_b, params, field, safe_points, step)
+                == _nested_commutator(op_a, op_b, params, field, safe_points, step))
+
+
+def test_commutator_makes_one_field_call(params, safe_points, test_fields):
+    calls = []
+    field = SpinorField(lambda p: calls.append(np.shape(p.x1)) or test_fields[0](p))
+    commutator_residual("H", "M", params, field, safe_points, STEP)
+    assert calls == [(9, 9, len(safe_points))]

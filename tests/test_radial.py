@@ -316,3 +316,96 @@ def test_fundamental_residual_no_real_decay():
     energy = 5.0 * params.m
     with pytest.raises(radial.NoRealDecayError):
         radial.fundamental_residual(params, energy, rho, 0.2)
+
+
+def _random_inputs(shape, seed=29):
+    g1v, g2v, sig, b1, b2 = np.random.default_rng(seed).uniform(0.2, 1.2, (5,) + shape)
+    return radial.GammaRho(g1v, g2v), sig, b1, b2
+
+
+def _entry(gr, index):
+    return radial.GammaRho(gr.gamma1[index], gr.gamma2[index])
+
+
+def test_spectral_matrix_array_equals_stacked_scalar_calls():
+    gr, sig, b1, b2 = _random_inputs((2, 3))
+    batch = radial.spectral_matrix(gr, sig, b1, b2)
+    assert batch.shape == (2, 3, 4, 4)
+    for index in np.ndindex(2, 3):
+        single = radial.spectral_matrix(_entry(gr, index), sig[index], b1[index], b2[index])
+        assert np.array_equal(batch[index], single)
+
+
+def test_spectral_matrix_float_path_layout():
+    mat = radial.spectral_matrix(radial.GammaRho(1.7, 0.6), 0.4, 0.9, 0.3)
+    a, b = (1 - 0.4) * 0.9, 2 * 0.4 * 0.3
+    expected = np.array([[0.6, 0.0, a, b], [0.0, 0.6, b, -a], [a, b, 1.7, 0.0], [b, -a, 0.0, 1.7]])
+    assert mat.shape == (4, 4) and mat.dtype == float
+    assert np.array_equal(mat, expected)
+
+
+def test_kernel_vectors_array_equals_stacked_scalar_calls():
+    gr, sig, b1, b2 = _random_inputs((7,))
+    psi1, psi2 = radial.kernel_vectors(gr, sig, b1, b2)
+    assert psi1.shape == psi2.shape == (7, 4)
+    for i in range(7):
+        one, two = radial.kernel_vectors(_entry(gr, i), sig[i], b1[i], b2[i])
+        assert np.array_equal(psi1[i], one) and np.array_equal(psi2[i], two)
+
+
+def test_kernel_vectors_float_path_layout():
+    psi1, psi2 = radial.kernel_vectors(radial.GammaRho(1.2, 0.8), 0.3, 0.5, 0.2)
+    p, q = (1 - 0.3) * 0.5 / 0.8, 2 * 0.3 * 0.2 / 0.8
+    assert psi1.dtype == psi2.dtype == float
+    assert np.array_equal(psi1, np.array([-p, -q, 1.0, 0.0]))
+    assert np.array_equal(psi2, np.array([-q, p, 0.0, 1.0]))
+
+
+def test_kernel_vectors_array_with_one_gamma2_zero_raises():
+    gr = radial.GammaRho(np.array([1.0, 1.0]), np.array([0.5, 0.0]))
+    with pytest.raises(radial.DegenerateKernelError):
+        radial.kernel_vectors(gr, 0.3, np.array([0.5, 0.5]), np.array([0.2, 0.2]))
+
+
+def test_recurrence_array_equals_stacked_scalar_calls():
+    params = ModelParams(sigma=0.3)
+    gr, _, b1, b2 = _random_inputs((6,))
+    coeffs = np.random.default_rng(31).uniform(-1, 1, (7, 6))
+    ansatz = radial.RadialAnsatz(0.5, 0.5, b1, b2, *coeffs[:4])
+    batch = radial.recurrence_R(params, gr, ansatz, *coeffs[4:])
+    assert batch.shape == (6, 4)
+    for i in range(6):
+        single = radial.RadialAnsatz(0.5, 0.5, b1[i], b2[i], *coeffs[:4, i])
+        assert np.array_equal(batch[i],
+                              radial.recurrence_R(params, _entry(gr, i), single, *coeffs[4:, i]))
+
+
+def test_recurrence_float_path_values():
+    params = ModelParams(sigma=0.0)
+    gr = radial.GammaRho(1.3, 0.7)
+    ansatz = radial.RadialAnsatz(s1=0.5, s2=0.5, beta1=0.6, beta2=0.9,
+                                 a100=0.8, a200=0.0, a300=-0.5, a400=0.0)
+    rvec = radial.recurrence_R(params, gr, ansatz)
+    assert rvec.shape == (4,) and rvec.dtype == float
+    assert np.array_equal(rvec, [0.7 * 0.8 + 0.6 * -0.5, 0.0, 1.3 * -0.5 + 0.6 * 0.8, 0.0])
+
+
+def test_beta1_array_equals_scalar_loop():
+    gr, sig, _, b2 = _random_inputs((20,))
+    sig = np.minimum(sig, 0.9)
+    keep = radial.spectral_quadratic(gr, sig, 0.0, b2) >= 0
+    gr, sig, b2 = radial.GammaRho(gr.gamma1[keep], gr.gamma2[keep]), sig[keep], b2[keep]
+    batch = radial.beta1_from_determinant(gr, sig, b2)
+    assert batch.shape == (int(keep.sum()),) and len(batch) > 0
+    assert np.array_equal(batch, [radial.beta1_from_determinant(_entry(gr, i), sig[i], b2[i])
+                                  for i in range(len(batch))])
+
+
+def test_beta1_array_with_one_bad_entry_raises():
+    gr = radial.GammaRho(np.array([1.0, 0.0, 2.0]), np.array([1.0, 1.0, 1.0]))
+    beta2 = np.array([0.1, 0.5, 0.1])
+    with pytest.raises(radial.NoRealDecayError):
+        radial.beta1_from_determinant(gr, 0.5, beta2)
+    with pytest.raises(ZeroDivisionError):
+        radial.beta1_from_determinant(radial.GammaRho(1.0, 1.0), np.array([0.2, 1.0]), 0.1)
+    assert radial.beta1_from_determinant(gr, 0.5, np.zeros(3))[1] == 0.0

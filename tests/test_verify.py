@@ -1,4 +1,7 @@
-from hespinor import verify
+import numpy as np
+
+from hespinor import radial, verify
+from hespinor.operators import ModelParams
 
 CHECK_NAMES = [
     "clifford anticommutation, 15 pairs",
@@ -59,3 +62,66 @@ def test_assignment_check_needs_canonical_in_exact_set(monkeypatch):
     checks = {r.name: r for r in verify.operator_checks()}
     assert not checks["canonical assignment commutes with M"].passed
     assert checks["canonical assignment commutes with M"].value < 1e-4
+
+
+def _per_draw_radial_values(seed=20240802):
+    """The four random-draw identities of the radial battery, one scalar draw at a time."""
+    rng = np.random.default_rng(seed)
+    worst = dict.fromkeys(("factorization", "kernel", "recurrence", "contraction"), 0.0)
+    for _ in range(100):
+        g1v, g2v, sig, b1, b2 = rng.uniform(0.2, 2.5, 5)
+        gr = radial.GammaRho(gamma1=g1v, gamma2=g2v)
+        det = np.linalg.det(radial.spectral_matrix(gr, sig, b1, b2))
+        fac = radial.spectral_quadratic(gr, sig, b1, b2) ** 2
+        worst["factorization"] = max(worst["factorization"], abs(det - fac) / max(abs(fac), 1e-30))
+    for _ in range(100):
+        g1v, g2v, sig, b2 = rng.uniform(0.2, 1.2, 4)
+        sig = min(sig, 0.9)
+        try:
+            b1 = radial.beta1_from_determinant(radial.GammaRho(g1v, g2v), sig, b2)
+        except radial.NoRealDecayError:
+            continue
+        gr = radial.GammaRho(g1v, g2v)
+        mat = radial.spectral_matrix(gr, sig, b1, b2)
+        scale = float(np.abs(mat).max())
+        for vec in radial.kernel_vectors(gr, sig, b1, b2):
+            worst["kernel"] = max(worst["kernel"], float(np.abs(mat @ vec).max()) / scale)
+    params = ModelParams(sigma=0.3)
+    for _ in range(50):
+        g1v, g2v, b1, b2 = rng.uniform(0.2, 2.0, 4)
+        gr = radial.GammaRho(g1v, g2v)
+        a00 = rng.uniform(-1, 1, 4)
+        ansatz = radial.RadialAnsatz(s1=0.5, s2=0.5, beta1=b1, beta2=b2,
+                                     a100=a00[0], a200=a00[1], a300=a00[2], a400=a00[3])
+        rvec = radial.recurrence_R(params, gr, ansatz)
+        svec = radial.spectral_matrix(gr, params.sigma, b1, b2) @ a00
+        worst["recurrence"] = max(worst["recurrence"],
+                                  float(np.abs(rvec - svec).max()) / float(np.abs(svec).max()))
+    for _ in range(50):
+        g1v, g2v, b2 = rng.uniform(0.2, 1.2, 3)
+        try:
+            b1 = radial.beta1_from_determinant(radial.GammaRho(g1v, g2v), params.sigma, b2)
+        except radial.NoRealDecayError:
+            continue
+        gr = radial.GammaRho(g1v, g2v)
+        a10 = rng.uniform(-1, 1, 4)
+        a10[3] = 0.0
+        a00 = rng.uniform(-1, 1, 4)
+        ansatz = radial.RadialAnsatz(s1=0.5, s2=0.5, beta1=b1, beta2=b2,
+                                     a100=a00[0], a200=a00[1], a300=a00[2], a400=a00[3],
+                                     j1=params.j1, j2=params.j2)
+        rvec = radial.recurrence_R(params, gr, ansatz, *a10)
+        psi1, _ = radial.kernel_vectors(gr, params.sigma, b1, b2)
+        direct = float(psi1 @ rvec)
+        form = radial.kernel_contraction(params, gr, b1, b2, a10[0], a10[1], a10[2])
+        worst["contraction"] = max(worst["contraction"], abs(direct - form) / max(abs(form), 1e-12))
+    return worst
+
+
+def test_batched_radial_draws_equal_per_draw_loops():
+    checks = {r.name: r.value for r in verify.radial_checks()}
+    reference = _per_draw_radial_values()
+    assert checks["spectral determinant factorization (100 draws)"] == reference["factorization"]
+    assert checks["kernel vectors annihilated"] == reference["kernel"]
+    assert checks["recurrence reduces to spectral matrix"] == reference["recurrence"]
+    assert checks["kernel contraction equals dot product"] == reference["contraction"]
