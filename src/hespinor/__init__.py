@@ -10,17 +10,22 @@ Subpackages by role:
 * ``optimize``  -- sigma scans and the brentq ground-state search
 * ``verify``    -- the aggregated identity-check battery
 * ``cli``       -- command-line entry points
+
+A parameter outside the model's domain raises ``ParameterError`` (a
+``ValueError``) from the library function that uses it; the CLI maps it
+to exit code 2.
 """
 
 from .operators import (
     FINE_STRUCTURE_ALPHA,
     ConfigPoint,
     ModelParams,
+    ParameterError,
     SingularPointError,
     SpinorField,
 )
 from .spectrum import ClosedFormParams, EquilibriumPoint, closed_form, delta_e, equilibrium_point
-from .optimize import MinimizeResult, ScanConfig, minimize_delta_e, scan_sigma
+from .optimize import MinimizeResult, minimize_delta_e, scan_sigma
 
 __version__ = "0.1.0"
 
@@ -31,7 +36,7 @@ __all__ = [
     "EquilibriumPoint",
     "MinimizeResult",
     "ModelParams",
-    "ScanConfig",
+    "ParameterError",
     "SingularPointError",
     "SpinorField",
     "closed_form",

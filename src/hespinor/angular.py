@@ -150,10 +150,11 @@ def radial_system_residual(params: ModelParams, profiles, energy, rho0, point) -
 
     Agrees with the angle-independent value produced by
     ``separation_residual`` up to the O(step^2) finite-difference error of
-    the latter.
+    the latter.  ``point`` is (r1, r2): two floats give shape (4,), two
+    arrays of shape S give S + (4,).
     """
     r1, r2 = point
-    if r1 <= 0 or r2 <= 0:
+    if np.any(r1 <= 0) or np.any(r2 <= 0):
         raise ValueError("radial evaluation needs r1 > 0 and r2 > 0")
     s, j1, j2 = params.sigma, params.j1, params.j2
     phi = potential_radii(params, r1, r2, rho0)
@@ -163,13 +164,14 @@ def radial_system_residual(params: ModelParams, profiles, energy, rho0, point) -
     d1 = [prof.d_r1(r1, r2) for prof in profiles]
     d2 = [prof.d_r2(r1, r2) for prof in profiles]
     w1, w2 = 1 - s, 2 * s
-    return np.array(
+    return np.stack(
         [
             qp * f[0] - w1 * (d1[2] - (j1 - 0.5) / r1 * f[2]) - w2 * (d2[3] - (j2 - 0.5) / r2 * f[3]),
             qp * f[1] + w1 * (d1[3] + (j1 + 0.5) / r1 * f[3]) - w2 * (d2[2] + (j2 + 0.5) / r2 * f[2]),
             qm * f[2] - w1 * (d1[0] + (j1 + 0.5) / r1 * f[0]) - w2 * (d2[1] - (j2 - 0.5) / r2 * f[1]),
             qm * f[3] + w1 * (d1[1] - (j1 - 0.5) / r1 * f[1]) - w2 * (d2[0] + (j2 + 0.5) / r2 * f[0]),
-        ]
+        ],
+        axis=-1,
     )
 
 

@@ -4,8 +4,10 @@ Data output is deterministic (identical configuration gives byte-identical
 files): floats are written with 17 significant digits, which round-trips
 binary64 exactly, and no timestamps are emitted.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
-error (no root / non-unimodal bracket).
+Exit codes: 0 success, 1 verification failure, 2 usage error (an argparse
+error, or a ``ParameterError`` from the library call), 3 numeric error (no
+root / non-unimodal bracket).  The handlers take the argparse namespace;
+the parser holds the only defaults and the library the only checks.
 """
 
 from __future__ import annotations
@@ -13,41 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import optimize, spectrum, verify
-from .operators import FINE_STRUCTURE_ALPHA
+from .operators import FINE_STRUCTURE_ALPHA, ParameterError
 
 SCAN_FIELDS = ("sigma", "delta_e_hartree", "rho0_bohr", "r10_bohr", "r20_bohr")
 REFERENCE_DELTA_E = -2.90589      # model ground-state excess energy
 EXPERIMENTAL_DELTA_E = -2.90330   # measured helium ground-state excess energy
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    alpha: float = FINE_STRUCTURE_ALPHA
-    m: float = 1.0
-    j1: float = 1.0
-    j2: float = 1.0
-    sigma_min: float = 0.01
-    sigma_max: float = 0.5
-    points: int = 100
-    tol: float = 1e-6
-    output: str = ""
-    fmt: str = "csv"
-    sigmas: tuple = (1e-2, 1e-3, 1e-4)
-    fast: bool = False
-
-    def __post_init__(self):
-        # the library's parameter checks, before any numeric work: a bad value exits 2
-        if self.command == "scan":
-            optimize.ScanConfig(self.sigma_min, self.sigma_max, self.points,
-                                self.j1, self.j2, self.alpha, self.m)
-        sigmas = {"minimize": (self.sigma_min, self.sigma_max), "ion-limit": self.sigmas}
-        optimize.check_parameters(self.alpha, self.m, self.j1, self.j2,
-                                  sigmas.get(self.command),
-                                  self.tol if self.command == "minimize" else None)
 
 
 def _fmt(x: float) -> str:
@@ -76,26 +50,25 @@ def _rows_to_text(rows, fields, fmt: str) -> str:
     return _rows_to_csv(rows, fields) if fmt == "csv" else _rows_to_json(rows, fields)
 
 
-def cmd_verify(config: RunConfig) -> int:
-    report = verify.run_all(fast=config.fast)
+def cmd_verify(args) -> int:
+    report = verify.run_all(fast=args.fast)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
 
 
-def cmd_scan(config: RunConfig) -> int:
-    table = optimize.scan_sigma(optimize.ScanConfig(
-        sigma_min=config.sigma_min, sigma_max=config.sigma_max, n_points=config.points,
-        j1=config.j1, j2=config.j2, alpha=config.alpha, m=config.m))
+def cmd_scan(args) -> int:
+    table = optimize.scan_sigma(args.sigma_min, args.sigma_max, args.points,
+                                alpha=args.alpha, m=args.m, j1=args.j1, j2=args.j2)
     columns = [c.tolist() for c in (table.sigma, table.delta_e, table.rho0, table.r10, table.r20)]
-    _emit(_rows_to_text(zip(*columns), SCAN_FIELDS, config.fmt), config.output)
+    _emit(_rows_to_text(zip(*columns), SCAN_FIELDS, args.fmt), args.output)
     return 0
 
 
-def cmd_minimize(config: RunConfig) -> int:
+def cmd_minimize(args) -> int:
     result = optimize.minimize_delta_e(
-        (config.sigma_min, config.sigma_max), tol=config.tol,
-        alpha=config.alpha, m=config.m, j1=config.j1, j2=config.j2)
+        (args.sigma_min, args.sigma_max), tol=args.tol,
+        alpha=args.alpha, m=args.m, j1=args.j1, j2=args.j2)
     pt = result.point
     record = {
         "sigma0": pt.sigma,
@@ -105,13 +78,12 @@ def cmd_minimize(config: RunConfig) -> int:
         "r20_bohr": pt.r20,
         "iterations": result.iterations,
     }
-    if config.fmt == "json":
-        text = json.dumps({k: (v if isinstance(v, int) else float(_fmt(v)))
-                           for k, v in record.items()}, indent=2) + "\n"
+    if args.fmt == "json":
+        text = json.dumps(record, indent=2) + "\n"
     else:
         lines = [f"{k} = {_fmt(v) if not isinstance(v, int) else v}" for k, v in record.items()]
         text = "\n".join(lines) + "\n"
-    _emit(text, config.output)
+    _emit(text, args.output)
     _print_minimize_summary(record)
     return 0
 
@@ -125,13 +97,18 @@ def _print_minimize_summary(record):
           f"deviation {dev_exp:.4f} ({100 * rel:.3f}%)")
 
 
-def cmd_ion_limit(config: RunConfig) -> int:
-    rows = optimize.ion_limit_report(config.sigmas, alpha=config.alpha, m=config.m,
-                                     j1=config.j1, j2=config.j2)
-    _emit(_rows_to_text(rows, ("sigma", "delta_e_hartree"), config.fmt), config.output)
-    if config.output:
-        print(f"limit value {_fmt(spectrum.ion_limit(config.alpha, config.j1))}")
+def cmd_ion_limit(args) -> int:
+    rows = optimize.ion_limit_report(args.sigmas, alpha=args.alpha, m=args.m,
+                                     j1=args.j1, j2=args.j2)
+    _emit(_rows_to_text(rows, ("sigma", "delta_e_hartree"), args.fmt), args.output)
+    if args.output:
+        print(f"limit value {_fmt(spectrum.ion_limit(args.alpha, args.j1))}")
     return 0
+
+
+def sigma_list(text: str) -> tuple:
+    """argparse type of ``--sigmas``: comma-separated floats, empty tokens skipped."""
+    return tuple(float(tok) for tok in text.split(",") if tok)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,16 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ion-limit", help="excess energy along a sigma -> 0 sequence")
     add_physics(p)
     add_output(p)
-    p.add_argument("--sigmas", default="0.01,0.001,0.0001",
+    p.add_argument("--sigmas", type=sigma_list, default="0.01,0.001,0.0001",
                    help="comma-separated sigma sequence")
     return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    kwargs = dict(vars(args))  # each subcommand's dests are RunConfig fields
-    if "sigmas" in kwargs:
-        kwargs["sigmas"] = tuple(float(tok) for tok in args.sigmas.split(",") if tok)
-    return RunConfig(**kwargs)
 
 
 def main(argv=None) -> int:
@@ -192,18 +162,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage error, 0 on --help
         return int(exc.code or 0)
-    try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        print(f"invalid arguments: {exc}", file=sys.stderr)
-        return 2
     handlers = {"verify": cmd_verify, "scan": cmd_scan,
                 "minimize": cmd_minimize, "ion-limit": cmd_ion_limit}
     try:
-        return handlers[config.command](config)
-    except (optimize.NonUnimodalError, spectrum.NoRootInBracketError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
+        return handlers[args.command](args)
+    except ParameterError as exc:
+        print(f"invalid arguments: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

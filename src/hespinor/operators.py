@@ -83,6 +83,10 @@ class ConfigPoint:
         return np.minimum(np.minimum(self.r1, self.r2), self.r12)
 
 
+class ParameterError(ValueError):
+    """A parameter lies outside the model's domain; the message starts with its name."""
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical constants and quantum numbers of the two-electron model.
@@ -100,14 +104,14 @@ class ModelParams:
 
     def __post_init__(self):
         if not 0.0 <= self.sigma <= 1.0:
-            raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
+            raise ParameterError(f"sigma must lie in [0, 1], got {self.sigma}")
         for name, value in (("alpha", self.alpha), ("mass m", self.m)):
             if not 0 < value < math.inf:
-                raise ValueError(f"{name} = {value!r}: need a finite {name} > 0")
+                raise ParameterError(f"{name} = {value!r}: need a finite {name} > 0")
         for name, j in (("j1", self.j1), ("j2", self.j2)):
             if not 4 * self.alpha**2 < j * j < math.inf:
-                raise ValueError(f"{name} = {j!r}: need a finite {name} with "
-                                 f"{name}^2 > 4 alpha^2 for real exponents")
+                raise ParameterError(f"{name} = {j!r}: need a finite {name} with "
+                                     f"{name}^2 > 4 alpha^2 for real exponents")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import FINE_STRUCTURE_ALPHA, ModelParams
+from .operators import FINE_STRUCTURE_ALPHA, ModelParams, ParameterError
 from .spectrum import EquilibriumPoint, closed_form, delta_e, equilibrium_point, ion_limit
 
 _PRESCAN_POINTS = 32
@@ -19,41 +19,25 @@ class NonUnimodalError(ValueError):
 
 def check_parameters(alpha: float, m: float, j1: float, j2: float, sigmas=None,
                      tol: float | None = None):
-    """Raise a ValueError naming the first parameter outside the model's domain.
+    """Raise a ParameterError naming the first parameter outside the model's domain.
 
     ``ModelParams`` checks alpha, m, j1 and j2.  ``sigmas``, when given, must
     be non-empty with every sigma in (0, 1], and ``tol``, the root-finder's
     absolute sigma tolerance, must be at least one ulp of the largest sigma,
-    since no sigma can be located more finely than that.
+    since no sigma can be located more finely than that.  ``scan_sigma``,
+    ``minimize_delta_e`` and ``ion_limit_report`` each call this before any
+    numeric work.
     """
     ModelParams(sigma=1.0, alpha=alpha, m=m, j1=j1, j2=j2)
     if sigmas is None:
         sigmas = ()
     elif not len(sigmas):
-        raise ValueError("sigmas is empty: need at least one sigma")
+        raise ParameterError("sigmas is empty: need at least one sigma")
     for sigma in sigmas:
         if not 0 < sigma <= 1:
-            raise ValueError(f"sigma = {sigma!r}: need 0 < sigma <= 1")
+            raise ParameterError(f"sigma = {sigma!r}: need 0 < sigma <= 1")
     if tol is not None and not tol >= (floor := math.ulp(max(sigmas))):
-        raise ValueError(f"tol = {tol!r}: need tol >= {floor:.3g}, one ulp of sigma")
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    sigma_min: float
-    sigma_max: float
-    n_points: int
-    j1: float = 1.0
-    j2: float = 1.0
-    alpha: float = FINE_STRUCTURE_ALPHA
-    m: float = 1.0
-
-    def __post_init__(self):
-        check_parameters(self.alpha, self.m, self.j1, self.j2, (self.sigma_min, self.sigma_max))
-        if not self.sigma_min < self.sigma_max:
-            raise ValueError(f"sigma_min = {self.sigma_min!r}: need sigma_min < sigma_max")
-        if self.n_points < 2:
-            raise ValueError(f"points = {self.n_points!r}: need at least two grid points")
+        raise ParameterError(f"tol = {tol!r}: need tol >= {floor:.3g}, one ulp of sigma")
 
 
 @dataclass(frozen=True)
@@ -62,10 +46,17 @@ class MinimizeResult:
     iterations: int  # brentq steps in the cell around the pre-scan's minimum
 
 
-def scan_sigma(config: ScanConfig) -> EquilibriumPoint:
+def scan_sigma(sigma_min: float, sigma_max: float, n_points: int,
+               alpha: float = FINE_STRUCTURE_ALPHA, m: float = 1.0, j1: float = 1.0,
+               j2: float = 1.0) -> EquilibriumPoint:
     """Equilibrium columns on a uniform sigma grid, ascending: one EquilibriumPoint of arrays."""
-    grid = np.linspace(config.sigma_min, config.sigma_max, config.n_points)
-    return equilibrium_point(grid, alpha=config.alpha, m=config.m, j1=config.j1, j2=config.j2)
+    check_parameters(alpha, m, j1, j2, (sigma_min, sigma_max))
+    if not sigma_min < sigma_max:
+        raise ParameterError(f"sigma_min = {sigma_min!r}: need sigma_min < sigma_max")
+    if n_points < 2:
+        raise ParameterError(f"points = {n_points!r}: need at least two grid points")
+    grid = np.linspace(sigma_min, sigma_max, n_points)
+    return equilibrium_point(grid, alpha=alpha, m=m, j1=j1, j2=j2)
 
 
 def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_ALPHA,
@@ -78,10 +69,10 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
     Im delta_e(sigma + i h) / h, exact to rounding through the one closed-form
     path, so sigma0 obeys brentq's contract |sigma0 - sigma*| <= tol + 4 eps |sigma*|.
     """
-    from scipy.optimize import brentq
-
     lo, hi = sorted(map(float, bracket))
     check_parameters(alpha, m, j1, j2, (lo, hi), tol)
+    from scipy.optimize import brentq  # after the checks: a usage error never loads scipy
+
     grid = np.linspace(lo, hi, _PRESCAN_POINTS)
     values = delta_e(closed_form(grid, alpha=alpha, m=m, j1=j1, j2=j2))
     if not values[0] > values.min() < values[-1]:
@@ -111,7 +102,7 @@ def ion_limit_report(sigmas, alpha: float = FINE_STRUCTURE_ALPHA, m: float = 1.0
 __all__ = [
     "MinimizeResult",
     "NonUnimodalError",
-    "ScanConfig",
+    "ParameterError",
     "check_parameters",
     "ion_limit",
     "ion_limit_report",

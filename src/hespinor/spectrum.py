@@ -200,8 +200,7 @@ def energy_consistency_solve(sigma: float, rho: float, cf: ClosedFormParams,
     return brentq(residual, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
-def energy_shifted_literal(cf: ClosedFormParams, rho: float, squared: bool = True,
-                           variant: str = "default") -> float:
+def energy_shifted_literal(cf: ClosedFormParams, rho: float, squared: bool = True) -> float:
     """Direct energy formula E = (1+s) a / rho + (1+s) m / sqrt(1 + N / den).
 
     N = 4 a^2 (1+s)^2 [(1-s)^2 + 4 s^2 h^2] and den is the fundamental
@@ -211,15 +210,14 @@ def energy_shifted_literal(cf: ClosedFormParams, rho: float, squared: bool = Tru
     """
     s = cf.sigma
     params = ModelParams(sigma=s, alpha=cf.alpha, m=cf.m, j1=cf.j1, j2=cf.j2)
-    dval = radial.fundamental_denominator(params, cf.h, variant)
+    dval = radial.fundamental_denominator(params, cf.h)
     den = dval * dval if squared else dval
     num = 4 * cf.alpha**2 * (1 + s) ** 2 * ((1 - s) ** 2 + 4 * s**2 * cf.h**2)
     return (1 + s) * cf.alpha / rho + (1 + s) * cf.m / math.sqrt(1 + num / den)
 
 
-def consistency_table(sigmas, alpha: float = FINE_STRUCTURE_ALPHA, m: float = 1.0,
-                      j1: float = 1.0, j2: float = 1.0) -> dict:
-    """Worst relative deviation of the consistency root from the closed form.
+def consistency_table(sigmas) -> dict:
+    """Worst relative deviation of the consistency root from the closed form, default constants.
 
     Evaluated for every fundamental-denominator variant; the verify report
     uses this to state which reading agrees (the 'default') and by how
@@ -229,7 +227,7 @@ def consistency_table(sigmas, alpha: float = FINE_STRUCTURE_ALPHA, m: float = 1.
     for variant in radial.FUNDAMENTAL_DENOMINATORS:
         worst = 0.0
         for sigma in sigmas:
-            cf = closed_form(sigma, alpha=alpha, m=m, j1=j1, j2=j2)
+            cf = closed_form(sigma)
             e_ref = energy_closed_form(cf)
             try:
                 e_root = energy_consistency_solve(sigma, rho0_natural(cf), cf, variant)
@@ -241,14 +239,13 @@ def consistency_table(sigmas, alpha: float = FINE_STRUCTURE_ALPHA, m: float = 1.
     return out
 
 
-def squared_reading_table(sigmas, alpha: float = FINE_STRUCTURE_ALPHA, m: float = 1.0,
-                          j1: float = 1.0, j2: float = 1.0) -> dict:
-    """Worst closed-form deviation of the literal energy formula, by reading."""
+def squared_reading_table(sigmas) -> dict:
+    """Worst closed-form deviation of the literal energy formula, by reading, default constants."""
     out = {}
     for squared in (True, False):
         worst = 0.0
         for sigma in sigmas:
-            cf = closed_form(sigma, alpha=alpha, m=m, j1=j1, j2=j2)
+            cf = closed_form(sigma)
             e_ref = energy_closed_form(cf)
             e_lit = energy_shifted_literal(cf, rho0_natural(cf), squared=squared)
             worst = max(worst, abs(e_lit - e_ref) / abs(e_ref))

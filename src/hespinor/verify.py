@@ -125,7 +125,8 @@ def _test_fields():
     ]
 
 
-def operator_checks(step: float = 1e-3) -> list:
+def operator_checks() -> list:
+    step = 1e-3
     params = ModelParams(sigma=0.23)
     points = _safe_points(20, seed=20240801)
     fields = _test_fields()
@@ -180,7 +181,8 @@ def operator_checks(step: float = 1e-3) -> list:
     return results
 
 
-def angular_checks(step: float = 1e-5) -> list:
+def angular_checks() -> list:
+    step = 1e-5
     params = ModelParams(sigma=0.23)
     assignment = angular.PhaseAssignment.canonical(params.j1, params.j2)
     profiles = [
@@ -200,10 +202,7 @@ def angular_checks(step: float = 1e-5) -> list:
     energy = 1.1 * params.m
     rho0 = 0.86
     angles = [(0.1 + 0.7 * k, 0.4 + 1.1 * k) for k in range(8)]
-    rng = np.random.default_rng(7)
-    radial_points = [(float(r1), float(r2)) for r1, r2 in rng.uniform(0.6, 1.6, (10, 2))]
-
-    r1, r2 = np.array(radial_points).T
+    r1, r2 = np.random.default_rng(7).uniform(0.6, 1.6, (10, 2)).T
     spread = angular.separation_residual(params, assignment, profiles, energy,
                                          angles, (r1, r2), rho0, step)
     scale = np.max([np.abs(prof.value(r1, r2)) for prof in profiles], axis=0)
@@ -212,8 +211,7 @@ def angular_checks(step: float = 1e-5) -> list:
     fd = component_system_residual(params, angular.build_spinor(assignment, profiles),
                                    p, step, energy, rho_freeze=rho0)
     fd = fd / assignment.phase_vector(p.theta1, p.theta2)
-    exact = [angular.radial_system_residual(params, profiles, energy, rho0, rp)
-             for rp in radial_points]
+    exact = angular.radial_system_residual(params, profiles, energy, rho0, (r1, r2))
     worst_dev = float(np.abs(fd - exact).max())
     results = [
         _bounded("angular cancellation spread / field scale", worst_rel, 1e-8,
@@ -228,7 +226,7 @@ def angular_checks(step: float = 1e-5) -> list:
         (params.j1 + 0.5, -(params.j2 - 0.5)),
     ))
     spread_broken = angular.separation_residual(params, broken, profiles, energy,
-                                                angles, radial_points[0], rho0, step)
+                                                angles, (r1[0], r2[0]), rho0, step)
     results.append(_exceeds("mixed-sign phase variant fails to cancel", spread_broken, 1e-3,
                             note="contrast case for the assignment search"))
 
@@ -248,7 +246,7 @@ def _matvec(mats, vecs) -> np.ndarray:
     return (mats @ vecs[..., None])[..., 0]
 
 
-def radial_checks(seed: int = 20240802) -> list:
+def radial_checks() -> list:
     alpha = FINE_STRUCTURE_ALPHA
     results = []
     worst_at = 0.0
@@ -272,7 +270,7 @@ def radial_checks(seed: int = 20240802) -> list:
         note=f"principal angles {angles.round(4).tolist()}; joint kernel is trivial",
     ))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240802)
     g1v, g2v, sig, b1, b2 = rng.uniform(0.2, 2.5, (100, 5)).T
     gr = radial.GammaRho(g1v, g2v)
     det = np.linalg.det(radial.spectral_matrix(gr, sig, b1, b2))

@@ -225,7 +225,7 @@ def test_criterion_11_consistency_oracle():
 
 def test_fig_shape_single_interior_minimum():
     # scan companion to criterion 1: a single interior well on (0.01, 0.5)
-    table = optimize.scan_sigma(optimize.ScanConfig(0.01, 0.5, 60))
+    table = optimize.scan_sigma(0.01, 0.5, 60)
     values = table.delta_e
     imin = int(np.argmin(values))
     single_well = (np.count_nonzero(np.diff(np.sign(np.diff(values))) != 0) == 1

@@ -177,6 +177,26 @@ def test_radial_rows_reject_nonpositive_radii(params):
         angular.radial_system_residual(params, smooth_profiles(), 1.0, 0.86, (0.0, 1.0))
 
 
+def test_radial_rows_batch_matches_per_point_loop(params):
+    r1, r2 = np.random.default_rng(7).uniform(0.6, 1.6, (2, 2, 5))
+    rows = angular.radial_system_residual(params, smooth_profiles(), 1.1, 0.86, (r1, r2))
+    assert rows.shape == (2, 5, 4)
+    loop = [[angular.radial_system_residual(params, smooth_profiles(), 1.1, 0.86, (a, b))
+             for a, b in zip(ra, rb)] for ra, rb in zip(r1, r2)]
+    assert np.array_equal(rows, loop)
+    floats = angular.radial_system_residual(params, smooth_profiles(), 1.1, 0.86,
+                                            (float(r1[0, 0]), float(r2[0, 0])))
+    assert floats.shape == (4,)
+    assert np.array_equal(floats, rows[0, 0])
+
+
+def test_radial_rows_batch_rejects_one_nonpositive_radius(params):
+    radii = np.array([0.8, 1.1, 1.4])
+    for point in ((np.array([0.8, 0.0, 1.4]), radii), (radii, np.array([0.8, 1.1, -0.2]))):
+        with pytest.raises(ValueError, match="r1 > 0 and r2 > 0"):
+            angular.radial_system_residual(params, smooth_profiles(), 1.0, 0.86, point)
+
+
 def _brute_force_ladders(j1, j2):
     # reference: all 16^4 candidates, each row constraint tested directly
     m1_opts = {j1 - 0.5, j1 + 0.5, -(j1 - 0.5), -(j1 + 0.5)}

@@ -55,7 +55,7 @@ def test_scan_csv_round_trips_exactly(tmp_path, capsys):
     path = tmp_path / "scan.csv"
     assert cli.main(["scan", "--sigma-min", "0.05", "--sigma-max", "0.4",
                      "--points", "23", "--output", str(path)]) == 0
-    table = optimize.scan_sigma(optimize.ScanConfig(0.05, 0.4, 23))
+    table = optimize.scan_sigma(0.05, 0.4, 23)
     lines = path.read_text().strip().split("\n")[1:]
     assert len(lines) == len(table.sigma) == 23
     for i, line in enumerate(lines):
@@ -148,9 +148,12 @@ def test_verify_fault_injection_exits_one_and_names_pair(capsys, monkeypatch):
     assert err == ""
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(tmp_path, capsys):
     assert cli.main(["no-such-command"]) == 2
     assert cli.main(["scan", "--format", "xml"]) == 2
+    path = tmp_path / "out.txt"
+    assert cli.main(["ion-limit", "--sigmas", "abc", "--output", str(path)]) == 2
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -199,6 +202,17 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert proc.returncode == 0
+
+
+def test_minimize_usage_error_leaves_scipy_optimize_unloaded():
+    # a parameter the library rejects exits 2 before the root-finder is imported
+    code = ("import sys; from hespinor import cli; rc = cli.main(sys.argv[1:]); "
+            "print(rc, 'scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, "minimize", "--tol", "0"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["2", "False"]
+    assert proc.stderr.startswith("invalid arguments: tol")
 
 
 def test_numeric_error_exit_code(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hespinor import optimize, spectrum
+from hespinor.operators import ModelParams, ParameterError
 
 # the root of d(delta_e)/d(sigma) at the default constants and delta_e there,
 # both from a 50-digit mpmath evaluation of the closed form
@@ -13,9 +14,9 @@ DELTA_E_MIN_REF = -2.9058986787204573
 
 def test_scan_config_validation():
     with pytest.raises(ValueError):
-        optimize.ScanConfig(sigma_min=0.5, sigma_max=0.1, n_points=10)
+        optimize.scan_sigma(sigma_min=0.5, sigma_max=0.1, n_points=10)
     with pytest.raises(ValueError):
-        optimize.ScanConfig(sigma_min=0.1, sigma_max=0.5, n_points=1)
+        optimize.scan_sigma(sigma_min=0.1, sigma_max=0.5, n_points=1)
     bad = [("alpha", dict(alpha=-1.0)), ("alpha", dict(alpha=math.nan)),
            ("alpha", dict(alpha=math.inf)), ("alpha", dict(alpha=0.0)),
            ("j1", dict(j1=0.001)), ("j2", dict(j2=math.nan)), ("mass", dict(m=0.0)),
@@ -24,11 +25,11 @@ def test_scan_config_validation():
     for name, override in bad:
         kwargs = dict(dict(sigma_min=0.1, sigma_max=0.5, n_points=10), **override)
         with pytest.raises(ValueError, match=name):
-            optimize.ScanConfig(**kwargs)
+            optimize.scan_sigma(**kwargs)
 
 
 def test_scan_rows_ascending_and_counted():
-    table = optimize.scan_sigma(optimize.ScanConfig(0.01, 0.5, 50))
+    table = optimize.scan_sigma(0.01, 0.5, 50)
     assert len(table.sigma) == 50
     sigmas = table.sigma.tolist()
     assert sigmas == sorted(sigmas)
@@ -36,17 +37,17 @@ def test_scan_rows_ascending_and_counted():
 
 
 def test_scan_two_points_endpoints_only():
-    table = optimize.scan_sigma(optimize.ScanConfig(0.1, 0.3, 2))
+    table = optimize.scan_sigma(0.1, 0.3, 2)
     assert table.sigma.tolist() == [pytest.approx(0.1), pytest.approx(0.3)]
 
 
 def test_scan_first_point_near_ion_limit():
-    table = optimize.scan_sigma(optimize.ScanConfig(0.01, 0.5, 50))
+    table = optimize.scan_sigma(0.01, 0.5, 50)
     assert abs(table.delta_e[0] - (-2.0)) < 0.1
 
 
 def test_scan_single_well_shape():
-    table = optimize.scan_sigma(optimize.ScanConfig(0.01, 0.5, 50))
+    table = optimize.scan_sigma(0.01, 0.5, 50)
     values = table.delta_e
     diffs = np.sign(np.diff(values))
     # strictly decreasing then strictly increasing: exactly one sign change
@@ -111,14 +112,15 @@ def test_minimize_refines_the_prescan_minimum_not_the_whole_bracket():
     pt = optimize.minimize_delta_e((0.01, 0.99), tol=1e-6, j1=1.0, j2=2.0).point
     assert pt.sigma == pytest.approx(0.0999, abs=1e-3)
     assert pt.delta_e < -2.4
-    table = optimize.scan_sigma(optimize.ScanConfig(0.01, 0.99, 2000, j1=1.0, j2=2.0))
+    table = optimize.scan_sigma(0.01, 0.99, 2000, j1=1.0, j2=2.0)
     assert pt.delta_e <= table.delta_e.min()
 
 
 def test_minimize_rejects_non_unimodal_bracket():
     # the excess energy is increasing on (0.3, 0.9): no interior minimum
-    with pytest.raises(optimize.NonUnimodalError):
+    with pytest.raises(optimize.NonUnimodalError) as info:
         optimize.minimize_delta_e((0.3, 0.9), tol=1e-6)
+    assert not isinstance(info.value, ParameterError)  # a numeric error, exit 3
 
 
 def test_minimize_rejects_bad_tolerance():
@@ -176,8 +178,25 @@ def test_ion_limit_report_rejects_empty_sequence():
 
 def test_scan_neighbors_of_minimum_both_exceed():
     result = optimize.minimize_delta_e((0.05, 0.5), tol=1e-6)
-    table = optimize.scan_sigma(optimize.ScanConfig(0.05, 0.5, 200))
+    table = optimize.scan_sigma(0.05, 0.5, 200)
     values = table.delta_e.tolist()
     imin = int(np.argmin(values))
     assert values[imin - 1] > result.point.delta_e
     assert values[imin + 1] > result.point.delta_e
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: optimize.scan_sigma(0.1, 0.5, 10, alpha=math.nan), id="scan-alpha"),
+    pytest.param(lambda: optimize.scan_sigma(0.5, 0.1, 10), id="scan-order"),
+    pytest.param(lambda: optimize.scan_sigma(0.1, 0.5, 1), id="scan-points"),
+    pytest.param(lambda: optimize.minimize_delta_e((0.05, 0.5), tol=0.0), id="minimize-tol"),
+    pytest.param(lambda: optimize.minimize_delta_e((0.0, 0.5)), id="minimize-sigma"),
+    pytest.param(lambda: optimize.minimize_delta_e((0.05, 0.5), j2=0.0), id="minimize-j2"),
+    pytest.param(lambda: optimize.ion_limit_report([]), id="ion-limit-empty"),
+    pytest.param(lambda: optimize.ion_limit_report([1e-2], m=-1.0), id="ion-limit-mass"),
+    pytest.param(lambda: ModelParams(sigma=1.5), id="params-sigma"),
+    pytest.param(lambda: ModelParams(sigma=0.2, alpha=0.0), id="params-alpha"),
+])
+def test_out_of_domain_parameter_raises_parameter_error(call):
+    with pytest.raises(ParameterError):
+        call()
