@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import FINE_STRUCTURE_ALPHA, ModelParams, ParameterError
-from .spectrum import EquilibriumPoint, closed_form, delta_e, equilibrium_point, ion_limit
+from .radial import exponents
+from .spectrum import EquilibriumPoint, c_params, closed_form, delta_e, equilibrium_point, ion_limit
 
 _PRESCAN_POINTS = 32
 
@@ -73,8 +74,9 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
     check_parameters(alpha, m, j1, j2, (lo, hi), tol)
     from scipy.optimize import brentq  # after the checks: a usage error never loads scipy
 
+    s1, s2 = exponents(j1, j2, alpha)
     grid = np.linspace(lo, hi, _PRESCAN_POINTS)
-    values = delta_e(closed_form(grid, alpha=alpha, m=m, j1=j1, j2=j2))
+    values = delta_e(c_params(grid, s1, s2, alpha, m=m, j1=j1, j2=j2))
     if not values[0] > values.min() < values[-1]:
         raise NonUnimodalError(
             f"no interior minimum on [{lo}, {hi}]: coarse scan bottoms out at the "
@@ -82,7 +84,7 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
         )
 
     def slope(sigma):
-        return delta_e(closed_form(sigma + 1e-30j, alpha=alpha, m=m, j1=j1, j2=j2)).imag / 1e-30
+        return delta_e(c_params(sigma + 1e-30j, s1, s2, alpha, m=m, j1=j1, j2=j2)).imag / 1e-30
 
     k = int(np.argmin(values))
     sigma0, root = brentq(slope, grid[k - 1], grid[k + 1], xtol=tol, full_output=True)

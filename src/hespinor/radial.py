@@ -302,28 +302,30 @@ def fundamental_denominator(params: ModelParams, h: float, variant: str = "defau
     raise ValueError(f"unknown denominator variant {variant!r}")
 
 
-def fundamental_beta1(params: ModelParams, gr: GammaRho, h: float,
-                      variant: str = "default") -> float:
-    """beta1 from the contracted recurrence: a(1+s)(gamma1-gamma2)/denominator."""
+def fundamental_relation(params: ModelParams, rho: float, h: float,
+                         variant: str = "default") -> tuple:
+    """Per-solve terms ((1+s) m, (1+s) a / rho, (1-s)^2 + 4 s^2 h^2, a (1+s), denominator)
+    of the decay-rate relation; a vanishing denominator raises ZeroDivisionError."""
+    s, a = params.sigma, params.alpha
     den = fundamental_denominator(params, h, variant)
     if den == 0:
         raise ZeroDivisionError("fundamental relation denominator vanished")
-    return params.alpha * (1 + params.sigma) * (gr.gamma1 - gr.gamma2) / den
+    return (1 + s) * params.m, (1 + s) * a / rho, (1 - s) ** 2 + 4 * s**2 * h**2, a * (1 + s), den
 
 
-def fundamental_residual(params: ModelParams, energy: float, rho: float, h: float,
-                         variant: str = "default") -> float:
-    """Decay-rate mismatch beta1(determinant route) - beta1(fundamental relation).
+def fundamental_residual(relation: tuple, energy: float) -> float:
+    """Decay-rate mismatch beta1(determinant route) - beta1(fundamental relation) at one energy.
 
     The determinant route eliminates beta2 = h beta1 self-consistently:
-    beta1^2 [(1-s)^2 + 4 s^2 h^2] = gamma1 gamma2.  A zero of this residual
-    in the energy characterizes the bound state for the given sigma, rho
-    and decay-rate ratio h.
+    beta1^2 [(1-s)^2 + 4 s^2 h^2] = gamma1 gamma2 (``GammaRho.from_energy``);
+    the contracted recurrence gives beta1 = a(1+s)(gamma1-gamma2)/denominator.
+    A zero in the energy characterizes the bound state for the relation's sigma, rho and h.
     """
-    gr = GammaRho.from_energy(params.sigma, params.m, params.alpha, energy, rho)
-    weight = (1 - params.sigma) ** 2 + 4 * params.sigma**2 * h**2
-    disc = gr.gamma1 * gr.gamma2
+    mass, coulomb, weight, coupling, den = relation
+    shift = energy - coulomb
+    gamma1 = mass + shift
+    gamma2 = mass - shift
+    disc = gamma1 * gamma2
     if disc < 0:
         raise NoRealDecayError(f"gamma1*gamma2 = {disc:.3e} is negative")
-    beta_det = math.sqrt(disc / weight)
-    return beta_det - fundamental_beta1(params, gr, h, variant)
+    return math.sqrt(disc / weight) - coupling * (gamma1 - gamma2) / den

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from . import radial
 from .operators import FINE_STRUCTURE_ALPHA, ModelParams
 
 
-@dataclass(frozen=True)
+@dataclass
 class ClosedFormParams:
     """Shape parameters of the closed-form energy at a float sigma, or at an
     array of sigma (then sigma, h, bracket, c1, c2 and c2sq_minus_1 are arrays)."""
@@ -184,13 +185,11 @@ def energy_consistency_solve(sigma: float, rho: float, cf: ClosedFormParams,
     if sigma == 0:
         return _one_electron_energy(cf)
     params = ModelParams(sigma=sigma, alpha=cf.alpha, m=cf.m, j1=cf.j1, j2=cf.j2)
+    residual = partial(radial.fundamental_residual,
+                       radial.fundamental_relation(params, rho, cf.h, variant))
     margin = 1e-12 * cf.m
     lo = (1 + sigma) * cf.alpha / rho + margin
     hi = (1 + sigma) * cf.m + (1 + sigma) * cf.alpha / rho - margin
-
-    def residual(energy):
-        return radial.fundamental_residual(params, energy, rho, cf.h, variant)
-
     f_lo, f_hi = residual(lo), residual(hi)
     if f_lo * f_hi > 0:
         raise NoRootInBracketError(
@@ -208,12 +207,11 @@ def energy_shifted_literal(cf: ClosedFormParams, rho: float, squared: bool = Tru
     squared reading is dimensionally consistent and matches the closed
     form; both are kept so the verify report can state the arbitration.
     """
-    s = cf.sigma
-    params = ModelParams(sigma=s, alpha=cf.alpha, m=cf.m, j1=cf.j1, j2=cf.j2)
-    dval = radial.fundamental_denominator(params, cf.h)
+    params = ModelParams(sigma=cf.sigma, alpha=cf.alpha, m=cf.m, j1=cf.j1, j2=cf.j2)
+    mass, coulomb, weight, _, dval = radial.fundamental_relation(params, rho, cf.h)
     den = dval * dval if squared else dval
-    num = 4 * cf.alpha**2 * (1 + s) ** 2 * ((1 - s) ** 2 + 4 * s**2 * cf.h**2)
-    return (1 + s) * cf.alpha / rho + (1 + s) * cf.m / math.sqrt(1 + num / den)
+    num = 4 * cf.alpha**2 * (1 + cf.sigma) ** 2 * weight
+    return coulomb + mass / math.sqrt(1 + num / den)
 
 
 def consistency_table(sigmas) -> dict:
@@ -223,14 +221,13 @@ def consistency_table(sigmas) -> dict:
     uses this to state which reading agrees (the 'default') and by how
     much the alternatives miss.
     """
+    points = [(cf, energy_closed_form(cf), rho0_natural(cf)) for cf in map(closed_form, sigmas)]
     out = {}
     for variant in radial.FUNDAMENTAL_DENOMINATORS:
         worst = 0.0
-        for sigma in sigmas:
-            cf = closed_form(sigma)
-            e_ref = energy_closed_form(cf)
+        for cf, e_ref, rho in points:
             try:
-                e_root = energy_consistency_solve(sigma, rho0_natural(cf), cf, variant)
+                e_root = energy_consistency_solve(cf.sigma, rho, cf, variant)
             except (NoRootInBracketError, radial.NoRealDecayError):
                 worst = math.inf
                 break
@@ -241,13 +238,12 @@ def consistency_table(sigmas) -> dict:
 
 def squared_reading_table(sigmas) -> dict:
     """Worst closed-form deviation of the literal energy formula, by reading, default constants."""
+    points = [(cf, energy_closed_form(cf), rho0_natural(cf)) for cf in map(closed_form, sigmas)]
     out = {}
     for squared in (True, False):
         worst = 0.0
-        for sigma in sigmas:
-            cf = closed_form(sigma)
-            e_ref = energy_closed_form(cf)
-            e_lit = energy_shifted_literal(cf, rho0_natural(cf), squared=squared)
+        for cf, e_ref, rho in points:
+            e_lit = energy_shifted_literal(cf, rho, squared=squared)
             worst = max(worst, abs(e_lit - e_ref) / abs(e_ref))
         out[squared] = worst
     return out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hespinor import optimize, spectrum
-from hespinor.operators import ModelParams, ParameterError
+from hespinor.operators import FINE_STRUCTURE_ALPHA, ModelParams, ParameterError
 
 # the root of d(delta_e)/d(sigma) at the default constants and delta_e there,
 # both from a 50-digit mpmath evaluation of the closed form
@@ -114,6 +114,28 @@ def test_minimize_refines_the_prescan_minimum_not_the_whole_bracket():
     assert pt.delta_e < -2.4
     table = optimize.scan_sigma(0.01, 0.99, 2000, j1=1.0, j2=2.0)
     assert pt.delta_e <= table.delta_e.min()
+
+
+@pytest.mark.parametrize("alpha, j1, j2, bracket", [
+    (FINE_STRUCTURE_ALPHA, 1.0, 1.0, (0.05, 0.5)), (FINE_STRUCTURE_ALPHA, 1.0, 1.0, (0.01, 0.99)),
+    (0.05, 1.5, 1.0, (0.05, 0.5)), (0.08, 1.0, 2.0, (0.01, 0.99)), (0.02, 2.0, 1.5, (0.05, 0.5)),
+    (0.1, 1.5, 1.5, (0.01, 0.99)),
+])
+def test_minimize_equals_brentq_on_the_closed_form_slope(alpha, j1, j2, bracket):
+    # the pre-scan and slope built from closed_form at every evaluation
+    from scipy.optimize import brentq
+
+    def slope(sigma):
+        return spectrum.delta_e(spectrum.closed_form(sigma + 1e-30j, alpha=alpha, j1=j1,
+                                                     j2=j2)).imag / 1e-30
+
+    grid = np.linspace(*bracket, 32)
+    k = int(np.argmin(spectrum.delta_e(spectrum.closed_form(grid, alpha=alpha, j1=j1, j2=j2))))
+    sigma0, root = brentq(slope, grid[k - 1], grid[k + 1], xtol=1e-6, full_output=True)
+    res = optimize.minimize_delta_e(bracket, alpha=alpha, j1=j1, j2=j2)
+    assert res.point.sigma == sigma0
+    assert res.iterations == root.iterations
+    assert res.point == spectrum.equilibrium_point(sigma0, alpha=alpha, j1=j1, j2=j2)
 
 
 def test_minimize_rejects_non_unimodal_bracket():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hespinor import radial
+from hespinor import radial, spectrum
 from hespinor.operators import FINE_STRUCTURE_ALPHA, ModelParams
 
 ALPHA = FINE_STRUCTURE_ALPHA
@@ -285,7 +285,7 @@ def test_fundamental_residual_gamma_equal_case():
     rho = 1.5
     energy = (1 + params.sigma) * params.alpha / rho  # shift X = 0
     h = 0.2
-    res = radial.fundamental_residual(params, energy, rho, h)
+    res = radial.fundamental_residual(radial.fundamental_relation(params, rho, h), energy)
     gr = radial.GammaRho.from_energy(params.sigma, params.m, params.alpha, energy, rho)
     weight = (1 - params.sigma) ** 2 + 4 * params.sigma**2 * h**2
     assert res == pytest.approx(math.sqrt(gr.gamma1 * gr.gamma2 / weight), rel=1e-14)
@@ -296,7 +296,7 @@ def test_fundamental_sigma_zero_hydrogen_like_root():
     # the one-electron ground energy m sqrt(1 - (2 alpha)^2)
     params = ModelParams(sigma=0.0)
     e_star = params.m * math.sqrt(1 - 4 * ALPHA**2)
-    res = radial.fundamental_residual(params, e_star, rho=1e12, h=0.0)
+    res = radial.fundamental_residual(radial.fundamental_relation(params, rho=1e12, h=0.0), e_star)
     assert abs(res) < 1e-9 * params.m
 
 
@@ -315,7 +315,55 @@ def test_fundamental_residual_no_real_decay():
     # energy far above the bracket makes gamma1*gamma2 negative
     energy = 5.0 * params.m
     with pytest.raises(radial.NoRealDecayError):
-        radial.fundamental_residual(params, energy, rho, 0.2)
+        radial.fundamental_residual(radial.fundamental_relation(params, rho, 0.2), energy)
+
+
+def reference_residual(params, energy, rho, h, variant):
+    """The decay-rate mismatch at one energy, written out from GammaRho.from_energy."""
+    gr = radial.GammaRho.from_energy(params.sigma, params.m, params.alpha, energy, rho)
+    weight = (1 - params.sigma) ** 2 + 4 * params.sigma**2 * h**2
+    beta_det = math.sqrt(gr.gamma1 * gr.gamma2 / weight)
+    den = radial.fundamental_denominator(params, h, variant)
+    return beta_det - params.alpha * (1 + params.sigma) * (gr.gamma1 - gr.gamma2) / den
+
+
+@pytest.mark.parametrize("variant", radial.FUNDAMENTAL_DENOMINATORS)
+def test_fundamental_residual_equals_per_energy_reference(variant):
+    checked = 0
+    for sigma in (0.0, 0.06, 0.1775, 0.3, 0.49, 0.9):
+        for alpha, j1, j2 in ((ALPHA, 1.0, 1.0), (0.05, 1.5, 2.0)):
+            params = ModelParams(sigma=sigma, alpha=alpha, j1=j1, j2=j2)
+            for rho in (0.05, 0.8626, 3.0, 1e12):
+                for h in (0.0, 0.15, 0.9):
+                    relation = radial.fundamental_relation(params, rho, h, variant)
+                    lo = (1 + sigma) * alpha / rho
+                    for energy in np.linspace(lo, lo + (1 + sigma) * params.m, 9)[1:-1]:
+                        assert (radial.fundamental_residual(relation, energy)
+                                == reference_residual(params, energy, rho, h, variant))
+                        checked += 1
+    assert checked == 6 * 2 * 4 * 3 * 7
+
+
+@pytest.mark.parametrize("variant", radial.FUNDAMENTAL_DENOMINATORS)
+def test_consistency_solve_equals_brentq_on_per_energy_reference(variant):
+    from scipy.optimize import brentq
+
+    for sigma in np.linspace(0.06, 0.49, 10):
+        cf = spectrum.closed_form(sigma)
+        rho = spectrum.rho0_natural(cf)
+        params = ModelParams(sigma=sigma, alpha=cf.alpha, m=cf.m, j1=cf.j1, j2=cf.j2)
+        margin = 1e-12 * cf.m
+        lo = (1 + sigma) * cf.alpha / rho + margin
+        hi = (1 + sigma) * cf.m + (1 + sigma) * cf.alpha / rho - margin
+        expected = brentq(lambda e: reference_residual(params, e, rho, cf.h, variant), lo, hi,
+                          xtol=1e-15, rtol=8.9e-16)
+        assert spectrum.energy_consistency_solve(sigma, rho, cf, variant) == expected
+
+
+def test_fundamental_relation_rejects_vanishing_denominator():
+    # sigma = 1 removes the (1-s)^2 term, h = 0 the tail
+    with pytest.raises(ZeroDivisionError):
+        radial.fundamental_relation(ModelParams(sigma=1.0), 1.0, 0.0)
 
 
 def _random_inputs(shape, seed=29):

@@ -125,7 +125,8 @@ def test_consistency_solver_residual_at_root():
     params_kw = dict(sigma=sigma, alpha=cf.alpha, m=cf.m, j1=cf.j1, j2=cf.j2)
     from hespinor.operators import ModelParams
     e_root = spectrum.energy_consistency_solve(sigma, rho, cf)
-    res = radial.fundamental_residual(ModelParams(**params_kw), e_root, rho, cf.h)
+    res = radial.fundamental_residual(radial.fundamental_relation(ModelParams(**params_kw), rho, cf.h),
+                                      e_root)
     assert abs(res) <= 1e-12 * cf.m
 
 
@@ -154,6 +155,31 @@ def test_squared_reading_selected():
     table = spectrum.squared_reading_table(np.linspace(0.06, 0.49, 10))
     assert table[True] <= 1e-9
     assert table[False] > 1e-6
+
+
+def test_tables_equal_per_sigma_loops_with_one_closed_form_per_sigma(monkeypatch):
+    sigmas = np.linspace(0.06, 0.49, 10)
+    closed_form, calls = spectrum.closed_form, []
+    monkeypatch.setattr(spectrum, "closed_form", lambda s: calls.append(s) or closed_form(s))
+    roots = spectrum.consistency_table(sigmas)
+    literal = spectrum.squared_reading_table(sigmas)
+    assert len(calls) == 2 * len(sigmas)
+    for variant, worst in roots.items():
+        errs = []
+        for sigma in sigmas:
+            cf = closed_form(sigma)
+            e_ref = spectrum.energy_closed_form(cf)
+            e_root = spectrum.energy_consistency_solve(sigma, spectrum.rho0_natural(cf), cf, variant)
+            errs.append(abs(e_root - e_ref) / abs(e_ref))
+        assert worst == max(errs)
+    for squared, worst in literal.items():
+        errs = []
+        for sigma in sigmas:
+            cf = closed_form(sigma)
+            e_ref = spectrum.energy_closed_form(cf)
+            e_lit = spectrum.energy_shifted_literal(cf, spectrum.rho0_natural(cf), squared=squared)
+            errs.append(abs(e_lit - e_ref) / abs(e_ref))
+        assert worst == max(errs)
 
 
 def test_literal_energy_relation_squared_equals_closed_form():
