@@ -2,13 +2,13 @@
 
 Subpackages by role:
 
-* ``clifford``  -- gamma-matrix tables and exact algebra checks
+* ``clifford``  -- gamma-matrix tables and spin projections
 * ``operators`` -- finite-difference Hamiltonian / angular-momentum lab
 * ``angular``   -- phase ansatz and separation into a radial system
 * ``radial``    -- indicial and spectral linear algebra, decay-rate relation
 * ``spectrum``  -- closed-form energy, geometry and consistency solver
 * ``optimize``  -- sigma scans and the brentq ground-state search
-* ``verify``    -- the aggregated identity-check battery
+* ``verify``    -- the aggregated identity-check battery, gamma algebra included
 * ``cli``       -- command-line entry points
 
 A parameter outside the model's domain raises ``ParameterError`` (a

@@ -55,8 +55,9 @@ class PhaseAssignment:
                   + np.array([p[1] for p in self.pairs]) * np.expand_dims(theta2, -1))
         )
 
-    def in_half_step_band(self, j1: float, j2: float, tol: float = 1e-12) -> bool:
-        """True when every coefficient differs from its j by exactly +-1/2."""
+    def in_half_step_band(self, j1: float, j2: float) -> bool:
+        """True when every coefficient differs from its j by +-1/2, to within 1e-12."""
+        tol = 1e-12
         return all(
             min(abs(m1 - (j1 - 0.5)), abs(m1 - (j1 + 0.5))) <= tol
             and min(abs(m2 - (j2 - 0.5)), abs(m2 - (j2 + 0.5))) <= tol

@@ -1,4 +1,4 @@
-"""Gamma-matrix tables and exact verification of their algebra.
+"""Gamma-matrix tables and the electron spin projections built from them.
 
 The model is built on five mutually anticommuting, unitary 4x4 matrices
 indexed 0, 1, 2, 3, 5.  They satisfy the all-plus relation
@@ -6,13 +6,11 @@ indexed 0, 1, 2, 3, 5.  They satisfy the all-plus relation
     gamma(mu) gamma(nu) + gamma(nu) gamma(mu) = 2 delta_{mu,nu} I
 
 so every one of them squares to +I.  All entries are 0, +-1 or +-1j, so
-the relations hold to machine exactness and the checks below compare
-entrywise with an explicit absolute tolerance.
+the relations hold to machine exactness; ``verify.clifford_checks``
+checks them entrywise with an explicit absolute tolerance.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,33 +95,3 @@ def spin_shift_matrix() -> np.ndarray:
     """(alpha_z(1) + alpha_z(2)) / 2 = diag(-1, 1, 0, 0)."""
     return 0.5 * (_ALPHA_Z[1] + _ALPHA_Z[2])
 
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b + b @ a
-
-
-@dataclass(frozen=True)
-class CliffordReport:
-    """Outcome of the pairwise anticommutation check."""
-
-    rows: tuple  # (mu, nu, max deviation) for each unordered pair
-    tolerance: float
-    passed: bool
-
-    def worst(self):
-        return max(self.rows, key=lambda r: r[2])
-
-
-def verify_clifford(tolerance: float) -> CliffordReport:
-    """Check {gamma(mu), gamma(nu)} = 2 delta I for all 15 unordered pairs of the tables."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    eye2 = 2.0 * np.eye(4, dtype=complex)
-    rows = []
-    for i, mu in enumerate(GAMMA_INDICES):
-        for nu in GAMMA_INDICES[i:]:
-            target = eye2 if mu == nu else 0.0
-            dev = float(np.abs(anticommutator(_GAMMA_TABLES[mu], _GAMMA_TABLES[nu]) - target).max())
-            rows.append((mu, nu, dev))
-    passed = all(dev <= tolerance for _, _, dev in rows)
-    return CliffordReport(rows=tuple(rows), tolerance=tolerance, passed=passed)

@@ -95,7 +95,6 @@ class IndicialKernel:
     where the kernel collapses onto a100 = a200 = 0.
     """
 
-    which: int
     ratio: float
     ratio_alt: float
     second_ratio: float
@@ -107,9 +106,9 @@ def indicial_kernel(which: int, j: float, alpha: float) -> IndicialKernel:
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which!r}")
     if alpha == 0:
-        return IndicialKernel(which=which, ratio=math.inf, ratio_alt=math.inf,
-                              second_ratio=0.0, degenerate=True)
-    s = -0.5 + math.sqrt(j * j - 4 * alpha * alpha)
+        return IndicialKernel(ratio=math.inf, ratio_alt=math.inf, second_ratio=0.0,
+                              degenerate=True)
+    s, _ = exponents(j, j, alpha)
     v = j + s + 0.5
     u = j - s - 0.5
     ratio = v / (2 * alpha)          # a300/a100 (which=1) or a400/a100 (which=2)
@@ -118,8 +117,8 @@ def indicial_kernel(which: int, j: float, alpha: float) -> IndicialKernel:
         second = u / (2 * alpha)     # a400/a200
     else:
         second = -u / (2 * alpha)    # a300/a200
-    return IndicialKernel(which=which, ratio=ratio, ratio_alt=ratio_alt,
-                          second_ratio=second, degenerate=False)
+    return IndicialKernel(ratio=ratio, ratio_alt=ratio_alt, second_ratio=second,
+                          degenerate=False)
 
 
 def indicial_kernel_angles(j1: float, j2: float, alpha: float) -> np.ndarray:
@@ -160,23 +159,23 @@ class GammaRho:
 
 @dataclass(frozen=True)
 class RadialAnsatz:
-    """Parameters of the leading power-exponential solution."""
+    """Decay rates and leading coefficients of the power-exponential solution;
+    j1, j2 and the exponents come from the ModelParams it is used with."""
 
-    s1: float
-    s2: float
     beta1: float
     beta2: float
     a100: float
     a200: float
     a300: float
     a400: float
-    j1: float = 1.0
-    j2: float = 1.0
 
 
-def first_order_shift(j: float, alpha: float, sign: int) -> float:
-    """Bracket 1 + sqrt(j^2 - 4 alpha^2) +- j from the first-order recurrence."""
-    return 1 + math.sqrt(j * j - 4 * alpha * alpha) + sign * j
+def first_order_brackets(params: ModelParams) -> tuple:
+    """Brackets (1 + g1 - j1, 1 + g1 + j1, 1 + g2 - j2, 1 + g2 + j2) of the first-order
+    recurrence, with g_k = s_k + 1/2 = sqrt(j_k^2 - 4 alpha^2) from ``exponents``."""
+    s1, s2 = exponents(params.j1, params.j2, params.alpha)
+    g1, g2 = s1 + 0.5, s2 + 0.5
+    return 1 + g1 - params.j1, 1 + g1 + params.j1, 1 + g2 - params.j2, 1 + g2 + params.j2
 
 
 def recurrence_R(params: ModelParams, gr: GammaRho, ansatz: RadialAnsatz,
@@ -189,10 +188,7 @@ def recurrence_R(params: ModelParams, gr: GammaRho, ansatz: RadialAnsatz,
     """
     s, a = params.sigma, params.alpha
     b1, b2 = ansatz.beta1, ansatz.beta2
-    a1m = first_order_shift(ansatz.j1, a, -1)
-    a1p = first_order_shift(ansatz.j1, a, +1)
-    a2m = first_order_shift(ansatz.j2, a, -1)
-    a2p = first_order_shift(ansatz.j2, a, +1)
+    a1m, a1p, a2m, a2p = first_order_brackets(params)
     w1, w2 = 1 - s, 2 * s
     cmix = 2 * a * (1 + s)
     r1 = (gr.gamma2 * ansatz.a100 - cmix * a110 - w1 * a1m * a310
@@ -264,10 +260,7 @@ def kernel_contraction(params: ModelParams, gr: GammaRho, beta1: float, beta2: f
     Every 1/gamma2 weight below comes from the kernel vector entries.
     """
     s, a = params.sigma, params.alpha
-    a1m = first_order_shift(params.j1, a, -1)
-    a1p = first_order_shift(params.j1, a, +1)
-    a2m = first_order_shift(params.j2, a, -1)
-    a2p = first_order_shift(params.j2, a, +1)
+    a1m, a1p, a2m, a2p = first_order_brackets(params)
     g2 = gr.gamma2
     c110 = 2 * a * (1 - s**2) * beta1 / g2 - (1 - s) * a1p
     c210 = 2 * s * (2 * a * (1 + s) * beta2 / g2 - a2m)
@@ -279,19 +272,19 @@ FUNDAMENTAL_DENOMINATORS = ("default", "alt-weight", "alt-shift")
 
 
 def fundamental_denominator(params: ModelParams, h: float, variant: str = "default") -> float:
-    """Denominator of the fundamental beta1 relation.
+    """Denominator of the fundamental beta1 relation, with g_k = s_k + 1/2 = sqrt(j_k^2-4a^2).
 
-    default:    (1-s)^2 sqrt(j1^2-4a^2) + 4 s^2 h (1 + sqrt(j2^2-4a^2))
+    default:    (1-s)^2 g1 + 4 s^2 h (1 + g2)
     alt-weight: same with (1-s^2) replacing (1-s)^2
-    alt-shift:  same with (1 + sqrt(j1^2-4a^2)) replacing sqrt(j1^2-4a^2)
+    alt-shift:  same with (1 + g1) replacing g1
 
     Only the default closes the loop against the closed-form energy; the
     two alternatives are retained so the verify report can show their
     disagreement (1e-4 level over the physical sigma range).
     """
-    s, a = params.sigma, params.alpha
-    g1 = math.sqrt(params.j1**2 - 4 * a * a)
-    g2 = math.sqrt(params.j2**2 - 4 * a * a)
+    s = params.sigma
+    s1, s2 = exponents(params.j1, params.j2, params.alpha)
+    g1, g2 = s1 + 0.5, s2 + 0.5
     tail = 4 * s**2 * h * (1 + g2)
     if variant == "default":
         return (1 - s) ** 2 * g1 + tail

@@ -255,6 +255,7 @@ def ion_limit(alpha: float = FINE_STRUCTURE_ALPHA, j1: float = 1.0) -> float:
     For j1 = 1 this is (sqrt(1 - 4 a^2) - 1)/a^2 = -2 - 2 a^2 + O(a^4),
     the one-electron (charge 2) ground state measured from the rest mass.
     """
-    g1 = math.sqrt(j1 * j1 - 4 * alpha * alpha)
+    s1, _ = radial.exponents(j1, j1, alpha)
+    g1 = s1 + 0.5
     ratio = g1 / math.sqrt(g1 * g1 + 4 * alpha**2)  # E(0)/m
     return (ratio - 1) / alpha**2

@@ -74,28 +74,23 @@ def _exceeds(name, value, floor, note="") -> CheckResult:
 
 
 def clifford_checks() -> list:
-    report = clifford.verify_clifford(1e-14)
-    worst = report.worst()
-    results = [
-        CheckResult(
-            name="clifford anticommutation, 15 pairs",
-            value=worst[2], tolerance=report.tolerance, passed=report.passed,
-            note=f"worst pair ({worst[0]},{worst[1]})",
-        )
-    ]
-    unit = max(
-        float(np.abs(clifford.gamma(i) @ clifford.gamma(i).conj().T - np.eye(4)).max())
-        for i in clifford.GAMMA_INDICES
-    )
+    g = {i: clifford.gamma(i) for i in clifford.GAMMA_INDICES}
+    eye = np.eye(4)
+    devs = {(mu, nu): float(np.abs(g[mu] @ g[nu] + g[nu] @ g[mu] - 2 * (mu == nu) * eye).max())
+            for k, mu in enumerate(clifford.GAMMA_INDICES) for nu in clifford.GAMMA_INDICES[k:]}
+    # max keeps the first of equal deviations, so a tie names the first pair in table order
+    (mu, nu), dev = max(devs.items(), key=lambda item: item[1])
+    results = [_bounded("clifford anticommutation, 15 pairs", dev, 1e-14,
+                        note=f"worst pair ({mu},{nu})")]
+    unit = max(float(np.abs(g[i] @ g[i].conj().T - eye).max()) for i in clifford.GAMMA_INDICES)
     results.append(_bounded("gamma unitarity", unit, 1e-14))
-    prod = clifford.gamma(0) @ clifford.gamma(1) @ clifford.gamma(2) @ clifford.gamma(3)
-    dev = float(np.abs(clifford.gamma(5) + prod).max())
+    dev = float(np.abs(g[5] + g[0] @ g[1] @ g[2] @ g[3]).max())
     results.append(CheckResult(
         name="gamma5 product phase", value=dev, tolerance=0.0, passed=dev == 0.0,
         note="gamma5 = -(g0 g1 g2 g3) exactly; a -1j prefactor does not hold"
     ))
-    a1 = float(np.abs(clifford.alpha_z(1) - (-1j) * clifford.gamma(5) @ clifford.gamma(3)).max())
-    a2 = float(np.abs(clifford.alpha_z(2) - (-1j) * clifford.gamma(2) @ clifford.gamma(1)).max())
+    a1 = float(np.abs(clifford.alpha_z(1) - (-1j) * g[5] @ g[3]).max())
+    a2 = float(np.abs(clifford.alpha_z(2) - (-1j) * g[2] @ g[1]).max())
     results.append(_bounded("alpha_z product identities", max(a1, a2), 1e-14,
                             note="alpha_z(2) = -i g2 g1 (reversed order)"))
     shift = float(np.abs(clifford.spin_shift_matrix() - np.diag([-1, 1, 0, 0])).max())
@@ -251,8 +246,7 @@ def radial_checks() -> list:
     results = []
     worst_at = 0.0
     worst_off = math.inf
-    for which, j in ((1, 1.0), (2, 1.0)):
-        s_star = -0.5 + math.sqrt(j * j - 4 * alpha * alpha)
+    for which, j, s_star in zip((1, 2), (1.0, 1.0), radial.exponents(1.0, 1.0, alpha)):
         worst_at = max(worst_at, abs(np.linalg.det(radial.indicial_matrix(which, j, s_star, alpha))))
         for ds in (0.01, -0.01):
             worst_off = min(worst_off, abs(np.linalg.det(
@@ -295,7 +289,7 @@ def radial_checks() -> list:
     g1v, g2v, b1, b2 = draws[:, :4].T
     gr = radial.GammaRho(g1v, g2v)
     a00 = draws[:, 4:]
-    rvec = radial.recurrence_R(params, gr, radial.RadialAnsatz(0.5, 0.5, b1, b2, *a00.T))
+    rvec = radial.recurrence_R(params, gr, radial.RadialAnsatz(b1, b2, *a00.T))
     svec = _matvec(radial.spectral_matrix(gr, params.sigma, b1, b2), a00)
     worst = np.max(np.abs(rvec - svec).max(axis=-1) / np.abs(svec).max(axis=-1))
     results.append(_bounded("recurrence reduces to spectral matrix", worst, 1e-12))
@@ -310,8 +304,7 @@ def radial_checks() -> list:
     g1v, g2v, b2, a110, a210, a310, _, a100, a200, a300, a400 = np.array(draws).T
     gr = radial.GammaRho(g1v, g2v)
     b1 = radial.beta1_from_determinant(gr, params.sigma, b2)
-    ansatz = radial.RadialAnsatz(0.5, 0.5, b1, b2, a100, a200, a300, a400,
-                                 j1=params.j1, j2=params.j2)
+    ansatz = radial.RadialAnsatz(b1, b2, a100, a200, a300, a400)
     rvec = radial.recurrence_R(params, gr, ansatz, a110, a210, a310)
     psi1, _ = radial.kernel_vectors(gr, params.sigma, b1, b2)
     direct = _matvec(psi1[:, None, :], rvec)[:, 0]

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from hespinor import angular, clifford, optimize, radial, spectrum
+from hespinor import angular, clifford, optimize, radial, spectrum, verify
 from hespinor.operators import (
     FINE_STRUCTURE_ALPHA,
     ConfigPoint,
@@ -73,8 +73,8 @@ def test_criterion_04_one_electron_reduction():
 
 
 def test_criterion_05_clifford_suite():
-    rep = clifford.verify_clifford(1e-15)
-    exact = all(dev == 0.0 for _, _, dev in rep.rows)
+    checks = {r.name: r for r in verify.clifford_checks()}
+    exact = checks["clifford anticommutation, 15 pairs"].value == 0.0
     prod = clifford.gamma(0) @ clifford.gamma(1) @ clifford.gamma(2) @ clifford.gamma(3)
     product_ok = np.array_equal(clifford.gamma(5), -prod)
     report(5, exact and product_ok,
@@ -166,7 +166,7 @@ def test_criterion_09_structural_consistency():
         g1v, g2v, b1, b2 = rng.uniform(0.2, 2.0, 4)
         a00 = rng.uniform(-1, 1, 4)
         gr = radial.GammaRho(g1v, g2v)
-        ansatz = radial.RadialAnsatz(s1=0.5, s2=0.5, beta1=b1, beta2=b2,
+        ansatz = radial.RadialAnsatz(beta1=b1, beta2=b2,
                                      a100=a00[0], a200=a00[1], a300=a00[2], a400=a00[3])
         rvec = radial.recurrence_R(params, gr, ansatz)
         svec = radial.spectral_matrix(gr, params.sigma, b1, b2) @ a00

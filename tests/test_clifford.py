@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from hespinor import clifford
+from hespinor import cli, clifford, verify
 
 
 def test_gamma0_is_diag_1_1_m1_m1():
@@ -30,7 +32,8 @@ def test_every_gamma_squares_to_identity_exactly(idx):
 def test_pairwise_anticommutation_exact():
     for i, mu in enumerate(clifford.GAMMA_INDICES):
         for nu in clifford.GAMMA_INDICES[i + 1:]:
-            ac = clifford.anticommutator(clifford.gamma(mu), clifford.gamma(nu))
+            g_mu, g_nu = clifford.gamma(mu), clifford.gamma(nu)
+            ac = g_mu @ g_nu + g_nu @ g_mu
             assert np.array_equal(ac, np.zeros((4, 4), dtype=complex)), (mu, nu)
 
 
@@ -46,21 +49,6 @@ def test_gamma5_equals_minus_product_of_other_four():
     # the often-quoted -1j prefactor does not reproduce gamma(5) for this
     # block convention; the measured phase is exactly -1
     assert not np.array_equal(clifford.gamma(5), -1j * prod)
-
-
-def test_anticommutator_same_index_gives_twice_identity():
-    ac = clifford.anticommutator(clifford.gamma(0), clifford.gamma(0))
-    assert np.array_equal(ac, 2 * np.eye(4, dtype=complex))
-
-
-def test_anticommutator_distinct_indices_vanishes():
-    ac = clifford.anticommutator(clifford.gamma(1), clifford.gamma(3))
-    assert np.array_equal(ac, np.zeros((4, 4), dtype=complex))
-
-
-def test_anticommutator_identity_case():
-    eye = np.eye(4, dtype=complex)
-    assert np.array_equal(clifford.anticommutator(eye, eye), 2 * eye)
 
 
 def test_alpha_z_tables():
@@ -92,24 +80,25 @@ def test_alpha_z_invalid_label():
         clifford.alpha_z(3)
 
 
+def anticommutation_check():
+    return {r.name: r for r in verify.clifford_checks()}["clifford anticommutation, 15 pairs"]
+
+
 def test_verify_clifford_all_pairs_exact():
-    report = clifford.verify_clifford(1e-14)
-    assert report.passed
-    assert len(report.rows) == 15
-    assert all(dev == 0.0 for _, _, dev in report.rows)
+    check = anticommutation_check()
+    assert check.passed
+    assert check.value == 0.0
+    assert check.note == "worst pair (0,0)"  # a tie names the first pair in table order
 
 
-def test_verify_clifford_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        clifford.verify_clifford(0.0)
-
-
-def test_verify_clifford_fault_injection_names_pair(monkeypatch):
+def test_verify_clifford_fault_injection_names_pair(monkeypatch, capsys):
     bad = clifford.gamma(1)
     bad[0, 3] = -bad[0, 3]
     monkeypatch.setitem(clifford._GAMMA_TABLES, 1, bad)
-    report = clifford.verify_clifford(1e-14)
-    assert not report.passed
-    mu, nu, dev = report.worst()
-    assert dev > 0.5
-    assert 1 in (mu, nu)
+    check = anticommutation_check()
+    assert not check.passed
+    assert check.value > 0.5
+    pair = re.fullmatch(r"worst pair \((\d),(\d)\)", check.note)
+    assert pair is not None and "1" in pair.groups()
+    assert cli.main(["verify", "--fast"]) == 1
+    assert "[FAIL] clifford anticommutation, 15 pairs" in capsys.readouterr().out

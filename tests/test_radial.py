@@ -117,8 +117,7 @@ def test_gamma_rho_sum_invariant():
 def test_recurrence_all_zero():
     params = ModelParams(sigma=0.3)
     gr = radial.GammaRho(1.1, 0.9)
-    ansatz = radial.RadialAnsatz(s1=0.5, s2=0.5, beta1=0.4, beta2=0.2,
-                                 a100=0, a200=0, a300=0, a400=0)
+    ansatz = radial.RadialAnsatz(beta1=0.4, beta2=0.2, a100=0, a200=0, a300=0, a400=0)
     assert np.array_equal(radial.recurrence_R(params, gr, ansatz), np.zeros(4))
 
 
@@ -129,7 +128,7 @@ def test_recurrence_reduces_to_spectral_matrix():
         g1v, g2v, b1, b2 = rng.uniform(0.2, 2.0, 4)
         a00 = rng.uniform(-1, 1, 4)
         gr = radial.GammaRho(g1v, g2v)
-        ansatz = radial.RadialAnsatz(s1=0.5, s2=0.5, beta1=b1, beta2=b2,
+        ansatz = radial.RadialAnsatz(beta1=b1, beta2=b2,
                                      a100=a00[0], a200=a00[1], a300=a00[2], a400=a00[3])
         rvec = radial.recurrence_R(params, gr, ansatz)
         svec = radial.spectral_matrix(gr, params.sigma, b1, b2) @ a00
@@ -139,8 +138,7 @@ def test_recurrence_reduces_to_spectral_matrix():
 def test_recurrence_sigma_zero_one_electron_shape():
     params = ModelParams(sigma=0.0)
     gr = radial.GammaRho(1.3, 0.7)
-    ansatz = radial.RadialAnsatz(s1=0.5, s2=0.5, beta1=0.6, beta2=0.9,
-                                 a100=0.8, a200=0.0, a300=-0.5, a400=0.0)
+    ansatz = radial.RadialAnsatz(beta1=0.6, beta2=0.9, a100=0.8, a200=0.0, a300=-0.5, a400=0.0)
     rvec = radial.recurrence_R(params, gr, ansatz)
     assert rvec[0] == pytest.approx(gr.gamma2 * 0.8 + 0.6 * (-0.5), rel=1e-14)
 
@@ -224,11 +222,10 @@ def test_contraction_zero_inputs():
     assert radial.kernel_contraction(params, gr, 0.5, 0.2, 0.0, 0.0, 0.0) == 0.0
 
 
-def test_contraction_equals_kernel_dot_product():
-    params = ModelParams(sigma=0.3)
-    rng = np.random.default_rng(17)
+def _assert_contraction_equals_kernel_dot_product(params, seed, draws):
+    rng = np.random.default_rng(seed)
     checked = 0
-    while checked < 50:
+    while checked < draws:
         g1v, g2v, b2 = rng.uniform(0.2, 1.2, 3)
         gr = radial.GammaRho(g1v, g2v)
         try:
@@ -238,15 +235,24 @@ def test_contraction_equals_kernel_dot_product():
         a00 = rng.uniform(-1, 1, 4)
         a10 = rng.uniform(-1, 1, 4)
         a10[3] = 0.0  # the three-term form assumes the fourth first-order coefficient is 0
-        ansatz = radial.RadialAnsatz(s1=0.5, s2=0.5, beta1=b1, beta2=b2,
-                                     a100=a00[0], a200=a00[1], a300=a00[2], a400=a00[3],
-                                     j1=params.j1, j2=params.j2)
+        ansatz = radial.RadialAnsatz(beta1=b1, beta2=b2,
+                                     a100=a00[0], a200=a00[1], a300=a00[2], a400=a00[3])
         rvec = radial.recurrence_R(params, gr, ansatz, *a10)
         psi1, _ = radial.kernel_vectors(gr, params.sigma, b1, b2)
         direct = float(psi1 @ rvec)
         form = radial.kernel_contraction(params, gr, b1, b2, a10[0], a10[1], a10[2])
         assert direct == pytest.approx(form, rel=1e-10, abs=1e-12)
         checked += 1
+
+
+def test_contraction_equals_kernel_dot_product():
+    _assert_contraction_equals_kernel_dot_product(ModelParams(sigma=0.3), seed=17, draws=50)
+
+
+def test_contraction_equals_kernel_dot_product_away_from_default_j():
+    # j reaches recurrence_R only through params, as it reaches kernel_contraction
+    _assert_contraction_equals_kernel_dot_product(ModelParams(sigma=0.3, j1=2.0, j2=1.5),
+                                                  seed=19, draws=20)
 
 
 def test_contraction_sigma_zero_keeps_only_electron1_brackets():
@@ -271,9 +277,8 @@ def test_both_kernel_vectors_give_identical_energy_condition():
         values = []
         for vec, a10 in ((psi1, [psi1[0], psi1[1], 1.0, 0.0]),
                          (psi2, [psi2[0], psi2[1], 0.0, 1.0])):
-            ansatz = radial.RadialAnsatz(s1=0.5, s2=0.5, beta1=b1, beta2=b2,
-                                         a100=0.3, a200=-0.8, a300=0.5, a400=0.1,
-                                         j1=params.j1, j2=params.j2)
+            ansatz = radial.RadialAnsatz(beta1=b1, beta2=b2,
+                                         a100=0.3, a200=-0.8, a300=0.5, a400=0.1)
             values.append(float(vec @ radial.recurrence_R(params, gr, ansatz, *a10)))
         assert values[0] == pytest.approx(values[1], rel=1e-12)
 
@@ -307,6 +312,57 @@ def test_fundamental_denominator_variants_differ():
     assert len(set(values.values())) == 3
     with pytest.raises(ValueError):
         radial.fundamental_denominator(params, 0.15, "bogus")
+
+
+J_GRID = (0.3, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.7)
+ALPHA_GRID = (ALPHA, 0.05, 0.1, 0.2)
+
+
+def _grid_params(sigma):
+    for alpha in ALPHA_GRID:
+        js = [j for j in J_GRID if j * j > 4 * alpha * alpha]
+        for j1 in js:
+            for j2 in js:
+                yield ModelParams(sigma=sigma, alpha=alpha, j1=j1, j2=j2)
+
+
+def per_site_shift(j, alpha, sign):
+    """Reference arithmetic: the bracket 1 + sqrt(j^2 - 4 alpha^2) +- j with its own root."""
+    return 1 + math.sqrt(j * j - 4 * alpha * alpha) + sign * j
+
+
+def per_site_denominator(params, h, variant):
+    """Reference arithmetic: the denominator with its own square roots."""
+    s, a = params.sigma, params.alpha
+    g1 = math.sqrt(params.j1**2 - 4 * a * a)
+    g2 = math.sqrt(params.j2**2 - 4 * a * a)
+    tail = 4 * s**2 * h * (1 + g2)
+    return {"default": (1 - s) ** 2 * g1 + tail, "alt-weight": (1 - s**2) * g1 + tail,
+            "alt-shift": (1 - s) ** 2 * (1 + g1) + tail}[variant]
+
+
+def test_first_order_brackets_equal_per_site_expressions():
+    for params in _grid_params(0.3):
+        a = params.alpha
+        assert radial.first_order_brackets(params) == (
+            per_site_shift(params.j1, a, -1), per_site_shift(params.j1, a, +1),
+            per_site_shift(params.j2, a, -1), per_site_shift(params.j2, a, +1))
+
+
+@pytest.mark.parametrize("variant", radial.FUNDAMENTAL_DENOMINATORS)
+def test_fundamental_denominator_equals_per_site_expression(variant):
+    for sigma in (0.0, 0.1775, 0.49, 0.9):
+        for params in _grid_params(sigma):
+            for h in (0.0, 0.15, 0.9):
+                assert (radial.fundamental_denominator(params, h, variant)
+                        == per_site_denominator(params, h, variant))
+
+
+def test_ion_limit_equals_per_site_expression():
+    for a in ALPHA_GRID:
+        for j1 in (j for j in J_GRID if j * j > 4 * a * a):
+            g1 = math.sqrt(j1 * j1 - 4 * a * a)
+            assert spectrum.ion_limit(a, j1) == (g1 / math.sqrt(g1 * g1 + 4 * a**2) - 1) / a**2
 
 
 def test_fundamental_residual_no_real_decay():
@@ -419,11 +475,11 @@ def test_recurrence_array_equals_stacked_scalar_calls():
     params = ModelParams(sigma=0.3)
     gr, _, b1, b2 = _random_inputs((6,))
     coeffs = np.random.default_rng(31).uniform(-1, 1, (7, 6))
-    ansatz = radial.RadialAnsatz(0.5, 0.5, b1, b2, *coeffs[:4])
+    ansatz = radial.RadialAnsatz(b1, b2, *coeffs[:4])
     batch = radial.recurrence_R(params, gr, ansatz, *coeffs[4:])
     assert batch.shape == (6, 4)
     for i in range(6):
-        single = radial.RadialAnsatz(0.5, 0.5, b1[i], b2[i], *coeffs[:4, i])
+        single = radial.RadialAnsatz(b1[i], b2[i], *coeffs[:4, i])
         assert np.array_equal(batch[i],
                               radial.recurrence_R(params, _entry(gr, i), single, *coeffs[4:, i]))
 
@@ -431,8 +487,7 @@ def test_recurrence_array_equals_stacked_scalar_calls():
 def test_recurrence_float_path_values():
     params = ModelParams(sigma=0.0)
     gr = radial.GammaRho(1.3, 0.7)
-    ansatz = radial.RadialAnsatz(s1=0.5, s2=0.5, beta1=0.6, beta2=0.9,
-                                 a100=0.8, a200=0.0, a300=-0.5, a400=0.0)
+    ansatz = radial.RadialAnsatz(beta1=0.6, beta2=0.9, a100=0.8, a200=0.0, a300=-0.5, a400=0.0)
     rvec = radial.recurrence_R(params, gr, ansatz)
     assert rvec.shape == (4,) and rvec.dtype == float
     assert np.array_equal(rvec, [0.7 * 0.8 + 0.6 * -0.5, 0.0, 1.3 * -0.5 + 0.6 * 0.8, 0.0])

@@ -91,7 +91,7 @@ def _per_draw_radial_values(seed=20240802):
         g1v, g2v, b1, b2 = rng.uniform(0.2, 2.0, 4)
         gr = radial.GammaRho(g1v, g2v)
         a00 = rng.uniform(-1, 1, 4)
-        ansatz = radial.RadialAnsatz(s1=0.5, s2=0.5, beta1=b1, beta2=b2,
+        ansatz = radial.RadialAnsatz(beta1=b1, beta2=b2,
                                      a100=a00[0], a200=a00[1], a300=a00[2], a400=a00[3])
         rvec = radial.recurrence_R(params, gr, ansatz)
         svec = radial.spectral_matrix(gr, params.sigma, b1, b2) @ a00
@@ -107,9 +107,8 @@ def _per_draw_radial_values(seed=20240802):
         a10 = rng.uniform(-1, 1, 4)
         a10[3] = 0.0
         a00 = rng.uniform(-1, 1, 4)
-        ansatz = radial.RadialAnsatz(s1=0.5, s2=0.5, beta1=b1, beta2=b2,
-                                     a100=a00[0], a200=a00[1], a300=a00[2], a400=a00[3],
-                                     j1=params.j1, j2=params.j2)
+        ansatz = radial.RadialAnsatz(beta1=b1, beta2=b2,
+                                     a100=a00[0], a200=a00[1], a300=a00[2], a400=a00[3])
         rvec = radial.recurrence_R(params, gr, ansatz, *a10)
         psi1, _ = radial.kernel_vectors(gr, params.sigma, b1, b2)
         direct = float(psi1 @ rvec)
