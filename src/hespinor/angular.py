@@ -159,8 +159,8 @@ def radial_system_residual(params: ModelParams, profiles, energy, rho0, point) -
         raise ValueError("radial evaluation needs r1 > 0 and r2 > 0")
     s, j1, j2 = params.sigma, params.j1, params.j2
     phi = potential_radii(params, r1, r2, rho0)
-    qp = (1 + s) * params.m + (phi - energy)
-    qm = (1 + s) * params.m - (phi - energy)
+    qp = (1 + s) + (phi - energy)
+    qm = (1 + s) - (phi - energy)
     f = [prof.value(r1, r2) for prof in profiles]
     d1 = [prof.d_r1(r1, r2) for prof in profiles]
     d2 = [prof.d_r2(r1, r2) for prof in profiles]

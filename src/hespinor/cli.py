@@ -59,7 +59,7 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     table = optimize.scan_sigma(args.sigma_min, args.sigma_max, args.points,
-                                alpha=args.alpha, m=args.m, j1=args.j1, j2=args.j2)
+                                alpha=args.alpha, j1=args.j1, j2=args.j2)
     columns = [c.tolist() for c in (table.sigma, table.delta_e, table.rho0, table.r10, table.r20)]
     _emit(_rows_to_text(zip(*columns), SCAN_FIELDS, args.fmt), args.output)
     return 0
@@ -68,7 +68,7 @@ def cmd_scan(args) -> int:
 def cmd_minimize(args) -> int:
     result = optimize.minimize_delta_e(
         (args.sigma_min, args.sigma_max), tol=args.tol,
-        alpha=args.alpha, m=args.m, j1=args.j1, j2=args.j2)
+        alpha=args.alpha, j1=args.j1, j2=args.j2)
     pt = result.point
     record = {
         "sigma0": pt.sigma,
@@ -98,8 +98,7 @@ def _print_minimize_summary(record):
 
 
 def cmd_ion_limit(args) -> int:
-    rows = optimize.ion_limit_report(args.sigmas, alpha=args.alpha, m=args.m,
-                                     j1=args.j1, j2=args.j2)
+    rows = optimize.ion_limit_report(args.sigmas, alpha=args.alpha, j1=args.j1, j2=args.j2)
     _emit(_rows_to_text(rows, ("sigma", "delta_e_hartree"), args.fmt), args.output)
     if args.output:
         print(f"limit value {_fmt(spectrum.ion_limit(args.alpha, args.j1))}")
@@ -121,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_physics(p):
         p.add_argument("--alpha", type=float, default=FINE_STRUCTURE_ALPHA,
                        help="fine-structure constant (default CODATA)")
-        p.add_argument("--mass", dest="m", metavar="MASS", type=float, default=1.0,
-                       help="electron mass, natural units")
         p.add_argument("--j1", type=float, default=1.0, help="inner-electron quantum number")
         p.add_argument("--j2", type=float, default=1.0, help="outer-electron quantum number")
 

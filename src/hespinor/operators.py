@@ -8,7 +8,8 @@ the covariant contraction) can be verified numerically with an O(step^2)
 truncation error.
 
 Configuration space is planar: (x1, y1) and (x2, y2) are the two electron
-coordinates and the nucleus sits at the origin.
+coordinates and the nucleus sits at the origin.  Units are natural with
+the electron mass m = 1: energies are in units of m c^2.
 """
 
 from __future__ import annotations
@@ -98,16 +99,14 @@ class ModelParams:
 
     sigma: float
     alpha: float = FINE_STRUCTURE_ALPHA
-    m: float = 1.0
     j1: float = 1.0
     j2: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.sigma <= 1.0:
             raise ParameterError(f"sigma must lie in [0, 1], got {self.sigma}")
-        for name, value in (("alpha", self.alpha), ("mass m", self.m)):
-            if not 0 < value < math.inf:
-                raise ParameterError(f"{name} = {value!r}: need a finite {name} > 0")
+        if not 0 < self.alpha < math.inf:
+            raise ParameterError(f"alpha = {self.alpha!r}: need a finite alpha > 0")
         for name, j in (("j1", self.j1), ("j2", self.j2)):
             if not 4 * self.alpha**2 < j * j < math.inf:
                 raise ParameterError(f"{name} = {j!r}: need a finite {name} with "
@@ -229,7 +228,7 @@ def _h_terms(params, point, f0, d, assignment) -> np.ndarray:
                      - _col(2 * a / point.r1) * f0)
     out = out + 2 * s * (1j * (sx2 * (d[2] @ _GAMMA[ix2].T) + sy2 * (d[3] @ _GAMMA[iy2].T))
                          - _col(2 * a / point.r2) * f0)
-    return out + (1 + s) * (params.m * (f0 @ _GAMMA[0].T) + _col(a / point.r12) * f0)
+    return out + (1 + s) * (f0 @ _GAMMA[0].T + _col(a / point.r12) * f0)
 
 
 def _jz_terms(point, d) -> np.ndarray:
@@ -309,8 +308,8 @@ def component_system_residual(params, field, point, step, energy,
     s, a = params.sigma, params.alpha
     r12 = point.r12 if rho_freeze is None else rho_freeze
     phi = potential_radii(params, point.r1, point.r2, r12)
-    qp = (1 + s) * params.m + (phi - energy)
-    qm = (1 + s) * params.m - (phi - energy)
+    qp = (1 + s) + (phi - energy)
+    qm = (1 + s) - (phi - energy)
     f0, (dx1, dy1, dx2, dy2) = _gradient(field, point, step)
     # component-first views, so f0[k] holds component k at every point
     f0, dx1, dy1, dx2, dy2 = (np.moveaxis(v, -1, 0) for v in (f0, dx1, dy1, dx2, dy2))
@@ -334,7 +333,7 @@ def covariant_form_residual(params, field, point, step, energy):
     """Max-norm difference between the covariant contraction and gamma(0)(H - E).
 
     The contraction is (1-sigma) zeta_1.pi_1 + 2 sigma zeta_2.pi_2 with
-    effective momenta pi_k = (m, -i d/dx_k, -i d/dy_k, -2a/r_k + a/r12 - E'),
+    effective momenta pi_k = (1, -i d/dx_k, -i d/dy_k, -2a/r_k + a/r12 - E'),
     where E' = E / (1 + sigma).  The energy component must carry that
     weight because the mixing prefactors sum to 1 + sigma while E enters
     the eigenproblem exactly once.  Returns a float for one point and an
@@ -345,9 +344,9 @@ def covariant_form_residual(params, field, point, step, energy):
     f0, d = _gradient(field, point, step)
     z1, z2 = covariant_zetas()
     eshift = energy / (1 + s)
-    pi1 = (params.m * f0, -1j * d[0], -1j * d[1],
+    pi1 = (f0, -1j * d[0], -1j * d[1],
            _col(-2 * a / point.r1 + a / point.r12 - eshift) * f0)
-    pi2 = (params.m * f0, -1j * d[2], -1j * d[3],
+    pi2 = (f0, -1j * d[2], -1j * d[3],
            _col(-2 * a / point.r2 + a / point.r12 - eshift) * f0)
     total = sum((1 - s) * (pvec @ zmat.T) for zmat, pvec in zip(z1, pi1))
     total = total + sum(2 * s * (pvec @ zmat.T) for zmat, pvec in zip(z2, pi2))

@@ -9,7 +9,7 @@ import numpy as np
 
 from .operators import FINE_STRUCTURE_ALPHA, ModelParams, ParameterError
 from .radial import exponents
-from .spectrum import EquilibriumPoint, c_params, closed_form, delta_e, equilibrium_point, ion_limit
+from .spectrum import EquilibriumPoint, c_params, closed_form, delta_e, equilibrium_point
 
 _PRESCAN_POINTS = 32
 
@@ -18,21 +18,18 @@ class NonUnimodalError(ValueError):
     """Coarse pre-scan found no interior minimum inside the bracket."""
 
 
-def check_parameters(alpha: float, m: float, j1: float, j2: float, sigmas=None,
-                     tol: float | None = None):
+def check_parameters(alpha: float, j1: float, j2: float, sigmas, tol: float | None = None):
     """Raise a ParameterError naming the first parameter outside the model's domain.
 
-    ``ModelParams`` checks alpha, m, j1 and j2.  ``sigmas``, when given, must
-    be non-empty with every sigma in (0, 1], and ``tol``, the root-finder's
+    ``ModelParams`` checks alpha, j1 and j2.  ``sigmas`` must be non-empty
+    with every sigma in (0, 1], and ``tol``, the root-finder's
     absolute sigma tolerance, must be at least one ulp of the largest sigma,
     since no sigma can be located more finely than that.  ``scan_sigma``,
     ``minimize_delta_e`` and ``ion_limit_report`` each call this before any
     numeric work.
     """
-    ModelParams(sigma=1.0, alpha=alpha, m=m, j1=j1, j2=j2)
-    if sigmas is None:
-        sigmas = ()
-    elif not len(sigmas):
+    ModelParams(sigma=1.0, alpha=alpha, j1=j1, j2=j2)
+    if not len(sigmas):
         raise ParameterError("sigmas is empty: need at least one sigma")
     for sigma in sigmas:
         if not 0 < sigma <= 1:
@@ -48,20 +45,20 @@ class MinimizeResult:
 
 
 def scan_sigma(sigma_min: float, sigma_max: float, n_points: int,
-               alpha: float = FINE_STRUCTURE_ALPHA, m: float = 1.0, j1: float = 1.0,
+               alpha: float = FINE_STRUCTURE_ALPHA, j1: float = 1.0,
                j2: float = 1.0) -> EquilibriumPoint:
     """Equilibrium columns on a uniform sigma grid, ascending: one EquilibriumPoint of arrays."""
-    check_parameters(alpha, m, j1, j2, (sigma_min, sigma_max))
+    check_parameters(alpha, j1, j2, (sigma_min, sigma_max))
     if not sigma_min < sigma_max:
         raise ParameterError(f"sigma_min = {sigma_min!r}: need sigma_min < sigma_max")
     if n_points < 2:
         raise ParameterError(f"points = {n_points!r}: need at least two grid points")
     grid = np.linspace(sigma_min, sigma_max, n_points)
-    return equilibrium_point(grid, alpha=alpha, m=m, j1=j1, j2=j2)
+    return equilibrium_point(grid, alpha=alpha, j1=j1, j2=j2)
 
 
 def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_ALPHA,
-                     m: float = 1.0, j1: float = 1.0, j2: float = 1.0) -> MinimizeResult:
+                     j1: float = 1.0, j2: float = 1.0) -> MinimizeResult:
     """Ground state: the root of d(delta_e)/d(sigma) next to the lowest pre-scan point.
 
     A 32-point pre-scan must find some interior grid point strictly below
@@ -71,12 +68,12 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
     path, so sigma0 obeys brentq's contract |sigma0 - sigma*| <= tol + 4 eps |sigma*|.
     """
     lo, hi = sorted(map(float, bracket))
-    check_parameters(alpha, m, j1, j2, (lo, hi), tol)
+    check_parameters(alpha, j1, j2, (lo, hi), tol)
     from scipy.optimize import brentq  # after the checks: a usage error never loads scipy
 
     s1, s2 = exponents(j1, j2, alpha)
     grid = np.linspace(lo, hi, _PRESCAN_POINTS)
-    values = delta_e(c_params(grid, s1, s2, alpha, m=m, j1=j1, j2=j2))
+    values = delta_e(c_params(grid, s1, s2, alpha, j1=j1, j2=j2))
     if not values[0] > values.min() < values[-1]:
         raise NonUnimodalError(
             f"no interior minimum on [{lo}, {hi}]: coarse scan bottoms out at the "
@@ -84,20 +81,20 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
         )
 
     def slope(sigma):
-        return delta_e(c_params(sigma + 1e-30j, s1, s2, alpha, m=m, j1=j1, j2=j2)).imag / 1e-30
+        return delta_e(c_params(sigma + 1e-30j, s1, s2, alpha, j1=j1, j2=j2)).imag / 1e-30
 
     k = int(np.argmin(values))
     sigma0, root = brentq(slope, grid[k - 1], grid[k + 1], xtol=tol, full_output=True)
-    return MinimizeResult(point=equilibrium_point(sigma0, alpha=alpha, m=m, j1=j1, j2=j2),
+    return MinimizeResult(point=equilibrium_point(sigma0, alpha=alpha, j1=j1, j2=j2),
                           iterations=root.iterations)
 
 
-def ion_limit_report(sigmas, alpha: float = FINE_STRUCTURE_ALPHA, m: float = 1.0,
+def ion_limit_report(sigmas, alpha: float = FINE_STRUCTURE_ALPHA,
                      j1: float = 1.0, j2: float = 1.0) -> list:
     """(sigma, delta_e) rows approaching the one-electron limit as sigma -> 0+."""
     sigmas = [float(sigma) for sigma in sigmas]
-    check_parameters(alpha, m, j1, j2, sigmas)
-    values = delta_e(closed_form(np.array(sigmas), alpha=alpha, m=m, j1=j1, j2=j2))
+    check_parameters(alpha, j1, j2, sigmas)
+    values = delta_e(closed_form(np.array(sigmas), alpha=alpha, j1=j1, j2=j2))
     return list(zip(sigmas, values.tolist()))
 
 
@@ -106,7 +103,6 @@ __all__ = [
     "NonUnimodalError",
     "ParameterError",
     "check_parameters",
-    "ion_limit",
     "ion_limit_report",
     "minimize_delta_e",
     "scan_sigma",

@@ -13,6 +13,9 @@ linear conditions on the leading coefficients:
   * contracting the first-order recurrence with a spectral kernel vector
     eliminates the leading coefficients and yields the fundamental
     relation between beta1 and the energy.
+
+Units are natural with the electron mass m = 1: energies are in units of
+m c^2, decay rates and inverse radii in units of m c / hbar.
 """
 
 from __future__ import annotations
@@ -22,11 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ModelParams
-
-
-class ExponentDomainError(ValueError):
-    """j^2 <= 4 alpha^2: the indicial exponent would be complex."""
+from .operators import ModelParams, ParameterError
 
 
 class NoRealDecayError(ValueError):
@@ -38,12 +37,13 @@ class DegenerateKernelError(ZeroDivisionError):
 
 
 def exponents(j1: float, j2: float, alpha: float) -> tuple:
-    """Leading radial exponents s_k = -1/2 + sqrt(j_k^2 - 4 alpha^2)."""
+    """Leading radial exponents s_k = -1/2 + sqrt(j_k^2 - 4 alpha^2); j_k^2 <= 4 alpha^2,
+    where s_k would be complex, raises ParameterError."""
     out = []
     for name, j in (("j1", j1), ("j2", j2)):
         disc = j * j - 4 * alpha * alpha
         if disc <= 0:
-            raise ExponentDomainError(
+            raise ParameterError(
                 f"{name}^2 = {j * j} does not exceed 4*alpha^2 = {4 * alpha * alpha}"
             )
         out.append(-0.5 + math.sqrt(disc))
@@ -91,23 +91,18 @@ class IndicialKernel:
     For which=1 the blocks pair (a100, a300) and (a200, a400); for which=2
     they pair (a100, a400) and (a200, a300).  ``ratio`` and ``ratio_alt``
     are the two equivalent closed forms of the first block's ratio, equal
-    exactly when the determinant vanishes.  ``degenerate`` flags alpha = 0,
-    where the kernel collapses onto a100 = a200 = 0.
+    exactly when the determinant vanishes.
     """
 
     ratio: float
     ratio_alt: float
     second_ratio: float
-    degenerate: bool
 
 
 def indicial_kernel(which: int, j: float, alpha: float) -> IndicialKernel:
     """Kernel ratios at the vanishing-determinant exponent."""
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which!r}")
-    if alpha == 0:
-        return IndicialKernel(ratio=math.inf, ratio_alt=math.inf, second_ratio=0.0,
-                              degenerate=True)
     s, _ = exponents(j, j, alpha)
     v = j + s + 0.5
     u = j - s - 0.5
@@ -117,8 +112,7 @@ def indicial_kernel(which: int, j: float, alpha: float) -> IndicialKernel:
         second = u / (2 * alpha)     # a400/a200
     else:
         second = -u / (2 * alpha)    # a300/a200
-    return IndicialKernel(ratio=ratio, ratio_alt=ratio_alt, second_ratio=second,
-                          degenerate=False)
+    return IndicialKernel(ratio=ratio, ratio_alt=ratio_alt, second_ratio=second)
 
 
 def indicial_kernel_angles(j1: float, j2: float, alpha: float) -> np.ndarray:
@@ -142,19 +136,19 @@ def indicial_kernel_angles(j1: float, j2: float, alpha: float) -> np.ndarray:
 class GammaRho:
     """Energy/potential combinations entering the radial coefficients.
 
-    gamma1 = (1+sigma) m + E - (1+sigma) alpha / rho
-    gamma2 = (1+sigma) m - E + (1+sigma) alpha / rho
+    gamma1 = (1+sigma) + E - (1+sigma) alpha / rho
+    gamma2 = (1+sigma) - E + (1+sigma) alpha / rho
 
-    Their sum is 2 (1+sigma) m identically.
+    Their sum is 2 (1+sigma), the two rest masses, identically.
     """
 
     gamma1: float
     gamma2: float
 
     @classmethod
-    def from_energy(cls, sigma, m, alpha, energy, rho) -> "GammaRho":
+    def from_energy(cls, sigma, alpha, energy, rho) -> "GammaRho":
         shift = energy - (1 + sigma) * alpha / rho
-        return cls(gamma1=(1 + sigma) * m + shift, gamma2=(1 + sigma) * m - shift)
+        return cls(gamma1=(1 + sigma) + shift, gamma2=(1 + sigma) - shift)
 
 
 @dataclass(frozen=True)
@@ -297,13 +291,13 @@ def fundamental_denominator(params: ModelParams, h: float, variant: str = "defau
 
 def fundamental_relation(params: ModelParams, rho: float, h: float,
                          variant: str = "default") -> tuple:
-    """Per-solve terms ((1+s) m, (1+s) a / rho, (1-s)^2 + 4 s^2 h^2, a (1+s), denominator)
+    """Per-solve terms (1+s, (1+s) a / rho, (1-s)^2 + 4 s^2 h^2, a (1+s), denominator)
     of the decay-rate relation; a vanishing denominator raises ZeroDivisionError."""
     s, a = params.sigma, params.alpha
     den = fundamental_denominator(params, h, variant)
     if den == 0:
         raise ZeroDivisionError("fundamental relation denominator vanished")
-    return (1 + s) * params.m, (1 + s) * a / rho, (1 - s) ** 2 + 4 * s**2 * h**2, a * (1 + s), den
+    return 1 + s, (1 + s) * a / rho, (1 - s) ** 2 + 4 * s**2 * h**2, a * (1 + s), den
 
 
 def fundamental_residual(relation: tuple, energy: float) -> float:
@@ -314,10 +308,10 @@ def fundamental_residual(relation: tuple, energy: float) -> float:
     the contracted recurrence gives beta1 = a(1+s)(gamma1-gamma2)/denominator.
     A zero in the energy characterizes the bound state for the relation's sigma, rho and h.
     """
-    mass, coulomb, weight, coupling, den = relation
+    rest, coulomb, weight, coupling, den = relation
     shift = energy - coulomb
-    gamma1 = mass + shift
-    gamma2 = mass - shift
+    gamma1 = rest + shift
+    gamma2 = rest - shift
     disc = gamma1 * gamma2
     if disc < 0:
         raise NoRealDecayError(f"gamma1*gamma2 = {disc:.3e} is negative")

@@ -9,8 +9,9 @@ the whole radial problem to two shape parameters
     D  = 4 a^2 (1+s)^2 [(1-s)^2 s1^2 + 4 s^4 s2^2]
     C1 = sqrt(B^2 + D),   C2 = sqrt(1 + D / B^2)
 
-with h = sigma s2 / s1.  Energies are reported in natural units and, for
-the excess energy, in Hartree (m a^2); lengths in Bohr radii (1/(m a)).
+with h = sigma s2 / s1.  Units are natural with the electron mass m = 1:
+energies are in units of m c^2 and, for the excess energy, in Hartree
+(m c^2 a^2); lengths in Bohr radii (hbar / (m c a)).
 
 An independent check is provided by ``energy_consistency_solve``, which
 recovers the energy by root-finding on the radial module's
@@ -36,7 +37,6 @@ class ClosedFormParams:
 
     sigma: float
     alpha: float
-    m: float
     j1: float
     j2: float
     s1: float
@@ -52,8 +52,8 @@ class ClosedFormParams:
 class EquilibriumPoint:
     """Excess energy and equilibrium geometry at one sigma, or a whole scan.
 
-    delta_e is in Hartree; rho0, r10, r20 in Bohr radii; energy in natural
-    units.  rho0 = r10 + r20 and r10 = sigma r20 hold by construction.
+    delta_e is in Hartree; rho0, r10, r20 in Bohr radii; energy in units
+    of m c^2.  rho0 = r10 + r20 and r10 = sigma r20 hold by construction.
     For an array sigma every field is an array of sigma's shape.
     """
 
@@ -73,7 +73,7 @@ def h_ratio(sigma: float, s1: float, s2: float) -> float:
 
 
 def c_params(sigma, s1: float, s2: float, alpha: float,
-             m: float = 1.0, j1: float = 1.0, j2: float = 1.0) -> ClosedFormParams:
+             j1: float = 1.0, j2: float = 1.0) -> ClosedFormParams:
     """Evaluate B, C1, C2 and h for given exponents, at a float or an array sigma.
 
     A complex sigma follows the float path (the minimizer's complex-step
@@ -88,21 +88,21 @@ def c_params(sigma, s1: float, s2: float, alpha: float,
         raise ZeroDivisionError("shape bracket B vanished; C2 is undefined")
     d = 4 * alpha**2 * (1 + sigma) * (1 + sigma) * (w * s1**2 + 4 * cube * sigma * s2**2)
     c2sq_minus_1 = d / (b * b)
-    return ClosedFormParams(sigma=sigma, alpha=alpha, m=m, j1=j1, j2=j2,
+    return ClosedFormParams(sigma=sigma, alpha=alpha, j1=j1, j2=j2,
                             s1=s1, s2=s2, h=h_ratio(sigma, s1, s2), bracket=b,
                             c1=(b * b + d) ** 0.5, c2=(1 + c2sq_minus_1) ** 0.5,
                             c2sq_minus_1=c2sq_minus_1)
 
 
-def closed_form(sigma, alpha: float = FINE_STRUCTURE_ALPHA, m: float = 1.0,
+def closed_form(sigma, alpha: float = FINE_STRUCTURE_ALPHA,
                 j1: float = 1.0, j2: float = 1.0) -> ClosedFormParams:
     """c_params with the exponents derived from (j1, j2, alpha)."""
     s1, s2 = radial.exponents(j1, j2, alpha)
-    return c_params(sigma, s1, s2, alpha, m=m, j1=j1, j2=j2)
+    return c_params(sigma, s1, s2, alpha, j1=j1, j2=j2)
 
 
 def delta_e(cf: ClosedFormParams):
-    """Excess energy (E - (1+sigma) m) / (m alpha^2), dimensionless Hartree.
+    """Excess energy (E - (1+sigma)) / alpha^2 above the two rest masses, in Hartree.
 
     The second term is evaluated as (1+sigma)(1 - C2)/(C2 alpha^2) with
     1 - C2 = -(D/B^2)/(1 + C2), which avoids the catastrophic cancellation
@@ -137,30 +137,29 @@ def rho0_bohr(cf: ClosedFormParams):
 
 
 def rho0_natural(cf: ClosedFormParams):
-    """Same distance in natural length units, rho0_bohr / (m alpha)."""
-    return rho0_bohr(cf) / (cf.m * cf.alpha)
+    """Same distance in natural length units (hbar / (m c)), rho0_bohr / alpha."""
+    return rho0_bohr(cf) / cf.alpha
 
 
 def energy_closed_form(cf: ClosedFormParams):
-    """Total energy 2 sigma m a^2 (1+sigma)^2 / C1 + (1+sigma) m / C2."""
+    """Total energy 2 sigma a^2 (1+sigma)^2 / C1 + (1+sigma) / C2, in units of m c^2."""
     s = cf.sigma
-    return (2 * s * cf.m * cf.alpha**2 * (1 + s) * (1 + s) / cf.c1
-            + (1 + s) * cf.m / cf.c2)
+    return 2 * s * cf.alpha**2 * (1 + s) * (1 + s) / cf.c1 + (1 + s) / cf.c2
 
 
-def equilibrium_point(sigma, alpha: float = FINE_STRUCTURE_ALPHA, m: float = 1.0,
+def equilibrium_point(sigma, alpha: float = FINE_STRUCTURE_ALPHA,
                       j1: float = 1.0, j2: float = 1.0) -> EquilibriumPoint:
     """Excess energy and geometry at a float sigma, or at every sigma of an array."""
-    cf = closed_form(sigma, alpha=alpha, m=m, j1=j1, j2=j2)
+    cf = closed_form(sigma, alpha=alpha, j1=j1, j2=j2)
     r10, r20 = radii_bohr(cf)
     return EquilibriumPoint(sigma=sigma, delta_e=delta_e(cf), rho0=r10 + r20,
                             r10=r10, r20=r20, energy=energy_closed_form(cf))
 
 
-def _one_electron_energy(cf: ClosedFormParams) -> float:
-    # sigma -> 0 limit: m g1 / sqrt(g1^2 + 4 a^2); equals m sqrt(1 - 4 a^2) at j1 = 1
-    g1 = cf.s1 + 0.5
-    return cf.m * g1 / math.sqrt(g1 * g1 + 4 * cf.alpha**2)
+def _one_electron_energy(s1: float, alpha: float) -> float:
+    # sigma -> 0 limit: g1 / sqrt(g1^2 + 4 a^2), g1 = s1 + 1/2; equals sqrt(1 - 4 a^2) at j1 = 1
+    g1 = s1 + 0.5
+    return g1 / math.sqrt(g1 * g1 + 4 * alpha**2)
 
 
 class NoRootInBracketError(ValueError):
@@ -171,7 +170,7 @@ def energy_consistency_solve(sigma: float, rho: float, cf: ClosedFormParams,
                              variant: str = "default") -> float:
     """Solve the decay-rate consistency condition for the energy.
 
-    Finds the E in ((1+s) a / rho, (1+s) m + (1+s) a / rho) at which the
+    Finds the E in ((1+s) a / rho, (1+s) + (1+s) a / rho) at which the
     determinant-route and fundamental-relation decay rates coincide
     (``radial.fundamental_residual`` = 0), with rho in natural units and
     beta2 = h beta1.  This is independent of the closed form: at
@@ -183,13 +182,13 @@ def energy_consistency_solve(sigma: float, rho: float, cf: ClosedFormParams,
     from scipy.optimize import brentq
 
     if sigma == 0:
-        return _one_electron_energy(cf)
-    params = ModelParams(sigma=sigma, alpha=cf.alpha, m=cf.m, j1=cf.j1, j2=cf.j2)
+        return _one_electron_energy(cf.s1, cf.alpha)
+    params = ModelParams(sigma=sigma, alpha=cf.alpha, j1=cf.j1, j2=cf.j2)
     residual = partial(radial.fundamental_residual,
                        radial.fundamental_relation(params, rho, cf.h, variant))
-    margin = 1e-12 * cf.m
+    margin = 1e-12
     lo = (1 + sigma) * cf.alpha / rho + margin
-    hi = (1 + sigma) * cf.m + (1 + sigma) * cf.alpha / rho - margin
+    hi = (1 + sigma) + (1 + sigma) * cf.alpha / rho - margin
     f_lo, f_hi = residual(lo), residual(hi)
     if f_lo * f_hi > 0:
         raise NoRootInBracketError(
@@ -200,18 +199,18 @@ def energy_consistency_solve(sigma: float, rho: float, cf: ClosedFormParams,
 
 
 def energy_shifted_literal(cf: ClosedFormParams, rho: float, squared: bool = True) -> float:
-    """Direct energy formula E = (1+s) a / rho + (1+s) m / sqrt(1 + N / den).
+    """Direct energy formula E = (1+s) a / rho + (1+s) / sqrt(1 + N / den).
 
     N = 4 a^2 (1+s)^2 [(1-s)^2 + 4 s^2 h^2] and den is the fundamental
     denominator, squared or not according to ``squared``.  Only the
     squared reading is dimensionally consistent and matches the closed
     form; both are kept so the verify report can state the arbitration.
     """
-    params = ModelParams(sigma=cf.sigma, alpha=cf.alpha, m=cf.m, j1=cf.j1, j2=cf.j2)
-    mass, coulomb, weight, _, dval = radial.fundamental_relation(params, rho, cf.h)
+    params = ModelParams(sigma=cf.sigma, alpha=cf.alpha, j1=cf.j1, j2=cf.j2)
+    rest, coulomb, weight, _, dval = radial.fundamental_relation(params, rho, cf.h)
     den = dval * dval if squared else dval
     num = 4 * cf.alpha**2 * (1 + cf.sigma) ** 2 * weight
-    return coulomb + mass / math.sqrt(1 + num / den)
+    return coulomb + rest / math.sqrt(1 + num / den)
 
 
 def consistency_table(sigmas) -> dict:
@@ -256,6 +255,4 @@ def ion_limit(alpha: float = FINE_STRUCTURE_ALPHA, j1: float = 1.0) -> float:
     the one-electron (charge 2) ground state measured from the rest mass.
     """
     s1, _ = radial.exponents(j1, j1, alpha)
-    g1 = s1 + 0.5
-    ratio = g1 / math.sqrt(g1 * g1 + 4 * alpha**2)  # E(0)/m
-    return (ratio - 1) / alpha**2
+    return (_one_electron_energy(s1, alpha) - 1) / alpha**2

@@ -146,12 +146,12 @@ def operator_checks() -> list:
     s, a = params.sigma, params.alpha
     exact = (1 - s) * (1j * (g[3] @ d[0] - g[5] @ d[1]) - (2 * a / p.r1) * f0)
     exact = exact + 2 * s * (1j * (g[1] @ d[2] - g[2] @ d[3]) - (2 * a / p.r2) * f0)
-    exact = exact + (1 + s) * (params.m * (g[0] @ f0) + (a / p.r12) * f0)
+    exact = exact + (1 + s) * (g[0] @ f0 + (a / p.r12) * f0)
     err = [float(np.abs(apply_H(params, wave, p, h) - exact).max()) for h in (step, step / 2)]
     results.append(_bounded("plane-wave FD order (|ratio - 4|)", abs(err[0] / err[1] - 4), 0.5,
                             note=f"errors {err[0]:.2e} -> {err[1]:.2e}"))
 
-    energy = 1.2 * params.m
+    energy = 1.2
     g0 = clifford.gamma(0)
     batch = ConfigPoint.stack(points[:8])
     dev_cs = max(
@@ -194,7 +194,7 @@ def angular_checks() -> list:
             d_r2=lambda r1, r2: np.exp(-0.8 * r1 - 1.1 * r2) * (0.3 - 1.1 * (1 + 0.3 * r2)),
         ),
     ]
-    energy = 1.1 * params.m
+    energy = 1.1
     rho0 = 0.86
     angles = [(0.1 + 0.7 * k, 0.4 + 1.1 * k) for k in range(8)]
     r1, r2 = np.random.default_rng(7).uniform(0.6, 1.6, (10, 2)).T
@@ -320,9 +320,9 @@ def spectrum_checks() -> list:
     sigmas = np.random.default_rng(42).uniform(0.01, 1.0, 20)
     cf = spectrum.closed_form(sigmas)
     # compare in energy units: the Hartree-direction division by
-    # m alpha^2 amplifies the last-place rounding of E itself
+    # alpha^2 amplifies the last-place rounding of E itself
     e_direct = spectrum.energy_closed_form(cf)
-    e_rebuilt = (1 + sigmas) * cf.m + cf.m * alpha**2 * spectrum.delta_e(cf)
+    e_rebuilt = (1 + sigmas) + alpha**2 * spectrum.delta_e(cf)
     worst_de = float(np.max(np.abs(e_rebuilt - e_direct) / e_direct))
     worst_c1 = float(np.max(np.abs(cf.c1 - cf.bracket * cf.c2) / cf.c1))
     pt = spectrum.equilibrium_point(sigmas)
@@ -333,7 +333,7 @@ def spectrum_checks() -> list:
     results.append(_bounded("equilibrium geometry identities", worst_geom, 1e-12))
 
     cf0 = spectrum.closed_form(0.0)
-    dev0 = abs(spectrum.energy_closed_form(cf0) - cf0.m * math.sqrt(1 - 4 * alpha**2)) / cf0.m
+    dev0 = abs(spectrum.energy_closed_form(cf0) - math.sqrt(1 - 4 * alpha**2))
     results.append(_bounded("one-electron reduction at sigma = 0", dev0, 1e-12,
                             note="closed form vs m sqrt(1 - (2 alpha)^2)"))
 

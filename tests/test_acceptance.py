@@ -67,9 +67,9 @@ def test_criterion_03_ion_limit():
 
 def test_criterion_04_one_electron_reduction():
     cf = spectrum.closed_form(0.0)
-    expected = cf.m * math.sqrt(1 - (2 * ALPHA) ** 2)
+    expected = math.sqrt(1 - (2 * ALPHA) ** 2)
     dev = abs(spectrum.energy_closed_form(cf) - expected) / expected
-    report(4, dev <= 1e-12, f"sigma=0 energy vs m*sqrt(1-(2a)^2): rel dev {dev:.2e} <= 1e-12")
+    report(4, dev <= 1e-12, f"sigma=0 energy vs sqrt(1-(2a)^2): rel dev {dev:.2e} <= 1e-12")
 
 
 def test_criterion_05_clifford_suite():

@@ -136,8 +136,8 @@ def test_radial_rows_sigma_one_keeps_only_electron2_terms():
     rows = angular.radial_system_residual(params1, profiles, energy, rho0, (r1, r2))
     from hespinor.operators import potential_radii
     phi = potential_radii(params1, r1, r2, rho0)
-    qp = 2 * params1.m + (phi - energy)
-    qm = 2 * params1.m - (phi - energy)
+    qp = 2 + (phi - energy)
+    qm = 2 - (phi - energy)
     f = [prof.value(r1, r2) for prof in profiles]
     d2 = [prof.d_r2(r1, r2) for prof in profiles]
     j2 = params1.j2
@@ -158,8 +158,8 @@ def test_radial_rows_sigma_zero_is_one_electron_system():
     rows = angular.radial_system_residual(params0, profiles, energy, rho0, (r1, r2))
     from hespinor.operators import potential_radii
     phi = potential_radii(params0, r1, r2, rho0)
-    qp = params0.m + (phi - energy)
-    qm = params0.m - (phi - energy)
+    qp = 1 + (phi - energy)
+    qm = 1 - (phi - energy)
     f = [prof.value(r1, r2) for prof in profiles]
     d1 = [prof.d_r1(r1, r2) for prof in profiles]
     j1 = params0.j1

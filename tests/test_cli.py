@@ -127,7 +127,7 @@ def test_verify_fast_exits_zero(capsys):
     assert "gamma5 product phase" in out
 
 
-@pytest.mark.parametrize("flag", ["--alpha", "--mass", "--j1", "--j2"])
+@pytest.mark.parametrize("flag", ["--alpha", "--j1", "--j2"])
 def test_verify_rejects_physics_flags(capsys, flag):
     # the battery runs at fixed constants, so a physics value it would ignore is a usage error
     code, _, err = run(capsys, "verify", "--fast", flag, "0.1")
@@ -151,6 +151,7 @@ def test_verify_fault_injection_exits_one_and_names_pair(capsys, monkeypatch):
 def test_usage_error_exit_code(tmp_path, capsys):
     assert cli.main(["no-such-command"]) == 2
     assert cli.main(["scan", "--format", "xml"]) == 2
+    assert cli.main(["scan", "--mass", "1"]) == 2  # natural units: m = 1 is not a flag
     path = tmp_path / "out.txt"
     assert cli.main(["ion-limit", "--sigmas", "abc", "--output", str(path)]) == 2
     assert not path.exists()
@@ -161,7 +162,7 @@ def test_usage_error_exit_code(tmp_path, capsys):
     (["scan", "--alpha", "nan"], "alpha"),
     (["scan", "--alpha", "inf"], "alpha"),
     (["scan", "--j1", "0.001"], "j1"),
-    (["scan", "--mass", "0"], "mass"),
+    (["scan", "--j2", "nan"], "j2"),
     (["scan", "--points", "1"], "points"),
     (["scan", "--points", "0"], "points"),
     (["scan", "--sigma-min", "0.5", "--sigma-max", "0.1"], "sigma_min"),

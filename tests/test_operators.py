@@ -71,8 +71,8 @@ def test_config_point_radii():
 
 def test_h_on_constant_field_balanced_potentials():
     # strong-coupling parameters where the scalar parts cancel: sigma = 0,
-    # alpha = 1, m = 1 at r1 = r12 = 1 (j chosen large enough to stay valid)
-    params = ModelParams(sigma=0.0, alpha=1.0, m=1.0, j1=3.0, j2=3.0)
+    # alpha = 1 at r1 = r12 = 1 (j chosen large enough to stay valid)
+    params = ModelParams(sigma=0.0, alpha=1.0, j1=3.0, j2=3.0)
     field = SpinorField.constant((1, 0, 0, 0))
     point = ConfigPoint(1.0, 0.0, 2.0, 0.0)
     out = apply_H(params, field, point, STEP)
@@ -80,13 +80,13 @@ def test_h_on_constant_field_balanced_potentials():
 
 
 def test_h_on_constant_field_lower_block_sign():
-    params = ModelParams(sigma=0.0, alpha=1.0, m=1.0, j1=3.0, j2=3.0)
+    params = ModelParams(sigma=0.0, alpha=1.0, j1=3.0, j2=3.0)
     field = SpinorField.constant((0, 0, 1, 0))
     point = ConfigPoint(1.0, 0.0, 2.0, 0.0)
     out = apply_H(params, field, point, STEP)
     phi = potential(params, point)
     assert phi == pytest.approx(-1.0)
-    # third component is phi - (1+sigma)*m = -2, everything else zero
+    # third component is phi - (1+sigma) = -2, everything else zero
     assert out[2] == pytest.approx(-2.0, abs=1e-12)
     assert np.abs(out[[0, 1, 3]]).max() < 1e-12
 
@@ -101,7 +101,7 @@ def test_h_plane_wave_second_order_convergence(params):
     s, a = params.sigma, params.alpha
     exact = (1 - s) * (1j * (g[3] @ d[0] - g[5] @ d[1]) - (2 * a / point.r1) * f0)
     exact = exact + 2 * s * (1j * (g[1] @ d[2] - g[2] @ d[3]) - (2 * a / point.r2) * f0)
-    exact = exact + (1 + s) * (params.m * (g[0] @ f0) + (a / point.r12) * f0)
+    exact = exact + (1 + s) * (g[0] @ f0 + (a / point.r12) * f0)
     errs = [float(np.abs(apply_H(params, wave, point, h) - exact).max())
             for h in (STEP, STEP / 2)]
     assert 3.5 <= errs[0] / errs[1] <= 4.5
@@ -213,7 +213,7 @@ def test_fd_commutator_marks_the_exact_commuting_set(params, safe_points, test_f
 
 
 def test_component_system_equals_matrix_route(params, safe_points, test_fields):
-    energy = 1.2 * params.m
+    energy = 1.2
     g0 = clifford.gamma(0)
     for field in test_fields:
         for point in safe_points[:6]:
@@ -224,7 +224,7 @@ def test_component_system_equals_matrix_route(params, safe_points, test_fields):
 
 def test_component_system_qplus_zero_case(params):
     point = ConfigPoint(1.0, 0.2, -0.8, 0.9)
-    energy = potential(params, point) + (1 + params.sigma) * params.m
+    energy = potential(params, point) + (1 + params.sigma)
     field = SpinorField.constant((1, 0, 0, 0))
     rows = component_system_residual(params, field, point, STEP, energy)
     assert abs(rows[0]) < 1e-14
@@ -232,16 +232,16 @@ def test_component_system_qplus_zero_case(params):
 
 def test_component_system_chi3_only(params):
     point = ConfigPoint(1.0, 0.2, -0.8, 0.9)
-    energy = 0.7 * params.m
+    energy = 0.7
     field = SpinorField.constant((0, 0, 1, 0))
     rows = component_system_residual(params, field, point, STEP, energy)
-    qm = (1 + params.sigma) * params.m - (potential(params, point) - energy)
+    qm = (1 + params.sigma) - (potential(params, point) - energy)
     assert rows[0] == pytest.approx(0.0, abs=1e-14)
     assert rows[2] == pytest.approx(qm, rel=1e-14)
 
 
 def test_covariant_contraction_matches(params, safe_points, test_fields):
-    energy = 1.2 * params.m
+    energy = 1.2
     worst = max(covariant_form_residual(params, f, p, STEP, energy)
                 for f in test_fields for p in safe_points[:6])
     assert worst < 1e-12
@@ -277,7 +277,7 @@ def test_empty_points_are_rejected_by_name(params, test_fields):
 
 @pytest.mark.parametrize("name", ["H", "Jz", "M", "component", "covariant"])
 def test_batch_equals_stacked_single_points(name, params, safe_points, test_fields):
-    energy = 1.2 * params.m
+    energy = 1.2
     apply = {
         "H": lambda f, p: apply_H(params, f, p, STEP),
         "Jz": lambda f, p: apply_Jz(f, p, STEP),
@@ -295,7 +295,7 @@ def test_batch_equals_stacked_single_points(name, params, safe_points, test_fiel
 def test_one_singular_point_in_a_batch_raises(params, safe_points, test_fields):
     bad = ConfigPoint(1e-4, 0.0, 1.0, -1.0)
     batch = ConfigPoint.stack(safe_points[:3] + [bad] + safe_points[3:6])
-    energy = 1.2 * params.m
+    energy = 1.2
     for call in (
         lambda: apply_H(params, test_fields[0], batch, STEP),
         lambda: component_system_residual(params, test_fields[0], batch, STEP, energy),

@@ -19,8 +19,7 @@ def test_scan_config_validation():
         optimize.scan_sigma(sigma_min=0.1, sigma_max=0.5, n_points=1)
     bad = [("alpha", dict(alpha=-1.0)), ("alpha", dict(alpha=math.nan)),
            ("alpha", dict(alpha=math.inf)), ("alpha", dict(alpha=0.0)),
-           ("j1", dict(j1=0.001)), ("j2", dict(j2=math.nan)), ("mass", dict(m=0.0)),
-           ("mass", dict(m=math.inf)), ("points", dict(n_points=0)),
+           ("j1", dict(j1=0.001)), ("j2", dict(j2=math.nan)), ("points", dict(n_points=0)),
            ("sigma", dict(sigma_min=0.0)), ("sigma", dict(sigma_max=1.5))]
     for name, override in bad:
         kwargs = dict(dict(sigma_min=0.1, sigma_max=0.5, n_points=10), **override)
@@ -160,11 +159,16 @@ def test_minimize_terminates_at_the_tolerance_floor():
 
 
 def test_minimize_validates_parameters():
-    for kwargs in (dict(alpha=math.nan), dict(m=-1.0), dict(j2=0.0)):
+    for kwargs in (dict(alpha=math.nan), dict(j2=0.0)):
         with pytest.raises(ValueError):
             optimize.minimize_delta_e((0.05, 0.5), **kwargs)
     with pytest.raises(ValueError, match="sigma"):
         optimize.minimize_delta_e((0.0, 0.5))
+
+
+def test_check_parameters_with_tol_and_no_sigma_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="sigmas"):
+        optimize.check_parameters(FINE_STRUCTURE_ALPHA, 1.0, 1.0, (), tol=1e-6)
 
 
 def test_ion_limit_report_bounds_and_monotonicity():
@@ -215,7 +219,6 @@ def test_scan_neighbors_of_minimum_both_exceed():
     pytest.param(lambda: optimize.minimize_delta_e((0.0, 0.5)), id="minimize-sigma"),
     pytest.param(lambda: optimize.minimize_delta_e((0.05, 0.5), j2=0.0), id="minimize-j2"),
     pytest.param(lambda: optimize.ion_limit_report([]), id="ion-limit-empty"),
-    pytest.param(lambda: optimize.ion_limit_report([1e-2], m=-1.0), id="ion-limit-mass"),
     pytest.param(lambda: ModelParams(sigma=1.5), id="params-sigma"),
     pytest.param(lambda: ModelParams(sigma=0.2, alpha=0.0), id="params-alpha"),
 ])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hespinor import radial, spectrum
-from hespinor.operators import FINE_STRUCTURE_ALPHA, ModelParams
+from hespinor.operators import FINE_STRUCTURE_ALPHA, ModelParams, ParameterError
 
 ALPHA = FINE_STRUCTURE_ALPHA
 S1_REF = 0.4998934916189415  # -1/2 + sqrt(1 - 4 alpha^2) at the default alpha
@@ -41,8 +41,13 @@ def test_exponents_default_alpha_frozen_value():
 
 
 def test_exponents_boundary_error():
-    with pytest.raises(radial.ExponentDomainError):
+    with pytest.raises(ParameterError, match="j1"):
         radial.exponents(1.0, 1.0, 0.5)  # 4 alpha^2 = 1 = j^2
+    # the library paths that take j without a ModelParams raise the same type
+    with pytest.raises(ParameterError, match="j1"):
+        radial.indicial_kernel(1, 1.0, 0.5)
+    with pytest.raises(ParameterError, match="j1"):
+        spectrum.ion_limit(0.5, 1.0)
 
 
 @pytest.mark.parametrize("which", [1, 2])
@@ -79,7 +84,6 @@ def test_indicial_matrix_which_validation():
 
 def test_indicial_kernel_two_equivalent_forms():
     k = radial.indicial_kernel(1, 1.0, ALPHA)
-    assert not k.degenerate
     assert k.ratio == pytest.approx(k.ratio_alt, rel=1e-10)
     assert k.ratio == pytest.approx(137.03, rel=1e-4)
     kernel_vec = np.array([1.0, 0.0, k.ratio, 0.0])
@@ -94,12 +98,6 @@ def test_indicial_kernel_electron2_pairing():
     assert np.abs(radial.indicial_matrix(2, 1.0, s_star, ALPHA) @ vec).max() < 1e-9
 
 
-def test_indicial_kernel_alpha_zero_degenerate():
-    k = radial.indicial_kernel(1, 1.0, 0.0)
-    assert k.degenerate
-    assert math.isinf(k.ratio)
-
-
 def test_indicial_kernel_angles():
     angles = np.degrees(radial.indicial_kernel_angles(1.0, 1.0, ALPHA))
     assert angles.shape == (2,)
@@ -109,9 +107,9 @@ def test_indicial_kernel_angles():
 
 
 def test_gamma_rho_sum_invariant():
-    sigma, m = 0.31, 1.0
-    gr = radial.GammaRho.from_energy(sigma, m, ALPHA, energy=0.93, rho=0.8)
-    assert gr.gamma1 + gr.gamma2 == pytest.approx(2 * (1 + sigma) * m, rel=1e-15)
+    sigma = 0.31
+    gr = radial.GammaRho.from_energy(sigma, ALPHA, energy=0.93, rho=0.8)
+    assert gr.gamma1 + gr.gamma2 == pytest.approx(2 * (1 + sigma), rel=1e-15)
 
 
 def test_recurrence_all_zero():
@@ -267,10 +265,10 @@ def test_both_kernel_vectors_give_identical_energy_condition():
     # contraction with psi2 (first-order coefficients following psi2's own
     # pattern) traces out the same function of the energy as psi1
     params = ModelParams(sigma=0.3)
-    rho, h, m = 120.0, 0.25, params.m
+    rho, h = 120.0, 0.25
     weight = (1 - params.sigma) ** 2 + 4 * params.sigma**2 * h**2
     for energy in np.linspace(0.2, 1.1, 12):
-        gr = radial.GammaRho.from_energy(params.sigma, m, params.alpha, energy, rho)
+        gr = radial.GammaRho.from_energy(params.sigma, params.alpha, energy, rho)
         b1 = math.sqrt(gr.gamma1 * gr.gamma2 / weight)
         b2 = h * b1
         psi1, psi2 = radial.kernel_vectors(gr, params.sigma, b1, b2)
@@ -291,18 +289,18 @@ def test_fundamental_residual_gamma_equal_case():
     energy = (1 + params.sigma) * params.alpha / rho  # shift X = 0
     h = 0.2
     res = radial.fundamental_residual(radial.fundamental_relation(params, rho, h), energy)
-    gr = radial.GammaRho.from_energy(params.sigma, params.m, params.alpha, energy, rho)
+    gr = radial.GammaRho.from_energy(params.sigma, params.alpha, energy, rho)
     weight = (1 - params.sigma) ** 2 + 4 * params.sigma**2 * h**2
     assert res == pytest.approx(math.sqrt(gr.gamma1 * gr.gamma2 / weight), rel=1e-14)
 
 
 def test_fundamental_sigma_zero_hydrogen_like_root():
     # at sigma = 0 (and rho -> infinity) the residual vanishes exactly at
-    # the one-electron ground energy m sqrt(1 - (2 alpha)^2)
+    # the one-electron ground energy sqrt(1 - (2 alpha)^2)
     params = ModelParams(sigma=0.0)
-    e_star = params.m * math.sqrt(1 - 4 * ALPHA**2)
+    e_star = math.sqrt(1 - 4 * ALPHA**2)
     res = radial.fundamental_residual(radial.fundamental_relation(params, rho=1e12, h=0.0), e_star)
-    assert abs(res) < 1e-9 * params.m
+    assert abs(res) < 1e-9
 
 
 def test_fundamental_denominator_variants_differ():
@@ -369,14 +367,14 @@ def test_fundamental_residual_no_real_decay():
     params = ModelParams(sigma=0.3)
     rho = 1.5
     # energy far above the bracket makes gamma1*gamma2 negative
-    energy = 5.0 * params.m
+    energy = 5.0
     with pytest.raises(radial.NoRealDecayError):
         radial.fundamental_residual(radial.fundamental_relation(params, rho, 0.2), energy)
 
 
 def reference_residual(params, energy, rho, h, variant):
     """The decay-rate mismatch at one energy, written out from GammaRho.from_energy."""
-    gr = radial.GammaRho.from_energy(params.sigma, params.m, params.alpha, energy, rho)
+    gr = radial.GammaRho.from_energy(params.sigma, params.alpha, energy, rho)
     weight = (1 - params.sigma) ** 2 + 4 * params.sigma**2 * h**2
     beta_det = math.sqrt(gr.gamma1 * gr.gamma2 / weight)
     den = radial.fundamental_denominator(params, h, variant)
@@ -393,7 +391,7 @@ def test_fundamental_residual_equals_per_energy_reference(variant):
                 for h in (0.0, 0.15, 0.9):
                     relation = radial.fundamental_relation(params, rho, h, variant)
                     lo = (1 + sigma) * alpha / rho
-                    for energy in np.linspace(lo, lo + (1 + sigma) * params.m, 9)[1:-1]:
+                    for energy in np.linspace(lo, lo + (1 + sigma), 9)[1:-1]:
                         assert (radial.fundamental_residual(relation, energy)
                                 == reference_residual(params, energy, rho, h, variant))
                         checked += 1
@@ -407,10 +405,10 @@ def test_consistency_solve_equals_brentq_on_per_energy_reference(variant):
     for sigma in np.linspace(0.06, 0.49, 10):
         cf = spectrum.closed_form(sigma)
         rho = spectrum.rho0_natural(cf)
-        params = ModelParams(sigma=sigma, alpha=cf.alpha, m=cf.m, j1=cf.j1, j2=cf.j2)
-        margin = 1e-12 * cf.m
+        params = ModelParams(sigma=sigma, alpha=cf.alpha, j1=cf.j1, j2=cf.j2)
+        margin = 1e-12
         lo = (1 + sigma) * cf.alpha / rho + margin
-        hi = (1 + sigma) * cf.m + (1 + sigma) * cf.alpha / rho - margin
+        hi = (1 + sigma) + (1 + sigma) * cf.alpha / rho - margin
         expected = brentq(lambda e: reference_residual(params, e, rho, cf.h, variant), lo, hi,
                           xtol=1e-15, rtol=8.9e-16)
         assert spectrum.energy_consistency_solve(sigma, rho, cf, variant) == expected

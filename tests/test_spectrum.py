@@ -74,7 +74,7 @@ def test_rho0_frozen_value_and_radii_split():
     assert r20 == pytest.approx(rho0 / 1.1775, rel=1e-12)
     assert r10 == pytest.approx(0.130, abs=5e-4)
     assert r20 == pytest.approx(0.732, abs=7e-4)
-    assert spectrum.rho0_natural(cf) == pytest.approx(rho0 / (cf.m * ALPHA), rel=1e-12)
+    assert spectrum.rho0_natural(cf) == pytest.approx(rho0 / ALPHA, rel=1e-12)
 
 
 def test_rho0_diverges_at_sigma_zero():
@@ -88,13 +88,13 @@ def test_rho0_diverges_at_sigma_zero():
 def test_energy_alpha_to_zero_reduces_to_rest_masses():
     sigma = 0.4
     cf = spectrum.c_params(sigma, 0.5, 0.5, alpha=1e-9)
-    assert spectrum.energy_closed_form(cf) == pytest.approx((1 + sigma) * cf.m, rel=1e-12)
+    assert spectrum.energy_closed_form(cf) == pytest.approx(1 + sigma, rel=1e-12)
 
 
 def test_energy_sigma_zero_is_hydrogen_like():
-    # independent oracle: one-electron (charge 2) ground state m sqrt(1-(2a)^2)
+    # independent oracle: one-electron (charge 2) ground state sqrt(1-(2a)^2)
     cf = spectrum.closed_form(0.0)
-    expected = cf.m * math.sqrt(1 - (2 * ALPHA) ** 2)
+    expected = math.sqrt(1 - (2 * ALPHA) ** 2)
     assert abs(spectrum.energy_closed_form(cf) - expected) <= 1e-12 * expected
 
 
@@ -103,10 +103,10 @@ def test_excess_energy_two_path_identity():
     for sigma in rng.uniform(0.01, 1.0, 20):
         cf = spectrum.closed_form(float(sigma))
         e_direct = spectrum.energy_closed_form(cf)
-        e_rebuilt = (1 + sigma) * cf.m + cf.m * ALPHA**2 * spectrum.delta_e(cf)
+        e_rebuilt = (1 + sigma) + ALPHA**2 * spectrum.delta_e(cf)
         assert abs(e_rebuilt - e_direct) <= 1e-12 * e_direct
         # Hartree-direction comparison: limited by the rounding of E itself
-        de_naive = (e_direct - (1 + sigma) * cf.m) / (cf.m * ALPHA**2)
+        de_naive = (e_direct - (1 + sigma)) / ALPHA**2
         assert de_naive == pytest.approx(spectrum.delta_e(cf), rel=1e-10)
 
 
@@ -122,18 +122,31 @@ def test_consistency_solver_residual_at_root():
     sigma = 0.1775
     cf = spectrum.closed_form(sigma)
     rho = spectrum.rho0_natural(cf)
-    params_kw = dict(sigma=sigma, alpha=cf.alpha, m=cf.m, j1=cf.j1, j2=cf.j2)
+    params_kw = dict(sigma=sigma, alpha=cf.alpha, j1=cf.j1, j2=cf.j2)
     from hespinor.operators import ModelParams
     e_root = spectrum.energy_consistency_solve(sigma, rho, cf)
     res = radial.fundamental_residual(radial.fundamental_relation(ModelParams(**params_kw), rho, cf.h),
                                       e_root)
-    assert abs(res) <= 1e-12 * cf.m
+    assert abs(res) <= 1e-12
 
 
 def test_consistency_solver_sigma_zero():
     cf = spectrum.closed_form(0.0)
     e0 = spectrum.energy_consistency_solve(0.0, math.inf, cf)
-    assert e0 == pytest.approx(cf.m * math.sqrt(1 - 4 * ALPHA**2), rel=1e-14)
+    assert e0 == pytest.approx(math.sqrt(1 - 4 * ALPHA**2), rel=1e-14)
+
+
+@pytest.mark.parametrize("j1", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("alpha", [ALPHA, 0.05, 0.2])
+def test_one_electron_energy_agrees_on_every_route(alpha, j1):
+    # closed form, consistency solve and ion limit all reduce to g1 / sqrt(g1^2 + 4 a^2)
+    g1 = math.sqrt(j1 * j1 - 4 * alpha**2)
+    expected = g1 / math.sqrt(g1 * g1 + 4 * alpha**2)
+    cf = spectrum.closed_form(0.0, alpha=alpha, j1=j1, j2=j1)
+    for energy in (spectrum.energy_closed_form(cf),
+                   spectrum.energy_consistency_solve(0.0, math.inf, cf),
+                   1 + alpha**2 * spectrum.ion_limit(alpha, j1)):
+        assert energy == pytest.approx(expected, rel=1e-14)
 
 
 def test_consistency_solver_reports_no_root():
