@@ -7,7 +7,7 @@ Subpackages by role:
 * ``angular``   -- phase ansatz and separation into a radial system
 * ``radial``    -- indicial and spectral linear algebra, decay-rate relation
 * ``spectrum``  -- closed-form energy, geometry and consistency solver
-* ``optimize``  -- sigma scans and the brentq ground-state search
+* ``optimize``  -- sigma scans and the Brent ground-state search
 * ``verify``    -- the aggregated identity-check battery, gamma algebra included
 * ``cli``       -- command-line entry points
 

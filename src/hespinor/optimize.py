@@ -1,4 +1,4 @@
-"""Sigma scan and ground-state search: brentq on the complex-step slope of the excess energy."""
+"""Sigma scan and ground-state search: Brent's method on the complex-step slope of the excess energy."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 
 from .operators import FINE_STRUCTURE_ALPHA, ModelParams, ParameterError
 from .radial import exponents
-from .spectrum import EquilibriumPoint, c_params, closed_form, delta_e, equilibrium_point
+from .spectrum import EquilibriumPoint, brentq, c_params, closed_form, delta_e, equilibrium_point
 
 _PRESCAN_POINTS = 32
 
@@ -41,7 +41,7 @@ def check_parameters(alpha: float, j1: float, j2: float, sigmas, tol: float | No
 @dataclass(frozen=True)
 class MinimizeResult:
     point: EquilibriumPoint
-    iterations: int  # brentq steps in the cell around the pre-scan's minimum
+    iterations: int  # Brent steps in the cell around the pre-scan's minimum
 
 
 def scan_sigma(sigma_min: float, sigma_max: float, n_points: int,
@@ -62,14 +62,13 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
     """Ground state: the root of d(delta_e)/d(sigma) next to the lowest pre-scan point.
 
     A 32-point pre-scan must find some interior grid point strictly below
-    both bracket ends; brentq then solves for the zero slope between that
-    point's two neighbours.  The slope is the complex step
+    both bracket ends; ``spectrum.brentq`` then solves for the zero slope
+    between that point's two neighbours.  The slope is the complex step
     Im delta_e(sigma + i h) / h, exact to rounding through the one closed-form
-    path, so sigma0 obeys brentq's contract |sigma0 - sigma*| <= tol + 4 eps |sigma*|.
+    path, so sigma0 obeys Brent's contract |sigma0 - sigma*| <= tol + 4 eps |sigma0|.
     """
     lo, hi = sorted(map(float, bracket))
     check_parameters(alpha, j1, j2, (lo, hi), tol)
-    from scipy.optimize import brentq  # after the checks: a usage error never loads scipy
 
     s1, s2 = exponents(j1, j2, alpha)
     grid = np.linspace(lo, hi, _PRESCAN_POINTS)
@@ -84,9 +83,9 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
         return delta_e(c_params(sigma + 1e-30j, s1, s2, alpha, j1=j1, j2=j2)).imag / 1e-30
 
     k = int(np.argmin(values))
-    sigma0, root = brentq(slope, grid[k - 1], grid[k + 1], xtol=tol, full_output=True)
+    sigma0, iterations = brentq(slope, grid[k - 1], grid[k + 1], xtol=tol)
     return MinimizeResult(point=equilibrium_point(sigma0, alpha=alpha, j1=j1, j2=j2),
-                          iterations=root.iterations)
+                          iterations=iterations)
 
 
 def ion_limit_report(sigmas, alpha: float = FINE_STRUCTURE_ALPHA,

@@ -163,7 +163,69 @@ def _one_electron_energy(s1: float, alpha: float) -> float:
 
 
 class NoRootInBracketError(ValueError):
-    """The decay-rate residual does not change sign over the energy bracket."""
+    """The function handed to ``brentq`` does not change sign over the bracket."""
+
+
+def brentq(f, a: float, b: float, xtol: float, rtol: float = 4 * math.ulp(1.0)) -> tuple:
+    """Root of f between a and b by Brent's method, as (root, iterations).
+
+    A line-for-line transcription of scipy's ``brentq.c`` (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4): each step
+    interpolates (secant or inverse quadratic) and bisects instead whenever
+    the interpolated step would not shrink the bracket fast enough.  The
+    root x0 obeys |x0 - x*| <= xtol + rtol |x0|.  The ends are turned into
+    Python floats first, as scipy's wrapper does, so f sees the same x.
+
+    Raises NoRootInBracketError if f(a) and f(b) have the same sign, and
+    ValueError on a NaN value of f or after 100 steps without convergence.
+    A root at a bracket end is returned after 0 steps.
+    """
+    def value(x):
+        fx = f(x)
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre, 0
+    if fcur == 0:
+        return xcur, 0
+    if (fpre < 0) == (fcur < 0):
+        raise NoRootInBracketError(
+            f"residual has the same sign at both bracket ends: "
+            f"f({xpre:.6g}) = {fpre:.3e}, f({xcur:.6g}) = {fcur:.3e}"
+        )
+    xblk = fblk = spre = scur = 0.0
+    for iterations in range(1, 101):  # scipy's default maxiter
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, iterations
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise ValueError(f"Brent's method did not converge in 100 steps: x = {xcur!r}")
 
 
 def energy_consistency_solve(sigma: float, rho: float, cf: ClosedFormParams,
@@ -179,8 +241,6 @@ def energy_consistency_solve(sigma: float, rho: float, cf: ClosedFormParams,
     sigma = 0 is the degenerate one-electron case and is answered with its
     limiting relation directly.
     """
-    from scipy.optimize import brentq
-
     if sigma == 0:
         return _one_electron_energy(cf.s1, cf.alpha)
     params = ModelParams(sigma=sigma, alpha=cf.alpha, j1=cf.j1, j2=cf.j2)
@@ -189,13 +249,7 @@ def energy_consistency_solve(sigma: float, rho: float, cf: ClosedFormParams,
     margin = 1e-12
     lo = (1 + sigma) * cf.alpha / rho + margin
     hi = (1 + sigma) + (1 + sigma) * cf.alpha / rho - margin
-    f_lo, f_hi = residual(lo), residual(hi)
-    if f_lo * f_hi > 0:
-        raise NoRootInBracketError(
-            f"residual has the same sign at both bracket ends: "
-            f"f({lo:.6g}) = {f_lo:.3e}, f({hi:.6g}) = {f_hi:.3e}"
-        )
-    return brentq(residual, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    return brentq(residual, lo, hi, xtol=1e-15, rtol=8.9e-16)[0]
 
 
 def energy_shifted_literal(cf: ClosedFormParams, rho: float, squared: bool = True) -> float:
@@ -254,5 +308,6 @@ def ion_limit(alpha: float = FINE_STRUCTURE_ALPHA, j1: float = 1.0) -> float:
     For j1 = 1 this is (sqrt(1 - 4 a^2) - 1)/a^2 = -2 - 2 a^2 + O(a^4),
     the one-electron (charge 2) ground state measured from the rest mass.
     """
+    ModelParams(sigma=0.0, alpha=alpha, j1=j1, j2=j1)
     s1, _ = radial.exponents(j1, j1, alpha)
     return (_one_electron_energy(s1, alpha) - 1) / alpha**2

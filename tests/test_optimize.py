@@ -122,7 +122,7 @@ def test_minimize_refines_the_prescan_minimum_not_the_whole_bracket():
 ])
 def test_minimize_equals_brentq_on_the_closed_form_slope(alpha, j1, j2, bracket):
     # the pre-scan and slope built from closed_form at every evaluation
-    from scipy.optimize import brentq
+    brentq = pytest.importorskip("scipy.optimize").brentq
 
     def slope(sigma):
         return spectrum.delta_e(spectrum.closed_form(sigma + 1e-30j, alpha=alpha, j1=j1,

@@ -43,7 +43,7 @@ def test_exponents_default_alpha_frozen_value():
 def test_exponents_boundary_error():
     with pytest.raises(ParameterError, match="j1"):
         radial.exponents(1.0, 1.0, 0.5)  # 4 alpha^2 = 1 = j^2
-    # the library paths that take j without a ModelParams raise the same type
+    # the library paths that take j and alpha as plain arguments raise the same type
     with pytest.raises(ParameterError, match="j1"):
         radial.indicial_kernel(1, 1.0, 0.5)
     with pytest.raises(ParameterError, match="j1"):
@@ -89,6 +89,13 @@ def test_indicial_kernel_two_equivalent_forms():
     kernel_vec = np.array([1.0, 0.0, k.ratio, 0.0])
     s_star = -0.5 + math.sqrt(1 - 4 * ALPHA * ALPHA)
     assert np.abs(radial.indicial_matrix(1, 1.0, s_star, ALPHA) @ kernel_vec).max() < 1e-10
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 0.0, math.nan, math.inf])
+def test_indicial_kernel_checks_alpha(alpha):
+    # the kernel ratios divide by 2 alpha; ModelParams rejects an alpha outside (0, inf) first
+    with pytest.raises(ParameterError, match="^alpha"):
+        radial.indicial_kernel(1, 1.0, alpha)
 
 
 def test_indicial_kernel_electron2_pairing():
@@ -400,7 +407,7 @@ def test_fundamental_residual_equals_per_energy_reference(variant):
 
 @pytest.mark.parametrize("variant", radial.FUNDAMENTAL_DENOMINATORS)
 def test_consistency_solve_equals_brentq_on_per_energy_reference(variant):
-    from scipy.optimize import brentq
+    brentq = pytest.importorskip("scipy.optimize").brentq
 
     for sigma in np.linspace(0.06, 0.49, 10):
         cf = spectrum.closed_form(sigma)

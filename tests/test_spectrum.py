@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hespinor import radial, spectrum
-from hespinor.operators import FINE_STRUCTURE_ALPHA
+from hespinor.operators import FINE_STRUCTURE_ALPHA, ModelParams, ParameterError
 
 ALPHA = FINE_STRUCTURE_ALPHA
 S1_REF = 0.4998934916189415
@@ -58,6 +58,13 @@ def test_delta_e_sigma_to_zero_limit():
     for k in (2, 3, 4):
         cf = spectrum.closed_form(10.0 ** (-k))
         assert abs(spectrum.delta_e(cf) - ION_LIMIT_REF) <= 10.0 ** (-k + 1)
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 0.0, math.nan, math.inf])
+def test_ion_limit_checks_alpha(alpha):
+    # only alpha^2 enters, so -0.1 would return the value at +0.1; 0 would divide by zero
+    with pytest.raises(ParameterError, match="^alpha"):
+        spectrum.ion_limit(alpha, 1.0)
 
 
 def test_delta_e_alpha_zero_branch():
@@ -264,3 +271,75 @@ def test_array_zero_bracket_rejected():
     with pytest.raises(ZeroDivisionError):
         spectrum.c_params(np.array([0.5, 0.0]), 0.0, 0.5, alpha=ALPHA)
 
+
+
+def _recorded(f, calls):
+    def wrapper(x):
+        calls.append(x)
+        return f(x)
+    return wrapper
+
+
+def test_brentq_equals_scipy_bit_for_bit():
+    # root, step count and every evaluated x, on the minimizer's slopes and the consistency residuals
+    scipy_brentq = pytest.importorskip("scipy.optimize").brentq
+
+    def both(f, lo, hi, **tols):
+        ours, theirs = [], []
+        root, iterations = spectrum.brentq(_recorded(f, ours), lo, hi, **tols)
+        ref, info = scipy_brentq(_recorded(f, theirs), lo, hi, full_output=True, **tols)
+        assert (root, iterations, ours) == (ref, info.iterations, theirs)
+
+    solves = 0
+    for alpha in (ALPHA, 0.02, 0.05, 0.1):
+        for j1 in (1.0, 1.5, 2.0):
+            for j2 in (1.0, 1.5, 2.0):
+                s1, s2 = radial.exponents(j1, j2, alpha)
+
+                def slope(sigma):
+                    return spectrum.delta_e(spectrum.c_params(sigma + 1e-30j, s1, s2, alpha,
+                                                              j1=j1, j2=j2)).imag / 1e-30
+
+                for bracket in ((0.05, 0.5), (0.01, 0.99)):
+                    grid = np.linspace(*bracket, 32)
+                    k = int(np.argmin(spectrum.delta_e(spectrum.c_params(grid, s1, s2, alpha))))
+                    for tol in (1e-6, 1e-9, 1e-12):
+                        both(slope, grid[k - 1], grid[k + 1], xtol=tol)
+                        solves += 1
+    for variant in radial.FUNDAMENTAL_DENOMINATORS:
+        for sigma in np.linspace(0.002, 0.998, 500).tolist():
+            cf = spectrum.closed_form(sigma)
+            rho = spectrum.rho0_natural(cf)
+            relation = radial.fundamental_relation(ModelParams(sigma=sigma), rho, cf.h, variant)
+            coulomb = (1 + sigma) * ALPHA / rho
+            both(lambda e: radial.fundamental_residual(relation, e),
+                 coulomb + 1e-12, (1 + sigma) + coulomb - 1e-12, xtol=1e-15, rtol=8.9e-16)
+            solves += 1
+    assert solves == 216 + 1500
+
+
+def test_brentq_root_at_a_bracket_end_takes_no_step():
+    assert spectrum.brentq(lambda x: x - 0.5, 0.5, 1.0, xtol=1e-12) == (0.5, 0)
+    assert spectrum.brentq(lambda x: x - 1.0, 0.5, 1.0, xtol=1e-12) == (1.0, 0)
+
+
+def test_brentq_same_sign_ends_raise_no_root_in_bracket():
+    with pytest.raises(spectrum.NoRootInBracketError) as info:
+        spectrum.brentq(lambda x: x * x + 1, -1.0, 2.0, xtol=1e-12)
+    assert str(info.value) == ("residual has the same sign at both bracket ends: "
+                               "f(-1) = 2.000e+00, f(2) = 5.000e+00")
+
+
+def test_brentq_nan_value_raises_value_error():
+    with pytest.raises(ValueError, match="NaN") as info:
+        spectrum.brentq(lambda x: math.nan if x > 0.9 else x - 0.7, 0.5, 1.0, xtol=1e-12)
+    assert not isinstance(info.value, spectrum.NoRootInBracketError)
+
+
+def test_brentq_gives_up_after_100_steps():
+    # a sign step at 0 bisects toward it: reaching xtol = 1e-300 would take about 1000 steps
+    calls = []
+    with pytest.raises(ValueError, match="did not converge in 100 steps"):
+        spectrum.brentq(_recorded(lambda x: -1.0 if x <= 0 else 1.0, calls), -1.0, 1.0,
+                        xtol=1e-300)
+    assert len(calls) == 2 + 100
