@@ -1,14 +1,16 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hespinor import cli, clifford, spectrum
+from hespinor import cli, clifford, optimize, spectrum
 
 
 def run(capsys, *argv):
@@ -73,9 +75,12 @@ def _reference_scan_csv(lo, hi, n):
     return ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("n", [23, 2000])
-def test_scan_bytes_pinned_to_per_value_rendering(tmp_path, capsys, n):
-    lo, hi = 0.05, 0.4
+# on [0.01, 0.9] delta_e changes sign, and the two rows next to the crossing
+# fall below 1e-4, where "%.17g" switches to exponent notation
+@pytest.mark.parametrize("lo, hi, n, below_1e4", [(0.05, 0.4, 23, 0), (0.05, 0.4, 2000, 0),
+                                                   (0.01, 0.9, 100000, 2)],
+                         ids=["23", "2000", "100000"])
+def test_scan_bytes_pinned_to_per_value_rendering(tmp_path, capsys, lo, hi, n, below_1e4):
     argv = ["scan", "--sigma-min", repr(lo), "--sigma-max", repr(hi), "--points", str(n)]
     path = tmp_path / "scan.csv"
     assert cli.main([*argv, "--output", str(path)]) == 0
@@ -89,6 +94,80 @@ def test_scan_bytes_pinned_to_per_value_rendering(tmp_path, capsys, n):
     expected = [[float(x) for x in row]
                 for row in zip(table.sigma, table.delta_e, table.rho0, table.r10, table.r20)]
     assert [list(record.values()) for record in json.loads(out)] == expected
+    assert np.count_nonzero(np.abs(table.delta_e) < 1e-4) == below_1e4
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+def test_ion_limit_csv_pinned_to_per_value_rendering(tmp_path, capsys, to_file):
+    sigmas = [1e-300, 5e-324, 1e-9, 0.0001]
+    lines = ["sigma,delta_e_hartree"]
+    lines += [f"{s:.17g},{d:.17g}" for s, d in optimize.ion_limit_report(sigmas)]
+    expected = "\n".join(lines) + "\n"
+    path = tmp_path / "ion.csv"
+    argv = ["ion-limit", "--sigmas", ",".join(map(repr, sigmas))]
+    code, out, _ = run(capsys, *argv, *(["--output", str(path)] if to_file else []))
+    assert code == 0
+    assert (path.read_text() if to_file else out) == expected
+
+
+def _csv_via_encoder(columns):
+    stream = io.StringIO()
+    cli._write_csv([np.array(c, dtype=np.float64) for c in columns], ["a", "b"], stream)
+    return stream.getvalue()
+
+
+def _csv_per_value(columns):
+    return "a,b\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(*columns))
+
+
+def _exact_ties():
+    # m / 2**(k+1) with m odd lies halfway between two 17-digit decimals at
+    # 10**-k; one per k whose "%.17g" is fixed notation (1e-4 <= x < 1e16)
+    ties = []
+    for k in range(1, 21):
+        m = (math.ceil(Fraction(10) ** (16 - k) * 2 ** (k + 1)) + 12345) | 1
+        tie = m / 2 ** (k + 1)
+        assert Fraction(tie) * 10 ** k % 1 == Fraction(1, 2)
+        ties.append(tie)
+    return ties
+
+
+def _edge_values():
+    values = [0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308, sys.float_info.max,
+              1e-4, 1e16, 1.0, 100.0, 1000000000000001.0, 1234567890123456.0, 0.1, 0.5,
+              1 + 2 ** -17]
+    for k in range(-5, 18):
+        p = float(f"1e{k}")
+        values += [math.nextafter(p, 0.0), p, math.nextafter(p, math.inf)]
+    values += [math.nextafter(1e-4, 0.0), math.nextafter(1e16, 0.0), *_exact_ties()]
+    return values + [-v for v in values]
+
+
+def test_encoder_tie_rounds_half_to_even():
+    assert _csv_via_encoder([[1 + 2 ** -17], [-(1 + 2 ** -17)]]) == \
+        "a,b\n1.0000076293945312,-1.0000076293945312\n"
+
+
+def test_encoder_edge_table_equals_percent_17g():
+    # runs with RuntimeWarning as an error (pyproject): log10 never sees 0, inf or nan
+    values = _edge_values()
+    assert _csv_via_encoder([values, values[::-1]]) == _csv_per_value([values, values[::-1]])
+    # every value alone, so a row never borrows its width or layout from others
+    for v in values:
+        assert _csv_via_encoder([[v], [v]]) == _csv_per_value([[v], [v]]), v
+
+
+def test_encoder_equals_percent_17g_on_any_float():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                                         allow_subnormal=True), min_size=1, max_size=64))
+    def check(values):
+        assert _csv_via_encoder([values, values[::-1]]) == _csv_per_value([values, values[::-1]])
+
+    check()
 
 
 def test_minimize_defaults(capsys):
@@ -180,10 +259,35 @@ def test_invalid_parameter_is_usage_error(tmp_path, capsys, argv, name):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv", [["scan", "--points", "5"], ["minimize"], ["ion-limit"]],
+                         ids=["scan", "minimize", "ion-limit"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv, target):
+    path = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path
+    code, out, err = run(capsys, *argv, "--output", str(path))
+    assert code == 2
+    assert err.startswith(f"invalid arguments: output = {str(path)!r}: ")
+    assert err.count("\n") == 1
+    assert out == ""
+
+
 def _run_cli(*argv, timeout):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "hespinor.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+def test_scan_to_a_pipe_closed_early_exits_zero_quietly():
+    # ``hespinor scan | head``: the CSV is written in chunks, and the chunks
+    # after the reader has gone are dropped without a traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "hespinor.cli", "scan", "--points", "100000"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(100).startswith(b"sigma,delta_e_hartree,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_minimize_tolerance_below_one_ulp_exits_two_and_the_floor_terminates(tmp_path):
