@@ -105,8 +105,9 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 <= self.sigma <= 1.0:
             raise ParameterError(f"sigma must lie in [0, 1], got {self.sigma}")
-        if not 0 < self.alpha < math.inf:
-            raise ParameterError(f"alpha = {self.alpha!r}: need a finite alpha > 0")
+        # below 2**-511 alpha^2 is subnormal, and delta_e = (E - 1 - sigma) / alpha^2 loses digits
+        if not 2.0**-511 <= self.alpha < math.inf:
+            raise ParameterError(f"alpha = {self.alpha!r}: need a finite alpha >= 2**-511")
         for name, j in (("j1", self.j1), ("j2", self.j2)):
             if not 4 * self.alpha**2 < j * j < math.inf:
                 raise ParameterError(f"{name} = {j!r}: need a finite {name} with "

@@ -250,6 +250,9 @@ def test_usage_error_exit_code(tmp_path, capsys):
     (["ion-limit", "--sigmas", "0,0.1"], "sigma"),
     (["ion-limit", "--sigmas", ""], "sigmas"),
     (["ion-limit", "--sigmas", ","], "sigmas"),
+    (["scan", "--points", "3", "--alpha", "1e-170"], "alpha"),  # alpha^2 would underflow
+    (["minimize", "--alpha", "1e-170"], "alpha"),
+    (["ion-limit", "--alpha", "1e-170"], "alpha"),
 ])
 def test_invalid_parameter_is_usage_error(tmp_path, capsys, argv, name):
     path = tmp_path / "out.txt"
@@ -340,4 +343,5 @@ def test_verify_full_battery_exits_zero(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     assert "[FAIL]" not in out
-    assert out.strip().split("\n")[-1] == "38/38 checks passed"
+    assert out.count("[INFO]") == 1
+    assert out.strip().split("\n")[-1] == "39/39 checks passed"

@@ -9,6 +9,7 @@ from hespinor.operators import (
     E2_EXCHANGED_ASSIGNMENT,
     ConfigPoint,
     ModelParams,
+    ParameterError,
     SingularPointError,
     SpinorField,
     apply_H,
@@ -60,6 +61,13 @@ def test_model_params_validation():
         ModelParams(sigma=0.1, alpha=-1.0)
     with pytest.raises(ValueError):
         ModelParams(sigma=0.1, alpha=1.0)  # j1 = 1 fails j^2 > 4 alpha^2
+
+
+def test_smallest_alpha_has_a_normal_square():
+    # below 2**-511 alpha^2 is subnormal and delta_e loses digits; at 1e-162 it reads NaN
+    assert ModelParams(sigma=0.1, alpha=2.0**-511).alpha ** 2 == 2.0**-1022
+    with pytest.raises(ParameterError, match="^alpha"):
+        ModelParams(sigma=0.1, alpha=math.nextafter(2.0**-511, 0))
 
 
 def test_config_point_radii():

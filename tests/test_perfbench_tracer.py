@@ -1,0 +1,32 @@
+"""perfbench/tracer.py patches functions by name; a rename in the package must fail here."""
+
+import importlib.util
+from pathlib import Path
+
+import hespinor
+import hespinor.cli
+from hespinor import verify
+
+
+def _load_tracer():
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_binding_the_tracer_patches_exists():
+    tracer_module = _load_tracer()
+    run_all = verify.run_all
+    tracer = tracer_module.Tracer()
+    try:
+        # getattr on a missing binding raises AttributeError here
+        tracer_module.instrument(tracer, hespinor)
+        report = verify.run_all(fast=True)
+    finally:
+        tracer.restore()
+    assert verify.run_all is run_all
+    assert tracer.counts["verify.checks_total"] == len(report.results)
+    assert tracer.counts["verify.checks_failed"] == 0
+    assert [s[0] for s in tracer.spans][:2] == ["verify.run_all", "clifford.checks"]

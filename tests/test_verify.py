@@ -1,6 +1,11 @@
-import numpy as np
+import dataclasses
+import math
+import re
 
-from hespinor import radial, verify
+import numpy as np
+import pytest
+
+from hespinor import angular, cli, optimize, radial, spectrum, verify
 from hespinor.operators import ModelParams
 
 CHECK_NAMES = [
@@ -14,6 +19,7 @@ CHECK_NAMES = [
     "plane-wave FD order (|ratio - 4|)",
     "component expansion equals g0(H-E)",
     "covariant contraction equals g0(H-E)",
+    "canonical assignment in the exact commuting set",
     "canonical assignment commutes with M",
     "angular cancellation spread / field scale",
     "radial rows equal angle-frozen evaluation",
@@ -49,6 +55,11 @@ def test_full_battery_passes_every_check_in_order():
     report = verify.run_all()
     assert [r.name for r in report.results] == CHECK_NAMES
     assert [r.name for r in report.results if not r.passed] == []
+    assert [r.name for r in report.results if not r.bound()] == [
+        "indicial kernel compatibility angles (deg)"]
+    for r in report.results:  # every printed bound is the number compared
+        printed = [float(x) for x in re.findall(r"-?\d[\d.e+-]*", r.bound())]
+        assert printed == [b for b in (r.lo, r.hi) if math.isfinite(b)], r.name
     notes = {r.name: r.note for r in report.results}
     assert notes["canonical assignment commutes with M"].startswith("16 of 64 variants commute")
     assert notes["phase assignment search"].startswith("9 winding ladders cancel")
@@ -60,8 +71,89 @@ def test_assignment_check_needs_canonical_in_exact_set(monkeypatch):
     monkeypatch.setattr(verify, "scan_derivative_assignments", lambda: [
         (a, 2.0 if a == verify.CANONICAL_ASSIGNMENT else r) for a, r in exact])
     checks = {r.name: r for r in verify.operator_checks()}
-    assert not checks["canonical assignment commutes with M"].passed
-    assert checks["canonical assignment commutes with M"].value < 1e-4
+    assert not checks["canonical assignment in the exact commuting set"].passed
+    assert checks["canonical assignment in the exact commuting set"].value == 2.0
+    assert checks["canonical assignment commutes with M"].passed
+
+
+def test_phase_search_fails_without_the_canonical_solution(monkeypatch):
+    ladder = angular.find_cancelling_assignments
+    monkeypatch.setattr(angular, "find_cancelling_assignments", lambda j1, j2: [
+        a for a in ladder(j1, j2) if a != angular.PhaseAssignment.canonical(j1, j2)])
+    checks = {r.name: r for r in verify.angular_checks()}
+    assert checks["phase assignment search"].value == 1
+    assert not checks["phase assignment search"].passed
+
+
+@pytest.mark.parametrize("lo, hi, inside", [
+    (-math.inf, 1e-10, 0.0),
+    (1e-6, math.inf, 1.0),
+    (0.1765, 0.1785, 0.177),
+    (-math.inf, math.inf, 90.0),
+], ids=["upper", "lower", "window", "none"])
+def test_check_passes_exactly_when_lo_below_value_at_most_hi(lo, hi, inside):
+    def passed(value):
+        return verify.CheckResult("c", value, lo=lo, hi=hi).passed
+
+    assert passed(inside)
+    assert not passed(math.nan)
+    if hi < math.inf:
+        assert passed(hi)  # the upper edge is inclusive
+        assert not passed(math.nextafter(hi, math.inf))
+    if lo > -math.inf:
+        assert not passed(math.nextafter(lo, -math.inf))
+        assert not passed(lo)  # the lower edge is exclusive
+        assert passed(math.nextafter(lo, math.inf))
+
+
+@pytest.mark.parametrize("lo, hi, bound", [
+    (-math.inf, 1e-14, "<= 1e-14"),
+    (-math.inf, 0.0, "<= 0"),
+    (1e-3, math.inf, "> 0.001"),
+    (-2.911, -2.901, "in (-2.911, -2.901]"),
+    (-math.inf, math.inf, ""),
+])
+def test_line_prints_the_compared_bound(lo, hi, bound):
+    check = verify.CheckResult("c", 0.5, lo=lo, hi=hi, note="n")
+    assert check.bound() == bound
+    assert check.line().endswith(f"value 5.000e-01{' ' + bound if bound else ''} -- n")
+
+
+def test_informational_check_prints_info_and_fails_only_on_nan():
+    report = verify.VerifyReport([verify.CheckResult("angles", 89.99)])
+    assert report.lines() == ["[INFO] angles: value 8.999e+01", "1/1 checks passed"]
+    report = verify.VerifyReport([verify.CheckResult("angles", math.nan)])
+    assert report.lines() == ["[FAIL] angles: value nan", "0/1 checks passed"]
+
+
+def _accept_alt_weight(monkeypatch):
+    table = spectrum.consistency_table
+    monkeypatch.setattr(spectrum, "consistency_table",
+                        lambda sigmas: {**table(sigmas), "alt-weight": 0.0})
+
+
+def _sigma0_at_lower_edge(monkeypatch):
+    minimize = optimize.minimize_delta_e
+    monkeypatch.setattr(optimize, "minimize_delta_e", lambda *a, **k: dataclasses.replace(
+        minimize(*a, **k), point=spectrum.equilibrium_point(0.1765)))
+
+
+def _nan_kernel_angles(monkeypatch):
+    monkeypatch.setattr(radial, "indicial_kernel_angles", lambda *a: np.full(2, np.nan))
+
+
+# an upper bound failing the command: test_cli's gamma sign flip
+@pytest.mark.parametrize("fault, failed", [
+    (_accept_alt_weight, "[FAIL] alt-weight denominator rejected: value 0.000e+00 > 1e-06"),
+    (_sigma0_at_lower_edge, "[FAIL] ground-state sigma0 in [0.1765, 0.1785]: "
+                            "value 1.765e-01 in (0.1765, 0.1785]"),
+    (_nan_kernel_angles, "[FAIL] indicial kernel compatibility angles (deg): value nan"),
+], ids=["lower", "window", "none"])
+def test_each_bound_form_fails_the_command(monkeypatch, capsys, fault, failed):
+    fault(monkeypatch)
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert any(line.startswith(failed) for line in out.splitlines()), out
 
 
 def _per_draw_radial_values(seed=20240802):
