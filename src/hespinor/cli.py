@@ -183,13 +183,19 @@ def _write_csv(columns, fields, stream):
         stream.write(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode("ascii"))
 
 
+def _write_json(columns, fields, stream):
+    """``json.dumps(rows, indent=2) + "\\n"`` for at least one row, CSV_CHUNK_ROWS
+    rows at a time: each chunk's list without its brackets, joined by commas."""
+    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        rows = zip(*(column[start:start + CSV_CHUNK_ROWS] for column in columns))
+        text = json.dumps([dict(zip(fields, row)) for row in rows], indent=2)
+        stream.write(("[\n" if start == 0 else ",\n") + text[2:-2])
+    stream.write("\n]\n")
+
+
 def _write_table(columns, fields, fmt: str, output: str):
     with _data_stream(output) as stream:
-        if fmt == "csv":
-            _write_csv(columns, fields, stream)
-        else:
-            rows = [dict(zip(fields, row)) for row in zip(*columns)]
-            stream.write(json.dumps(rows, indent=2) + "\n")
+        (_write_csv if fmt == "csv" else _write_json)(columns, fields, stream)
 
 
 def cmd_verify(args) -> int:

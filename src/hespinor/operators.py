@@ -25,6 +25,7 @@ import numpy as np
 from . import clifford
 
 FINE_STRUCTURE_ALPHA = 1.0 / 137.035999084
+J_MAX = 2.0**254  # largest |j|: above it B ~ 4 j^2 at sigma = 1 has an infinite square
 
 _GAMMA = {i: clifford.gamma(i) for i in clifford.GAMMA_INDICES}
 _SPIN_SHIFT = clifford.spin_shift_matrix()
@@ -94,7 +95,8 @@ class ModelParams:
 
     sigma is the penetration factor mixing the two one-electron
     Hamiltonians, H = (1 - sigma) H1 + 2 sigma H2.  j1 and j2 must satisfy
-    j^2 > 4 alpha^2 so the radial exponents stay real.
+    j^2 > 4 alpha^2 so the radial exponents stay real, and |j| <= J_MAX so
+    the closed form stays finite.
     """
 
     sigma: float
@@ -109,9 +111,9 @@ class ModelParams:
         if not 2.0**-511 <= self.alpha < math.inf:
             raise ParameterError(f"alpha = {self.alpha!r}: need a finite alpha >= 2**-511")
         for name, j in (("j1", self.j1), ("j2", self.j2)):
-            if not 4 * self.alpha**2 < j * j < math.inf:
-                raise ParameterError(f"{name} = {j!r}: need a finite {name} with "
-                                     f"{name}^2 > 4 alpha^2 for real exponents")
+            if not 4 * self.alpha**2 < j * j <= J_MAX * J_MAX:
+                raise ParameterError(f"{name} = {j!r}: need {name}^2 > 4 alpha^2 for real "
+                                     f"exponents and |{name}| <= 2**254")
 
 
 @dataclass(frozen=True)
@@ -153,10 +155,15 @@ class SpinorField:
         lin = np.zeros(4) if linear is None else np.asarray(linear, dtype=float)
 
         def fn(p: ConfigPoint) -> np.ndarray:
-            x = np.stack([p.x1, p.y1, p.x2, p.y2], axis=-1)
-            env = np.exp(-np.sum((x - c) ** 2, axis=-1) / width**2)
-            poly = 1.0 + np.sum(lin * x, axis=-1)
-            phase = np.exp(1j * (n1 * p.theta1 + n2 * p.theta2))
+            # per coordinate, summed in the order np.sum takes over a length-4 axis
+            x = (p.x1, p.y1, p.x2, p.y2)
+            q = [np.square(x[k] - c[k]) for k in range(4)]
+            env = np.exp(-(((q[0] + q[1]) + q[2]) + q[3]) / width**2)
+            poly = 1.0 + (((lin[0] * x[0] + lin[1] * x[1]) + lin[2] * x[2]) + lin[3] * x[3])
+            angle = n1 * p.theta1 + n2 * p.theta2
+            phase = np.empty(np.shape(angle), complex)
+            np.cos(angle, out=phase.real)
+            np.sin(angle, out=phase.imag)
             return v * _col(env * poly * phase)
 
         return SpinorField(fn)
@@ -271,7 +278,7 @@ def apply_M(field, point, step) -> np.ndarray:
 
 
 def commutator_residual(op_a, op_b, params, field, points, step,
-                        assignment=CANONICAL_ASSIGNMENT) -> float:
+                        assignment=CANONICAL_ASSIGNMENT):
     """max over points, taken as one batch, of |(A B - B A) field| for tags 'H'/'Jz'/'M'.
 
     Both products share one field call: the field's gradient on the outer
@@ -281,18 +288,33 @@ def commutator_residual(op_a, op_b, params, field, points, step,
     batch covers both levels: a stencil point moves one step along one
     coordinate, so r1, r2 and r12 each change by at most one step, and every
     outer stencil point keeps them above 3*step, every inner one above 2*step.
+
+    ``field`` may be a sequence of fields: each is called once on the nested
+    stencil, of shape (9, 9, N), and the result is the max over fields and
+    points.  A tuple of ``op_b`` tags gives one residual per tag, in order.
     """
     tags = ("H", "Jz", "M")
-    if op_a not in tags or op_b not in tags:
+    fields = [field] if callable(field) else list(field)
+    tags_b = op_b if isinstance(op_b, tuple) else (op_b,)
+    if not fields:
+        raise ValueError("field must hold at least one SpinorField")
+    if not tags_b:
+        raise ValueError("op_b must hold at least one operator tag")
+    if op_a not in tags or any(tag not in tags for tag in tags_b):
         raise ValueError(f"operator tags must be in {list(tags)}")
     batch = ConfigPoint.stack(points)
     _require_clearance(batch, 4 * step)
+    nested = _stencil(_stencil(batch, step), step)
+    f0, d = _differences(np.concatenate([f(nested) for f in fields], axis=2), step)
+    # one copy of the batch per field, to match the concatenated values
+    batch = ConfigPoint(*(np.tile(x, len(fields)) for x in (batch.x1, batch.y1, batch.x2, batch.y2)))
     outer = _stencil(batch, step)
-    f0, d = _gradient(field, outer, step)
-    inner = {tag: _op_terms(tag, outer, f0, d, params, assignment) for tag in (op_a, op_b)}
-    ab = _op_terms(op_a, batch, *_differences(inner[op_b], step), params, assignment)
-    ba = _op_terms(op_b, batch, *_differences(inner[op_a], step), params, assignment)
-    return float(np.abs(ab - ba).max())
+    inner = {tag: _differences(_op_terms(tag, outer, f0, d, params, assignment), step)
+             for tag in (op_a, *tags_b)}
+    res = tuple(float(np.abs(_op_terms(op_a, batch, *inner[tag], params, assignment)
+                             - _op_terms(tag, batch, *inner[op_a], params, assignment)).max())
+                for tag in tags_b)
+    return res if isinstance(op_b, tuple) else res[0]
 
 
 def component_system_residual(params, field, point, step, energy,

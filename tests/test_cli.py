@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hespinor import cli, clifford, optimize, spectrum
+from hespinor.operators import J_MAX
 
 
 def run(capsys, *argv):
@@ -253,6 +254,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
     (["scan", "--points", "3", "--alpha", "1e-170"], "alpha"),  # alpha^2 would underflow
     (["minimize", "--alpha", "1e-170"], "alpha"),
     (["ion-limit", "--alpha", "1e-170"], "alpha"),
+    (["scan", "--points", "3", "--j1", "1e78"], "j1"),  # B*B would overflow
+    (["scan", "--points", "3", "--j2", "1e78"], "j2"),
 ])
 def test_invalid_parameter_is_usage_error(tmp_path, capsys, argv, name):
     path = tmp_path / "out.txt"
@@ -260,6 +263,47 @@ def test_invalid_parameter_is_usage_error(tmp_path, capsys, argv, name):
     assert code == 2
     assert err.startswith("invalid arguments: " + name)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("flags", [["--j1"], ["--j2"], ["--j1", "--j2"]],
+                         ids=["j1", "j2", "both"])
+def test_largest_j_prints_finite_rows_and_the_next_float_is_rejected(capsys, flags):
+    bound = J_MAX
+    assert bound == 2.0**254
+    argv = [arg for flag in flags for arg in (flag, repr(bound))]
+    code, out, _ = run(capsys, "scan", "--sigma-min", "1e-6", "--sigma-max", "1",
+                       "--points", "50", *argv)
+    assert code == 0
+    rows = np.array([[float(x) for x in line.split(",")] for line in out.splitlines()[1:]])
+    assert rows.shape == (50, 5) and np.isfinite(rows).all()
+    code, out, _ = run(capsys, "ion-limit", "--sigmas", "1,1e-300,5e-324", *argv)
+    assert code == 0
+    assert np.isfinite([float(x) for line in out.splitlines()[1:] for x in line.split(",")]).all()
+    above = [arg for flag in flags for arg in (flag, repr(math.nextafter(bound, math.inf)))]
+    for command in ("scan", "minimize", "ion-limit"):
+        code, out, err = run(capsys, command, *above)
+        assert code == 2
+        assert err.startswith("invalid arguments: " + flags[0][2:])
+        assert out == ""
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 7])
+def test_json_written_in_chunks_equals_one_dumps(monkeypatch, capsys, rows):
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)
+    sigmas = [10.0 ** -k for k in range(1, rows + 1)]
+    code, out, _ = run(capsys, "ion-limit", "--sigmas", ",".join(map(repr, sigmas)),
+                       "--format", "json")
+    assert code == 0
+    expected = [{"sigma": s, "delta_e_hartree": d} for s, d in optimize.ion_limit_report(sigmas)]
+    assert out == json.dumps(expected, indent=2) + "\n"
+    if rows < 2:
+        return  # scan needs two grid points
+    code, out, _ = run(capsys, "scan", "--points", str(rows), "--format", "json")
+    assert code == 0
+    table = optimize.scan_sigma(0.01, 0.5, rows)
+    columns = (table.sigma, table.delta_e, table.rho0, table.r10, table.r20)
+    expected = [dict(zip(cli.SCAN_FIELDS, map(float, row))) for row in zip(*columns)]
+    assert out == json.dumps(expected, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("argv", [["scan", "--points", "5"], ["minimize"], ["ion-limit"]],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hespinor import clifford
+from hespinor import clifford, verify
 from hespinor.operators import (
     CANONICAL_ASSIGNMENT,
     E2_EXCHANGED_ASSIGNMENT,
@@ -12,6 +12,7 @@ from hespinor.operators import (
     ParameterError,
     SingularPointError,
     SpinorField,
+    _stencil,
     apply_H,
     apply_Jz,
     apply_M,
@@ -355,7 +356,68 @@ def test_commutator_equals_nested_composition(op_a, op_b, step, params, safe_poi
 
 
 def test_commutator_makes_one_field_call(params, safe_points, test_fields):
+    # one call per field on the nested stencil, whatever the number of fields and tags
     calls = []
-    field = SpinorField(lambda p: calls.append(np.shape(p.x1)) or test_fields[0](p))
-    commutator_residual("H", "M", params, field, safe_points, STEP)
-    assert calls == [(9, 9, len(safe_points))]
+
+    def counted(k):
+        return SpinorField(lambda p: calls.append((k, np.shape(p.x1))) or test_fields[k](p))
+
+    for n_fields in (1, 3):
+        for op_b in ("M", ("M",), ("M", "Jz"), ("H", "Jz", "M")):
+            calls.clear()
+            fields = counted(0) if n_fields == 1 else [counted(k) for k in range(n_fields)]
+            commutator_residual("H", op_b, params, fields, safe_points, STEP)
+            assert calls == [(k, (9, 9, len(safe_points))) for k in range(n_fields)]
+
+
+@pytest.mark.parametrize("step", [STEP, STEP / 2])
+def test_batched_fields_and_tags_equal_the_per_field_max(step, params):
+    # the verify battery's fields and points, batched as operator_checks batches them
+    fields, points = verify._test_fields(), verify._safe_points(20, seed=20240801)
+    batched = commutator_residual("H", ("M", "Jz"), params, fields, points, step)
+    assert batched == tuple(max(commutator_residual("H", b, params, f, points, step)
+                                for f in fields) for b in ("M", "Jz"))
+    assert commutator_residual("H", "M", params, fields, points, step) == batched[0]
+    assert commutator_residual("H", ("Jz",), params, fields[0], points, step) == (
+        commutator_residual("H", "Jz", params, fields[0], points, step),)
+
+
+def test_empty_fields_and_tags_are_rejected_by_name(params, safe_points, test_fields):
+    with pytest.raises(ValueError, match="^field"):
+        commutator_residual("H", "M", params, [], safe_points, STEP)
+    with pytest.raises(ValueError, match="^op_b"):
+        commutator_residual("H", (), params, test_fields, safe_points, STEP)
+    with pytest.raises(ValueError, match="operator tags"):
+        commutator_residual("H", ("M", "Q"), params, test_fields, safe_points, STEP)
+
+
+def _stacked_gaussian(center, width, values, winding=(0, 0), linear=None):
+    """Reference: the Gaussian field written over a stacked length-4 coordinate axis."""
+    c, v = np.asarray(center, dtype=float), np.asarray(values, dtype=complex)
+    lin = np.zeros(4) if linear is None else np.asarray(linear, dtype=float)
+
+    def fn(p):
+        x = np.stack([p.x1, p.y1, p.x2, p.y2], axis=-1)
+        env = np.exp(-np.sum((x - c) ** 2, axis=-1) / width**2)
+        poly = 1.0 + np.sum(lin * x, axis=-1)
+        phase = np.exp(1j * (winding[0] * p.theta1 + winding[1] * p.theta2))
+        return v * (env * poly * phase)[..., None]
+
+    return fn
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(center=(0.1, -0.2, 0.3, 0.0), width=2.0,
+         values=(0.3 + 0.4j, -0.2 + 0.1j, 0.7 - 0.3j, 0.5 + 0.6j),
+         winding=(1, -2), linear=(0.2, 0.0, -0.1, 0.05)),
+    dict(center=(-0.3, 0.1, 0.0, 0.25), width=1.7, values=(0.8, 0.1 - 0.5j, -0.4j, 0.2 + 0.2j),
+         winding=(0, 1)),
+    dict(center=(0.0, 0.0, -0.2, -0.1), width=2.4, values=(0.5j, 0.6, -0.7, 0.3 - 0.1j),
+         linear=(0.0, 0.15, 0.1, 0.0)),
+], ids=["winding-and-linear", "winding", "linear"])
+def test_gaussian_matches_the_stacked_form(kwargs, safe_points):
+    field, reference = SpinorField.gaussian(**kwargs), _stacked_gaussian(**kwargs)
+    batch = ConfigPoint.stack(safe_points)
+    # a batch, the nested stencil the commutator evaluates, and one point
+    for p in (batch, _stencil(_stencil(batch, STEP), STEP), safe_points[0]):
+        np.testing.assert_allclose(field(p), reference(p), rtol=1e-14, atol=0)

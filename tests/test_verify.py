@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hespinor import angular, cli, optimize, radial, spectrum, verify
-from hespinor.operators import ModelParams
+from hespinor.operators import ConfigPoint, ModelParams
 
 CHECK_NAMES = [
     "clifford anticommutation, 15 pairs",
@@ -216,3 +216,15 @@ def test_batched_radial_draws_equal_per_draw_loops():
     assert checks["kernel vectors annihilated"] == reference["kernel"]
     assert checks["recurrence reduces to spectral matrix"] == reference["recurrence"]
     assert checks["kernel contraction equals dot product"] == reference["contraction"]
+
+
+@pytest.mark.parametrize("n, seed, lo", [(20, 20240801, 0.5), (50, 3, 0.5), (5, 11, 1.5)],
+                         ids=["battery", "more-points", "few-clear-lo"])
+def test_safe_points_equal_one_draw_at_a_time(n, seed, lo):
+    rng = np.random.default_rng(seed)
+    reference = []
+    while len(reference) < n:
+        p = ConfigPoint(*rng.uniform(-2.0, 2.0, 4))
+        if p.min_radius() > lo:
+            reference.append(p)
+    assert verify._safe_points(n, seed=seed, lo=lo) == reference
