@@ -2,6 +2,7 @@
 
 Subpackages by role:
 
+* ``model``     -- constants and the parameter domain (no numpy)
 * ``clifford``  -- gamma-matrix tables and spin projections
 * ``operators`` -- finite-difference Hamiltonian / angular-momentum lab
 * ``angular``   -- phase ansatz and separation into a radial system
@@ -10,20 +11,18 @@ Subpackages by role:
 * ``optimize``  -- sigma scans and the Brent ground-state search
 * ``verify``    -- the aggregated identity-check battery, gamma algebra included
 * ``cli``       -- command-line entry points
+* ``csv17g``    -- the exact vectorised ``"%.17g"`` CSV encoder
 
 A parameter outside the model's domain raises ``ParameterError`` (a
 ``ValueError``) from the library function that uses it; the CLI maps it
 to exit code 2.
+
+The names of the finite-difference lab (``ConfigPoint``, ``SpinorField``,
+``SingularPointError``) are resolved on first use, so that importing the
+package, like ``hespinor minimize``, loads no numpy.
 """
 
-from .operators import (
-    FINE_STRUCTURE_ALPHA,
-    ConfigPoint,
-    ModelParams,
-    ParameterError,
-    SingularPointError,
-    SpinorField,
-)
+from .model import FINE_STRUCTURE_ALPHA, ModelParams, ParameterError
 from .spectrum import ClosedFormParams, EquilibriumPoint, closed_form, delta_e, equilibrium_point
 from .optimize import MinimizeResult, minimize_delta_e, scan_sigma
 
@@ -46,3 +45,10 @@ __all__ = [
     "scan_sigma",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in ("ConfigPoint", "SingularPointError", "SpinorField"):
+        from . import operators
+        return getattr(operators, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,13 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import (
-    ConfigPoint,
-    ModelParams,
-    SpinorField,
-    component_system_residual,
-    potential_radii,
-)
+from .model import ModelParams
+from .operators import ConfigPoint, SpinorField, component_system_residual, potential_radii
 
 
 @dataclass(frozen=True)

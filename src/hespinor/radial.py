@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .model import ModelParams, ParameterError
 
-from .operators import ModelParams, ParameterError
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NoRealDecayError(ValueError):
@@ -59,6 +61,7 @@ def indicial_matrix(which: int, j: float, s: float, alpha: float) -> np.ndarray:
     2*(j -+ (s + 1/2)).  Both determinants vanish exactly at
     s = -1/2 + sqrt(j^2 - 4 alpha^2).
     """
+    import numpy as np
     u = j - s - 0.5
     v = j + s + 0.5
     if which == 1:
@@ -123,6 +126,7 @@ def indicial_kernel_angles(j1: float, j2: float, alpha: float) -> np.ndarray:
     angle measures how far they are from being jointly solvable (they are
     not, in general: the joint kernel is trivial).
     """
+    import numpy as np
     k1 = indicial_kernel(1, j1, alpha)
     k2 = indicial_kernel(2, j2, alpha)
     basis1 = np.array([[1.0, 0.0, k1.ratio, 0.0], [0.0, 1.0, 0.0, k1.second_ratio]]).T
@@ -181,6 +185,7 @@ def recurrence_R(params: ModelParams, gr: GammaRho, ansatz: RadialAnsatz,
     spectral matrix acting on (a100, a200, a300, a400).  The sign of the
     beta1 a400 term in R2 is fixed by that reduction.
     """
+    import numpy as np
     s, a = params.sigma, params.alpha
     b1, b2 = ansatz.beta1, ansatz.beta2
     a1m, a1p, a2m, a2p = first_order_brackets(params)
@@ -200,6 +205,7 @@ def recurrence_R(params: ModelParams, gr: GammaRho, ansatz: RadialAnsatz,
 def spectral_matrix(gr: GammaRho, sigma, beta1, beta2) -> np.ndarray:
     """4x4 matrix of the power-free conditions on the leading coefficients,
     shape S + (4, 4) for inputs of shape S."""
+    import numpy as np
     g1, g2, a, b = np.broadcast_arrays(gr.gamma1, gr.gamma2, (1 - sigma) * beta1,
                                        2 * sigma * beta2)
     z = np.zeros(a.shape)
@@ -220,6 +226,7 @@ def beta1_from_determinant(gr: GammaRho, sigma, beta2):
 
     Raises if any entry has sigma >= 1 or a negative discriminant.
     """
+    import numpy as np
     if np.any(sigma >= 1):
         raise ZeroDivisionError("sigma = 1 removes beta1 from the determinant condition")
     disc = gr.gamma1 * gr.gamma2 - 4 * sigma**2 * beta2**2
@@ -238,6 +245,7 @@ def kernel_vectors(gr: GammaRho, sigma, beta1, beta2) -> tuple:
     The + sign on psi2's second entry is required for annihilation: the
     second spectral row reads g2 a2 + 2 s b2 a3 - (1-s) b1 a4.
     """
+    import numpy as np
     if np.any(gr.gamma2 == 0):
         raise DegenerateKernelError("gamma2 = 0")
     p, q = np.broadcast_arrays((1 - sigma) * beta1 / gr.gamma2, 2 * sigma * beta2 / gr.gamma2)

@@ -24,10 +24,8 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from . import radial
-from .operators import FINE_STRUCTURE_ALPHA, ModelParams
+from .model import FINE_STRUCTURE_ALPHA, ModelParams
 
 
 @dataclass
@@ -76,15 +74,15 @@ def c_params(sigma, s1: float, s2: float, alpha: float,
              j1: float = 1.0, j2: float = 1.0) -> ClosedFormParams:
     """Evaluate B, C1, C2 and h for given exponents, at a float or an array sigma.
 
-    A complex sigma follows the float path (the minimizer's complex-step
-    slope relies on it).  A vanishing B raises ZeroDivisionError:
+    A complex or an mpmath sigma follows the float path (the minimizer's
+    complex-step slope relies on it).  A vanishing B raises ZeroDivisionError:
     by Python's division, or by one check of the whole array, which numpy
     would divide silently.
     """
     w = (1 - sigma) * (1 - sigma)
     cube = sigma * sigma * sigma
     b = w * (s1 + 0.5) * s1 + 4 * cube * (s2 + 1.5) * s2
-    if type(b) not in (float, complex) and not np.all(b):
+    if hasattr(b, "all") and not b.all():
         raise ZeroDivisionError("shape bracket B vanished; C2 is undefined")
     d = 4 * alpha**2 * (1 + sigma) * (1 + sigma) * (w * s1**2 + 4 * cube * sigma * s2**2)
     c2sq_minus_1 = d / (b * b)
@@ -215,7 +213,9 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float = 4 * math.ulp(1.0)) 
             else:  # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)
+                # a zero divisor gives inf or nan in C, which fails the test below: bisect
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
                 spre, scur = scur, stry
             else:

@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import angular, clifford, optimize, radial, spectrum
+from .model import FINE_STRUCTURE_ALPHA, ModelParams
 from .operators import (
     CANONICAL_ASSIGNMENT,
     E2_EXCHANGED_ASSIGNMENT,
-    FINE_STRUCTURE_ALPHA,
     ConfigPoint,
-    ModelParams,
     SpinorField,
     apply_H,
     commutator_residual,

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from hespinor import angular, clifford, optimize, radial, spectrum, verify
+from hespinor.model import FINE_STRUCTURE_ALPHA, ModelParams
 from hespinor.operators import (
-    FINE_STRUCTURE_ALPHA,
     ConfigPoint,
-    ModelParams,
     SpinorField,
     apply_H,
     commutator_residual,

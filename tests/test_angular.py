@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hespinor import angular
-from hespinor.operators import ModelParams, apply_M, component_system_residual
+from hespinor.model import ModelParams
+from hespinor.operators import apply_M, component_system_residual
 
 
 @pytest.fixture(scope="module")

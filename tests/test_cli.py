@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hespinor import cli, clifford, optimize, spectrum
-from hespinor.operators import J_MAX
+from hespinor import cli, clifford, operators, optimize, spectrum
+from hespinor.model import J_MAX, SIGMA_MIN
 
 
 def run(capsys, *argv):
@@ -100,7 +100,7 @@ def test_scan_bytes_pinned_to_per_value_rendering(tmp_path, capsys, lo, hi, n, b
 
 @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
 def test_ion_limit_csv_pinned_to_per_value_rendering(tmp_path, capsys, to_file):
-    sigmas = [1e-300, 5e-324, 1e-9, 0.0001]
+    sigmas = [1e-155, SIGMA_MIN, 1e-9, 0.0001]
     lines = ["sigma,delta_e_hartree"]
     lines += [f"{s:.17g},{d:.17g}" for s, d in optimize.ion_limit_report(sigmas)]
     expected = "\n".join(lines) + "\n"
@@ -276,7 +276,7 @@ def test_largest_j_prints_finite_rows_and_the_next_float_is_rejected(capsys, fla
     assert code == 0
     rows = np.array([[float(x) for x in line.split(",")] for line in out.splitlines()[1:]])
     assert rows.shape == (50, 5) and np.isfinite(rows).all()
-    code, out, _ = run(capsys, "ion-limit", "--sigmas", "1,1e-300,5e-324", *argv)
+    code, out, _ = run(capsys, "ion-limit", "--sigmas", f"1,1e-155,{SIGMA_MIN!r}", *argv)
     assert code == 0
     assert np.isfinite([float(x) for line in out.splitlines()[1:] for x in line.split(",")]).all()
     above = [arg for flag in flags for arg in (flag, repr(math.nextafter(bound, math.inf)))]
@@ -285,6 +285,50 @@ def test_largest_j_prints_finite_rows_and_the_next_float_is_rejected(capsys, fla
         assert code == 2
         assert err.startswith("invalid arguments: " + flags[0][2:])
         assert out == ""
+
+
+def _json_numbers(path):
+    data = json.loads(path.read_text())
+    return [v for record in (data if isinstance(data, list) else [data]) for v in record.values()]
+
+
+@pytest.mark.parametrize("flags", [[], ["--j1", "--j2"]], ids=["j=1", "j=J_MAX"])
+def test_smallest_sigma_prints_finite_columns_and_the_next_float_is_rejected(
+        tmp_path, capsys, flags):
+    # r20 = r10 / sigma, and r10 is about j1^2 / 2 at sigma -> 0: 2**1023 at j1 = 2**254
+    assert SIGMA_MIN == 2.0**-516
+    physics = [arg for flag in flags for arg in (flag, repr(J_MAX))]
+
+    def commands(sigma):
+        return {"scan": ["--sigma-min", repr(sigma), "--sigma-max", "1", "--points", "50"],
+                "minimize": ["--sigma-min", repr(sigma), "--sigma-max", "1"],
+                "ion-limit": ["--sigmas", f"{sigma!r},1e-155,1"]}
+
+    path = tmp_path / "out.json"
+    for command, argv in commands(SIGMA_MIN).items():
+        code, _, err = run(capsys, command, *argv, *physics, "--format", "json",
+                           "--output", str(path))
+        assert code == 0, err
+        assert np.isfinite(_json_numbers(path)).all(), command
+    for command, argv in commands(math.nextafter(SIGMA_MIN, 0)).items():
+        code, out, err = run(capsys, command, *argv, *physics)
+        assert code == 2, command
+        assert err.startswith("invalid arguments: sigma"), command
+        assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--j1", "6.277101735386681e+57", "--j2", "6.277101735386681e+57"],
+    ["--j1", repr(2.0**254), "--j2", repr(2.0**254), "--sigma-min", "1e-6", "--sigma-max", "1"],
+], ids=["j=2**192", "j=2**254"])
+def test_minimize_on_a_slope_flat_to_rounding_prints_finite_values(tmp_path, capsys, argv):
+    # brentq's extrapolation divisor underflows to 0 there; it bisects as scipy does
+    path = tmp_path / "min.json"
+    code, _, err = run(capsys, "minimize", *argv, "--format", "json", "--output", str(path))
+    assert code == 0, err
+    record = json.loads(path.read_text())
+    assert np.isfinite(list(record.values())).all()
+    assert 0 < record["sigma0"] < 1
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7])
@@ -360,6 +404,36 @@ def test_no_command_imports_scipy():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_minimize_imports_no_numpy():
+    # the package, the parser and the scalar ground-state search run on the stdlib alone
+    code = ("import contextlib, io, sys\n"
+            "import hespinor\n"
+            "assert 'numpy' not in sys.modules, 'import hespinor'\n"
+            "from hespinor import cli\n"
+            "for argv in (['minimize'], ['minimize', '--format', 'json']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    assert 'numpy' not in sys.modules, argv\n"
+            "print('ok')")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_package_names_resolve():
+    import hespinor
+    assert hespinor.SpinorField is operators.SpinorField
+    namespace = {}
+    exec("from hespinor import *", namespace)
+    assert set(hespinor.__all__) <= set(namespace)
+    for name in hespinor.__all__:
+        assert namespace[name] is getattr(hespinor, name)
+    with pytest.raises(AttributeError):
+        hespinor.no_such_name
 
 
 def test_numeric_error_exit_code(capsys):

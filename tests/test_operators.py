@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from hespinor import clifford, verify
+from hespinor.model import ModelParams, ParameterError
 from hespinor.operators import (
     CANONICAL_ASSIGNMENT,
     E2_EXCHANGED_ASSIGNMENT,
     ConfigPoint,
-    ModelParams,
-    ParameterError,
     SingularPointError,
     SpinorField,
     _stencil,

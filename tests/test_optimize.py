@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from hespinor import optimize, spectrum
-from hespinor.operators import FINE_STRUCTURE_ALPHA, ModelParams, ParameterError
+from hespinor import optimize, radial, spectrum
+from hespinor.model import FINE_STRUCTURE_ALPHA, ModelParams, ParameterError
 
 # the root of d(delta_e)/d(sigma) at the default constants and delta_e there,
 # both from a 50-digit mpmath evaluation of the closed form
@@ -121,20 +122,67 @@ def test_minimize_refines_the_prescan_minimum_not_the_whole_bracket():
     (0.1, 1.5, 1.5, (0.01, 0.99)),
 ])
 def test_minimize_equals_brentq_on_the_closed_form_slope(alpha, j1, j2, bracket):
-    # the pre-scan and slope built from closed_form at every evaluation
+    # brentq on the bracket itself where its end slopes enclose the minimum, else on the
+    # pre-scan's cell; the slope and pre-scan built from closed_form at every evaluation
     brentq = pytest.importorskip("scipy.optimize").brentq
 
     def slope(sigma):
         return spectrum.delta_e(spectrum.closed_form(sigma + 1e-30j, alpha=alpha, j1=j1,
                                                      j2=j2)).imag / 1e-30
 
-    grid = np.linspace(*bracket, 32)
-    k = int(np.argmin(spectrum.delta_e(spectrum.closed_form(grid, alpha=alpha, j1=j1, j2=j2))))
-    sigma0, root = brentq(slope, grid[k - 1], grid[k + 1], xtol=1e-6, full_output=True)
+    lo, hi = bracket
+    if not slope(lo) < 0 < slope(hi):
+        grid = np.linspace(*bracket, 32)
+        k = int(np.argmin(spectrum.delta_e(spectrum.closed_form(grid, alpha=alpha, j1=j1,
+                                                                j2=j2))))
+        lo, hi = grid[k - 1], grid[k + 1]
+    sigma0, root = brentq(slope, lo, hi, xtol=1e-6, full_output=True)
     res = optimize.minimize_delta_e(bracket, alpha=alpha, j1=j1, j2=j2)
     assert res.point.sigma == sigma0
     assert res.iterations == root.iterations
     assert res.point == spectrum.equilibrium_point(sigma0, alpha=alpha, j1=j1, j2=j2)
+
+
+def _stationary_points(sp, alpha, j1, j2):
+    """Isolating intervals, ascending, of the stationary points of delta_e in (0, 1), each
+    with the slope's sign on its left and right, for the exact rationals of the floats
+    (alpha, s1, s2) the closed form is evaluated at."""
+    s1, s2 = (sp.Rational(s) for s in radial.exponents(j1, j2, alpha))
+    assert s1 > 0 and s2 > 0  # so B > 0 on (0, 1] and delta_e = N / (a^2 sqrt(P)) - (1 + s) / a^2
+    a, x = sp.Rational(alpha), sp.Symbol("sigma")
+    w = (1 - x) ** 2
+    b = w * (s1 + sp.Rational(1, 2)) * s1 + 4 * x**3 * (s2 + sp.Rational(3, 2)) * s2
+    d = 4 * a**2 * (1 + x) ** 2 * (w * s1**2 + 4 * x**4 * s2**2)
+    n, p = sp.Poly(2 * a**2 * x * (1 + x) ** 2 + (1 + x) * b, x), sp.Poly(b**2 + d, x)
+    g = 2 * n.diff(x) * p - n * p.diff(x)
+    q = g**2 - 4 * p**3
+    assert (n.degree(), p.degree(), q.degree()) == (4, 6, 18)
+
+    def slope_sign(t):  # the slope (g - 2 P^(3/2)) / (2 a^2 P^(3/2)) is positive iff g > 0 < q
+        return 1 if g.eval(t) > 0 and q.eval(t) > 0 else -1
+
+    points = []
+    for (left, right), multiplicity in q.intervals(inf=0, sup=1, eps=sp.Rational(1, 10**6)):
+        assert multiplicity == 1 and 0 < left and right < 1
+        if g.eval(left) > 0 and g.eval(right) > 0:  # g = 2 P^(3/2) > 0: not from the squaring
+            points.append((left, right, (slope_sign(left), slope_sign(right))))
+    return q, points
+
+
+@pytest.mark.parametrize("j1, j2", list(itertools.product((1.0, 1.5, 2.0), repeat=2)))
+@pytest.mark.parametrize("alpha", [FINE_STRUCTURE_ALPHA, 0.02, 0.05, 0.1])
+def test_certificate_one_minimum_then_one_maximum_in_the_unit_interval(alpha, j1, j2):
+    sp = pytest.importorskip("sympy")
+    q, points = _stationary_points(sp, alpha, j1, j2)
+    assert [signs for *_, signs in points] == [(-1, 1), (1, -1)]
+    (min_lo, min_hi, *_), (max_lo, *_) = points
+    # a bracket whose end slopes enclose the minimum: brentq starts on it directly
+    bracket = (float(min_lo) / 2, float((min_hi + max_lo) / 2))
+    tol = 1e-12
+    sigma0 = optimize.minimize_delta_e(bracket, tol=tol, alpha=alpha, j1=j1, j2=j2).point.sigma
+    left, right = q.refine_root(min_lo, min_hi, eps=sp.Rational(1, 10**30))
+    bound = sp.Rational(tol) + 4 * sp.Rational(math.ulp(1.0)) * sp.Rational(sigma0)
+    assert max(abs(sp.Rational(sigma0) - left), abs(sp.Rational(sigma0) - right)) <= bound
 
 
 def test_minimize_rejects_non_unimodal_bracket():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hespinor import radial, spectrum
-from hespinor.operators import FINE_STRUCTURE_ALPHA, ModelParams, ParameterError
+from hespinor.model import FINE_STRUCTURE_ALPHA, ModelParams, ParameterError
 
 ALPHA = FINE_STRUCTURE_ALPHA
 S1_REF = 0.4998934916189415  # -1/2 + sqrt(1 - 4 alpha^2) at the default alpha

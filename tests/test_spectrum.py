@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hespinor import radial, spectrum
-from hespinor.operators import FINE_STRUCTURE_ALPHA, ModelParams, ParameterError
+from hespinor.model import FINE_STRUCTURE_ALPHA, ModelParams, ParameterError
 
 ALPHA = FINE_STRUCTURE_ALPHA
 S1_REF = 0.4998934916189415
@@ -130,7 +130,7 @@ def test_consistency_solver_residual_at_root():
     cf = spectrum.closed_form(sigma)
     rho = spectrum.rho0_natural(cf)
     params_kw = dict(sigma=sigma, alpha=cf.alpha, j1=cf.j1, j2=cf.j2)
-    from hespinor.operators import ModelParams
+    from hespinor.model import ModelParams
     e_root = spectrum.energy_consistency_solve(sigma, rho, cf)
     res = radial.fundamental_residual(radial.fundamental_relation(ModelParams(**params_kw), rho, cf.h),
                                       e_root)
@@ -272,6 +272,15 @@ def test_array_zero_bracket_rejected():
         spectrum.c_params(np.array([0.5, 0.0]), 0.0, 0.5, alpha=ALPHA)
 
 
+def test_mpmath_sigma_takes_the_float_path():
+    mp = pytest.importorskip("mpmath")
+    value = spectrum.delta_e(spectrum.closed_form(mp.mpf(0.1775)))
+    assert isinstance(value, mp.mpf)
+    assert float(value) == pytest.approx(spectrum.delta_e(spectrum.closed_form(0.1775)), rel=1e-15)
+    with pytest.raises(ZeroDivisionError):
+        spectrum.c_params(mp.mpf(0), 0.0, 0.5, alpha=ALPHA)
+
+
 
 def _recorded(f, calls):
     def wrapper(x):
@@ -315,7 +324,12 @@ def test_brentq_equals_scipy_bit_for_bit():
             both(lambda e: radial.fundamental_residual(relation, e),
                  coulomb + 1e-12, (1 + sigma) + coulomb - 1e-12, xtol=1e-15, rtol=8.9e-16)
             solves += 1
-    assert solves == 216 + 1500
+    # values so small that the extrapolation divisor underflows to 0: scipy bisects there
+    for f, lo, hi in ((lambda x: 1e-160 * (x**3 - 0.2), 0.0, 1.0),
+                      (lambda x: 1e-170 * (math.exp(x) - 2), 0.0, 2.0)):
+        both(f, lo, hi, xtol=1e-12)
+        solves += 1
+    assert solves == 216 + 1500 + 2
 
 
 def test_brentq_root_at_a_bracket_end_takes_no_step():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hespinor import angular, cli, optimize, radial, spectrum, verify
-from hespinor.operators import ConfigPoint, ModelParams
+from hespinor.model import ModelParams
+from hespinor.operators import ConfigPoint
 
 CHECK_NAMES = [
     "clifford anticommutation, 15 pairs",
