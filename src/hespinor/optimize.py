@@ -101,7 +101,8 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
     def slope(sigma):
         return delta_e(c_params(sigma + 1e-30j, s1, s2, alpha, j1=j1, j2=j2)).imag / 1e-30
 
-    if not slope(lo) < 0 < slope(hi):
+    ends = {lo: slope(lo), hi: slope(hi)}
+    if not ends[lo] < 0 < ends[hi]:
         import numpy as np
         grid = np.linspace(lo, hi, _PRESCAN_POINTS)
         values = delta_e(c_params(grid, s1, s2, alpha, j1=j1, j2=j2))
@@ -112,7 +113,8 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
             )
         k = int(np.argmin(values))
         lo, hi = grid[k - 1], grid[k + 1]
-    sigma0, iterations = brentq(slope, lo, hi, xtol=tol)
+    # brentq starts by evaluating both ends: reuse the rule's two slopes
+    sigma0, iterations = brentq(lambda s: ends[s] if s in ends else slope(s), lo, hi, xtol=tol)
     return MinimizeResult(point=equilibrium_point(sigma0, alpha=alpha, j1=j1, j2=j2),
                           iterations=iterations)
 

@@ -9,9 +9,10 @@ the whole radial problem to two shape parameters
     D  = 4 a^2 (1+s)^2 [(1-s)^2 s1^2 + 4 s^4 s2^2]
     C1 = sqrt(B^2 + D),   C2 = sqrt(1 + D / B^2)
 
-with h = sigma s2 / s1.  Units are natural with the electron mass m = 1:
-energies are in units of m c^2 and, for the excess energy, in Hartree
-(m c^2 a^2); lengths in Bohr radii (hbar / (m c a)).
+and the decay-rate ratio h = beta2 / beta1 = sigma s2 / s1.  Units are
+natural with the electron mass m = 1: energies are in units of m c^2 and,
+for the excess energy, in Hartree (m c^2 a^2); lengths in Bohr radii
+(hbar / (m c a)).
 
 An independent check is provided by ``energy_consistency_solve``, which
 recovers the energy by root-finding on the radial module's
@@ -31,7 +32,7 @@ from .model import FINE_STRUCTURE_ALPHA, ModelParams
 @dataclass
 class ClosedFormParams:
     """Shape parameters of the closed-form energy at a float sigma, or at an
-    array of sigma (then sigma, h, bracket, c1, c2 and c2sq_minus_1 are arrays)."""
+    array of sigma (then sigma, bracket, c1, c2 and c2sq_minus_1 are arrays)."""
 
     sigma: float
     alpha: float
@@ -39,7 +40,6 @@ class ClosedFormParams:
     j2: float
     s1: float
     s2: float
-    h: float
     bracket: float  # B above
     c1: float
     c2: float
@@ -63,32 +63,26 @@ class EquilibriumPoint:
     energy: float
 
 
-def h_ratio(sigma: float, s1: float, s2: float) -> float:
-    """Decay-rate ratio beta2/beta1 = sigma s2 / s1 at equilibrium."""
-    if s1 == 0:
-        raise ZeroDivisionError("s1 = 0 in the decay-rate ratio")
-    return sigma * s2 / s1
-
-
 def c_params(sigma, s1: float, s2: float, alpha: float,
              j1: float = 1.0, j2: float = 1.0) -> ClosedFormParams:
-    """Evaluate B, C1, C2 and h for given exponents, at a float or an array sigma.
+    """Evaluate B, C1 and C2 for given exponents, at a float or an array sigma.
 
     A complex or an mpmath sigma follows the float path (the minimizer's
-    complex-step slope relies on it).  A vanishing B raises ZeroDivisionError:
-    by Python's division, or by one check of the whole array, which numpy
+    complex-step slope relies on it).  A zero B^2, where B vanishes or B^2
+    underflows (at s1 = 0, B ~ sigma^3), raises ZeroDivisionError: by
+    Python's division, or by one check of the whole array, which numpy
     would divide silently.
     """
     w = (1 - sigma) * (1 - sigma)
     cube = sigma * sigma * sigma
     b = w * (s1 + 0.5) * s1 + 4 * cube * (s2 + 1.5) * s2
-    if hasattr(b, "all") and not b.all():
-        raise ZeroDivisionError("shape bracket B vanished; C2 is undefined")
+    bb = b * b
+    if hasattr(bb, "all") and not bb.all():
+        raise ZeroDivisionError("B^2 of the shape bracket is 0; C2 is undefined")
     d = 4 * alpha**2 * (1 + sigma) * (1 + sigma) * (w * s1**2 + 4 * cube * sigma * s2**2)
-    c2sq_minus_1 = d / (b * b)
-    return ClosedFormParams(sigma=sigma, alpha=alpha, j1=j1, j2=j2,
-                            s1=s1, s2=s2, h=h_ratio(sigma, s1, s2), bracket=b,
-                            c1=(b * b + d) ** 0.5, c2=(1 + c2sq_minus_1) ** 0.5,
+    c2sq_minus_1 = d / bb
+    return ClosedFormParams(sigma=sigma, alpha=alpha, j1=j1, j2=j2, s1=s1, s2=s2, bracket=b,
+                            c1=(bb + d) ** 0.5, c2=(1 + c2sq_minus_1) ** 0.5,
                             c2sq_minus_1=c2sq_minus_1)
 
 
@@ -104,14 +98,11 @@ def delta_e(cf: ClosedFormParams):
 
     The second term is evaluated as (1+sigma)(1 - C2)/(C2 alpha^2) with
     1 - C2 = -(D/B^2)/(1 + C2), which avoids the catastrophic cancellation
-    of the naive difference near sigma = 0.  At alpha = 0 the relativistic
-    term is defined to vanish and the first term remains.
+    of the naive difference near sigma = 0.  alpha must be nonzero.
     """
     s = cf.sigma
-    lead = 2 * s * (1 + s) * (1 + s) / cf.c1
-    if cf.alpha == 0:
-        return lead
-    return lead - (1 + s) * cf.c2sq_minus_1 / ((1 + cf.c2) * cf.c2 * cf.alpha**2)
+    return (2 * s * (1 + s) * (1 + s) / cf.c1
+            - (1 + s) * cf.c2sq_minus_1 / ((1 + cf.c2) * cf.c2 * cf.alpha**2))
 
 
 def radii_bohr(cf: ClosedFormParams) -> tuple:
@@ -164,15 +155,16 @@ class NoRootInBracketError(ValueError):
     """The function handed to ``brentq`` does not change sign over the bracket."""
 
 
-def brentq(f, a: float, b: float, xtol: float, rtol: float = 4 * math.ulp(1.0)) -> tuple:
+def brentq(f, a: float, b: float, xtol: float) -> tuple:
     """Root of f between a and b by Brent's method, as (root, iterations).
 
     A line-for-line transcription of scipy's ``brentq.c`` (R. P. Brent,
     Algorithms for Minimization without Derivatives, 1973, ch. 4): each step
     interpolates (secant or inverse quadratic) and bisects instead whenever
     the interpolated step would not shrink the bracket fast enough.  The
-    root x0 obeys |x0 - x*| <= xtol + rtol |x0|.  The ends are turned into
-    Python floats first, as scipy's wrapper does, so f sees the same x.
+    root x0 obeys |x0 - x*| <= xtol + rtol |x0|, with rtol fixed at scipy's
+    default 4 eps.  The ends are turned into Python floats first, as scipy's
+    wrapper does, so f sees the same x.
 
     Raises NoRootInBracketError if f(a) and f(b) have the same sign, and
     ValueError on a NaN value of f or after 100 steps without convergence.
@@ -196,6 +188,7 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float = 4 * math.ulp(1.0)) 
             f"f({xpre:.6g}) = {fpre:.3e}, f({xcur:.6g}) = {fcur:.3e}"
         )
     xblk = fblk = spre = scur = 0.0
+    rtol = 4 * math.ulp(1.0)
     for iterations in range(1, 101):  # scipy's default maxiter
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
@@ -235,8 +228,8 @@ def energy_consistency_solve(sigma: float, rho: float, cf: ClosedFormParams,
     Finds the E in ((1+s) a / rho, (1+s) + (1+s) a / rho) at which the
     determinant-route and fundamental-relation decay rates coincide
     (``radial.fundamental_residual`` = 0), with rho in natural units and
-    beta2 = h beta1.  This is independent of the closed form: at
-    rho = rho0(sigma) the root must reproduce ``energy_closed_form``.
+    beta2 = h beta1, h = sigma s2 / s1.  This is independent of the closed
+    form: at rho = rho0(sigma) the root must reproduce ``energy_closed_form``.
 
     sigma = 0 is the degenerate one-electron case and is answered with its
     limiting relation directly.
@@ -244,62 +237,53 @@ def energy_consistency_solve(sigma: float, rho: float, cf: ClosedFormParams,
     if sigma == 0:
         return _one_electron_energy(cf.s1, cf.alpha)
     params = ModelParams(sigma=sigma, alpha=cf.alpha, j1=cf.j1, j2=cf.j2)
+    h = cf.sigma * cf.s2 / cf.s1
     residual = partial(radial.fundamental_residual,
-                       radial.fundamental_relation(params, rho, cf.h, variant))
+                       radial.fundamental_relation(params, rho, h, variant))
     margin = 1e-12
     lo = (1 + sigma) * cf.alpha / rho + margin
     hi = (1 + sigma) + (1 + sigma) * cf.alpha / rho - margin
-    return brentq(residual, lo, hi, xtol=1e-15, rtol=8.9e-16)[0]
+    return brentq(residual, lo, hi, xtol=1e-15)[0]
 
 
 def energy_shifted_literal(cf: ClosedFormParams, rho: float, squared: bool = True) -> float:
     """Direct energy formula E = (1+s) a / rho + (1+s) / sqrt(1 + N / den).
 
-    N = 4 a^2 (1+s)^2 [(1-s)^2 + 4 s^2 h^2] and den is the fundamental
-    denominator, squared or not according to ``squared``.  Only the
-    squared reading is dimensionally consistent and matches the closed
-    form; both are kept so the verify report can state the arbitration.
+    N = 4 a^2 (1+s)^2 [(1-s)^2 + 4 s^2 h^2] with h = sigma s2 / s1, and den
+    is the fundamental denominator, squared or not according to ``squared``.
+    Only the squared reading is dimensionally consistent and matches the
+    closed form; both are kept so the verify report can state the arbitration.
     """
     params = ModelParams(sigma=cf.sigma, alpha=cf.alpha, j1=cf.j1, j2=cf.j2)
-    rest, coulomb, weight, _, dval = radial.fundamental_relation(params, rho, cf.h)
+    h = cf.sigma * cf.s2 / cf.s1
+    rest, coulomb, weight, _, dval = radial.fundamental_relation(params, rho, h)
     den = dval * dval if squared else dval
     num = 4 * cf.alpha**2 * (1 + cf.sigma) ** 2 * weight
     return coulomb + rest / math.sqrt(1 + num / den)
 
 
-def consistency_table(sigmas) -> dict:
-    """Worst relative deviation of the consistency root from the closed form, default constants.
+def arbitration_table(sigmas) -> dict:
+    """Worst relative deviation from the closed-form energy of each reading, default constants.
 
-    Evaluated for every fundamental-denominator variant; the verify report
-    uses this to state which reading agrees (the 'default') and by how
-    much the alternatives miss.
+    Keys 'default', 'alt-weight' and 'alt-shift' hold the consistency root
+    for each fundamental-denominator variant (inf where a variant has no
+    root), 'squared' and 'unsquared' the literal energy formula with either
+    inner denominator.  The verify report uses it to state which readings
+    agree with the closed form and by how much the alternatives miss.
     """
     points = [(cf, energy_closed_form(cf), rho0_natural(cf)) for cf in map(closed_form, sigmas)]
-    out = {}
-    for variant in radial.FUNDAMENTAL_DENOMINATORS:
-        worst = 0.0
-        for cf, e_ref, rho in points:
-            try:
-                e_root = energy_consistency_solve(cf.sigma, rho, cf, variant)
-            except (NoRootInBracketError, radial.NoRealDecayError):
-                worst = math.inf
-                break
-            worst = max(worst, abs(e_root - e_ref) / abs(e_ref))
-        out[variant] = worst
-    return out
 
+    def worst(energy):
+        try:
+            return max(abs(energy(cf, rho) - e_ref) / abs(e_ref) for cf, e_ref, rho in points)
+        except (NoRootInBracketError, radial.NoRealDecayError):
+            return math.inf
 
-def squared_reading_table(sigmas) -> dict:
-    """Worst closed-form deviation of the literal energy formula, by reading, default constants."""
-    points = [(cf, energy_closed_form(cf), rho0_natural(cf)) for cf in map(closed_form, sigmas)]
-    out = {}
-    for squared in (True, False):
-        worst = 0.0
-        for cf, e_ref, rho in points:
-            e_lit = energy_shifted_literal(cf, rho, squared=squared)
-            worst = max(worst, abs(e_lit - e_ref) / abs(e_ref))
-        out[squared] = worst
-    return out
+    table = {variant: worst(lambda cf, rho: energy_consistency_solve(cf.sigma, rho, cf, variant))
+             for variant in radial.FUNDAMENTAL_DENOMINATORS}
+    table["squared"] = worst(energy_shifted_literal)
+    table["unsquared"] = worst(partial(energy_shifted_literal, squared=False))
+    return table
 
 
 def ion_limit(alpha: float = FINE_STRUCTURE_ALPHA, j1: float = 1.0) -> float:

@@ -336,16 +336,16 @@ def spectrum_checks() -> list:
                                note="closed form vs m sqrt(1 - (2 alpha)^2)"))
 
     sigmas = np.linspace(0.06, 0.49, 10)
-    table = spectrum.consistency_table(sigmas)
+    table = spectrum.arbitration_table(sigmas)
     results.append(CheckResult("consistency root vs closed form", table["default"], hi=1e-6,
                                note="fundamental denominator: default reading selected"))
     for variant in ("alt-weight", "alt-shift"):
         results.append(CheckResult(f"{variant} denominator rejected", table[variant], lo=1e-6,
                                    note="disagrees with the closed form"))
-    sq = spectrum.squared_reading_table(sigmas)
-    results.append(CheckResult("energy relation inner denominator: squared", sq[True], hi=1e-9,
-                               note="squared reading selected"))
-    results.append(CheckResult("energy relation unsquared reading rejected", sq[False], lo=1e-7))
+    results.append(CheckResult("energy relation inner denominator: squared", table["squared"],
+                               hi=1e-9, note="squared reading selected"))
+    results.append(CheckResult("energy relation unsquared reading rejected", table["unsquared"],
+                               lo=1e-7))
 
     limit = spectrum.ion_limit()
     approach = np.array([1e-2, 1e-3, 1e-4])

@@ -215,11 +215,11 @@ def test_criterion_11_consistency_oracle():
         e_ref = spectrum.energy_closed_form(cf)
         e_root = spectrum.energy_consistency_solve(float(sigma), spectrum.rho0_natural(cf), cf)
         worst = max(worst, abs(e_root - e_ref) / e_ref)
-    squared = spectrum.squared_reading_table(sigmas)
-    ok = worst <= 1e-6 and squared[True] <= 1e-9 and squared[False] > 1e-6
+    table = spectrum.arbitration_table(sigmas)
+    ok = worst <= 1e-6 and table["squared"] <= 1e-9 and table["unsquared"] > 1e-6
     report(11, ok, f"root-finder vs closed form: rel dev {worst:.1e} <= 1e-6 at 10 sigmas; "
                    f"arbitration selects the SQUARED inner denominator "
-                   f"(squared {squared[True]:.1e}, unsquared {squared[False]:.1e})")
+                   f"(squared {table['squared']:.1e}, unsquared {table['unsquared']:.1e})")
 
 
 def test_fig_shape_single_interior_minimum():

@@ -331,6 +331,38 @@ def test_minimize_on_a_slope_flat_to_rounding_prints_finite_values(tmp_path, cap
     assert 0 < record["sigma0"] < 1
 
 
+S1_ZERO = ["--j1", "0.5", "--alpha", "1e-10"]  # s1 = -1/2 + sqrt(j1^2 - 4 alpha^2) rounds to 0
+
+
+def test_s1_zero_scan_and_ion_limit_print_finite_rows(capsys):
+    # no printed column reads the decay-rate ratio sigma s2 / s1
+    code, out, err = run(capsys, "scan", *S1_ZERO, "--points", "3")
+    assert code == 0, err
+    rows = np.array([[float(x) for x in line.split(",")] for line in out.splitlines()[1:]])
+    assert rows.shape == (3, 5) and np.isfinite(rows).all()
+    code, out, err = run(capsys, "ion-limit", *S1_ZERO)
+    assert code == 0, err
+    rows = np.array([[float(x) for x in line.split(",")] for line in out.splitlines()[1:]])
+    assert rows.shape == (3, 2) and np.isfinite(rows).all()
+
+
+def test_s1_zero_minimize_finds_no_interior_minimum(capsys):
+    code, out, err = run(capsys, "minimize", *S1_ZERO)
+    assert code == 3
+    assert err.startswith("numeric error: no interior minimum")
+    assert out == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_s1_zero_scan_where_b_squared_underflows_exits_three(capsys):
+    # B ~ 4 sigma^3 at s1 = 0, so B^2 is 0 in binary64 at sigma = 2.4e-57
+    code, out, err = run(capsys, "scan", *S1_ZERO, "--sigma-min", "2.4e-57",
+                         "--sigma-max", "2.3e-48", "--points", "3")
+    assert code == 3
+    assert err.startswith("numeric error: B^2")
+    assert out == ""
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7])
 def test_json_written_in_chunks_equals_one_dumps(monkeypatch, capsys, rows):
     monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)

@@ -121,7 +121,7 @@ def test_minimize_refines_the_prescan_minimum_not_the_whole_bracket():
     (0.05, 1.5, 1.0, (0.05, 0.5)), (0.08, 1.0, 2.0, (0.01, 0.99)), (0.02, 2.0, 1.5, (0.05, 0.5)),
     (0.1, 1.5, 1.5, (0.01, 0.99)),
 ])
-def test_minimize_equals_brentq_on_the_closed_form_slope(alpha, j1, j2, bracket):
+def test_minimize_equals_brentq_on_the_closed_form_slope(monkeypatch, alpha, j1, j2, bracket):
     # brentq on the bracket itself where its end slopes enclose the minimum, else on the
     # pre-scan's cell; the slope and pre-scan built from closed_form at every evaluation
     brentq = pytest.importorskip("scipy.optimize").brentq
@@ -136,8 +136,15 @@ def test_minimize_equals_brentq_on_the_closed_form_slope(alpha, j1, j2, bracket)
         k = int(np.argmin(spectrum.delta_e(spectrum.closed_form(grid, alpha=alpha, j1=j1,
                                                                 j2=j2))))
         lo, hi = grid[k - 1], grid[k + 1]
-    sigma0, root = brentq(slope, lo, hi, xtol=1e-6, full_output=True)
+    evaluated, calls = [], []
+    sigma0, root = brentq(lambda s: evaluated.append(s) or slope(s), lo, hi, xtol=1e-6,
+                          full_output=True)
+    monkeypatch.setattr(optimize, "delta_e",
+                        lambda cf: calls.append(cf.sigma) or spectrum.delta_e(cf))
     res = optimize.minimize_delta_e(bracket, alpha=alpha, j1=j1, j2=j2)
+    # one slope per sigma: brentq reuses the two bracket-end slopes the rule was decided on
+    slopes = [s.real for s in calls if np.ndim(s) == 0]
+    assert sorted(slopes) == sorted({*bracket, *evaluated})
     assert res.point.sigma == sigma0
     assert res.iterations == root.iterations
     assert res.point == spectrum.equilibrium_point(sigma0, alpha=alpha, j1=j1, j2=j2)

@@ -416,8 +416,9 @@ def test_consistency_solve_equals_brentq_on_per_energy_reference(variant):
         margin = 1e-12
         lo = (1 + sigma) * cf.alpha / rho + margin
         hi = (1 + sigma) + (1 + sigma) * cf.alpha / rho - margin
-        expected = brentq(lambda e: reference_residual(params, e, rho, cf.h, variant), lo, hi,
-                          xtol=1e-15, rtol=8.9e-16)
+        h = sigma * cf.s2 / cf.s1
+        expected = brentq(lambda e: reference_residual(params, e, rho, h, variant), lo, hi,
+                          xtol=1e-15)
         assert spectrum.energy_consistency_solve(sigma, rho, cf, variant) == expected
 
 

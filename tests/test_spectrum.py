@@ -7,19 +7,10 @@ from hespinor import radial, spectrum
 from hespinor.model import FINE_STRUCTURE_ALPHA, ModelParams, ParameterError
 
 ALPHA = FINE_STRUCTURE_ALPHA
-S1_REF = 0.4998934916189415
 # frozen from the closed form at the default alpha, j1 = j2 = 1
 DELTA_E_AT_01775 = -2.9058894089973757
 RHO0_AT_01775 = 0.862601427602529
 ION_LIMIT_REF = -2.0001065140541217
-
-
-def test_h_ratio_cases():
-    assert spectrum.h_ratio(0.0, 0.5, 0.5) == 0.0
-    assert spectrum.h_ratio(0.37, 0.5, 0.5) == pytest.approx(0.37, rel=1e-15)
-    assert spectrum.h_ratio(0.1775, S1_REF, S1_REF) == pytest.approx(0.1775, rel=1e-15)
-    with pytest.raises(ZeroDivisionError):
-        spectrum.h_ratio(0.3, 0.0, 0.5)
 
 
 def test_c_params_sigma_zero_identity():
@@ -44,6 +35,13 @@ def test_c1_equals_bracket_times_c2():
 def test_c_params_zero_bracket_rejected():
     with pytest.raises(ZeroDivisionError):
         spectrum.c_params(0.0, 0.0, 0.5, alpha=ALPHA)
+    # at s1 = 0, B = 4 sigma^3 (s2 + 3/2) s2 = 4e-180 is not 0, but B^2 underflows
+    # to 0 and an array would divide by it silently
+    sigma = np.array([1e-60])
+    b = 4 * sigma**3 * (0.5 + 1.5) * 0.5
+    assert b[0] != 0 and b[0] * b[0] == 0
+    with pytest.raises(ZeroDivisionError):
+        spectrum.c_params(sigma, 0.0, 0.5, 1e-10)
 
 
 def test_delta_e_frozen_reference_value():
@@ -65,11 +63,6 @@ def test_ion_limit_checks_alpha(alpha):
     # only alpha^2 enters, so -0.1 would return the value at +0.1; 0 would divide by zero
     with pytest.raises(ParameterError, match="^alpha"):
         spectrum.ion_limit(alpha, 1.0)
-
-
-def test_delta_e_alpha_zero_branch():
-    cf = spectrum.c_params(0.3, 0.5, 0.5, alpha=0.0)
-    assert spectrum.delta_e(cf) == pytest.approx(2 * 0.3 * 1.3**2 / cf.bracket, rel=1e-15)
 
 
 def test_rho0_frozen_value_and_radii_split():
@@ -132,7 +125,8 @@ def test_consistency_solver_residual_at_root():
     params_kw = dict(sigma=sigma, alpha=cf.alpha, j1=cf.j1, j2=cf.j2)
     from hespinor.model import ModelParams
     e_root = spectrum.energy_consistency_solve(sigma, rho, cf)
-    res = radial.fundamental_residual(radial.fundamental_relation(ModelParams(**params_kw), rho, cf.h),
+    h = sigma * cf.s2 / cf.s1
+    res = radial.fundamental_residual(radial.fundamental_relation(ModelParams(**params_kw), rho, h),
                                       e_root)
     assert abs(res) <= 1e-12
 
@@ -159,47 +153,48 @@ def test_one_electron_energy_agrees_on_every_route(alpha, j1):
 def test_consistency_solver_reports_no_root():
     import dataclasses
     cf = spectrum.closed_form(0.3)
-    broken = dataclasses.replace(cf, h=-5.0)  # negative ratio flips the relation's sign
+    # h = sigma s2 / s1 = -5: a negative ratio flips the relation's sign
+    broken = dataclasses.replace(cf, s2=-5 * cf.s1 / 0.3)
     with pytest.raises(spectrum.NoRootInBracketError):
         spectrum.energy_consistency_solve(0.3, spectrum.rho0_natural(cf), broken)
 
 
 def test_alternative_denominators_disagree():
-    table = spectrum.consistency_table(np.linspace(0.06, 0.49, 10))
+    table = spectrum.arbitration_table(np.linspace(0.06, 0.49, 10))
     assert table["default"] <= 1e-9
     assert table["alt-weight"] > 1e-6
     assert table["alt-shift"] > 1e-6
 
 
 def test_squared_reading_selected():
-    table = spectrum.squared_reading_table(np.linspace(0.06, 0.49, 10))
-    assert table[True] <= 1e-9
-    assert table[False] > 1e-6
+    table = spectrum.arbitration_table(np.linspace(0.06, 0.49, 10))
+    assert table["squared"] <= 1e-9
+    assert table["unsquared"] > 1e-6
 
 
 def test_tables_equal_per_sigma_loops_with_one_closed_form_per_sigma(monkeypatch):
     sigmas = np.linspace(0.06, 0.49, 10)
     closed_form, calls = spectrum.closed_form, []
     monkeypatch.setattr(spectrum, "closed_form", lambda s: calls.append(s) or closed_form(s))
-    roots = spectrum.consistency_table(sigmas)
-    literal = spectrum.squared_reading_table(sigmas)
-    assert len(calls) == 2 * len(sigmas)
-    for variant, worst in roots.items():
+    table = spectrum.arbitration_table(sigmas)
+    assert len(calls) == len(sigmas)
+    assert list(table) == [*radial.FUNDAMENTAL_DENOMINATORS, "squared", "unsquared"]
+    for variant in radial.FUNDAMENTAL_DENOMINATORS:
         errs = []
         for sigma in sigmas:
             cf = closed_form(sigma)
             e_ref = spectrum.energy_closed_form(cf)
             e_root = spectrum.energy_consistency_solve(sigma, spectrum.rho0_natural(cf), cf, variant)
             errs.append(abs(e_root - e_ref) / abs(e_ref))
-        assert worst == max(errs)
-    for squared, worst in literal.items():
+        assert table[variant] == max(errs)
+    for key, squared in (("squared", True), ("unsquared", False)):
         errs = []
         for sigma in sigmas:
             cf = closed_form(sigma)
             e_ref = spectrum.energy_closed_form(cf)
             e_lit = spectrum.energy_shifted_literal(cf, spectrum.rho0_natural(cf), squared=squared)
             errs.append(abs(e_lit - e_ref) / abs(e_ref))
-        assert worst == max(errs)
+        assert table[key] == max(errs)
 
 
 def test_literal_energy_relation_squared_equals_closed_form():
@@ -319,10 +314,11 @@ def test_brentq_equals_scipy_bit_for_bit():
         for sigma in np.linspace(0.002, 0.998, 500).tolist():
             cf = spectrum.closed_form(sigma)
             rho = spectrum.rho0_natural(cf)
-            relation = radial.fundamental_relation(ModelParams(sigma=sigma), rho, cf.h, variant)
+            relation = radial.fundamental_relation(ModelParams(sigma=sigma), rho,
+                                                   sigma * cf.s2 / cf.s1, variant)
             coulomb = (1 + sigma) * ALPHA / rho
             both(lambda e: radial.fundamental_residual(relation, e),
-                 coulomb + 1e-12, (1 + sigma) + coulomb - 1e-12, xtol=1e-15, rtol=8.9e-16)
+                 coulomb + 1e-12, (1 + sigma) + coulomb - 1e-12, xtol=1e-15)
             solves += 1
     # values so small that the extrapolation divisor underflows to 0: scipy bisects there
     for f, lo, hi in ((lambda x: 1e-160 * (x**3 - 0.2), 0.0, 1.0),

@@ -128,8 +128,8 @@ def test_informational_check_prints_info_and_fails_only_on_nan():
 
 
 def _accept_alt_weight(monkeypatch):
-    table = spectrum.consistency_table
-    monkeypatch.setattr(spectrum, "consistency_table",
+    table = spectrum.arbitration_table
+    monkeypatch.setattr(spectrum, "arbitration_table",
                         lambda sigmas: {**table(sigmas), "alt-weight": 0.0})
 
 
