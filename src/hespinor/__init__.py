@@ -2,7 +2,7 @@
 
 Subpackages by role:
 
-* ``model``     -- constants and the parameter domain (no numpy)
+* ``model``     -- constants, the parameter domain and the radial exponents
 * ``clifford``  -- gamma-matrix tables and spin projections
 * ``operators`` -- finite-difference Hamiltonian / angular-momentum lab
 * ``angular``   -- phase ansatz and separation into a radial system
@@ -19,7 +19,10 @@ to exit code 2.
 
 The names of the finite-difference lab (``ConfigPoint``, ``SpinorField``,
 ``SingularPointError``) are resolved on first use, so that importing the
-package, like ``hespinor minimize``, loads no numpy.
+package, like ``hespinor minimize``, loads no numpy.  Nor does it load
+``dataclasses``, ``json`` or ``radial``: the records of ``model``,
+``spectrum`` and ``optimize`` are ``collections.namedtuple`` subclasses,
+and ``spectrum`` imports ``radial`` only inside the consistency solve.
 """
 
 from .model import FINE_STRUCTURE_ALPHA, ModelParams, ParameterError

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
@@ -63,12 +62,14 @@ def _write_csv(columns, fields, stream):
         for column in columns:
             parts += [_format_17g(column[start:stop]), np.full((stop - start, 1), ord(","), np.uint8)]
         parts[-1][:] = ord("\n")
-        stream.write(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode("ascii"))
+        stream.write(np.concatenate(parts, axis=1).tobytes().replace(b"\0", b"").decode("ascii"))
 
 
 def _write_json(columns, fields, stream):
     """``json.dumps(rows, indent=2) + "\\n"`` for at least one row, CSV_CHUNK_ROWS
     rows at a time: each chunk's list without its brackets, joined by commas."""
+    import json
+
     for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
         rows = zip(*(column[start:start + CSV_CHUNK_ROWS] for column in columns))
         text = json.dumps([dict(zip(fields, row)) for row in rows], indent=2)
@@ -112,6 +113,8 @@ def cmd_minimize(args) -> int:
         "iterations": result.iterations,
     }
     if args.fmt == "json":
+        import json
+
         text = json.dumps(record, indent=2) + "\n"
     else:
         lines = [f"{k} = {_fmt(v) if not isinstance(v, int) else v}" for k, v in record.items()]

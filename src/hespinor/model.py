@@ -1,14 +1,16 @@
 """Physical constants and the parameter domain of the two-electron model.
 
-Every layer checks its parameters through ``ModelParams``.  This module
-imports no numpy, so a command that needs no arrays (``hespinor minimize``)
-never loads it.
+Every layer checks its parameters through ``ModelParams``, and takes the
+radial exponents from ``exponents``.  This module imports no numpy and no
+dataclasses: the records on the command-line path are ``namedtuple``
+subclasses, so a command that needs no arrays (``hespinor minimize``)
+loads neither.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 FINE_STRUCTURE_ALPHA = 1.0 / 137.035999084
 J_MAX = 2.0**254  # largest |j|: above it B ~ 4 j^2 at sigma = 1 has an infinite square
@@ -19,28 +21,44 @@ class ParameterError(ValueError):
     """A parameter lies outside the model's domain; the message starts with its name."""
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(namedtuple("ModelParams", "sigma alpha j1 j2")):
     """Physical constants and quantum numbers of the two-electron model.
 
     sigma is the penetration factor mixing the two one-electron
     Hamiltonians, H = (1 - sigma) H1 + 2 sigma H2.  j1 and j2 must satisfy
     j^2 > 4 alpha^2 so the radial exponents stay real, and |j| <= J_MAX so
-    the closed form stays finite.
+    the closed form stays finite.  Every instance is checked, ``_replace``
+    and ``_make`` included.
     """
 
-    sigma: float
-    alpha: float = FINE_STRUCTURE_ALPHA
-    j1: float = 1.0
-    j2: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.sigma <= 1.0:
-            raise ParameterError(f"sigma must lie in [0, 1], got {self.sigma}")
+    def __new__(cls, sigma, alpha=FINE_STRUCTURE_ALPHA, j1=1.0, j2=1.0):
+        if not 0.0 <= sigma <= 1.0:
+            raise ParameterError(f"sigma must lie in [0, 1], got {sigma}")
         # below 2**-511 alpha^2 is subnormal, and delta_e = (E - 1 - sigma) / alpha^2 loses digits
-        if not 2.0**-511 <= self.alpha < math.inf:
-            raise ParameterError(f"alpha = {self.alpha!r}: need a finite alpha >= 2**-511")
-        for name, j in (("j1", self.j1), ("j2", self.j2)):
-            if not 4 * self.alpha**2 < j * j <= J_MAX * J_MAX:
+        if not 2.0**-511 <= alpha < math.inf:
+            raise ParameterError(f"alpha = {alpha!r}: need a finite alpha >= 2**-511")
+        for name, j in (("j1", j1), ("j2", j2)):
+            if not 4 * alpha**2 < j * j <= J_MAX * J_MAX:
                 raise ParameterError(f"{name} = {j!r}: need {name}^2 > 4 alpha^2 for real "
                                      f"exponents and |{name}| <= 2**254")
+        return super().__new__(cls, sigma, alpha, j1, j2)
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
+
+
+def exponents(j1: float, j2: float, alpha: float) -> tuple:
+    """Leading radial exponents s_k = -1/2 + sqrt(j_k^2 - 4 alpha^2); j_k^2 <= 4 alpha^2,
+    where s_k would be complex, raises ParameterError."""
+    out = []
+    for name, j in (("j1", j1), ("j2", j2)):
+        disc = j * j - 4 * alpha * alpha
+        if disc <= 0:
+            raise ParameterError(
+                f"{name}^2 = {j * j} does not exceed 4*alpha^2 = {4 * alpha * alpha}"
+            )
+        out.append(-0.5 + math.sqrt(disc))
+    return tuple(out)

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .model import FINE_STRUCTURE_ALPHA, SIGMA_MIN, ModelParams, ParameterError
-from .radial import exponents
+from .model import FINE_STRUCTURE_ALPHA, SIGMA_MIN, ModelParams, ParameterError, exponents
 from .spectrum import EquilibriumPoint, brentq, c_params, closed_form, delta_e, equilibrium_point
 
 _PRESCAN_POINTS = 32
@@ -37,10 +36,11 @@ def check_parameters(alpha: float, j1: float, j2: float, sigmas, tol: float | No
         raise ParameterError(f"tol = {tol!r}: need tol >= {floor:.3g}, one ulp of sigma")
 
 
-@dataclass(frozen=True)
-class MinimizeResult:
-    point: EquilibriumPoint
-    iterations: int  # Brent steps on the bracket, or on the pre-scan's cell around its minimum
+class MinimizeResult(namedtuple("MinimizeResult", "point iterations")):
+    """The ground state's EquilibriumPoint, and the Brent steps taken on the
+    bracket, or on the pre-scan's cell around its minimum."""
+
+    __slots__ = ()
 
 
 def scan_sigma(sigma_min: float, sigma_max: float, n_points: int,

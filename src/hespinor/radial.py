@@ -21,10 +21,10 @@ m c^2, decay rates and inverse radii in units of m c / hbar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from .model import ModelParams, ParameterError
+from .model import ModelParams, exponents
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,20 +36,6 @@ class NoRealDecayError(ValueError):
 
 class DegenerateKernelError(ZeroDivisionError):
     """gamma2 = 0 makes the closed-form kernel vectors singular."""
-
-
-def exponents(j1: float, j2: float, alpha: float) -> tuple:
-    """Leading radial exponents s_k = -1/2 + sqrt(j_k^2 - 4 alpha^2); j_k^2 <= 4 alpha^2,
-    where s_k would be complex, raises ParameterError."""
-    out = []
-    for name, j in (("j1", j1), ("j2", j2)):
-        disc = j * j - 4 * alpha * alpha
-        if disc <= 0:
-            raise ParameterError(
-                f"{name}^2 = {j * j} does not exceed 4*alpha^2 = {4 * alpha * alpha}"
-            )
-        out.append(-0.5 + math.sqrt(disc))
-    return tuple(out)
 
 
 def indicial_matrix(which: int, j: float, s: float, alpha: float) -> np.ndarray:
@@ -87,8 +73,7 @@ def indicial_matrix(which: int, j: float, s: float, alpha: float) -> np.ndarray:
     raise ValueError(f"which must be 1 or 2, got {which!r}")
 
 
-@dataclass(frozen=True)
-class IndicialKernel:
+class IndicialKernel(namedtuple("IndicialKernel", "ratio ratio_alt second_ratio")):
     """Coefficient ratios spanning the kernel of one indicial system.
 
     For which=1 the blocks pair (a100, a300) and (a200, a400); for which=2
@@ -97,9 +82,7 @@ class IndicialKernel:
     exactly when the determinant vanishes.
     """
 
-    ratio: float
-    ratio_alt: float
-    second_ratio: float
+    __slots__ = ()
 
 
 def indicial_kernel(which: int, j: float, alpha: float) -> IndicialKernel:
@@ -137,8 +120,7 @@ def indicial_kernel_angles(j1: float, j2: float, alpha: float) -> np.ndarray:
     return np.arccos(svals)
 
 
-@dataclass(frozen=True)
-class GammaRho:
+class GammaRho(namedtuple("GammaRho", "gamma1 gamma2")):
     """Energy/potential combinations entering the radial coefficients.
 
     gamma1 = (1+sigma) + E - (1+sigma) alpha / rho
@@ -147,8 +129,7 @@ class GammaRho:
     Their sum is 2 (1+sigma), the two rest masses, identically.
     """
 
-    gamma1: float
-    gamma2: float
+    __slots__ = ()
 
     @classmethod
     def from_energy(cls, sigma, alpha, energy, rho) -> "GammaRho":
@@ -156,17 +137,11 @@ class GammaRho:
         return cls(gamma1=(1 + sigma) + shift, gamma2=(1 + sigma) - shift)
 
 
-@dataclass(frozen=True)
-class RadialAnsatz:
+class RadialAnsatz(namedtuple("RadialAnsatz", "beta1 beta2 a100 a200 a300 a400")):
     """Decay rates and leading coefficients of the power-exponential solution;
     j1, j2 and the exponents come from the ModelParams it is used with."""
 
-    beta1: float
-    beta2: float
-    a100: float
-    a200: float
-    a300: float
-    a400: float
+    __slots__ = ()
 
 
 def first_order_brackets(params: ModelParams) -> tuple:

@@ -16,38 +16,33 @@ for the excess energy, in Hartree (m c^2 a^2); lengths in Bohr radii
 
 An independent check is provided by ``energy_consistency_solve``, which
 recovers the energy by root-finding on the radial module's
-``fundamental_residual`` instead of using the closed form.
+``fundamental_residual`` instead of using the closed form.  ``radial`` is
+imported by the functions that solve that relation, so the closed form
+alone, like ``hespinor minimize``, does not load it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
-from . import radial
-from .model import FINE_STRUCTURE_ALPHA, ModelParams
+from .model import FINE_STRUCTURE_ALPHA, ModelParams, exponents
 
 
-@dataclass
-class ClosedFormParams:
+class ClosedFormParams(namedtuple("ClosedFormParams",
+                                  "sigma alpha j1 j2 s1 s2 bracket c1 c2 c2sq_minus_1")):
     """Shape parameters of the closed-form energy at a float sigma, or at an
-    array of sigma (then sigma, bracket, c1, c2 and c2sq_minus_1 are arrays)."""
+    array of sigma (then sigma, bracket, c1, c2 and c2sq_minus_1 are arrays).
 
-    sigma: float
-    alpha: float
-    j1: float
-    j2: float
-    s1: float
-    s2: float
-    bracket: float  # B above
-    c1: float
-    c2: float
-    c2sq_minus_1: float  # D / B^2, exact where C2^2 - 1 would cancel
+    ``bracket`` is B above, and ``c2sq_minus_1`` is D / B^2, exact where
+    C2^2 - 1 would cancel.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EquilibriumPoint:
+class EquilibriumPoint(namedtuple("EquilibriumPoint", "sigma delta_e rho0 r10 r20 energy")):
     """Excess energy and equilibrium geometry at one sigma, or a whole scan.
 
     delta_e is in Hartree; rho0, r10, r20 in Bohr radii; energy in units
@@ -55,12 +50,7 @@ class EquilibriumPoint:
     For an array sigma every field is an array of sigma's shape.
     """
 
-    sigma: float
-    delta_e: float
-    rho0: float
-    r10: float
-    r20: float
-    energy: float
+    __slots__ = ()
 
 
 def c_params(sigma, s1: float, s2: float, alpha: float,
@@ -81,15 +71,14 @@ def c_params(sigma, s1: float, s2: float, alpha: float,
         raise ZeroDivisionError("B^2 of the shape bracket is 0; C2 is undefined")
     d = 4 * alpha**2 * (1 + sigma) * (1 + sigma) * (w * s1**2 + 4 * cube * sigma * s2**2)
     c2sq_minus_1 = d / bb
-    return ClosedFormParams(sigma=sigma, alpha=alpha, j1=j1, j2=j2, s1=s1, s2=s2, bracket=b,
-                            c1=(bb + d) ** 0.5, c2=(1 + c2sq_minus_1) ** 0.5,
-                            c2sq_minus_1=c2sq_minus_1)
+    return ClosedFormParams(sigma, alpha, j1, j2, s1, s2, b, (bb + d) ** 0.5,
+                            (1 + c2sq_minus_1) ** 0.5, c2sq_minus_1)
 
 
 def closed_form(sigma, alpha: float = FINE_STRUCTURE_ALPHA,
                 j1: float = 1.0, j2: float = 1.0) -> ClosedFormParams:
     """c_params with the exponents derived from (j1, j2, alpha)."""
-    s1, s2 = radial.exponents(j1, j2, alpha)
+    s1, s2 = exponents(j1, j2, alpha)
     return c_params(sigma, s1, s2, alpha, j1=j1, j2=j2)
 
 
@@ -141,8 +130,7 @@ def equilibrium_point(sigma, alpha: float = FINE_STRUCTURE_ALPHA,
     """Excess energy and geometry at a float sigma, or at every sigma of an array."""
     cf = closed_form(sigma, alpha=alpha, j1=j1, j2=j2)
     r10, r20 = radii_bohr(cf)
-    return EquilibriumPoint(sigma=sigma, delta_e=delta_e(cf), rho0=r10 + r20,
-                            r10=r10, r20=r20, energy=energy_closed_form(cf))
+    return EquilibriumPoint(sigma, delta_e(cf), r10 + r20, r10, r20, energy_closed_form(cf))
 
 
 def _one_electron_energy(s1: float, alpha: float) -> float:
@@ -236,6 +224,8 @@ def energy_consistency_solve(sigma: float, rho: float, cf: ClosedFormParams,
     """
     if sigma == 0:
         return _one_electron_energy(cf.s1, cf.alpha)
+    from . import radial
+
     params = ModelParams(sigma=sigma, alpha=cf.alpha, j1=cf.j1, j2=cf.j2)
     h = cf.sigma * cf.s2 / cf.s1
     residual = partial(radial.fundamental_residual,
@@ -254,6 +244,8 @@ def energy_shifted_literal(cf: ClosedFormParams, rho: float, squared: bool = Tru
     Only the squared reading is dimensionally consistent and matches the
     closed form; both are kept so the verify report can state the arbitration.
     """
+    from . import radial
+
     params = ModelParams(sigma=cf.sigma, alpha=cf.alpha, j1=cf.j1, j2=cf.j2)
     h = cf.sigma * cf.s2 / cf.s1
     rest, coulomb, weight, _, dval = radial.fundamental_relation(params, rho, h)
@@ -271,6 +263,8 @@ def arbitration_table(sigmas) -> dict:
     inner denominator.  The verify report uses it to state which readings
     agree with the closed form and by how much the alternatives miss.
     """
+    from . import radial
+
     points = [(cf, energy_closed_form(cf), rho0_natural(cf)) for cf in map(closed_form, sigmas)]
 
     def worst(energy):
@@ -293,5 +287,5 @@ def ion_limit(alpha: float = FINE_STRUCTURE_ALPHA, j1: float = 1.0) -> float:
     the one-electron (charge 2) ground state measured from the rest mass.
     """
     ModelParams(sigma=0.0, alpha=alpha, j1=j1, j2=j1)
-    s1, _ = radial.exponents(j1, j1, alpha)
+    s1, _ = exponents(j1, j1, alpha)
     return (_one_electron_energy(s1, alpha) - 1) / alpha**2

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import angular, clifford, optimize, radial, spectrum
-from .model import FINE_STRUCTURE_ALPHA, ModelParams
+from .model import FINE_STRUCTURE_ALPHA, ModelParams, exponents
 from .operators import (
     CANONICAL_ASSIGNMENT,
     E2_EXCHANGED_ASSIGNMENT,
@@ -246,7 +246,7 @@ def radial_checks() -> list:
     results = []
     worst_at = 0.0
     worst_off = math.inf
-    for which, j, s_star in zip((1, 2), (1.0, 1.0), radial.exponents(1.0, 1.0, alpha)):
+    for which, j, s_star in zip((1, 2), (1.0, 1.0), exponents(1.0, 1.0, alpha)):
         worst_at = max(worst_at, abs(np.linalg.det(radial.indicial_matrix(which, j, s_star, alpha))))
         for ds in (0.01, -0.01):
             worst_off = min(worst_off, abs(np.linalg.det(

@@ -438,22 +438,24 @@ def test_no_command_imports_scipy():
     assert proc.stdout.splitlines()[-1] == "False"
 
 
-def test_minimize_imports_no_numpy():
-    # the package, the parser and the scalar ground-state search run on the stdlib alone
+def test_cli_startup_loads_no_dataclasses_json_radial_or_numpy():
+    # -S: no site hook may preload any of them and hide an import on the command path
     code = ("import contextlib, io, sys\n"
-            "import hespinor\n"
-            "assert 'numpy' not in sys.modules, 'import hespinor'\n"
-            "from hespinor import cli\n"
+            "import hespinor.cli\n"
+            "hespinor.cli.build_parser()\n"
+            "names = ('dataclasses', 'json', 'hespinor.radial', 'numpy')\n"
+            "print(*(name in sys.modules for name in names))\n"
             "for argv in (['minimize'], ['minimize', '--format', 'json']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert cli.main(argv) == 0, argv\n"
-            "    assert 'numpy' not in sys.modules, argv\n"
-            "print('ok')")
+            "        assert hespinor.cli.main(argv) == 0, argv\n"
+            "    print(*(name in sys.modules for name in names))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "ok\n"
+    assert proc.stdout.splitlines() == ["False False False False",  # import and parser
+                                        "False False False False",  # minimize
+                                        "False True False False"]   # minimize --format json
 
 
 def test_package_names_resolve():

@@ -1,7 +1,5 @@
 """Properties of the closed form over sigma arrays in (0, 1]."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -21,12 +19,12 @@ def test_property_array_equals_scalar(sigmas):
     batch = spectrum.equilibrium_point(sigmas)
     for i, sigma in enumerate(sigmas.tolist()):
         point = spectrum.equilibrium_point(sigma)
-        for field in dataclasses.fields(spectrum.EquilibriumPoint):
-            got, want = getattr(batch, field.name)[i], getattr(point, field.name)
+        for field in spectrum.EquilibriumPoint._fields:
+            got, want = getattr(batch, field)[i], getattr(point, field)
             # ``** 0.5`` of a float and numpy's sqrt may differ in the last ulp;
             # delta_e crosses zero near sigma = 0.4, so it is scaled by max(|x|, 1)
-            scale = max(abs(want), 1.0) if field.name == "delta_e" else abs(want)
-            assert abs(got - want) <= 1e-15 * scale, (field.name, sigma)
+            scale = max(abs(want), 1.0) if field == "delta_e" else abs(want)
+            assert abs(got - want) <= 1e-15 * scale, (field, sigma)
 
 
 @PROPERTY

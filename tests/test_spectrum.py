@@ -151,10 +151,9 @@ def test_one_electron_energy_agrees_on_every_route(alpha, j1):
 
 
 def test_consistency_solver_reports_no_root():
-    import dataclasses
     cf = spectrum.closed_form(0.3)
     # h = sigma s2 / s1 = -5: a negative ratio flips the relation's sign
-    broken = dataclasses.replace(cf, s2=-5 * cf.s1 / 0.3)
+    broken = cf._replace(s2=-5 * cf.s1 / 0.3)
     with pytest.raises(spectrum.NoRootInBracketError):
         spectrum.energy_consistency_solve(0.3, spectrum.rho0_natural(cf), broken)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -135,8 +134,8 @@ def _accept_alt_weight(monkeypatch):
 
 def _sigma0_at_lower_edge(monkeypatch):
     minimize = optimize.minimize_delta_e
-    monkeypatch.setattr(optimize, "minimize_delta_e", lambda *a, **k: dataclasses.replace(
-        minimize(*a, **k), point=spectrum.equilibrium_point(0.1765)))
+    monkeypatch.setattr(optimize, "minimize_delta_e", lambda *a, **k: minimize(*a, **k)._replace(
+        point=spectrum.equilibrium_point(0.1765)))
 
 
 def _nan_kernel_angles(monkeypatch):
