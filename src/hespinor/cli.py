@@ -13,8 +13,6 @@ non-unimodal bracket).  The handlers take the argparse namespace; the
 parser holds the only defaults and the library the only checks.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import os

@@ -7,8 +7,6 @@ subclasses, so a command that needs no arrays (``hespinor minimize``)
 loads neither.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

@@ -1,19 +1,17 @@
 """Sigma scan and ground-state search: Brent's method on the complex-step slope of the excess energy."""
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 
 from .model import FINE_STRUCTURE_ALPHA, SIGMA_MIN, ModelParams, ParameterError, exponents
 from .spectrum import EquilibriumPoint, brentq, c_params, closed_form, delta_e, equilibrium_point
 
-_PRESCAN_POINTS = 32
+_GRID_POINTS = 32
 
 
 class NonUnimodalError(ValueError):
-    """The bracket's end slopes do not enclose a minimum, and the coarse pre-scan
-    found no interior minimum either."""
+    """The bracket's end slopes do not enclose a minimum, and the walk over the
+    coarse grid found no interior minimum either."""
 
 
 def check_parameters(alpha: float, j1: float, j2: float, sigmas, tol: float | None = None):
@@ -38,7 +36,7 @@ def check_parameters(alpha: float, j1: float, j2: float, sigmas, tol: float | No
 
 class MinimizeResult(namedtuple("MinimizeResult", "point iterations")):
     """The ground state's EquilibriumPoint, and the Brent steps taken on the
-    bracket, or on the pre-scan's cell around its minimum."""
+    bracket, or on the grid cell around the walk's minimum."""
 
     __slots__ = ()
 
@@ -83,9 +81,13 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
     bracket itself.  Other (alpha, j1, j2) take the same rule unproven.
 
     Otherwise (an end past the maximum, or a bracket without sigma0) a
-    32-point pre-scan must find some interior grid point strictly below
-    both bracket ends, and brentq solves between that point's two
-    neighbours; without one it raises NonUnimodalError.
+    walk over the 32-point grid lo + k (hi - lo) / 31 must find a point
+    strictly below both bracket ends, and brentq solves between the lowest
+    point's two neighbours; without one, or on a NaN, it raises
+    NonUnimodalError.  Where s1, s2 > 0 the walk stops at its first strict
+    rise: past it delta_e climbs to the maximum and then only falls, so
+    the grid's lowest point is the walk's minimum or hi.  At s1 <= 0 or
+    s2 <= 0 it walks all 32 points, as the slope may change sign more often.
 
     B > 0 holds on (0, 1] when s1, s2 > 0, that is j^2 - 4 a^2 > 1/4 for
     both electrons.  Below that B can change sign inside the bracket; the
@@ -95,24 +97,36 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
     """
     lo, hi = sorted(map(float, bracket))
     check_parameters(alpha, j1, j2, (lo, hi), tol)
-
     s1, s2 = exponents(j1, j2, alpha)
 
+    def excess(sigma):
+        return delta_e(c_params(sigma, s1, s2, alpha, j1=j1, j2=j2))
+
     def slope(sigma):
-        return delta_e(c_params(sigma + 1e-30j, s1, s2, alpha, j1=j1, j2=j2)).imag / 1e-30
+        return excess(sigma + 1e-30j).imag / 1e-30
 
     ends = {lo: slope(lo), hi: slope(hi)}
     if not ends[lo] < 0 < ends[hi]:
-        import numpy as np
-        grid = np.linspace(lo, hi, _PRESCAN_POINTS)
-        values = delta_e(c_params(grid, s1, s2, alpha, j1=j1, j2=j2))
-        if not values[0] > values.min() < values[-1]:
-            raise NonUnimodalError(
-                f"no interior minimum on [{lo}, {hi}]: coarse scan bottoms out at the "
-                "bracket edge; widen or reposition the bracket"
-            )
-        k = int(np.argmin(values))
-        lo, hi = grid[k - 1], grid[k + 1]
+        step, stop_at_rise = (hi - lo) / (_GRID_POINTS - 1), s1 > 0 and s2 > 0
+
+        def grid(k):  # np.linspace(lo, hi, 32)[k], bit for bit
+            return hi if k == _GRID_POINTS - 1 else k * step + lo
+
+        first = least = excess(lo)
+        k_least = 0
+        for k in range(1, _GRID_POINTS - 1):
+            value = excess(grid(k))
+            if value < least:
+                least, k_least = value, k
+            elif value != value:
+                least = value  # a NaN fails the test below
+                break
+            elif stop_at_rise and value > least:
+                break
+        if not first > least < excess(hi):
+            raise NonUnimodalError(f"no interior minimum on [{lo}, {hi}]: coarse scan bottoms "
+                                   "out at the bracket edge; widen or reposition the bracket")
+        lo, hi = grid(k_least - 1), grid(k_least + 1)
     # brentq starts by evaluating both ends: reuse the rule's two slopes
     sigma0, iterations = brentq(lambda s: ends[s] if s in ends else slope(s), lo, hi, xtol=tol)
     return MinimizeResult(point=equilibrium_point(sigma0, alpha=alpha, j1=j1, j2=j2),

@@ -21,8 +21,6 @@ imported by the functions that solve that relation, so the closed form
 alone, like ``hespinor minimize``, does not load it.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import partial
@@ -89,9 +87,9 @@ def delta_e(cf: ClosedFormParams):
     1 - C2 = -(D/B^2)/(1 + C2), which avoids the catastrophic cancellation
     of the naive difference near sigma = 0.  alpha must be nonzero.
     """
-    s = cf.sigma
+    s, c2 = cf.sigma, cf.c2
     return (2 * s * (1 + s) * (1 + s) / cf.c1
-            - (1 + s) * cf.c2sq_minus_1 / ((1 + cf.c2) * cf.c2 * cf.alpha**2))
+            - (1 + s) * cf.c2sq_minus_1 / ((1 + c2) * c2 * cf.alpha**2))
 
 
 def radii_bohr(cf: ClosedFormParams) -> tuple:

@@ -445,16 +445,23 @@ def test_cli_startup_loads_no_dataclasses_json_radial_or_numpy():
             "hespinor.cli.build_parser()\n"
             "names = ('dataclasses', 'json', 'hespinor.radial', 'numpy')\n"
             "print(*(name in sys.modules for name in names))\n"
-            "for argv in (['minimize'], ['minimize', '--format', 'json']):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert hespinor.cli.main(argv) == 0, argv\n"
+            "for argv, exit_code in ((['minimize'], 0),\n"
+            "                        (['minimize', '--sigma-min', '0.01', '--sigma-max', '0.99'], 0),\n"
+            "                        (['minimize', '--sigma-min', '0.3', '--sigma-max', '0.9'], 3),\n"
+            "                        (['minimize', '--format', 'json'], 0)):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "            contextlib.redirect_stderr(io.StringIO()):\n"
+            "        assert hespinor.cli.main(argv) == exit_code, argv\n"
             "    print(*(name in sys.modules for name in names))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    # the grid walk on (0.01, 0.99), and its rejection of (0.3, 0.9), load none of them either
     assert proc.stdout.splitlines() == ["False False False False",  # import and parser
                                         "False False False False",  # minimize
+                                        "False False False False",  # (0.01, 0.99)
+                                        "False False False False",  # (0.3, 0.9), exit 3
                                         "False True False False"]   # minimize --format json
 
 
@@ -471,7 +478,7 @@ def test_package_names_resolve():
 
 
 def test_numeric_error_exit_code(capsys):
-    # increasing objective on (0.3, 0.9): the pre-scan rejects the bracket
+    # delta_e rises from 0.3 to its maximum near 0.6, then falls: the grid walk rejects (0.3, 0.9)
     code, _, err = run(capsys, "minimize", "--sigma-min", "0.3", "--sigma-max", "0.9")
     assert code == 3
     assert "numeric error" in err

@@ -116,25 +116,41 @@ def test_minimize_refines_the_prescan_minimum_not_the_whole_bracket():
     assert pt.delta_e <= table.delta_e.min()
 
 
+def _slope(alpha, j1, j2):
+    return lambda sigma: spectrum.delta_e(spectrum.closed_form(sigma + 1e-30j, alpha=alpha, j1=j1,
+                                                               j2=j2)).imag / 1e-30
+
+
+def _numpy_grid(alpha, j1, j2, bracket):
+    """The 32-point np.linspace grid over the bracket and delta_e on it, as one array call."""
+    grid = np.linspace(*bracket, 32)
+    return grid, spectrum.delta_e(spectrum.closed_form(grid, alpha=alpha, j1=j1, j2=j2))
+
+
+def _walked(calls):
+    """The real sigma delta_e was evaluated at, in order: one per grid point, scalar or array."""
+    return [float(x) for s in calls if not isinstance(s, complex) for x in np.ravel(s)]
+
+
 @pytest.mark.parametrize("alpha, j1, j2, bracket", [
     (FINE_STRUCTURE_ALPHA, 1.0, 1.0, (0.05, 0.5)), (FINE_STRUCTURE_ALPHA, 1.0, 1.0, (0.01, 0.99)),
     (0.05, 1.5, 1.0, (0.05, 0.5)), (0.08, 1.0, 2.0, (0.01, 0.99)), (0.02, 2.0, 1.5, (0.05, 0.5)),
     (0.1, 1.5, 1.5, (0.01, 0.99)),
+    # s1 < 0: B changes sign on (0, 1) and the slope may too, so the walk visits every point
+    (FINE_STRUCTURE_ALPHA, 0.45, 1.0, (0.01, 0.99)), (FINE_STRUCTURE_ALPHA, 0.45, 1.0, (0.05, 0.5)),
+    (FINE_STRUCTURE_ALPHA, 0.35, 1.0, (0.01, 0.99)), (0.05, 0.45, 2.0, (0.01, 0.99)),
 ])
 def test_minimize_equals_brentq_on_the_closed_form_slope(monkeypatch, alpha, j1, j2, bracket):
     # brentq on the bracket itself where its end slopes enclose the minimum, else on the
-    # pre-scan's cell; the slope and pre-scan built from closed_form at every evaluation
+    # cell around the lowest point of numpy's grid; delta_e from closed_form at every point
     brentq = pytest.importorskip("scipy.optimize").brentq
-
-    def slope(sigma):
-        return spectrum.delta_e(spectrum.closed_form(sigma + 1e-30j, alpha=alpha, j1=j1,
-                                                     j2=j2)).imag / 1e-30
-
+    slope = _slope(alpha, j1, j2)
     lo, hi = bracket
-    if not slope(lo) < 0 < slope(hi):
-        grid = np.linspace(*bracket, 32)
-        k = int(np.argmin(spectrum.delta_e(spectrum.closed_form(grid, alpha=alpha, j1=j1,
-                                                                j2=j2))))
+    direct = slope(lo) < 0 < slope(hi)
+    if not direct:
+        grid, values = _numpy_grid(alpha, j1, j2, bracket)
+        assert values[0] > values.min() < values[-1]
+        k = int(np.argmin(values))
         lo, hi = grid[k - 1], grid[k + 1]
     evaluated, calls = [], []
     sigma0, root = brentq(lambda s: evaluated.append(s) or slope(s), lo, hi, xtol=1e-6,
@@ -143,11 +159,52 @@ def test_minimize_equals_brentq_on_the_closed_form_slope(monkeypatch, alpha, j1,
                         lambda cf: calls.append(cf.sigma) or spectrum.delta_e(cf))
     res = optimize.minimize_delta_e(bracket, alpha=alpha, j1=j1, j2=j2)
     # one slope per sigma: brentq reuses the two bracket-end slopes the rule was decided on
-    slopes = [s.real for s in calls if np.ndim(s) == 0]
+    slopes = [s.real for s in calls if isinstance(s, complex)]
     assert sorted(slopes) == sorted({*bracket, *evaluated})
     assert res.point.sigma == sigma0
     assert res.iterations == root.iterations
     assert res.point == spectrum.equilibrium_point(sigma0, alpha=alpha, j1=j1, j2=j2)
+    # the walk: no grid without the rule, else a head of numpy's grid, then its last point
+    walked, (s1, s2) = _walked(calls), radial.exponents(j1, j2, alpha)
+    if direct:
+        assert walked == []
+    elif s1 > 0 and s2 > 0:
+        assert walked == [*grid[:len(walked) - 1], grid[-1]]
+    else:
+        assert walked == grid.tolist()
+
+
+@pytest.mark.parametrize("alpha, j1, j2, bracket", [
+    (FINE_STRUCTURE_ALPHA, 1.0, 1.0, (0.3, 0.9)), (FINE_STRUCTURE_ALPHA, 1.0, 1.0, (0.6, 0.99)),
+    (FINE_STRUCTURE_ALPHA, 1.0, 1.0, (0.001, 0.1)), (0.08, 1.0, 2.0, (0.3, 0.9)),
+    (FINE_STRUCTURE_ALPHA, 0.45, 1.0, (0.3, 0.9)), (FINE_STRUCTURE_ALPHA, 0.35, 1.0, (0.001, 0.1)),
+])
+def test_minimize_rejects_where_numpy_grid_has_no_interior_minimum(alpha, j1, j2, bracket):
+    slope = _slope(alpha, j1, j2)
+    assert not slope(bracket[0]) < 0 < slope(bracket[1])
+    _, values = _numpy_grid(alpha, j1, j2, bracket)
+    assert not values[0] > values.min() < values[-1]
+    with pytest.raises(optimize.NonUnimodalError, match="no interior minimum"):
+        optimize.minimize_delta_e(bracket, alpha=alpha, j1=j1, j2=j2)
+
+
+def test_walk_stops_at_the_first_rise_on_the_sweep_bracket(monkeypatch):
+    # the slope at 0.99 is negative, past the maximum: no direct rule, but no full grid either
+    calls = []
+    monkeypatch.setattr(optimize, "delta_e",
+                        lambda cf: calls.append(cf.sigma) or spectrum.delta_e(cf))
+    assert optimize.minimize_delta_e((0.01, 0.99)).point.sigma == pytest.approx(SIGMA0_REF)
+    assert 0 < len(_walked(calls)) <= 10
+
+
+@pytest.mark.parametrize("j1, k", [(1.0, 3), (0.45, 20)])
+def test_walk_rejects_a_nan(monkeypatch, j1, k):
+    # a NaN on the walk fails the interior-minimum test, as it fails numpy's min() < ends
+    nan_at = k * ((0.99 - 0.01) / 31) + 0.01
+    monkeypatch.setattr(optimize, "delta_e",
+                        lambda cf: math.nan if cf.sigma == nan_at else spectrum.delta_e(cf))
+    with pytest.raises(optimize.NonUnimodalError):
+        optimize.minimize_delta_e((0.01, 0.99), j1=j1)
 
 
 def _stationary_points(sp, alpha, j1, j2):
@@ -193,7 +250,7 @@ def test_certificate_one_minimum_then_one_maximum_in_the_unit_interval(alpha, j1
 
 
 def test_minimize_rejects_non_unimodal_bracket():
-    # the excess energy is increasing on (0.3, 0.9): no interior minimum
+    # the excess energy rises from 0.3 to its maximum near 0.6 and then falls: no interior minimum
     with pytest.raises(optimize.NonUnimodalError) as info:
         optimize.minimize_delta_e((0.3, 0.9), tol=1e-6)
     assert not isinstance(info.value, ParameterError)  # a numeric error, exit 3
