@@ -1,10 +1,10 @@
 """Physical constants and the parameter domain of the two-electron model.
 
-Every layer checks its parameters through ``ModelParams``, and takes the
-radial exponents from ``exponents``.  This module imports no numpy and no
-dataclasses: the records on the command-line path are ``namedtuple``
-subclasses, so a command that needs no arrays (``hespinor minimize``)
-loads neither.
+``exponents`` checks alpha, j1 and j2 for every layer: each entry point
+takes the radial exponents from it, the closed form and ``ModelParams``
+included.  This module imports no numpy and no dataclasses: the records on
+the command-line path are ``namedtuple`` subclasses, so a command that
+needs no arrays (``hespinor minimize``) loads neither.
 """
 
 import math
@@ -23,10 +23,9 @@ class ModelParams(namedtuple("ModelParams", "sigma alpha j1 j2")):
     """Physical constants and quantum numbers of the two-electron model.
 
     sigma is the penetration factor mixing the two one-electron
-    Hamiltonians, H = (1 - sigma) H1 + 2 sigma H2.  j1 and j2 must satisfy
-    j^2 > 4 alpha^2 so the radial exponents stay real, and |j| <= J_MAX so
-    the closed form stays finite.  Every instance is checked, ``_replace``
-    and ``_make`` included.
+    Hamiltonians, H = (1 - sigma) H1 + 2 sigma H2; it must lie in [0, 1].
+    ``exponents`` checks alpha, j1 and j2.  Every instance is checked,
+    ``_replace`` and ``_make`` included.
     """
 
     __slots__ = ()
@@ -34,13 +33,7 @@ class ModelParams(namedtuple("ModelParams", "sigma alpha j1 j2")):
     def __new__(cls, sigma, alpha=FINE_STRUCTURE_ALPHA, j1=1.0, j2=1.0):
         if not 0.0 <= sigma <= 1.0:
             raise ParameterError(f"sigma must lie in [0, 1], got {sigma}")
-        # below 2**-511 alpha^2 is subnormal, and delta_e = (E - 1 - sigma) / alpha^2 loses digits
-        if not 2.0**-511 <= alpha < math.inf:
-            raise ParameterError(f"alpha = {alpha!r}: need a finite alpha >= 2**-511")
-        for name, j in (("j1", j1), ("j2", j2)):
-            if not 4 * alpha**2 < j * j <= J_MAX * J_MAX:
-                raise ParameterError(f"{name} = {j!r}: need {name}^2 > 4 alpha^2 for real "
-                                     f"exponents and |{name}| <= 2**254")
+        exponents(j1, j2, alpha)
         return super().__new__(cls, sigma, alpha, j1, j2)
 
     @classmethod
@@ -49,14 +42,20 @@ class ModelParams(namedtuple("ModelParams", "sigma alpha j1 j2")):
 
 
 def exponents(j1: float, j2: float, alpha: float) -> tuple:
-    """Leading radial exponents s_k = -1/2 + sqrt(j_k^2 - 4 alpha^2); j_k^2 <= 4 alpha^2,
-    where s_k would be complex, raises ParameterError."""
+    """Leading radial exponents s_k = -1/2 + sqrt(j_k^2 - 4 alpha^2).
+
+    Raises a ParameterError naming the first of alpha, j1, j2 outside the
+    domain: alpha finite and at least 2**-511, j^2 > 4 alpha^2 so that s_k
+    is real, and |j| <= J_MAX so that the closed form stays finite.
+    """
+    # below 2**-511 alpha^2 is subnormal, and delta_e = (E - 1 - sigma) / alpha^2 loses digits
+    if not 2.0**-511 <= alpha < math.inf:
+        raise ParameterError(f"alpha = {alpha!r}: need a finite alpha >= 2**-511")
+    four_a2 = 4 * alpha * alpha  # not alpha**2: a float's ** raises OverflowError where * gives inf
     out = []
     for name, j in (("j1", j1), ("j2", j2)):
-        disc = j * j - 4 * alpha * alpha
-        if disc <= 0:
-            raise ParameterError(
-                f"{name}^2 = {j * j} does not exceed 4*alpha^2 = {4 * alpha * alpha}"
-            )
-        out.append(-0.5 + math.sqrt(disc))
+        if not four_a2 < j * j <= J_MAX * J_MAX:
+            raise ParameterError(f"{name} = {j!r}: need {name}^2 > 4 alpha^2 for real "
+                                 f"exponents and |{name}| <= 2**254")
+        out.append(-0.5 + math.sqrt(j * j - four_a2))
     return tuple(out)

@@ -3,7 +3,7 @@
 import math
 from collections import namedtuple
 
-from .model import FINE_STRUCTURE_ALPHA, SIGMA_MIN, ModelParams, ParameterError, exponents
+from .model import FINE_STRUCTURE_ALPHA, SIGMA_MIN, ParameterError, exponents
 from .spectrum import EquilibriumPoint, brentq, c_params, closed_form, delta_e, equilibrium_point
 
 _GRID_POINTS = 32
@@ -15,16 +15,17 @@ class NonUnimodalError(ValueError):
 
 
 def check_parameters(alpha: float, j1: float, j2: float, sigmas, tol: float | None = None):
-    """Raise a ParameterError naming the first parameter outside the model's domain.
+    """The exponents (s1, s2), or a ParameterError naming the first parameter
+    outside the model's domain.
 
-    ``ModelParams`` checks alpha, j1 and j2.  ``sigmas`` must be non-empty
+    ``exponents`` checks alpha, j1 and j2.  ``sigmas`` must be non-empty
     with every sigma in [SIGMA_MIN, 1], and ``tol``, the root-finder's
     absolute sigma tolerance, must be at least one ulp of the largest sigma,
     since no sigma can be located more finely than that.  ``scan_sigma``,
     ``minimize_delta_e`` and ``ion_limit_report`` each call this before any
     numeric work.
     """
-    ModelParams(sigma=1.0, alpha=alpha, j1=j1, j2=j2)
+    s1, s2 = exponents(j1, j2, alpha)
     if not len(sigmas):
         raise ParameterError("sigmas is empty: need at least one sigma")
     for sigma in sigmas:
@@ -32,6 +33,7 @@ def check_parameters(alpha: float, j1: float, j2: float, sigmas, tol: float | No
             raise ParameterError(f"sigma = {sigma!r}: need 2**-516 <= sigma <= 1")
     if tol is not None and not tol >= (floor := math.ulp(max(sigmas))):
         raise ParameterError(f"tol = {tol!r}: need tol >= {floor:.3g}, one ulp of sigma")
+    return s1, s2
 
 
 class MinimizeResult(namedtuple("MinimizeResult", "point iterations")):
@@ -96,8 +98,7 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
     then returns a sign change of the slope, which may be the kink.
     """
     lo, hi = sorted(map(float, bracket))
-    check_parameters(alpha, j1, j2, (lo, hi), tol)
-    s1, s2 = exponents(j1, j2, alpha)
+    s1, s2 = check_parameters(alpha, j1, j2, (lo, hi), tol)
 
     def excess(sigma):
         return delta_e(c_params(sigma, s1, s2, alpha, j1=j1, j2=j2))
@@ -142,13 +143,3 @@ def ion_limit_report(sigmas, alpha: float = FINE_STRUCTURE_ALPHA,
     values = delta_e(closed_form(np.array(sigmas), alpha=alpha, j1=j1, j2=j2))
     return list(zip(sigmas, values.tolist()))
 
-
-__all__ = [
-    "MinimizeResult",
-    "NonUnimodalError",
-    "ParameterError",
-    "check_parameters",
-    "ion_limit_report",
-    "minimize_delta_e",
-    "scan_sigma",
-]

@@ -89,7 +89,6 @@ def indicial_kernel(which: int, j: float, alpha: float) -> IndicialKernel:
     """Kernel ratios at the vanishing-determinant exponent."""
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which!r}")
-    ModelParams(sigma=0.0, alpha=alpha, j1=j, j2=j)
     s, _ = exponents(j, j, alpha)
     v = j + s + 0.5
     u = j - s - 0.5

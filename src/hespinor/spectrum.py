@@ -284,6 +284,5 @@ def ion_limit(alpha: float = FINE_STRUCTURE_ALPHA, j1: float = 1.0) -> float:
     For j1 = 1 this is (sqrt(1 - 4 a^2) - 1)/a^2 = -2 - 2 a^2 + O(a^4),
     the one-electron (charge 2) ground state measured from the rest mass.
     """
-    ModelParams(sigma=0.0, alpha=alpha, j1=j1, j2=j1)
     s1, _ = exponents(j1, j1, alpha)
     return (_one_electron_energy(s1, alpha) - 1) / alpha**2

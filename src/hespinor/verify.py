@@ -143,7 +143,7 @@ def operator_checks() -> list:
     p = ConfigPoint(1.1, 0.4, -0.8, 0.9)
     f0 = wave(p)
     d = [1j * kvec[ax] * f0 for ax in range(4)]
-    g = {i: clifford.gamma(i) for i in (0, 1, 2, 3, 5)}
+    g = {i: clifford.gamma(i) for i in clifford.GAMMA_INDICES}
     s, a = params.sigma, params.alpha
     exact = (1 - s) * (1j * (g[3] @ d[0] - g[5] @ d[1]) - (2 * a / p.r1) * f0)
     exact = exact + 2 * s * (1j * (g[1] @ d[2] - g[2] @ d[3]) - (2 * a / p.r2) * f0)
@@ -153,11 +153,10 @@ def operator_checks() -> list:
                                hi=0.5, note=f"errors {err[0]:.2e} -> {err[1]:.2e}"))
 
     energy = 1.2
-    g0 = clifford.gamma(0)
     batch = ConfigPoint.stack(points[:8])
     dev_cs = max(
         float(np.abs(component_system_residual(params, f, batch, step, energy)
-                     - (apply_H(params, f, batch, step) - energy * f(batch)) @ g0.T).max())
+                     - (apply_H(params, f, batch, step) - energy * f(batch)) @ g[0].T).max())
         for f in fields
     )
     results.append(CheckResult("component expansion equals g0(H-E)", dev_cs, hi=1e-10))

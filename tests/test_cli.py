@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hespinor import cli, clifford, operators, optimize, spectrum
+from hespinor import cli, clifford, optimize, spectrum
 from hespinor.model import J_MAX, SIGMA_MIN
 
 
@@ -465,16 +465,20 @@ def test_cli_startup_loads_no_dataclasses_json_radial_or_numpy():
                                         "False True False False"]   # minimize --format json
 
 
-def test_package_names_resolve():
+def test_package_exports_only_alpha_and_version():
     import hespinor
-    assert hespinor.SpinorField is operators.SpinorField
-    namespace = {}
-    exec("from hespinor import *", namespace)
-    assert set(hespinor.__all__) <= set(namespace)
-    for name in hespinor.__all__:
-        assert namespace[name] is getattr(hespinor, name)
-    with pytest.raises(AttributeError):
-        hespinor.no_such_name
+    from hespinor import model
+    assert hespinor.FINE_STRUCTURE_ALPHA is model.FINE_STRUCTURE_ALPHA
+    assert hespinor.__version__
+    # -S, as in the start-up test: no site hook may preload a module that the import would load
+    code = ("import sys, hespinor\n"
+            "print(*(name in sys.modules for name in "
+            "('hespinor.spectrum', 'hespinor.optimize', 'numpy')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "False"]
 
 
 def test_numeric_error_exit_code(capsys):

@@ -1,9 +1,16 @@
-"""Properties of the closed form over sigma arrays in (0, 1]."""
+"""Properties of the closed form over sigma arrays in (0, 1], and of the
+commands over the whole parameter domain."""
+
+import contextlib
+import io
+import math
+import re
 
 import numpy as np
 import pytest
 
-from hespinor import spectrum
+from hespinor import cli, spectrum
+from hespinor.model import FINE_STRUCTURE_ALPHA, J_MAX, SIGMA_MIN
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -45,3 +52,85 @@ def test_property_ion_limit_approach(sigmas):
     # the gap closes linearly in sigma (slope about 6); the floor is the
     # rounding of ion_limit() itself, which forms E(0)/m - 1 by subtraction
     assert np.all(gap <= 10 * sigmas + 1e-12)
+
+
+@st.composite
+def command_inputs(draw):
+    """Log-uniform draws that each reach a little past their documented edges:
+    alpha >= 2**-511, 4 alpha^2 < j^2 <= J_MAX^2 with either sign of j,
+    SIGMA_MIN <= sigma <= 1, points >= 2 and tol >= one ulp of the largest sigma.
+    alpha stops at 2**256: above J_MAX / 2 no j is in the domain, and the
+    examples hold the largest floats.
+
+    A seeded ``random.Random`` draws the exponents uniformly; hypothesis's own
+    floats would favour simple values such as alpha = j = 1, outside the domain.
+    """
+    rnd = draw(st.randoms(use_true_random=True))
+
+    def log_uniform(lo_exp, hi_exp):
+        return 2.0 ** rnd.uniform(lo_exp, hi_exp)
+
+    alpha = log_uniform(-515, 256)
+    j_lo = min(math.log2(2 * alpha) - 2, 254)
+    j1, j2 = (rnd.choice((1.0, -1.0)) * log_uniform(j_lo, 254.5) for _ in range(2))
+    sigma_lo, sigma_hi = sorted((log_uniform(-520, 0.5), log_uniform(-520, 0.5)))
+    return dict(fmt=rnd.choice(("csv", "json")), alpha=alpha, j1=j1, j2=j2,
+                sigma_lo=sigma_lo, sigma_hi=sigma_hi, points=rnd.randint(0, 7),
+                tol=math.ulp(sigma_hi) * log_uniform(-3, 60))
+
+
+EDGE = math.nextafter
+DOMAIN_EXAMPLES = [  # each exact edge and its neighbour outside the domain
+    dict(alpha=2.0**-511), dict(alpha=EDGE(2.0**-511, 0)),
+    dict(alpha=EDGE(math.inf, 0)), dict(alpha=math.inf), dict(alpha=math.nan),
+    dict(alpha=0.0), dict(alpha=-0.1), dict(alpha=1e200),
+    dict(j1=J_MAX), dict(j1=EDGE(J_MAX, math.inf)),
+    dict(j2=-J_MAX), dict(j2=EDGE(-J_MAX, -math.inf)),
+    dict(alpha=0.25, j1=EDGE(0.5, 1.0)), dict(alpha=0.25, j1=0.5),
+    dict(sigma_lo=SIGMA_MIN), dict(sigma_lo=EDGE(SIGMA_MIN, 0)),
+    dict(sigma_hi=1.0), dict(sigma_hi=EDGE(1.0, 2.0)),
+    dict(sigma_lo=0.3, sigma_hi=0.3), dict(sigma_lo=0.5, sigma_hi=0.05),
+    dict(points=2), dict(points=1),
+    dict(tol=math.ulp(0.5)), dict(tol=EDGE(math.ulp(0.5), 0)),
+]
+DEFAULTS = dict(fmt="csv", alpha=FINE_STRUCTURE_ALPHA, j1=1.0, j2=1.0, sigma_lo=0.05, sigma_hi=0.5,
+                points=5, tol=1e-6)
+PARAMETER_NAMES = ("alpha", "j1", "j2", "sigma", "sigma_min", "points", "tol")
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _argv(command, p):
+    argv = [command, f"--alpha={p['alpha']!r}", f"--j1={p['j1']!r}", f"--j2={p['j2']!r}",
+            f"--format={p['fmt']}"]
+    if command == "ion-limit":
+        return argv + [f"--sigmas={p['sigma_lo']!r},{p['sigma_hi']!r}"]
+    argv += [f"--sigma-min={p['sigma_lo']!r}", f"--sigma-max={p['sigma_hi']!r}"]
+    return argv + ([f"--points={p['points']}"] if command == "scan" else [f"--tol={p['tol']!r}"])
+
+
+def _with_examples(test):
+    for example in DOMAIN_EXAMPLES:
+        test = hypothesis.example(params={**DEFAULTS, **example})(test)
+    return test
+
+
+@pytest.mark.parametrize("command", ["scan", "minimize", "ion-limit"])
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@_with_examples
+@hypothesis.given(params=command_inputs())
+def test_property_every_input_prints_finite_numbers_or_exits_2_or_3(command, params):
+    code, out, err = _run(_argv(command, params))
+    if code == 0:
+        numbers = [float(token) for token in re.findall(r"[-+.\w]+", out)
+                   if re.fullmatch(r"[-+]?(\d[\d.]*(e[-+]?\d+)?|nan|inf|NaN|Infinity)", token)]
+        assert numbers and all(map(math.isfinite, numbers)), out
+    elif code == 2:
+        assert re.match(rf"invalid arguments: ({'|'.join(PARAMETER_NAMES)}) = ", err), err
+    else:
+        assert code == 3 and err.startswith("numeric error: "), (code, err)

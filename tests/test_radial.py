@@ -29,11 +29,6 @@ def det4_cofactor(m):
     return total
 
 
-def test_exponents_alpha_zero():
-    s1, s2 = radial.exponents(1.0, 1.0, 0.0)
-    assert s1 == 0.5 and s2 == 0.5
-
-
 def test_exponents_default_alpha_frozen_value():
     s1, s2 = radial.exponents(1.0, 1.0, ALPHA)
     assert s1 == pytest.approx(S1_REF, rel=1e-15)
@@ -91,9 +86,10 @@ def test_indicial_kernel_two_equivalent_forms():
     assert np.abs(radial.indicial_matrix(1, 1.0, s_star, ALPHA) @ kernel_vec).max() < 1e-10
 
 
-@pytest.mark.parametrize("alpha", [-0.1, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("alpha", [-0.1, 0.0, math.nan, math.inf, 1e-200,
+                                   math.nextafter(2.0**-511, 0)])
 def test_indicial_kernel_checks_alpha(alpha):
-    # the kernel ratios divide by 2 alpha; ModelParams rejects an alpha outside (0, inf) first
+    # the kernel ratios divide by 2 alpha; exponents rejects an alpha outside [2**-511, inf) first
     with pytest.raises(ParameterError, match="^alpha"):
         radial.indicial_kernel(1, 1.0, alpha)
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hespinor import radial, spectrum
-from hespinor.model import FINE_STRUCTURE_ALPHA, ModelParams, ParameterError
+from hespinor import model, radial, spectrum
+from hespinor.model import FINE_STRUCTURE_ALPHA, J_MAX, ModelParams, ParameterError
 
 ALPHA = FINE_STRUCTURE_ALPHA
 # frozen from the closed form at the default alpha, j1 = j2 = 1
@@ -58,11 +58,37 @@ def test_delta_e_sigma_to_zero_limit():
         assert abs(spectrum.delta_e(cf) - ION_LIMIT_REF) <= 10.0 ** (-k + 1)
 
 
-@pytest.mark.parametrize("alpha", [-0.1, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("alpha", [-0.1, 0.0, math.nan, math.inf, 1e-200,
+                                   math.nextafter(2.0**-511, 0)])
 def test_ion_limit_checks_alpha(alpha):
     # only alpha^2 enters, so -0.1 would return the value at +0.1; 0 would divide by zero
     with pytest.raises(ParameterError, match="^alpha"):
         spectrum.ion_limit(alpha, 1.0)
+
+
+OUT_OF_DOMAIN = ([("alpha", alpha) for alpha in (math.nan, math.inf, -0.1, 0.0, 1e-200,
+                                                  math.nextafter(2.0**-511, 0))]
+                 + [(name, j) for name in ("j1", "j2")
+                    for j in (math.nan, math.inf, 1e300, math.nextafter(J_MAX, math.inf), 0.001)])
+
+
+def _exponents(sigma, alpha=ALPHA, j1=1.0, j2=1.0):
+    return model.exponents(j1, j2, alpha)
+
+
+@pytest.mark.parametrize("name, value", OUT_OF_DOMAIN)
+@pytest.mark.parametrize("sigma", [0.3, np.array([0.1, 0.3])], ids=["float", "array"])
+@pytest.mark.parametrize("call", [spectrum.closed_form, spectrum.equilibrium_point, _exponents],
+                         ids=["closed_form", "equilibrium_point", "exponents"])
+def test_closed_form_checks_its_domain(call, sigma, name, value):
+    # a ParameterError naming the parameter, not NaN or inf values (or numpy's RuntimeWarning)
+    with pytest.raises(ParameterError, match=f"^{name} = "):
+        call(sigma, **{name: value})
+
+
+def test_exponents_finite_at_the_domain_edges():
+    for j1, j2, alpha in ((1.0, 1.0, 2.0**-511), (J_MAX, -J_MAX, ALPHA), (J_MAX, J_MAX, 2.0**-511)):
+        assert all(map(math.isfinite, model.exponents(j1, j2, alpha)))
 
 
 def test_rho0_frozen_value_and_radii_split():
