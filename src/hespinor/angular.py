@@ -85,12 +85,6 @@ class RadialProfile:
 
         return cls(value=value, d_r1=d_r1, d_r2=d_r2)
 
-    @classmethod
-    def zero(cls) -> "RadialProfile":
-        def zero(r1, r2):
-            return np.zeros(np.shape(r1))
-        return cls(value=zero, d_r1=zero, d_r2=zero)
-
 
 def build_spinor(assignment: PhaseAssignment, profiles) -> SpinorField:
     """Assemble the four-spinor f_k(r1, r2) exp(i Phi_k(theta1, theta2))."""

@@ -95,11 +95,6 @@ class SpinorField:
         return self.fn(point)
 
     @staticmethod
-    def constant(values) -> "SpinorField":
-        v = np.asarray(values, dtype=complex)
-        return SpinorField(lambda p: np.broadcast_to(v, np.shape(p.x1) + v.shape).copy())
-
-    @staticmethod
     def plane_wave(wavevector, values) -> "SpinorField":
         """exp(i k.x) times a fixed spinor; k has one entry per coordinate."""
         k = np.asarray(wavevector, dtype=float)
@@ -157,12 +152,8 @@ CANONICAL_ASSIGNMENT = DerivativeAssignment(e1=((3, +1), (5, -1)), e2=((1, +1), 
 E2_EXCHANGED_ASSIGNMENT = DerivativeAssignment(e1=((3, +1), (5, -1)), e2=((2, +1), (1, -1)))
 
 
-def potential(params: ModelParams, point: ConfigPoint) -> float:
-    """Total potential energy function of the mixed Hamiltonian."""
-    return potential_radii(params, point.r1, point.r2, point.r12)
-
-
 def potential_radii(params: ModelParams, r1: float, r2: float, r12: float) -> float:
+    """Total potential energy function of the mixed Hamiltonian."""
     s, a = params.sigma, params.alpha
     return -2 * (1 - s) * a / r1 - 4 * s * a / r2 + (1 + s) * a / r12
 

@@ -101,7 +101,7 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
     s1, s2 = check_parameters(alpha, j1, j2, (lo, hi), tol)
 
     def excess(sigma):
-        return delta_e(c_params(sigma, s1, s2, alpha, j1=j1, j2=j2))
+        return delta_e(c_params(sigma, s1, s2, alpha))
 
     def slope(sigma):
         return excess(sigma + 1e-30j).imag / 1e-30

@@ -29,6 +29,8 @@ from .model import ModelParams, exponents
 if TYPE_CHECKING:
     import numpy as np
 
+    from .spectrum import ClosedFormParams
+
 
 class NoRealDecayError(ValueError):
     """Negative discriminant: no real bound-state decay rate."""
@@ -248,8 +250,12 @@ def kernel_contraction(params: ModelParams, gr: GammaRho, beta1: float, beta2: f
 FUNDAMENTAL_DENOMINATORS = ("default", "alt-weight", "alt-shift")
 
 
-def fundamental_denominator(params: ModelParams, h: float, variant: str = "default") -> float:
-    """Denominator of the fundamental beta1 relation, with g_k = s_k + 1/2 = sqrt(j_k^2-4a^2).
+def fundamental_relation(cf: ClosedFormParams, rho: float, variant: str = "default") -> tuple:
+    """Per-solve terms (1+s, (1+s) a / rho, (1-s)^2 + 4 s^2 h^2, a (1+s), denominator)
+    of the decay-rate relation, with sigma, alpha and the exponents read from a
+    float-sigma closed-form record, h = sigma s2 / s1 and g_k = s_k + 1/2.
+
+    The denominator of the fundamental beta1 relation is
 
     default:    (1-s)^2 g1 + 4 s^2 h (1 + g2)
     alt-weight: same with (1-s^2) replacing (1-s)^2
@@ -257,27 +263,21 @@ def fundamental_denominator(params: ModelParams, h: float, variant: str = "defau
 
     Only the default closes the loop against the closed-form energy; the
     two alternatives are retained so the verify report can show their
-    disagreement (1e-4 level over the physical sigma range).
+    disagreement (1e-4 level over the physical sigma range).  A vanishing
+    denominator raises ZeroDivisionError.
     """
-    s = params.sigma
-    s1, s2 = exponents(params.j1, params.j2, params.alpha)
-    g1, g2 = s1 + 0.5, s2 + 0.5
+    s, a = cf.sigma, cf.alpha
+    h = s * cf.s2 / cf.s1
+    g1, g2 = cf.s1 + 0.5, cf.s2 + 0.5
     tail = 4 * s**2 * h * (1 + g2)
     if variant == "default":
-        return (1 - s) ** 2 * g1 + tail
-    if variant == "alt-weight":
-        return (1 - s**2) * g1 + tail
-    if variant == "alt-shift":
-        return (1 - s) ** 2 * (1 + g1) + tail
-    raise ValueError(f"unknown denominator variant {variant!r}")
-
-
-def fundamental_relation(params: ModelParams, rho: float, h: float,
-                         variant: str = "default") -> tuple:
-    """Per-solve terms (1+s, (1+s) a / rho, (1-s)^2 + 4 s^2 h^2, a (1+s), denominator)
-    of the decay-rate relation; a vanishing denominator raises ZeroDivisionError."""
-    s, a = params.sigma, params.alpha
-    den = fundamental_denominator(params, h, variant)
+        den = (1 - s) ** 2 * g1 + tail
+    elif variant == "alt-weight":
+        den = (1 - s**2) * g1 + tail
+    elif variant == "alt-shift":
+        den = (1 - s) ** 2 * (1 + g1) + tail
+    else:
+        raise ValueError(f"unknown denominator variant {variant!r}")
     if den == 0:
         raise ZeroDivisionError("fundamental relation denominator vanished")
     return 1 + s, (1 + s) * a / rho, (1 - s) ** 2 + 4 * s**2 * h**2, a * (1 + s), den

@@ -25,11 +25,11 @@ import math
 from collections import namedtuple
 from functools import partial
 
-from .model import FINE_STRUCTURE_ALPHA, ModelParams, exponents
+from .model import FINE_STRUCTURE_ALPHA, exponents
 
 
 class ClosedFormParams(namedtuple("ClosedFormParams",
-                                  "sigma alpha j1 j2 s1 s2 bracket c1 c2 c2sq_minus_1")):
+                                  "sigma alpha s1 s2 bracket c1 c2 c2sq_minus_1")):
     """Shape parameters of the closed-form energy at a float sigma, or at an
     array of sigma (then sigma, bracket, c1, c2 and c2sq_minus_1 are arrays).
 
@@ -51,33 +51,31 @@ class EquilibriumPoint(namedtuple("EquilibriumPoint", "sigma delta_e rho0 r10 r2
     __slots__ = ()
 
 
-def c_params(sigma, s1: float, s2: float, alpha: float,
-             j1: float = 1.0, j2: float = 1.0) -> ClosedFormParams:
+def c_params(sigma, s1: float, s2: float, alpha: float) -> ClosedFormParams:
     """Evaluate B, C1 and C2 for given exponents, at a float or an array sigma.
 
     A complex or an mpmath sigma follows the float path (the minimizer's
     complex-step slope relies on it).  A zero B^2, where B vanishes or B^2
-    underflows (at s1 = 0, B ~ sigma^3), raises ZeroDivisionError: by
-    Python's division, or by one check of the whole array, which numpy
-    would divide silently.
+    underflows (at s1 = 0, B ~ sigma^3), raises ZeroDivisionError with one
+    message on a scalar and on an array; numpy would divide an array by it
+    silently.
     """
     w = (1 - sigma) * (1 - sigma)
     cube = sigma * sigma * sigma
     b = w * (s1 + 0.5) * s1 + 4 * cube * (s2 + 1.5) * s2
     bb = b * b
-    if hasattr(bb, "all") and not bb.all():
+    if not (bb.all() if hasattr(bb, "all") else bb):
         raise ZeroDivisionError("B^2 of the shape bracket is 0; C2 is undefined")
     d = 4 * alpha**2 * (1 + sigma) * (1 + sigma) * (w * s1**2 + 4 * cube * sigma * s2**2)
     c2sq_minus_1 = d / bb
-    return ClosedFormParams(sigma, alpha, j1, j2, s1, s2, b, (bb + d) ** 0.5,
+    return ClosedFormParams(sigma, alpha, s1, s2, b, (bb + d) ** 0.5,
                             (1 + c2sq_minus_1) ** 0.5, c2sq_minus_1)
 
 
 def closed_form(sigma, alpha: float = FINE_STRUCTURE_ALPHA,
                 j1: float = 1.0, j2: float = 1.0) -> ClosedFormParams:
     """c_params with the exponents derived from (j1, j2, alpha)."""
-    s1, s2 = exponents(j1, j2, alpha)
-    return c_params(sigma, s1, s2, alpha, j1=j1, j2=j2)
+    return c_params(sigma, *exponents(j1, j2, alpha), alpha)
 
 
 def delta_e(cf: ClosedFormParams):
@@ -129,12 +127,6 @@ def equilibrium_point(sigma, alpha: float = FINE_STRUCTURE_ALPHA,
     cf = closed_form(sigma, alpha=alpha, j1=j1, j2=j2)
     r10, r20 = radii_bohr(cf)
     return EquilibriumPoint(sigma, delta_e(cf), r10 + r20, r10, r20, energy_closed_form(cf))
-
-
-def _one_electron_energy(s1: float, alpha: float) -> float:
-    # sigma -> 0 limit: g1 / sqrt(g1^2 + 4 a^2), g1 = s1 + 1/2; equals sqrt(1 - 4 a^2) at j1 = 1
-    g1 = s1 + 0.5
-    return g1 / math.sqrt(g1 * g1 + 4 * alpha**2)
 
 
 class NoRootInBracketError(ValueError):
@@ -214,20 +206,20 @@ def energy_consistency_solve(sigma: float, rho: float, cf: ClosedFormParams,
     Finds the E in ((1+s) a / rho, (1+s) + (1+s) a / rho) at which the
     determinant-route and fundamental-relation decay rates coincide
     (``radial.fundamental_residual`` = 0), with rho in natural units and
-    beta2 = h beta1, h = sigma s2 / s1.  This is independent of the closed
-    form: at rho = rho0(sigma) the root must reproduce ``energy_closed_form``.
+    beta2 = h beta1, h = sigma s2 / s1.  The relation reads sigma, alpha and
+    the exponents from ``cf``, a record at the float ``sigma``, and none of
+    its closed-form values: at rho = rho0(sigma) the root must reproduce
+    ``energy_closed_form``.
 
     sigma = 0 is the degenerate one-electron case and is answered with its
-    limiting relation directly.
+    limiting relation g1 / sqrt(g1^2 + 4 a^2), g1 = s1 + 1/2, directly.
     """
     if sigma == 0:
-        return _one_electron_energy(cf.s1, cf.alpha)
+        g1 = cf.s1 + 0.5
+        return g1 / math.sqrt(g1 * g1 + 4 * cf.alpha**2)
     from . import radial
 
-    params = ModelParams(sigma=sigma, alpha=cf.alpha, j1=cf.j1, j2=cf.j2)
-    h = cf.sigma * cf.s2 / cf.s1
-    residual = partial(radial.fundamental_residual,
-                       radial.fundamental_relation(params, rho, h, variant))
+    residual = partial(radial.fundamental_residual, radial.fundamental_relation(cf, rho, variant))
     margin = 1e-12
     lo = (1 + sigma) * cf.alpha / rho + margin
     hi = (1 + sigma) + (1 + sigma) * cf.alpha / rho - margin
@@ -244,9 +236,7 @@ def energy_shifted_literal(cf: ClosedFormParams, rho: float, squared: bool = Tru
     """
     from . import radial
 
-    params = ModelParams(sigma=cf.sigma, alpha=cf.alpha, j1=cf.j1, j2=cf.j2)
-    h = cf.sigma * cf.s2 / cf.s1
-    rest, coulomb, weight, _, dval = radial.fundamental_relation(params, rho, h)
+    rest, coulomb, weight, _, dval = radial.fundamental_relation(cf, rho)
     den = dval * dval if squared else dval
     num = 4 * cf.alpha**2 * (1 + cf.sigma) ** 2 * weight
     return coulomb + rest / math.sqrt(1 + num / den)
@@ -281,8 +271,12 @@ def arbitration_table(sigmas) -> dict:
 def ion_limit(alpha: float = FINE_STRUCTURE_ALPHA, j1: float = 1.0) -> float:
     """sigma -> 0+ limit of the excess energy, in Hartree.
 
-    For j1 = 1 this is (sqrt(1 - 4 a^2) - 1)/a^2 = -2 - 2 a^2 + O(a^4),
-    the one-electron (charge 2) ground state measured from the rest mass.
+    (E(0) - 1) / a^2 with E(0) = g1 / R, R = sqrt(g1^2 + 4 a^2), g1 = s1 + 1/2,
+    formed without the cancelling subtraction as -4 / (R (R + g1)).  For
+    j1 = 1 this is (sqrt(1 - 4 a^2) - 1)/a^2 = -2 - 2 a^2 + O(a^4), the
+    one-electron (charge 2) ground state measured from the rest mass.
     """
     s1, _ = exponents(j1, j1, alpha)
-    return (_one_electron_energy(s1, alpha) - 1) / alpha**2
+    g1 = s1 + 0.5
+    r = math.sqrt(g1 * g1 + 4 * alpha**2)
+    return -4 / (r * (r + g1))

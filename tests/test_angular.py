@@ -39,6 +39,7 @@ def smooth_profiles():
     ]
 
 
+ZERO_PROFILE = angular.RadialProfile.power_exponential(0.0, 0, 0, 0, 0)
 ANGLES = [(0.1 + 0.7 * k, 0.4 + 1.1 * k) for k in range(8)]
 
 
@@ -84,7 +85,7 @@ def test_separation_residual_cancels_for_generic_profiles(params):
 
 def test_separation_zero_profiles(params):
     assignment = angular.PhaseAssignment.canonical(params.j1, params.j2)
-    zeros = [angular.RadialProfile.zero()] * 4
+    zeros = [ZERO_PROFILE] * 4
     spread = angular.separation_residual(params, assignment, zeros, 1.1,
                                          ANGLES, (0.9, 1.2), 0.86, step=1e-5)
     assert spread == 0.0
@@ -124,7 +125,7 @@ def test_radial_rows_match_angle_frozen_path(params):
 
 
 def test_radial_rows_zero_profiles(params):
-    zeros = [angular.RadialProfile.zero()] * 4
+    zeros = [ZERO_PROFILE] * 4
     rows = angular.radial_system_residual(params, zeros, 1.1, 0.86, (0.9, 1.2))
     assert np.array_equal(rows, np.zeros(4))
 
@@ -234,7 +235,7 @@ def test_phase_assignment_needs_four_pairs():
 
 def test_built_spinor_shapes_for_point_and_batch():
     spinor = angular.build_spinor(angular.PhaseAssignment.canonical(1.0, 1.0),
-                                  smooth_profiles()[:3] + [angular.RadialProfile.zero()])
+                                  smooth_profiles()[:3] + [ZERO_PROFILE])
     p = angular.point_from_polar(0.9, 0.52, 1.2, -1.1)
     assert spinor(p).shape == (4,)
     batch = angular.point_from_polar(np.array([0.9, 1.1, 0.7]), np.array([0.52, 2.0, -1.0]),

@@ -363,6 +363,16 @@ def test_s1_zero_scan_where_b_squared_underflows_exits_three(capsys):
     assert out == ""
 
 
+def test_minimize_where_b_squared_underflows_names_the_cause(capsys):
+    # |j| ~ 1e-23 and sigma ~ 1e-122: B^2 is 0 in binary64 on the float path of the slope
+    code, out, err = run(capsys, "minimize", "--alpha=1.2457268173565584e-107",
+                         "--j1=-5.942966867006111e-24", "--j2=-2.5450831915338916e-23",
+                         "--sigma-min=5.6e-141", "--sigma-max=2.9e-122")
+    assert code == 3
+    assert err == "numeric error: B^2 of the shape bracket is 0; C2 is undefined\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7])
 def test_json_written_in_chunks_equals_one_dumps(monkeypatch, capsys, rows):
     monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)

@@ -18,7 +18,7 @@ from hespinor.operators import (
     commutator_residual,
     component_system_residual,
     covariant_form_residual,
-    potential,
+    potential_radii,
     scan_derivative_assignments,
 )
 
@@ -81,7 +81,7 @@ def test_h_on_constant_field_balanced_potentials():
     # strong-coupling parameters where the scalar parts cancel: sigma = 0,
     # alpha = 1 at r1 = r12 = 1 (j chosen large enough to stay valid)
     params = ModelParams(sigma=0.0, alpha=1.0, j1=3.0, j2=3.0)
-    field = SpinorField.constant((1, 0, 0, 0))
+    field = SpinorField.plane_wave((0, 0, 0, 0), (1, 0, 0, 0))
     point = ConfigPoint(1.0, 0.0, 2.0, 0.0)
     out = apply_H(params, field, point, STEP)
     assert np.abs(out).max() < 1e-12
@@ -89,10 +89,10 @@ def test_h_on_constant_field_balanced_potentials():
 
 def test_h_on_constant_field_lower_block_sign():
     params = ModelParams(sigma=0.0, alpha=1.0, j1=3.0, j2=3.0)
-    field = SpinorField.constant((0, 0, 1, 0))
+    field = SpinorField.plane_wave((0, 0, 0, 0), (0, 0, 1, 0))
     point = ConfigPoint(1.0, 0.0, 2.0, 0.0)
     out = apply_H(params, field, point, STEP)
-    phi = potential(params, point)
+    phi = potential_radii(params, point.r1, point.r2, point.r12)
     assert phi == pytest.approx(-1.0)
     # third component is phi - (1+sigma) = -2, everything else zero
     assert out[2] == pytest.approx(-2.0, abs=1e-12)
@@ -116,7 +116,7 @@ def test_h_plane_wave_second_order_convergence(params):
 
 
 def test_h_singular_point_guard(params):
-    field = SpinorField.constant((1, 0, 0, 0))
+    field = SpinorField.plane_wave((0, 0, 0, 0), (1, 0, 0, 0))
     near_origin = ConfigPoint(1e-4, 0.0, 1.0, 1.0)
     with pytest.raises(SingularPointError):
         apply_H(params, field, near_origin, STEP)
@@ -167,7 +167,7 @@ def test_jz_polynomial_case():
     ((0, 1, 0, 0), (0, 1, 0, 0)),
 ])
 def test_m_on_constant_fields(values, expected):
-    field = SpinorField.constant(values)
+    field = SpinorField.plane_wave((0, 0, 0, 0), values)
     point = ConfigPoint(1.0, 0.3, -0.5, 0.8)
     out = apply_M(field, point, STEP)
     assert np.allclose(out, np.array(expected, dtype=complex), atol=1e-10)
@@ -232,8 +232,8 @@ def test_component_system_equals_matrix_route(params, safe_points, test_fields):
 
 def test_component_system_qplus_zero_case(params):
     point = ConfigPoint(1.0, 0.2, -0.8, 0.9)
-    energy = potential(params, point) + (1 + params.sigma)
-    field = SpinorField.constant((1, 0, 0, 0))
+    energy = potential_radii(params, point.r1, point.r2, point.r12) + (1 + params.sigma)
+    field = SpinorField.plane_wave((0, 0, 0, 0), (1, 0, 0, 0))
     rows = component_system_residual(params, field, point, STEP, energy)
     assert abs(rows[0]) < 1e-14
 
@@ -241,9 +241,10 @@ def test_component_system_qplus_zero_case(params):
 def test_component_system_chi3_only(params):
     point = ConfigPoint(1.0, 0.2, -0.8, 0.9)
     energy = 0.7
-    field = SpinorField.constant((0, 0, 1, 0))
+    field = SpinorField.plane_wave((0, 0, 0, 0), (0, 0, 1, 0))
     rows = component_system_residual(params, field, point, STEP, energy)
-    qm = (1 + params.sigma) - (potential(params, point) - energy)
+    phi = potential_radii(params, point.r1, point.r2, point.r12)
+    qm = (1 + params.sigma) - (phi - energy)
     assert rows[0] == pytest.approx(0.0, abs=1e-14)
     assert rows[2] == pytest.approx(qm, rel=1e-14)
 
@@ -256,7 +257,7 @@ def test_covariant_contraction_matches(params, safe_points, test_fields):
 
 
 def test_covariant_constant_field(params):
-    field = SpinorField.constant((0.4, -0.3, 0.2, 0.7))
+    field = SpinorField.plane_wave((0, 0, 0, 0), (0.4, -0.3, 0.2, 0.7))
     point = ConfigPoint(1.0, 0.2, -0.8, 0.9)
     assert covariant_form_residual(params, field, point, STEP, 0.9) < 1e-14
 
@@ -316,7 +317,7 @@ def test_one_singular_point_in_a_batch_raises(params, safe_points, test_fields):
 
 
 @pytest.mark.parametrize("field", [
-    SpinorField.constant((1, 0.5j, 0, -1)),
+    SpinorField.plane_wave((0, 0, 0, 0), (1, 0.5j, 0, -1)),
     SpinorField.plane_wave((0.6, -0.4, 0.3, 0.8), (1, 1, 1, 1)),
     SpinorField.gaussian((0.1, -0.2, 0.3, 0.0), 2.0, (1, 2j, 3, 4),
                          winding=(1, -2), linear=(0.2, 0.0, -0.1, 0.05)),

@@ -50,7 +50,7 @@ def test_property_geometry_and_bracket_identities(sigmas):
 def test_property_ion_limit_approach(sigmas):
     gap = np.abs(spectrum.delta_e(spectrum.closed_form(sigmas)) - spectrum.ion_limit())
     # the gap closes linearly in sigma (slope about 6); the floor is the
-    # rounding of ion_limit() itself, which forms E(0)/m - 1 by subtraction
+    # rounding of delta_e and ion_limit(), a few ulp of 2
     assert np.all(gap <= 10 * sigmas + 1e-12)
 
 

@@ -287,32 +287,31 @@ def test_both_kernel_vectors_give_identical_energy_condition():
 def test_fundamental_residual_gamma_equal_case():
     # energy at which gamma1 = gamma2: the fundamental route gives beta1 = 0
     # and the residual equals the determinant-route value
-    params = ModelParams(sigma=0.3)
+    cf = spectrum.closed_form(0.3)
     rho = 1.5
-    energy = (1 + params.sigma) * params.alpha / rho  # shift X = 0
-    h = 0.2
-    res = radial.fundamental_residual(radial.fundamental_relation(params, rho, h), energy)
-    gr = radial.GammaRho.from_energy(params.sigma, params.alpha, energy, rho)
-    weight = (1 - params.sigma) ** 2 + 4 * params.sigma**2 * h**2
+    energy = (1 + cf.sigma) * cf.alpha / rho  # shift X = 0
+    h = cf.sigma * cf.s2 / cf.s1
+    res = radial.fundamental_residual(radial.fundamental_relation(cf, rho), energy)
+    gr = radial.GammaRho.from_energy(cf.sigma, cf.alpha, energy, rho)
+    weight = (1 - cf.sigma) ** 2 + 4 * cf.sigma**2 * h**2
     assert res == pytest.approx(math.sqrt(gr.gamma1 * gr.gamma2 / weight), rel=1e-14)
 
 
 def test_fundamental_sigma_zero_hydrogen_like_root():
     # at sigma = 0 (and rho -> infinity) the residual vanishes exactly at
     # the one-electron ground energy sqrt(1 - (2 alpha)^2)
-    params = ModelParams(sigma=0.0)
     e_star = math.sqrt(1 - 4 * ALPHA**2)
-    res = radial.fundamental_residual(radial.fundamental_relation(params, rho=1e12, h=0.0), e_star)
-    assert abs(res) < 1e-9
+    relation = radial.fundamental_relation(spectrum.closed_form(0.0), rho=1e12)
+    assert abs(radial.fundamental_residual(relation, e_star)) < 1e-9
 
 
 def test_fundamental_denominator_variants_differ():
-    params = ModelParams(sigma=0.3)
-    values = {v: radial.fundamental_denominator(params, 0.15, v)
+    cf = spectrum.closed_form(0.3)
+    values = {v: radial.fundamental_relation(cf, 1.0, v)[-1]
               for v in radial.FUNDAMENTAL_DENOMINATORS}
     assert len(set(values.values())) == 3
     with pytest.raises(ValueError):
-        radial.fundamental_denominator(params, 0.15, "bogus")
+        radial.fundamental_relation(cf, 1.0, "bogus")
 
 
 J_GRID = (0.3, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.7)
@@ -354,25 +353,31 @@ def test_first_order_brackets_equal_per_site_expressions():
 def test_fundamental_denominator_equals_per_site_expression(variant):
     for sigma in (0.0, 0.1775, 0.49, 0.9):
         for params in _grid_params(sigma):
-            for h in (0.0, 0.15, 0.9):
-                assert (radial.fundamental_denominator(params, h, variant)
-                        == per_site_denominator(params, h, variant))
+            cf = spectrum.closed_form(sigma, params.alpha, params.j1, params.j2)
+            h = sigma * cf.s2 / cf.s1
+            assert (radial.fundamental_relation(cf, 1.0, variant)[-1]
+                    == per_site_denominator(params, h, variant))
 
 
-def test_ion_limit_equals_per_site_expression():
-    for a in ALPHA_GRID:
-        for j1 in (j for j in J_GRID if j * j > 4 * a * a):
-            g1 = math.sqrt(j1 * j1 - 4 * a * a)
-            assert spectrum.ion_limit(a, j1) == (g1 / math.sqrt(g1 * g1 + 4 * a**2) - 1) / a**2
+@pytest.mark.parametrize("alpha", [1e-10, 1e-8, 1e-6, 1e-4, ALPHA, 0.05, 0.1, 0.2])
+def test_ion_limit_equals_high_precision_value(alpha):
+    # (g1 / j - 1) / alpha^2 = -4 / (j (j + g1)) with g1 = sqrt(j^2 - 4 alpha^2), at 50 digits;
+    # the subtraction E(0) - 1 would keep no correct digit at alpha = 1e-10
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        for j1 in (j for j in J_GRID if j * j > 4 * alpha * alpha):
+            j, a = mp.mpf(j1), mp.mpf(alpha)
+            exact = -4 / (j * (j + mp.sqrt(j * j - 4 * a * a)))
+            assert abs(spectrum.ion_limit(alpha, j1) - exact) <= 1e-15 * abs(exact)
 
 
 def test_fundamental_residual_no_real_decay():
-    params = ModelParams(sigma=0.3)
+    cf = spectrum.closed_form(0.3)
     rho = 1.5
     # energy far above the bracket makes gamma1*gamma2 negative
     energy = 5.0
     with pytest.raises(radial.NoRealDecayError):
-        radial.fundamental_residual(radial.fundamental_relation(params, rho, 0.2), energy)
+        radial.fundamental_residual(radial.fundamental_relation(cf, rho), energy)
 
 
 def reference_residual(params, energy, rho, h, variant):
@@ -380,7 +385,7 @@ def reference_residual(params, energy, rho, h, variant):
     gr = radial.GammaRho.from_energy(params.sigma, params.alpha, energy, rho)
     weight = (1 - params.sigma) ** 2 + 4 * params.sigma**2 * h**2
     beta_det = math.sqrt(gr.gamma1 * gr.gamma2 / weight)
-    den = radial.fundamental_denominator(params, h, variant)
+    den = per_site_denominator(params, h, variant)
     return beta_det - params.alpha * (1 + params.sigma) * (gr.gamma1 - gr.gamma2) / den
 
 
@@ -388,17 +393,18 @@ def reference_residual(params, energy, rho, h, variant):
 def test_fundamental_residual_equals_per_energy_reference(variant):
     checked = 0
     for sigma in (0.0, 0.06, 0.1775, 0.3, 0.49, 0.9):
-        for alpha, j1, j2 in ((ALPHA, 1.0, 1.0), (0.05, 1.5, 2.0)):
+        for alpha, j1, j2 in ((ALPHA, 1.0, 1.0), (0.05, 1.5, 2.0), (0.1, 2.0, 1.5)):
             params = ModelParams(sigma=sigma, alpha=alpha, j1=j1, j2=j2)
+            cf = spectrum.closed_form(sigma, alpha, j1, j2)
+            h = sigma * cf.s2 / cf.s1
             for rho in (0.05, 0.8626, 3.0, 1e12):
-                for h in (0.0, 0.15, 0.9):
-                    relation = radial.fundamental_relation(params, rho, h, variant)
-                    lo = (1 + sigma) * alpha / rho
-                    for energy in np.linspace(lo, lo + (1 + sigma), 9)[1:-1]:
-                        assert (radial.fundamental_residual(relation, energy)
-                                == reference_residual(params, energy, rho, h, variant))
-                        checked += 1
-    assert checked == 6 * 2 * 4 * 3 * 7
+                relation = radial.fundamental_relation(cf, rho, variant)
+                lo = (1 + sigma) * alpha / rho
+                for energy in np.linspace(lo, lo + (1 + sigma), 9)[1:-1]:
+                    assert (radial.fundamental_residual(relation, energy)
+                            == reference_residual(params, energy, rho, h, variant))
+                    checked += 1
+    assert checked == 6 * 3 * 4 * 7
 
 
 @pytest.mark.parametrize("variant", radial.FUNDAMENTAL_DENOMINATORS)
@@ -408,7 +414,7 @@ def test_consistency_solve_equals_brentq_on_per_energy_reference(variant):
     for sigma in np.linspace(0.06, 0.49, 10):
         cf = spectrum.closed_form(sigma)
         rho = spectrum.rho0_natural(cf)
-        params = ModelParams(sigma=sigma, alpha=cf.alpha, j1=cf.j1, j2=cf.j2)
+        params = ModelParams(sigma=sigma)
         margin = 1e-12
         lo = (1 + sigma) * cf.alpha / rho + margin
         hi = (1 + sigma) + (1 + sigma) * cf.alpha / rho - margin
@@ -419,9 +425,9 @@ def test_consistency_solve_equals_brentq_on_per_energy_reference(variant):
 
 
 def test_fundamental_relation_rejects_vanishing_denominator():
-    # sigma = 1 removes the (1-s)^2 term, h = 0 the tail
+    # sigma = 1 removes the (1-s)^2 term, s2 = 0 the tail
     with pytest.raises(ZeroDivisionError):
-        radial.fundamental_relation(ModelParams(sigma=1.0), 1.0, 0.0)
+        radial.fundamental_relation(spectrum.closed_form(1.0)._replace(s2=0.0), 1.0)
 
 
 def _random_inputs(shape, seed=29):

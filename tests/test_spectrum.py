@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from hespinor import model, radial, spectrum
-from hespinor.model import FINE_STRUCTURE_ALPHA, J_MAX, ModelParams, ParameterError
+from hespinor.model import FINE_STRUCTURE_ALPHA, J_MAX, ParameterError
 
 ALPHA = FINE_STRUCTURE_ALPHA
 # frozen from the closed form at the default alpha, j1 = j2 = 1
 DELTA_E_AT_01775 = -2.9058894089973757
 RHO0_AT_01775 = 0.862601427602529
-ION_LIMIT_REF = -2.0001065140541217
+# -4 / (1 + sqrt(1 - 4 alpha^2)) at 50 digits, rounded to the nearest float
+ION_LIMIT_REF = -2.0001065140533782
 
 
 def test_c_params_sigma_zero_identity():
@@ -33,7 +34,7 @@ def test_c1_equals_bracket_times_c2():
 
 
 def test_c_params_zero_bracket_rejected():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match=r"B\^2 of the shape bracket is 0"):
         spectrum.c_params(0.0, 0.0, 0.5, alpha=ALPHA)
     # at s1 = 0, B = 4 sigma^3 (s2 + 3/2) s2 = 4e-180 is not 0, but B^2 underflows
     # to 0 and an array would divide by it silently
@@ -148,12 +149,8 @@ def test_consistency_solver_residual_at_root():
     sigma = 0.1775
     cf = spectrum.closed_form(sigma)
     rho = spectrum.rho0_natural(cf)
-    params_kw = dict(sigma=sigma, alpha=cf.alpha, j1=cf.j1, j2=cf.j2)
-    from hespinor.model import ModelParams
     e_root = spectrum.energy_consistency_solve(sigma, rho, cf)
-    h = sigma * cf.s2 / cf.s1
-    res = radial.fundamental_residual(radial.fundamental_relation(ModelParams(**params_kw), rho, h),
-                                      e_root)
+    res = radial.fundamental_residual(radial.fundamental_relation(cf, rho), e_root)
     assert abs(res) <= 1e-12
 
 
@@ -178,10 +175,22 @@ def test_one_electron_energy_agrees_on_every_route(alpha, j1):
 
 def test_consistency_solver_reports_no_root():
     cf = spectrum.closed_form(0.3)
-    # h = sigma s2 / s1 = -5: a negative ratio flips the relation's sign
-    broken = cf._replace(s2=-5 * cf.s1 / 0.3)
+    # a negative s1 makes h = sigma s2 / s1 negative, which flips the relation's sign
+    broken = cf._replace(s1=-cf.s1)
     with pytest.raises(spectrum.NoRootInBracketError):
         spectrum.energy_consistency_solve(0.3, spectrum.rho0_natural(cf), broken)
+
+
+@pytest.mark.parametrize("alpha, j1, j2", [(ALPHA, 1.5, 1.5), (0.05, 1.0, 2.0), (0.1, 2.0, 1.5)])
+def test_consistency_root_reads_the_exponents_from_the_record(alpha, j1, j2):
+    # a record built from the exponents alone carries the same relation as one built from j1, j2
+    for sigma in (0.06, 0.1775, 0.3, 0.49):
+        by_j = spectrum.closed_form(sigma, alpha, j1, j2)
+        by_exponents = spectrum.c_params(sigma, *model.exponents(j1, j2, alpha), alpha)
+        rho = spectrum.rho0_natural(by_j)
+        root = spectrum.energy_consistency_solve(sigma, rho, by_exponents)
+        assert root == spectrum.energy_consistency_solve(sigma, rho, by_j)
+        assert abs(root - spectrum.energy_closed_form(by_j)) <= 1e-12
 
 
 def test_alternative_denominators_disagree():
@@ -326,8 +335,8 @@ def test_brentq_equals_scipy_bit_for_bit():
                 s1, s2 = radial.exponents(j1, j2, alpha)
 
                 def slope(sigma):
-                    return spectrum.delta_e(spectrum.c_params(sigma + 1e-30j, s1, s2, alpha,
-                                                              j1=j1, j2=j2)).imag / 1e-30
+                    return spectrum.delta_e(spectrum.c_params(sigma + 1e-30j, s1, s2,
+                                                              alpha)).imag / 1e-30
 
                 for bracket in ((0.05, 0.5), (0.01, 0.99)):
                     grid = np.linspace(*bracket, 32)
@@ -339,8 +348,7 @@ def test_brentq_equals_scipy_bit_for_bit():
         for sigma in np.linspace(0.002, 0.998, 500).tolist():
             cf = spectrum.closed_form(sigma)
             rho = spectrum.rho0_natural(cf)
-            relation = radial.fundamental_relation(ModelParams(sigma=sigma), rho,
-                                                   sigma * cf.s2 / cf.s1, variant)
+            relation = radial.fundamental_relation(cf, rho, variant)
             coulomb = (1 + sigma) * ALPHA / rho
             both(lambda e: radial.fundamental_residual(relation, e),
                  coulomb + 1e-12, (1 + sigma) + coulomb - 1e-12, xtol=1e-15)
