@@ -50,14 +50,6 @@ class ConfigPoint:
     x2: float
     y2: float
 
-    @classmethod
-    def stack(cls, points) -> "ConfigPoint":
-        """One batch holding the coordinates of a sequence of points."""
-        coords = np.array([(p.x1, p.y1, p.x2, p.y2) for p in points], dtype=float)
-        if len(coords) == 0:
-            raise ValueError("points must hold at least one ConfigPoint")
-        return cls(*coords.T)
-
     @property
     def r1(self):
         return np.hypot(self.x1, self.y1)
@@ -196,17 +188,17 @@ def _h_terms(params, point, f0, d, assignment) -> np.ndarray:
     return out + (1 + s) * (f0 @ _GAMMA[0].T + _col(a / point.r12) * f0)
 
 
-def _jz_terms(point, d) -> np.ndarray:
+def _jz_terms(point, f0, d) -> np.ndarray:
     return 1j * (_col(point.y1) * d[0] - _col(point.x1) * d[1]
                  + _col(point.y2) * d[2] - _col(point.x2) * d[3])
 
 
-def _op_terms(tag, point, f0, d, params=None, assignment=None) -> np.ndarray:
-    """Operator 'H', 'Jz' or 'M' applied to a field with values f0 and derivatives d."""
-    if tag == "H":
-        return _h_terms(params, point, f0, d, assignment)
-    jz = _jz_terms(point, d)
-    return jz if tag == "Jz" else jz + f0 @ _SPIN_SHIFT.T
+def _m_terms(point, f0, d) -> np.ndarray:
+    return _jz_terms(point, f0, d) + f0 @ _SPIN_SHIFT.T
+
+
+# Jz and M by name, each applied to a field with values f0 and derivatives d.
+_ANGULAR_TERMS = {"Jz": _jz_terms, "M": _m_terms}
 
 
 def apply_H(params, field, point, step, assignment=CANONICAL_ASSIGNMENT) -> np.ndarray:
@@ -226,52 +218,42 @@ def apply_Jz(field, point, step) -> np.ndarray:
     winding +n in either angle carries Jz eigenvalue +n.  There are no
     Coulomb coefficients here, so no singularity clearance is required.
     """
-    return _op_terms("Jz", point, *_gradient(field, point, step))
+    return _ANGULAR_TERMS["Jz"](point, *_gradient(field, point, step))
 
 
 def apply_M(field, point, step) -> np.ndarray:
     """Jz plus the constant spin shift diag(-1, 1, 0, 0)."""
-    return _op_terms("M", point, *_gradient(field, point, step))
+    return _ANGULAR_TERMS["M"](point, *_gradient(field, point, step))
 
 
-def commutator_residual(op_a, op_b, params, field, points, step,
-                        assignment=CANONICAL_ASSIGNMENT):
-    """max over points, taken as one batch, of |(A B - B A) field| for tags 'H'/'Jz'/'M'.
+def commutator_residual(params, fields, batch, step, ops,
+                        assignment=CANONICAL_ASSIGNMENT) -> tuple:
+    """max over fields and points of |(H Q - Q H) field|, one per name Q in ``ops`` ('M', 'Jz').
 
-    Both products share one field call: the field's gradient on the outer
-    9-point stencil of the batch gives A field and B field at every stencil
-    point, and each outer difference then takes the other operator at the
-    batch, with the same step on both levels.  The 4*step clearance of the
-    batch covers both levels: a stencil point moves one step along one
-    coordinate, so r1, r2 and r12 each change by at most one step, and every
-    outer stencil point keeps them above 3*step, every inner one above 2*step.
-
-    ``field`` may be a sequence of fields: each is called once on the nested
-    stencil, of shape (9, 9, N), and the result is the max over fields and
-    points.  A tuple of ``op_b`` tags gives one residual per tag, in order.
+    Each field is called once, on the nested stencil of the batch, of shape
+    (9, 9, N); a batch of floats is a batch of one.  The field values are
+    concatenated along the point axis, so the operator algebra runs once on
+    the F * N batch.  Each field's gradient on the outer 9-point stencil
+    gives H field and Q field at every stencil point, and each outer
+    difference then takes the other operator at the batch, with the same
+    step on both levels.  The 4*step clearance of the batch covers both
+    levels: a stencil point moves one step along one coordinate, so r1, r2
+    and r12 each change by at most one step, and every outer stencil point
+    keeps them above 3*step, every inner one above 2*step.
     """
-    tags = ("H", "Jz", "M")
-    fields = [field] if callable(field) else list(field)
-    tags_b = op_b if isinstance(op_b, tuple) else (op_b,)
-    if not fields:
-        raise ValueError("field must hold at least one SpinorField")
-    if not tags_b:
-        raise ValueError("op_b must hold at least one operator tag")
-    if op_a not in tags or any(tag not in tags for tag in tags_b):
-        raise ValueError(f"operator tags must be in {list(tags)}")
-    batch = ConfigPoint.stack(points)
+    terms = [_ANGULAR_TERMS[name] for name in ops]
     _require_clearance(batch, 4 * step)
-    nested = _stencil(_stencil(batch, step), step)
+    coords = [np.atleast_1d(x) for x in (batch.x1, batch.y1, batch.x2, batch.y2)]
+    nested = _stencil(_stencil(ConfigPoint(*coords), step), step)
     f0, d = _differences(np.concatenate([f(nested) for f in fields], axis=2), step)
     # one copy of the batch per field, to match the concatenated values
-    batch = ConfigPoint(*(np.tile(x, len(fields)) for x in (batch.x1, batch.y1, batch.x2, batch.y2)))
+    batch = ConfigPoint(*(np.tile(x, len(fields)) for x in coords))
     outer = _stencil(batch, step)
-    inner = {tag: _differences(_op_terms(tag, outer, f0, d, params, assignment), step)
-             for tag in (op_a, *tags_b)}
-    res = tuple(float(np.abs(_op_terms(op_a, batch, *inner[tag], params, assignment)
-                             - _op_terms(tag, batch, *inner[op_a], params, assignment)).max())
-                for tag in tags_b)
-    return res if isinstance(op_b, tuple) else res[0]
+    h_inner = _differences(_h_terms(params, outer, f0, d, assignment), step)
+    return tuple(
+        float(np.abs(_h_terms(params, batch, *_differences(q(outer, f0, d), step), assignment)
+                     - q(batch, *h_inner)).max())
+        for q in terms)
 
 
 def component_system_residual(params, field, point, step, energy,
@@ -302,13 +284,6 @@ def component_system_residual(params, field, point, step, energy,
     ], axis=-1)
 
 
-def covariant_zetas() -> tuple:
-    """Matrix four-vectors of the covariant contraction, one per electron."""
-    z1 = (_I4, -(_GAMMA[0] @ _GAMMA[3]), _GAMMA[0] @ _GAMMA[5], _GAMMA[0])
-    z2 = (_I4, -(_GAMMA[0] @ _GAMMA[1]), _GAMMA[0] @ _GAMMA[2], _GAMMA[0])
-    return z1, z2
-
-
 def covariant_form_residual(params, field, point, step, energy):
     """Max-norm difference between the covariant contraction and gamma(0)(H - E).
 
@@ -322,7 +297,9 @@ def covariant_form_residual(params, field, point, step, energy):
     _require_clearance(point, 4 * step)
     s, a = params.sigma, params.alpha
     f0, d = _gradient(field, point, step)
-    z1, z2 = covariant_zetas()
+    # matrix four-vectors of the contraction, one per electron
+    z1 = (_I4, -(_GAMMA[0] @ _GAMMA[3]), _GAMMA[0] @ _GAMMA[5], _GAMMA[0])
+    z2 = (_I4, -(_GAMMA[0] @ _GAMMA[1]), _GAMMA[0] @ _GAMMA[2], _GAMMA[0])
     eshift = energy / (1 + s)
     pi1 = (f0, -1j * d[0], -1j * d[1],
            _col(-2 * a / point.r1 + a / point.r12 - eshift) * f0)

@@ -24,11 +24,11 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .model import ModelParams, exponents
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .spectrum import ClosedFormParams
 
 
@@ -49,7 +49,6 @@ def indicial_matrix(which: int, j: float, s: float, alpha: float) -> np.ndarray:
     2*(j -+ (s + 1/2)).  Both determinants vanish exactly at
     s = -1/2 + sqrt(j^2 - 4 alpha^2).
     """
-    import numpy as np
     u = j - s - 0.5
     v = j + s + 0.5
     if which == 1:
@@ -110,7 +109,6 @@ def indicial_kernel_angles(j1: float, j2: float, alpha: float) -> np.ndarray:
     angle measures how far they are from being jointly solvable (they are
     not, in general: the joint kernel is trivial).
     """
-    import numpy as np
     k1 = indicial_kernel(1, j1, alpha)
     k2 = indicial_kernel(2, j2, alpha)
     basis1 = np.array([[1.0, 0.0, k1.ratio, 0.0], [0.0, 1.0, 0.0, k1.second_ratio]]).T
@@ -131,11 +129,6 @@ class GammaRho(namedtuple("GammaRho", "gamma1 gamma2")):
     """
 
     __slots__ = ()
-
-    @classmethod
-    def from_energy(cls, sigma, alpha, energy, rho) -> "GammaRho":
-        shift = energy - (1 + sigma) * alpha / rho
-        return cls(gamma1=(1 + sigma) + shift, gamma2=(1 + sigma) - shift)
 
 
 class RadialAnsatz(namedtuple("RadialAnsatz", "beta1 beta2 a100 a200 a300 a400")):
@@ -161,7 +154,6 @@ def recurrence_R(params: ModelParams, gr: GammaRho, ansatz: RadialAnsatz,
     spectral matrix acting on (a100, a200, a300, a400).  The sign of the
     beta1 a400 term in R2 is fixed by that reduction.
     """
-    import numpy as np
     s, a = params.sigma, params.alpha
     b1, b2 = ansatz.beta1, ansatz.beta2
     a1m, a1p, a2m, a2p = first_order_brackets(params)
@@ -181,7 +173,6 @@ def recurrence_R(params: ModelParams, gr: GammaRho, ansatz: RadialAnsatz,
 def spectral_matrix(gr: GammaRho, sigma, beta1, beta2) -> np.ndarray:
     """4x4 matrix of the power-free conditions on the leading coefficients,
     shape S + (4, 4) for inputs of shape S."""
-    import numpy as np
     g1, g2, a, b = np.broadcast_arrays(gr.gamma1, gr.gamma2, (1 - sigma) * beta1,
                                        2 * sigma * beta2)
     z = np.zeros(a.shape)
@@ -202,7 +193,6 @@ def beta1_from_determinant(gr: GammaRho, sigma, beta2):
 
     Raises if any entry has sigma >= 1 or a negative discriminant.
     """
-    import numpy as np
     if np.any(sigma >= 1):
         raise ZeroDivisionError("sigma = 1 removes beta1 from the determinant condition")
     disc = gr.gamma1 * gr.gamma2 - 4 * sigma**2 * beta2**2
@@ -221,7 +211,6 @@ def kernel_vectors(gr: GammaRho, sigma, beta1, beta2) -> tuple:
     The + sign on psi2's second entry is required for annihilation: the
     second spectral row reads g2 a2 + 2 s b2 a3 - (1-s) b1 a4.
     """
-    import numpy as np
     if np.any(gr.gamma2 == 0):
         raise DegenerateKernelError("gamma2 = 0")
     p, q = np.broadcast_arrays((1 - sigma) * beta1 / gr.gamma2, 2 * sigma * beta2 / gr.gamma2)
@@ -287,7 +276,8 @@ def fundamental_residual(relation: tuple, energy: float) -> float:
     """Decay-rate mismatch beta1(determinant route) - beta1(fundamental relation) at one energy.
 
     The determinant route eliminates beta2 = h beta1 self-consistently:
-    beta1^2 [(1-s)^2 + 4 s^2 h^2] = gamma1 gamma2 (``GammaRho.from_energy``);
+    beta1^2 [(1-s)^2 + 4 s^2 h^2] = gamma1 gamma2, with gamma1,2 = (1+s) +- X and
+    X = E - (1+s) a / rho;
     the contracted recurrence gives beta1 = a(1+s)(gamma1-gamma2)/denominator.
     A zero in the energy characterizes the bound state for the relation's sigma, rho and h.
     """

@@ -100,14 +100,15 @@ def clifford_checks() -> list:
     return results
 
 
-def _safe_points(n, seed, lo=0.5, box=2.0):
-    """The first n draws in the box with every radius above lo, drawn 2n at a time."""
+def _safe_points(n, seed):
+    """The first n rows (x1, y1, x2, y2) drawn in [-2, 2]^4 with every radius
+    above 0.5, drawn 2n at a time."""
     rng = np.random.default_rng(seed)
     kept = np.empty((0, 4))
     while len(kept) < n:
-        draws = rng.uniform(-box, box, (2 * n, 4))
-        kept = np.concatenate([kept, draws[ConfigPoint(*draws.T).min_radius() > lo]])
-    return [ConfigPoint(*row) for row in kept[:n]]
+        draws = rng.uniform(-2.0, 2.0, (2 * n, 4))
+        kept = np.concatenate([kept, draws[ConfigPoint(*draws.T).min_radius() > 0.5]])
+    return kept[:n]
 
 
 def _test_fields():
@@ -125,12 +126,13 @@ def _test_fields():
 def operator_checks() -> list:
     step = 1e-3
     params = ModelParams(sigma=0.23)
-    points = _safe_points(20, seed=20240801)
+    rows = _safe_points(20, seed=20240801)
+    batch = ConfigPoint(*rows.T)
     fields = _test_fields()
     results = []
 
-    res_h, res_jz = commutator_residual("H", ("M", "Jz"), params, fields, points, step)
-    res_h2 = commutator_residual("H", "M", params, fields, points, step / 2)
+    res_h, res_jz = commutator_residual(params, fields, batch, step, ("M", "Jz"))
+    (res_h2,) = commutator_residual(params, fields, batch, step / 2, ("M",))
     ratio = res_h / res_h2
     results.append(CheckResult("[H,M] second-order decay (|ratio - 4|)", abs(ratio - 4), hi=0.5,
                                note=f"residuals {res_h:.2e} -> {res_h2:.2e}"))
@@ -153,7 +155,7 @@ def operator_checks() -> list:
                                hi=0.5, note=f"errors {err[0]:.2e} -> {err[1]:.2e}"))
 
     energy = 1.2
-    batch = ConfigPoint.stack(points[:8])
+    batch = ConfigPoint(*rows[:8].T)
     dev_cs = max(
         float(np.abs(component_system_residual(params, f, batch, step, energy)
                      - (apply_H(params, f, batch, step) - energy * f(batch)) @ g[0].T).max())
@@ -166,7 +168,8 @@ def operator_checks() -> list:
 
     scan = scan_derivative_assignments()
     commuting = sum(r == 0.0 for _, r in scan)
-    canon, swapped = (commutator_residual("H", "M", params, fields[0], points[:4], step, a)
+    canon, swapped = (commutator_residual(params, fields[:1], ConfigPoint(*rows[:4].T), step,
+                                          ("M",), a)[0]
                       for a in (CANONICAL_ASSIGNMENT, E2_EXCHANGED_ASSIGNMENT))
     results.append(CheckResult("canonical assignment in the exact commuting set",
                                dict(scan)[CANONICAL_ASSIGNMENT], hi=0.0))

@@ -84,11 +84,12 @@ def test_criterion_05_clifford_suite():
 def test_criterion_06_commutation_structure():
     params = ModelParams(sigma=0.23)
     rng = np.random.default_rng(20240801)
-    points = []
-    while len(points) < 20:
-        p = ConfigPoint(*rng.uniform(-2, 2, 4))
-        if p.min_radius() > 0.5:
-            points.append(p)
+    rows = []
+    while len(rows) < 20:
+        row = rng.uniform(-2, 2, 4)
+        if ConfigPoint(*row).min_radius() > 0.5:
+            rows.append(row)
+    batch = ConfigPoint(*np.array(rows).T)
     fields = [
         SpinorField.gaussian((0.1, -0.2, 0.3, 0.0), 2.0,
                              (0.3 + 0.4j, -0.2 + 0.1j, 0.7 - 0.3j, 0.5 + 0.6j),
@@ -99,11 +100,11 @@ def test_criterion_06_commutation_structure():
                              (0.5j, 0.6, -0.7, 0.3 - 0.1j), linear=(0.0, 0.15, 0.1, 0.0)),
     ]
     step = 1e-3
-    res = max(commutator_residual("H", "M", params, f, points, step) for f in fields)
-    res_half = max(commutator_residual("H", "M", params, f, points, step / 2) for f in fields)
+    res = max(commutator_residual(params, [f], batch, step, ("M",))[0] for f in fields)
+    res_half = max(commutator_residual(params, [f], batch, step / 2, ("M",))[0] for f in fields)
     ratio = res / res_half
     extrap = abs(4 * res_half - res) / 3
-    res_jz = max(commutator_residual("H", "Jz", params, f, points, step) for f in fields)
+    res_jz = max(commutator_residual(params, [f], batch, step, ("Jz",))[0] for f in fields)
     ok = 3.5 <= ratio <= 4.5 and res_jz > 1e3 * extrap
     report(6, ok, f"[H,M] {res:.2e} -> {res_half:.2e} (ratio {ratio:.2f} in [3.5,4.5]); "
                   f"[H,Jz] {res_jz:.2e} > 1e3 * extrapolated [H,M] limit {extrap:.1e}")

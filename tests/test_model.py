@@ -21,7 +21,7 @@ def test_replace_and_make_validate_model_params():
     spectrum.equilibrium_point(0.3),
     optimize.minimize_delta_e((0.05, 0.5)),
     radial.indicial_kernel(1, 1.0, model.FINE_STRUCTURE_ALPHA),
-    radial.GammaRho.from_energy(0.3, model.FINE_STRUCTURE_ALPHA, 1.2, 50.0),
+    radial.GammaRho(1.1, 1.5),
     radial.RadialAnsatz(1.0, 2.0, 0.1, 0.2, 0.3, 0.4),
 ], ids=lambda record: type(record).__name__)
 def test_records_are_immutable(record):

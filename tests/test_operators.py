@@ -31,27 +31,24 @@ def params():
 
 
 @pytest.fixture(scope="module")
-def safe_points():
-    rng = np.random.default_rng(20240801)
-    points = []
-    while len(points) < 20:
-        p = ConfigPoint(*rng.uniform(-2, 2, 4))
-        if p.min_radius() > 0.5:
-            points.append(p)
-    return points
+def rows():
+    """The verify battery's 20 configuration points, one (x1, y1, x2, y2) row each."""
+    return verify._safe_points(20, seed=20240801)
+
+
+@pytest.fixture(scope="module")
+def batch(rows):
+    return ConfigPoint(*rows.T)
 
 
 @pytest.fixture(scope="module")
 def test_fields():
-    return [
-        SpinorField.gaussian((0.1, -0.2, 0.3, 0.0), 2.0,
-                             (0.3 + 0.4j, -0.2 + 0.1j, 0.7 - 0.3j, 0.5 + 0.6j),
-                             winding=(1, -2), linear=(0.2, 0.0, -0.1, 0.05)),
-        SpinorField.gaussian((-0.3, 0.1, 0.0, 0.25), 1.7,
-                             (0.8, 0.1 - 0.5j, -0.4j, 0.2 + 0.2j), winding=(0, 1)),
-        SpinorField.gaussian((0.0, 0.0, -0.2, -0.1), 2.4,
-                             (0.5j, 0.6, -0.7, 0.3 - 0.1j), linear=(0.0, 0.15, 0.1, 0.0)),
-    ]
+    return verify._test_fields()
+
+
+def _single_points(rows):
+    """One float ConfigPoint per row."""
+    return [ConfigPoint(*row.tolist()) for row in rows]
 
 
 def test_model_params_validation():
@@ -173,30 +170,24 @@ def test_m_on_constant_fields(values, expected):
     assert np.allclose(out, np.array(expected, dtype=complex), atol=1e-10)
 
 
-def test_h_m_commutator_vanishes_at_second_order(params, safe_points, test_fields):
+def test_h_m_commutator_vanishes_at_second_order(params, batch, test_fields):
     for field in test_fields:
-        res = commutator_residual("H", "M", params, field, safe_points, STEP)
-        res_half = commutator_residual("H", "M", params, field, safe_points, STEP / 2)
+        (res,) = commutator_residual(params, [field], batch, STEP, ("M",))
+        (res_half,) = commutator_residual(params, [field], batch, STEP / 2, ("M",))
         assert 3.5 <= res / res_half <= 4.5
         assert res < 1e-4
 
 
-def test_h_jz_commutator_does_not_vanish(params, safe_points, test_fields):
-    field = test_fields[0]
-    res = commutator_residual("H", "Jz", params, field, safe_points, STEP)
-    res_half = commutator_residual("H", "Jz", params, field, safe_points, STEP / 2)
+def test_h_jz_commutator_does_not_vanish(params, batch, test_fields):
+    (res,) = commutator_residual(params, test_fields[:1], batch, STEP, ("Jz",))
+    (res_half,) = commutator_residual(params, test_fields[:1], batch, STEP / 2, ("Jz",))
     assert res > 0.1
     assert res_half == pytest.approx(res, rel=1e-3)  # converges to a nonzero limit
 
 
-def test_self_commutator_is_zero(params, safe_points, test_fields):
-    res = commutator_residual("M", "M", params, test_fields[0], safe_points[:5], STEP)
-    assert res < 1e-12
-
-
-def test_exchanged_assignment_breaks_commutation(params, safe_points, test_fields):
-    res = commutator_residual("H", "M", params, test_fields[0], safe_points[:6], STEP,
-                              assignment=E2_EXCHANGED_ASSIGNMENT)
+def test_exchanged_assignment_breaks_commutation(params, rows, test_fields):
+    (res,) = commutator_residual(params, test_fields[:1], ConfigPoint(*rows[:6].T), STEP,
+                                 ("M",), assignment=E2_EXCHANGED_ASSIGNMENT)
     assert res > 0.01
 
 
@@ -210,24 +201,25 @@ def test_assignment_scan_identifies_commuting_variants():
     assert [r for _, r in scan] == sorted(residuals.values())
 
 
-def test_fd_commutator_marks_the_exact_commuting_set(params, safe_points, test_fields):
+def test_fd_commutator_marks_the_exact_commuting_set(params, rows, test_fields):
     # the finite-difference reference for the exact scan: [H, M] on a field,
     # variant by variant, is small exactly where the gamma identities hold
     scan = scan_derivative_assignments()
     exact = {a for a, r in scan if r == 0.0}
+    batch = ConfigPoint(*rows[:4].T)
     fd = {a for a, _ in scan
-          if commutator_residual("H", "M", params, test_fields[0], safe_points[:4], STEP, a) < 1e-3}
+          if commutator_residual(params, test_fields[:1], batch, STEP, ("M",), a)[0] < 1e-3}
     assert fd == exact
 
 
-def test_component_system_equals_matrix_route(params, safe_points, test_fields):
+def test_component_system_equals_matrix_route(params, rows, test_fields):
     energy = 1.2
     g0 = clifford.gamma(0)
     for field in test_fields:
-        for point in safe_points[:6]:
-            rows = component_system_residual(params, field, point, STEP, energy)
+        for point in _single_points(rows[:6]):
+            lhs = component_system_residual(params, field, point, STEP, energy)
             ref = g0 @ (apply_H(params, field, point, STEP) - energy * field(point))
-            assert np.abs(rows - ref).max() < 1e-12
+            assert np.abs(lhs - ref).max() < 1e-12
 
 
 def test_component_system_qplus_zero_case(params):
@@ -249,10 +241,10 @@ def test_component_system_chi3_only(params):
     assert rows[2] == pytest.approx(qm, rel=1e-14)
 
 
-def test_covariant_contraction_matches(params, safe_points, test_fields):
+def test_covariant_contraction_matches(params, rows, test_fields):
     energy = 1.2
     worst = max(covariant_form_residual(params, f, p, STEP, energy)
-                for f in test_fields for p in safe_points[:6])
+                for f in test_fields for p in _single_points(rows[:6]))
     assert worst < 1e-12
 
 
@@ -271,21 +263,23 @@ def test_covariant_sigma_zero(test_fields):
 def test_commutator_rejects_unsafe_points(params, test_fields):
     bad = ConfigPoint(1e-4, 0.0, 1.0, -1.0)
     with pytest.raises(SingularPointError):
-        commutator_residual("H", "M", params, test_fields[0], [bad], STEP)
+        commutator_residual(params, test_fields[:1], bad, STEP, ("M",))
 
 
-def test_unknown_operator_tag(params, safe_points, test_fields):
+def test_unknown_operator_tag(params, rows, test_fields):
+    # only [H, M] and [H, Jz] are defined; H itself is not a name in ops
+    for ops in (("Q",), ("M", "H")):
+        with pytest.raises(KeyError):
+            commutator_residual(params, test_fields, ConfigPoint(*rows[:2].T), STEP, ops)
+
+
+def test_empty_batch_is_rejected(params, rows, test_fields):
     with pytest.raises(ValueError):
-        commutator_residual("H", "Q", params, test_fields[0], safe_points[:2], STEP)
-
-
-def test_empty_points_are_rejected_by_name(params, test_fields):
-    with pytest.raises(ValueError, match="points"):
-        commutator_residual("H", "M", params, test_fields[0], [], STEP)
+        commutator_residual(params, test_fields, ConfigPoint(*rows[:0].T), STEP, ("M",))
 
 
 @pytest.mark.parametrize("name", ["H", "Jz", "M", "component", "covariant"])
-def test_batch_equals_stacked_single_points(name, params, safe_points, test_fields):
+def test_batch_equals_stacked_single_points(name, params, rows, batch, test_fields):
     energy = 1.2
     apply = {
         "H": lambda f, p: apply_H(params, f, p, STEP),
@@ -295,22 +289,21 @@ def test_batch_equals_stacked_single_points(name, params, safe_points, test_fiel
         "covariant": lambda f, p: covariant_form_residual(params, f, p, STEP, energy),
     }[name]
     for field in test_fields:
-        batch = apply(field, ConfigPoint.stack(safe_points))
-        stacked = np.stack([apply(field, p) for p in safe_points])
-        assert batch.shape == stacked.shape
-        assert np.abs(batch - stacked).max() <= 1e-15
+        batched = apply(field, batch)
+        stacked = np.stack([apply(field, p) for p in _single_points(rows)])
+        assert batched.shape == stacked.shape
+        assert np.abs(batched - stacked).max() <= 1e-15
 
 
-def test_one_singular_point_in_a_batch_raises(params, safe_points, test_fields):
-    bad = ConfigPoint(1e-4, 0.0, 1.0, -1.0)
-    batch = ConfigPoint.stack(safe_points[:3] + [bad] + safe_points[3:6])
+def test_one_singular_point_in_a_batch_raises(params, rows, test_fields):
+    bad = (1e-4, 0.0, 1.0, -1.0)
+    batch = ConfigPoint(*np.vstack([rows[:3], bad, rows[3:6]]).T)
     energy = 1.2
     for call in (
         lambda: apply_H(params, test_fields[0], batch, STEP),
         lambda: component_system_residual(params, test_fields[0], batch, STEP, energy),
         lambda: covariant_form_residual(params, test_fields[0], batch, STEP, energy),
-        lambda: commutator_residual("H", "M", params, test_fields[0],
-                                    safe_points[:3] + [bad], STEP),
+        lambda: commutator_residual(params, test_fields[:1], batch, STEP, ("M",)),
     ):
         with pytest.raises(SingularPointError):
             call()
@@ -322,73 +315,62 @@ def test_one_singular_point_in_a_batch_raises(params, safe_points, test_fields):
     SpinorField.gaussian((0.1, -0.2, 0.3, 0.0), 2.0, (1, 2j, 3, 4),
                          winding=(1, -2), linear=(0.2, 0.0, -0.1, 0.05)),
 ])
-def test_builtin_field_shapes(field, safe_points):
-    single = field(safe_points[0])
+def test_builtin_field_shapes(field, rows):
+    single = field(ConfigPoint(*rows[0].tolist()))
     assert single.shape == (4,) and single.dtype == complex
-    batch = field(ConfigPoint.stack(safe_points[:5]))
-    assert batch.shape == (5, 4) and batch.dtype == complex
-    assert np.array_equal(batch[0], single)
+    batched = field(ConfigPoint(*rows[:5].T))
+    assert batched.shape == (5, 4) and batched.dtype == complex
+    assert np.array_equal(batched[0], single)
 
 
-def _nested_commutator(op_a, op_b, params, field, points, step):
-    """Reference: A applied to a field that wraps B field, minus the reverse."""
-    apply = {
-        "H": lambda f, p: apply_H(params, f, p, step),
-        "Jz": lambda f, p: apply_Jz(f, p, step),
-        "M": lambda f, p: apply_M(f, p, step),
-    }
-
-    def wrap(tag, f):
-        return SpinorField(lambda p: apply[tag](f, p))
-
-    batch = ConfigPoint.stack(points)
-    ab = apply[op_a](wrap(op_b, field), batch)
-    ba = apply[op_b](wrap(op_a, field), batch)
-    return float(np.abs(ab - ba).max())
+def _nested_commutator(op, params, field, batch, step):
+    """Reference: H applied to a field that wraps Q field, minus the reverse."""
+    apply_q = {"Jz": apply_Jz, "M": apply_M}[op]
+    hq = apply_H(params, SpinorField(lambda p: apply_q(field, p, step)), batch, step)
+    qh = apply_q(SpinorField(lambda p: apply_H(params, field, p, step)), batch, step)
+    return float(np.abs(hq - qh).max())
 
 
 @pytest.mark.parametrize("step", [STEP, STEP / 2])
-@pytest.mark.parametrize("op_a,op_b", [(a, b) for a in ("H", "Jz", "M") for b in ("H", "Jz", "M")])
-def test_commutator_equals_nested_composition(op_a, op_b, step, params, safe_points, test_fields):
+@pytest.mark.parametrize("op", ["M", "Jz"], ids=["H-M", "H-Jz"])
+def test_commutator_equals_nested_composition(op, step, params, batch, test_fields):
     for field in test_fields:
-        assert (commutator_residual(op_a, op_b, params, field, safe_points, step)
-                == _nested_commutator(op_a, op_b, params, field, safe_points, step))
+        assert (commutator_residual(params, [field], batch, step, (op,))
+                == (_nested_commutator(op, params, field, batch, step),))
 
 
-def test_commutator_makes_one_field_call(params, safe_points, test_fields):
-    # one call per field on the nested stencil, whatever the number of fields and tags
+def test_commutator_makes_one_field_call(params, batch, test_fields):
+    # one call per field on the nested stencil, whatever the number of fields and names
     calls = []
 
     def counted(k):
         return SpinorField(lambda p: calls.append((k, np.shape(p.x1))) or test_fields[k](p))
 
     for n_fields in (1, 3):
-        for op_b in ("M", ("M",), ("M", "Jz"), ("H", "Jz", "M")):
+        for ops in (("M",), ("Jz",), ("M", "Jz")):
             calls.clear()
-            fields = counted(0) if n_fields == 1 else [counted(k) for k in range(n_fields)]
-            commutator_residual("H", op_b, params, fields, safe_points, STEP)
-            assert calls == [(k, (9, 9, len(safe_points))) for k in range(n_fields)]
+            commutator_residual(params, [counted(k) for k in range(n_fields)], batch, STEP, ops)
+            assert calls == [(k, (9, 9, len(batch.x1))) for k in range(n_fields)]
 
 
 @pytest.mark.parametrize("step", [STEP, STEP / 2])
-def test_batched_fields_and_tags_equal_the_per_field_max(step, params):
+def test_batched_fields_and_tags_equal_the_per_field_max(step, params, batch, test_fields):
     # the verify battery's fields and points, batched as operator_checks batches them
-    fields, points = verify._test_fields(), verify._safe_points(20, seed=20240801)
-    batched = commutator_residual("H", ("M", "Jz"), params, fields, points, step)
-    assert batched == tuple(max(commutator_residual("H", b, params, f, points, step)
-                                for f in fields) for b in ("M", "Jz"))
-    assert commutator_residual("H", "M", params, fields, points, step) == batched[0]
-    assert commutator_residual("H", ("Jz",), params, fields[0], points, step) == (
-        commutator_residual("H", "Jz", params, fields[0], points, step),)
+    batched = commutator_residual(params, test_fields, batch, step, ("M", "Jz"))
+    assert batched == tuple(max(commutator_residual(params, [f], batch, step, (op,))[0]
+                                for f in test_fields) for op in ("M", "Jz"))
+    assert commutator_residual(params, test_fields, batch, step, ("M",)) == batched[:1]
 
 
-def test_empty_fields_and_tags_are_rejected_by_name(params, safe_points, test_fields):
-    with pytest.raises(ValueError, match="^field"):
-        commutator_residual("H", "M", params, [], safe_points, STEP)
-    with pytest.raises(ValueError, match="^op_b"):
-        commutator_residual("H", (), params, test_fields, safe_points, STEP)
-    with pytest.raises(ValueError, match="operator tags"):
-        commutator_residual("H", ("M", "Q"), params, test_fields, safe_points, STEP)
+@pytest.mark.parametrize("n_fields", [1, 3])
+def test_float_point_equals_the_batch_of_one(n_fields, params, rows, test_fields):
+    # a point of floats is a batch of one, not a point whose values the
+    # fields' concatenation would join along the spinor axis
+    fields = test_fields[:n_fields]
+    single = commutator_residual(params, fields, ConfigPoint(*rows[0].tolist()), STEP,
+                                 ("M", "Jz"))
+    assert single == commutator_residual(params, fields, ConfigPoint(*rows[:1].T), STEP,
+                                         ("M", "Jz"))
 
 
 def _stacked_gaussian(center, width, values, winding=(0, 0), linear=None):
@@ -415,9 +397,8 @@ def _stacked_gaussian(center, width, values, winding=(0, 0), linear=None):
     dict(center=(0.0, 0.0, -0.2, -0.1), width=2.4, values=(0.5j, 0.6, -0.7, 0.3 - 0.1j),
          linear=(0.0, 0.15, 0.1, 0.0)),
 ], ids=["winding-and-linear", "winding", "linear"])
-def test_gaussian_matches_the_stacked_form(kwargs, safe_points):
+def test_gaussian_matches_the_stacked_form(kwargs, rows, batch):
     field, reference = SpinorField.gaussian(**kwargs), _stacked_gaussian(**kwargs)
-    batch = ConfigPoint.stack(safe_points)
     # a batch, the nested stencil the commutator evaluates, and one point
-    for p in (batch, _stencil(_stencil(batch, STEP), STEP), safe_points[0]):
+    for p in (batch, _stencil(_stencil(batch, STEP), STEP), ConfigPoint(*rows[0].tolist())):
         np.testing.assert_allclose(field(p), reference(p), rtol=1e-14, atol=0)

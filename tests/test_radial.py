@@ -29,6 +29,12 @@ def det4_cofactor(m):
     return total
 
 
+def gamma_rho(sigma, alpha, energy, rho):
+    """Reference: gamma1,2 = (1+sigma) +- X with X = E - (1+sigma) alpha / rho."""
+    shift = energy - (1 + sigma) * alpha / rho
+    return radial.GammaRho(gamma1=(1 + sigma) + shift, gamma2=(1 + sigma) - shift)
+
+
 def test_exponents_default_alpha_frozen_value():
     s1, s2 = radial.exponents(1.0, 1.0, ALPHA)
     assert s1 == pytest.approx(S1_REF, rel=1e-15)
@@ -111,7 +117,7 @@ def test_indicial_kernel_angles():
 
 def test_gamma_rho_sum_invariant():
     sigma = 0.31
-    gr = radial.GammaRho.from_energy(sigma, ALPHA, energy=0.93, rho=0.8)
+    gr = gamma_rho(sigma, ALPHA, energy=0.93, rho=0.8)
     assert gr.gamma1 + gr.gamma2 == pytest.approx(2 * (1 + sigma), rel=1e-15)
 
 
@@ -271,7 +277,7 @@ def test_both_kernel_vectors_give_identical_energy_condition():
     rho, h = 120.0, 0.25
     weight = (1 - params.sigma) ** 2 + 4 * params.sigma**2 * h**2
     for energy in np.linspace(0.2, 1.1, 12):
-        gr = radial.GammaRho.from_energy(params.sigma, params.alpha, energy, rho)
+        gr = gamma_rho(params.sigma, params.alpha, energy, rho)
         b1 = math.sqrt(gr.gamma1 * gr.gamma2 / weight)
         b2 = h * b1
         psi1, psi2 = radial.kernel_vectors(gr, params.sigma, b1, b2)
@@ -292,7 +298,7 @@ def test_fundamental_residual_gamma_equal_case():
     energy = (1 + cf.sigma) * cf.alpha / rho  # shift X = 0
     h = cf.sigma * cf.s2 / cf.s1
     res = radial.fundamental_residual(radial.fundamental_relation(cf, rho), energy)
-    gr = radial.GammaRho.from_energy(cf.sigma, cf.alpha, energy, rho)
+    gr = gamma_rho(cf.sigma, cf.alpha, energy, rho)
     weight = (1 - cf.sigma) ** 2 + 4 * cf.sigma**2 * h**2
     assert res == pytest.approx(math.sqrt(gr.gamma1 * gr.gamma2 / weight), rel=1e-14)
 
@@ -381,8 +387,8 @@ def test_fundamental_residual_no_real_decay():
 
 
 def reference_residual(params, energy, rho, h, variant):
-    """The decay-rate mismatch at one energy, written out from GammaRho.from_energy."""
-    gr = radial.GammaRho.from_energy(params.sigma, params.alpha, energy, rho)
+    """The decay-rate mismatch at one energy, written out from gamma_rho."""
+    gr = gamma_rho(params.sigma, params.alpha, energy, rho)
     weight = (1 - params.sigma) ** 2 + 4 * params.sigma**2 * h**2
     beta_det = math.sqrt(gr.gamma1 * gr.gamma2 / weight)
     den = per_site_denominator(params, h, variant)

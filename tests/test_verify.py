@@ -218,13 +218,14 @@ def test_batched_radial_draws_equal_per_draw_loops():
     assert checks["kernel contraction equals dot product"] == reference["contraction"]
 
 
-@pytest.mark.parametrize("n, seed, lo", [(20, 20240801, 0.5), (50, 3, 0.5), (5, 11, 1.5)],
-                         ids=["battery", "more-points", "few-clear-lo"])
-def test_safe_points_equal_one_draw_at_a_time(n, seed, lo):
+@pytest.mark.parametrize("n, seed", [(20, 20240801), (50, 3)], ids=["battery", "more-points"])
+def test_safe_points_equal_one_draw_at_a_time(n, seed):
     rng = np.random.default_rng(seed)
     reference = []
     while len(reference) < n:
-        p = ConfigPoint(*rng.uniform(-2.0, 2.0, 4))
-        if p.min_radius() > lo:
-            reference.append(p)
-    assert verify._safe_points(n, seed=seed, lo=lo) == reference
+        row = rng.uniform(-2.0, 2.0, 4)
+        if ConfigPoint(*row).min_radius() > 0.5:
+            reference.append(row)
+    rows = verify._safe_points(n, seed=seed)
+    assert rows.shape == (n, 4)
+    assert np.array_equal(rows, reference)
