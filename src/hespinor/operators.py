@@ -231,19 +231,19 @@ def commutator_residual(params, fields, batch, step, ops,
     """max over fields and points of |(H Q - Q H) field|, one per name Q in ``ops`` ('M', 'Jz').
 
     Each field is called once, on the nested stencil of the batch, of shape
-    (9, 9, N); a batch of floats is a batch of one.  The field values are
-    concatenated along the point axis, so the operator algebra runs once on
-    the F * N batch.  Each field's gradient on the outer 9-point stencil
-    gives H field and Q field at every stencil point, and each outer
-    difference then takes the other operator at the batch, with the same
-    step on both levels.  The 4*step clearance of the batch covers both
+    (9, 9, N); a batch of any shape is flattened, floats to a batch of one.
+    The field values are concatenated along the point axis, so the operator
+    algebra runs once on the F * N batch.  Each field's gradient on the outer
+    9-point stencil gives H field and Q field at every stencil point, and each
+    outer difference then takes the other operator at the batch, with the
+    same step on both levels.  The 4*step clearance of the batch covers both
     levels: a stencil point moves one step along one coordinate, so r1, r2
     and r12 each change by at most one step, and every outer stencil point
     keeps them above 3*step, every inner one above 2*step.
     """
     terms = [_ANGULAR_TERMS[name] for name in ops]
     _require_clearance(batch, 4 * step)
-    coords = [np.atleast_1d(x) for x in (batch.x1, batch.y1, batch.x2, batch.y2)]
+    coords = [np.ravel(x) for x in (batch.x1, batch.y1, batch.x2, batch.y2)]
     nested = _stencil(_stencil(ConfigPoint(*coords), step), step)
     f0, d = _differences(np.concatenate([f(nested) for f in fields], axis=2), step)
     # one copy of the batch per field, to match the concatenated values

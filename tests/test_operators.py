@@ -266,6 +266,30 @@ def test_commutator_rejects_unsafe_points(params, test_fields):
         commutator_residual(params, test_fields[:1], bad, STEP, ("M",))
 
 
+@pytest.mark.parametrize("scale, raises", [(0.99, True), (1.01, False)], ids=["inside", "outside"])
+@pytest.mark.parametrize("radius", ["r1", "r2", "r12"])
+def test_commutator_clearance_is_four_steps(radius, scale, raises, params, test_fields):
+    # each radius in turn just inside or just outside the 4*step clearance:
+    # inside, the nested stencil is refused; outside, it reaches no singularity
+    d = scale * 4 * STEP
+    point = {"r1": ConfigPoint(d, 0.0, 1.0, -1.0),
+             "r2": ConfigPoint(1.0, -1.0, d, 0.0),
+             "r12": ConfigPoint(1.0, 0.5, 1.0 + d, 0.5)}[radius]
+    assert point.min_radius() == getattr(point, radius) == pytest.approx(d, rel=1e-9)
+    if raises:
+        with pytest.raises(SingularPointError):
+            commutator_residual(params, test_fields, point, STEP, ("M", "Jz"))
+    else:
+        assert np.all(np.isfinite(commutator_residual(params, test_fields, point, STEP,
+                                                      ("M", "Jz"))))
+
+
+@pytest.mark.parametrize("step", [0.0, -STEP], ids=["zero", "negative"])
+def test_commutator_rejects_a_nonpositive_step(step, params, batch, test_fields):
+    with pytest.raises(ValueError, match="step must be positive"):
+        commutator_residual(params, test_fields, batch, step, ("M",))
+
+
 def test_unknown_operator_tag(params, rows, test_fields):
     # only [H, M] and [H, Jz] are defined; H itself is not a name in ops
     for ops in (("Q",), ("M", "H")):
@@ -323,11 +347,11 @@ def test_builtin_field_shapes(field, rows):
     assert np.array_equal(batched[0], single)
 
 
-def _nested_commutator(op, params, field, batch, step):
+def _nested_commutator(op, params, field, batch, step, assignment=CANONICAL_ASSIGNMENT):
     """Reference: H applied to a field that wraps Q field, minus the reverse."""
     apply_q = {"Jz": apply_Jz, "M": apply_M}[op]
-    hq = apply_H(params, SpinorField(lambda p: apply_q(field, p, step)), batch, step)
-    qh = apply_q(SpinorField(lambda p: apply_H(params, field, p, step)), batch, step)
+    hq = apply_H(params, SpinorField(lambda p: apply_q(field, p, step)), batch, step, assignment)
+    qh = apply_q(SpinorField(lambda p: apply_H(params, field, p, step, assignment)), batch, step)
     return float(np.abs(hq - qh).max())
 
 
@@ -337,6 +361,15 @@ def test_commutator_equals_nested_composition(op, step, params, batch, test_fiel
     for field in test_fields:
         assert (commutator_residual(params, [field], batch, step, (op,))
                 == (_nested_commutator(op, params, field, batch, step),))
+
+
+@pytest.mark.parametrize("step", [STEP, STEP / 2])
+@pytest.mark.parametrize("op", ["M", "Jz"], ids=["H-M", "H-Jz"])
+def test_exchanged_commutator_equals_nested_composition(op, step, params, batch, test_fields):
+    # the contrast assignment of the verify report goes through the same fused path
+    for field in test_fields:
+        assert (commutator_residual(params, [field], batch, step, (op,), E2_EXCHANGED_ASSIGNMENT)
+                == (_nested_commutator(op, params, field, batch, step, E2_EXCHANGED_ASSIGNMENT),))
 
 
 def test_commutator_makes_one_field_call(params, batch, test_fields):
@@ -371,6 +404,29 @@ def test_float_point_equals_the_batch_of_one(n_fields, params, rows, test_fields
                                  ("M", "Jz"))
     assert single == commutator_residual(params, fields, ConfigPoint(*rows[:1].T), STEP,
                                          ("M", "Jz"))
+
+
+def test_residuals_follow_the_order_of_ops(params, batch, test_fields):
+    m, jz = commutator_residual(params, test_fields, batch, STEP, ("M", "Jz"))
+    assert commutator_residual(params, test_fields, batch, STEP, ("Jz", "M")) == (jz, m)
+    assert commutator_residual(params, test_fields, batch, STEP, ("M", "M")) == (m, m)
+
+
+@pytest.mark.parametrize("op", ["M", "Jz"])
+def test_batch_residual_is_the_max_over_its_points(op, params, rows, batch, test_fields):
+    (batched,) = commutator_residual(params, test_fields, batch, STEP, (op,))
+    per_point = [commutator_residual(params, test_fields, ConfigPoint(*rows[k:k + 1].T), STEP,
+                                     (op,))[0] for k in range(len(rows))]
+    assert batched == pytest.approx(max(per_point), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_fields", [1, 3])
+def test_batch_of_any_shape_equals_the_flat_batch(n_fields, params, rows, batch, test_fields):
+    # a (4, 5) grid of the battery's 20 points is the same batch as its flat form
+    fields = test_fields[:n_fields]
+    grid = ConfigPoint(*rows.T.reshape(4, 4, 5))
+    assert (commutator_residual(params, fields, grid, STEP, ("M", "Jz"))
+            == commutator_residual(params, fields, batch, STEP, ("M", "Jz")))
 
 
 def _stacked_gaussian(center, width, values, winding=(0, 0), linear=None):

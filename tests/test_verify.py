@@ -218,7 +218,8 @@ def test_batched_radial_draws_equal_per_draw_loops():
     assert checks["kernel contraction equals dot product"] == reference["contraction"]
 
 
-@pytest.mark.parametrize("n, seed", [(20, 20240801), (50, 3)], ids=["battery", "more-points"])
+@pytest.mark.parametrize("n, seed", [(20, 20240801), (50, 3), (5, 11)],
+                         ids=["battery", "more-points", "few"])
 def test_safe_points_equal_one_draw_at_a_time(n, seed):
     rng = np.random.default_rng(seed)
     reference = []
