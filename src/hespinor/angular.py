@@ -107,16 +107,16 @@ def point_from_polar(r1, theta1, r2, theta2) -> ConfigPoint:
 
 
 def separation_residual(params: ModelParams, assignment: PhaseAssignment, profiles,
-                        energy, angle_samples, radial_point, rho0, step):
-    """Angle spread of the phase-stripped component residuals at fixed radii.
+                        energy, angle_samples, radial_point, rho0, step) -> np.ndarray:
+    """Phase-stripped component residuals at every radius and angle sample.
 
-    The four component equations are evaluated for all (theta1, theta2) samples
-    in one batch by finite differences with the interelectron distance frozen
-    at rho0 and divided componentwise by exp(i Phi_k).  Full angular
-    cancellation means the results agree across all samples; the returned
-    number is the largest componentwise deviation from the first sample.
-    ``radial_point`` is (r1, r2): two floats give a float, two arrays of
-    shape (R,) give the R spreads as one array from one batch.
+    The four component equations are evaluated for all (theta1, theta2)
+    samples in one batch by finite differences with the interelectron
+    distance frozen at rho0, and divided componentwise by exp(i Phi_k).
+    ``radial_point`` is (r1, r2), two floats or two arrays of one shape S;
+    for A angle samples the rows have shape S + (A, 4).  Full angular
+    cancellation means they agree along the angle axis, with the rows of
+    ``radial_system_residual``.
 
     The stripping phases are computed from the constructed point's own
     atan2 angles: with half-integer winding coefficients the raw sample
@@ -125,23 +125,18 @@ def separation_residual(params: ModelParams, assignment: PhaseAssignment, profil
     """
     angles = np.asarray(angle_samples, dtype=float).reshape(-1, 2)
     r1, r2 = (np.expand_dims(r, -1) for r in radial_point)
-    if len(angles) == 0:
-        return 0.0 if r1.ndim == 1 else np.zeros(len(r1))
     p = point_from_polar(r1, angles[:, 0], r2, angles[:, 1])
     res = component_system_residual(params, build_spinor(assignment, profiles), p, step,
                                     energy, rho_freeze=rho0)
-    values = res / assignment.phase_vector(p.theta1, p.theta2)
-    spread = np.abs(values - values[..., :1, :]).max(axis=(-2, -1))
-    return float(spread) if spread.ndim == 0 else spread
+    return res / assignment.phase_vector(p.theta1, p.theta2)
 
 
 def radial_system_residual(params: ModelParams, profiles, energy, rho0, point) -> np.ndarray:
     """Four rows of the separated radial system, via analytic derivatives.
 
-    Agrees with the angle-independent value produced by
-    ``separation_residual`` up to the O(step^2) finite-difference error of
-    the latter.  ``point`` is (r1, r2): two floats give shape (4,), two
-    arrays of shape S give S + (4,).
+    Agrees with every angle sample of ``separation_residual`` up to the
+    O(step^2) finite-difference error of the latter.  ``point`` is (r1, r2):
+    two floats give shape (4,), two arrays of shape S give S + (4,).
     """
     r1, r2 = point
     if np.any(r1 <= 0) or np.any(r2 <= 0):

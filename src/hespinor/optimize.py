@@ -99,6 +99,8 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
     """
     lo, hi = sorted(map(float, bracket))
     s1, s2 = check_parameters(alpha, j1, j2, (lo, hi), tol)
+    if lo == hi:
+        raise ParameterError(f"sigma_min = {lo!r}: need sigma_min != sigma_max")
 
     def excess(sigma):
         return delta_e(c_params(sigma, s1, s2, alpha))

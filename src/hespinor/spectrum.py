@@ -16,8 +16,8 @@ for the excess energy, in Hartree (m c^2 a^2); lengths in Bohr radii
 
 An independent check is provided by ``energy_consistency_solve``, which
 recovers the energy by root-finding on the radial module's
-``fundamental_residual`` instead of using the closed form.  ``radial`` is
-imported by the functions that solve that relation, so the closed form
+``fundamental_residual`` instead of using the closed form.  It and
+``energy_shifted_literal`` import ``radial`` inside, so the closed form
 alone, like ``hespinor minimize``, does not load it.
 """
 
@@ -240,32 +240,6 @@ def energy_shifted_literal(cf: ClosedFormParams, rho: float, squared: bool = Tru
     den = dval * dval if squared else dval
     num = 4 * cf.alpha**2 * (1 + cf.sigma) ** 2 * weight
     return coulomb + rest / math.sqrt(1 + num / den)
-
-
-def arbitration_table(sigmas) -> dict:
-    """Worst relative deviation from the closed-form energy of each reading, default constants.
-
-    Keys 'default', 'alt-weight' and 'alt-shift' hold the consistency root
-    for each fundamental-denominator variant (inf where a variant has no
-    root), 'squared' and 'unsquared' the literal energy formula with either
-    inner denominator.  The verify report uses it to state which readings
-    agree with the closed form and by how much the alternatives miss.
-    """
-    from . import radial
-
-    points = [(cf, energy_closed_form(cf), rho0_natural(cf)) for cf in map(closed_form, sigmas)]
-
-    def worst(energy):
-        try:
-            return max(abs(energy(cf, rho) - e_ref) / abs(e_ref) for cf, e_ref, rho in points)
-        except (NoRootInBracketError, radial.NoRealDecayError):
-            return math.inf
-
-    table = {variant: worst(lambda cf, rho: energy_consistency_solve(cf.sigma, rho, cf, variant))
-             for variant in radial.FUNDAMENTAL_DENOMINATORS}
-    table["squared"] = worst(energy_shifted_literal)
-    table["unsquared"] = worst(partial(energy_shifted_literal, squared=False))
-    return table
 
 
 def ion_limit(alpha: float = FINE_STRUCTURE_ALPHA, j1: float = 1.0) -> float:

@@ -156,15 +156,16 @@ def operator_checks() -> list:
 
     energy = 1.2
     batch = ConfigPoint(*rows[:8].T)
-    dev_cs = max(
-        float(np.abs(component_system_residual(params, f, batch, step, energy)
-                     - (apply_H(params, f, batch, step) - energy * f(batch)) @ g[0].T).max())
-        for f in fields
-    )
-    results.append(CheckResult("component expansion equals g0(H-E)", dev_cs, hi=1e-10))
-    dev_cov = max(float(covariant_form_residual(params, f, batch, step, energy).max())
-                  for f in fields)
-    results.append(CheckResult("covariant contraction equals g0(H-E)", dev_cov, hi=1e-10))
+    targets = [(apply_H(params, f, batch, step) - energy * f(batch)) @ g[0].T for f in fields]
+
+    def worst(expansion):
+        return max(float(np.abs(expansion(params, f, batch, step, energy) - target).max())
+                   for f, target in zip(fields, targets))
+
+    results.append(CheckResult("component expansion equals g0(H-E)",
+                               worst(component_system_residual), hi=1e-10))
+    results.append(CheckResult("covariant contraction equals g0(H-E)",
+                               worst(covariant_form_residual), hi=1e-10))
 
     scan = scan_derivative_assignments()
     commuting = sum(r == 0.0 for _, r in scan)
@@ -178,6 +179,11 @@ def operator_checks() -> list:
         note=f"{commuting} of {len(scan)} variants commute; "
              f"canonical {canon:.1e} vs exchanged {swapped:.1e}"))
     return results
+
+
+def _angle_spread(rows) -> np.ndarray:
+    """Largest deviation of rows S + (A, 4) from their first angle sample, shape S."""
+    return np.abs(rows - rows[..., :1, :]).max(axis=(-2, -1))
 
 
 def angular_checks() -> list:
@@ -202,16 +208,12 @@ def angular_checks() -> list:
     rho0 = 0.86
     angles = [(0.1 + 0.7 * k, 0.4 + 1.1 * k) for k in range(8)]
     r1, r2 = np.random.default_rng(7).uniform(0.6, 1.6, (10, 2)).T
-    spread = angular.separation_residual(params, assignment, profiles, energy,
-                                         angles, (r1, r2), rho0, step)
+    rows = angular.separation_residual(params, assignment, profiles, energy,
+                                       angles, (r1, r2), rho0, step)
     scale = np.max([np.abs(prof.value(r1, r2)) for prof in profiles], axis=0)
-    worst_rel = np.max(spread / scale)
-    p = angular.point_from_polar(r1, angles[0][0], r2, angles[0][1])
-    fd = component_system_residual(params, angular.build_spinor(assignment, profiles),
-                                   p, step, energy, rho_freeze=rho0)
-    fd = fd / assignment.phase_vector(p.theta1, p.theta2)
+    worst_rel = np.max(_angle_spread(rows) / scale)
     exact = angular.radial_system_residual(params, profiles, energy, rho0, (r1, r2))
-    worst_dev = float(np.abs(fd - exact).max())
+    worst_dev = float(np.abs(rows[:, 0] - exact).max())
     results = [
         CheckResult("angular cancellation spread / field scale", worst_rel, hi=1e-8,
                     note="8 angles x 10 radial points, canonical phases"),
@@ -224,9 +226,10 @@ def angular_checks() -> list:
         (params.j1 - 0.5, params.j2 - 0.5),
         (params.j1 + 0.5, -(params.j2 - 0.5)),
     ))
-    spread_broken = angular.separation_residual(params, broken, profiles, energy,
-                                                angles, (r1[0], r2[0]), rho0, step)
-    results.append(CheckResult("mixed-sign phase variant fails to cancel", spread_broken,
+    broken_rows = angular.separation_residual(params, broken, profiles, energy,
+                                              angles, (r1[:1], r2[:1]), rho0, step)
+    results.append(CheckResult("mixed-sign phase variant fails to cancel",
+                               float(_angle_spread(broken_rows)[0]),
                                lo=1e-3, note="contrast case for the assignment search"))
 
     ladder = angular.find_cancelling_assignments(params.j1, params.j2)
@@ -337,17 +340,29 @@ def spectrum_checks() -> list:
     results.append(CheckResult("one-electron reduction at sigma = 0", dev0, hi=1e-12,
                                note="closed form vs m sqrt(1 - (2 alpha)^2)"))
 
-    sigmas = np.linspace(0.06, 0.49, 10)
-    table = spectrum.arbitration_table(sigmas)
-    results.append(CheckResult("consistency root vs closed form", table["default"], hi=1e-6,
+    points = [(cf, spectrum.energy_closed_form(cf), spectrum.rho0_natural(cf))
+              for cf in map(spectrum.closed_form, np.linspace(0.06, 0.49, 10))]
+
+    def worst(energy):  # relative deviation of a reading from the closed-form energy
+        try:
+            return max(abs(energy(cf, rho) - e_ref) / abs(e_ref) for cf, e_ref, rho in points)
+        except (spectrum.NoRootInBracketError, radial.NoRealDecayError):
+            return math.inf  # a reading without a root
+
+    def root(variant):
+        return worst(lambda cf, rho: spectrum.energy_consistency_solve(cf.sigma, rho, cf, variant))
+
+    results.append(CheckResult("consistency root vs closed form", root("default"), hi=1e-6,
                                note="fundamental denominator: default reading selected"))
     for variant in ("alt-weight", "alt-shift"):
-        results.append(CheckResult(f"{variant} denominator rejected", table[variant], lo=1e-6,
+        results.append(CheckResult(f"{variant} denominator rejected", root(variant), lo=1e-6,
                                    note="disagrees with the closed form"))
-    results.append(CheckResult("energy relation inner denominator: squared", table["squared"],
-                               hi=1e-9, note="squared reading selected"))
-    results.append(CheckResult("energy relation unsquared reading rejected", table["unsquared"],
-                               lo=1e-7))
+    results.append(CheckResult("energy relation inner denominator: squared",
+                               worst(spectrum.energy_shifted_literal), hi=1e-9,
+                               note="squared reading selected"))
+    results.append(CheckResult(
+        "energy relation unsquared reading rejected",
+        worst(lambda cf, rho: spectrum.energy_shifted_literal(cf, rho, squared=False)), lo=1e-7))
 
     limit = spectrum.ion_limit()
     approach = np.array([1e-2, 1e-3, 1e-4])

@@ -43,6 +43,10 @@ ZERO_PROFILE = angular.RadialProfile.power_exponential(0.0, 0, 0, 0, 0)
 ANGLES = [(0.1 + 0.7 * k, 0.4 + 1.1 * k) for k in range(8)]
 
 
+def spread(rows):
+    return np.abs(rows - rows[..., :1, :]).max(axis=(-2, -1))
+
+
 def test_canonical_pairs():
     a = angular.PhaseAssignment.canonical(1.0, 1.0)
     assert a.pairs == ((1.5, 1.5), (0.5, 0.5), (0.5, 1.5), (1.5, 0.5))
@@ -78,24 +82,26 @@ def test_separation_residual_cancels_for_generic_profiles(params):
     rng = np.random.default_rng(7)
     for r1, r2 in rng.uniform(0.6, 1.6, (10, 2)):
         scale = max(abs(prof.value(r1, r2)) for prof in profiles)
-        spread = angular.separation_residual(params, assignment, profiles, 1.1,
-                                             ANGLES, (r1, r2), 0.86, step=1e-5)
-        assert spread <= 1e-8 * scale
+        rows = angular.separation_residual(params, assignment, profiles, 1.1,
+                                           ANGLES, (r1, r2), 0.86, step=1e-5)
+        assert rows.shape == (len(ANGLES), 4)
+        assert spread(rows) <= 1e-8 * scale
 
 
 def test_separation_zero_profiles(params):
     assignment = angular.PhaseAssignment.canonical(params.j1, params.j2)
     zeros = [ZERO_PROFILE] * 4
-    spread = angular.separation_residual(params, assignment, zeros, 1.1,
-                                         ANGLES, (0.9, 1.2), 0.86, step=1e-5)
-    assert spread == 0.0
+    rows = angular.separation_residual(params, assignment, zeros, 1.1,
+                                       ANGLES, (0.9, 1.2), 0.86, step=1e-5)
+    assert np.array_equal(rows, np.zeros((len(ANGLES), 4)))
 
 
 def test_separation_single_angle_sample(params):
     assignment = angular.PhaseAssignment.canonical(params.j1, params.j2)
-    spread = angular.separation_residual(params, assignment, smooth_profiles(), 1.1,
-                                         [(0.3, 1.0)], (0.9, 1.2), 0.86, step=1e-5)
-    assert spread == 0.0
+    rows = angular.separation_residual(params, assignment, smooth_profiles(), 1.1,
+                                       [(0.3, 1.0)], (0.9, 1.2), 0.86, step=1e-5)
+    assert rows.shape == (1, 4)
+    assert spread(rows) == 0.0
 
 
 def test_mixed_sign_assignment_does_not_cancel(params):
@@ -105,9 +111,9 @@ def test_mixed_sign_assignment_does_not_cancel(params):
         (params.j1 - 0.5, params.j2 - 0.5),
         (params.j1 + 0.5, -(params.j2 - 0.5)),
     ))
-    spread = angular.separation_residual(params, mixed, smooth_profiles(), 1.1,
-                                         ANGLES, (0.9, 1.2), 0.86, step=1e-5)
-    assert spread > 1e-2
+    rows = angular.separation_residual(params, mixed, smooth_profiles(), 1.1,
+                                       ANGLES, (0.9, 1.2), 0.86, step=1e-5)
+    assert spread(rows) > 1e-2
 
 
 def test_radial_rows_match_angle_frozen_path(params):
@@ -256,31 +262,42 @@ def test_separation_batch_matches_per_angle_loop(params):
         p = angular.point_from_polar(r1, theta1, r2, theta2)
         res = component_system_residual(params, spinor, p, 1e-5, 1.1, rho_freeze=0.86)
         rows.append(res / assignment.phase_vector(p.theta1, p.theta2))
-    rows = np.array(rows)
-    expected = float(np.abs(rows - rows[0]).max())
-    spread = angular.separation_residual(params, assignment, profiles, 1.1,
-                                         ANGLES, (r1, r2), 0.86, step=1e-5)
-    assert spread == pytest.approx(expected, rel=0, abs=1e-15)
+    batched = angular.separation_residual(params, assignment, profiles, 1.1,
+                                          ANGLES, (r1, r2), 0.86, step=1e-5)
+    assert batched.shape == (len(ANGLES), 4)
+    assert np.abs(batched - rows).max() <= 1e-15
+
+
+def test_separation_first_angle_equals_a_separate_evaluation(params):
+    # the rows at the first angle do not depend on the other samples in the batch
+    profiles = smooth_profiles()
+    assignment = angular.PhaseAssignment.canonical(params.j1, params.j2)
+    r1, r2 = np.random.default_rng(7).uniform(0.6, 1.6, (10, 2)).T
+    rows = angular.separation_residual(params, assignment, profiles, 1.1,
+                                       ANGLES, (r1, r2), 0.86, step=1e-5)
+    p = angular.point_from_polar(r1, ANGLES[0][0], r2, ANGLES[0][1])
+    first = component_system_residual(params, angular.build_spinor(assignment, profiles), p,
+                                      1e-5, 1.1, rho_freeze=0.86)
+    assert np.array_equal(rows[:, 0], first / assignment.phase_vector(p.theta1, p.theta2))
 
 
 def test_separation_radial_batch_matches_per_point_loop(params):
     profiles = smooth_profiles()
     assignment = angular.PhaseAssignment.canonical(params.j1, params.j2)
     r1, r2 = np.random.default_rng(7).uniform(0.6, 1.6, (10, 2)).T
-    spread = angular.separation_residual(params, assignment, profiles, 1.1,
-                                         ANGLES, (r1, r2), 0.86, step=1e-5)
-    assert spread.shape == (10,)
+    rows = angular.separation_residual(params, assignment, profiles, 1.1,
+                                       ANGLES, (r1, r2), 0.86, step=1e-5)
+    assert rows.shape == (10, len(ANGLES), 4)
     loop = [angular.separation_residual(params, assignment, profiles, 1.1,
                                         ANGLES, (a, b), 0.86, step=1e-5) for a, b in zip(r1, r2)]
-    assert all(type(x) is float for x in loop)
-    assert np.array_equal(spread, loop)
+    assert np.array_equal(rows, loop)
 
 
 def test_separation_without_angles_keeps_the_radial_shape(params):
     assignment = angular.PhaseAssignment.canonical(params.j1, params.j2)
     radii = np.array([0.8, 1.1, 1.4])
     assert angular.separation_residual(params, assignment, smooth_profiles(), 1.1,
-                                       [], (0.9, 1.2), 0.86, step=1e-5) == 0.0
+                                       [], (0.9, 1.2), 0.86, step=1e-5).shape == (0, 4)
     empty = angular.separation_residual(params, assignment, smooth_profiles(), 1.1,
                                         [], (radii, radii), 0.86, step=1e-5)
-    assert np.array_equal(empty, np.zeros(3))
+    assert empty.shape == (3, 0, 4)

@@ -246,6 +246,7 @@ def test_usage_error_exit_code(tmp_path, capsys):
     (["scan", "--points", "1"], "points"),
     (["scan", "--points", "0"], "points"),
     (["scan", "--sigma-min", "0.5", "--sigma-max", "0.1"], "sigma_min"),
+    (["minimize", "--sigma-min", "0.3", "--sigma-max", "0.3"], "sigma_min"),  # no bracket
     (["minimize", "--alpha", "nan"], "alpha"),
     (["minimize", "--tol", "0"], "tol"),
     (["ion-limit", "--sigmas", "0,0.1"], "sigma"),

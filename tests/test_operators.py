@@ -241,9 +241,17 @@ def test_component_system_chi3_only(params):
     assert rows[2] == pytest.approx(qm, rel=1e-14)
 
 
+def _covariant_gap(params, field, point, energy):
+    """Largest deviation of the covariant rows from gamma(0) (H - E) field."""
+    target = (apply_H(params, field, point, STEP) - energy * field(point)) @ clifford.gamma(0).T
+    rows = covariant_form_residual(params, field, point, STEP, energy)
+    assert rows.shape == target.shape
+    return float(np.abs(rows - target).max())
+
+
 def test_covariant_contraction_matches(params, rows, test_fields):
     energy = 1.2
-    worst = max(covariant_form_residual(params, f, p, STEP, energy)
+    worst = max(_covariant_gap(params, f, p, energy)
                 for f in test_fields for p in _single_points(rows[:6]))
     assert worst < 1e-12
 
@@ -251,13 +259,13 @@ def test_covariant_contraction_matches(params, rows, test_fields):
 def test_covariant_constant_field(params):
     field = SpinorField.plane_wave((0, 0, 0, 0), (0.4, -0.3, 0.2, 0.7))
     point = ConfigPoint(1.0, 0.2, -0.8, 0.9)
-    assert covariant_form_residual(params, field, point, STEP, 0.9) < 1e-14
+    assert _covariant_gap(params, field, point, 0.9) < 1e-14
 
 
 def test_covariant_sigma_zero(test_fields):
     params0 = ModelParams(sigma=0.0)
     point = ConfigPoint(1.0, 0.2, -0.8, 0.9)
-    assert covariant_form_residual(params0, test_fields[0], point, STEP, 0.9) < 1e-13
+    assert _covariant_gap(params0, test_fields[0], point, 0.9) < 1e-13
 
 
 def test_commutator_rejects_unsafe_points(params, test_fields):

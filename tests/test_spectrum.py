@@ -193,44 +193,6 @@ def test_consistency_root_reads_the_exponents_from_the_record(alpha, j1, j2):
         assert abs(root - spectrum.energy_closed_form(by_j)) <= 1e-12
 
 
-def test_alternative_denominators_disagree():
-    table = spectrum.arbitration_table(np.linspace(0.06, 0.49, 10))
-    assert table["default"] <= 1e-9
-    assert table["alt-weight"] > 1e-6
-    assert table["alt-shift"] > 1e-6
-
-
-def test_squared_reading_selected():
-    table = spectrum.arbitration_table(np.linspace(0.06, 0.49, 10))
-    assert table["squared"] <= 1e-9
-    assert table["unsquared"] > 1e-6
-
-
-def test_tables_equal_per_sigma_loops_with_one_closed_form_per_sigma(monkeypatch):
-    sigmas = np.linspace(0.06, 0.49, 10)
-    closed_form, calls = spectrum.closed_form, []
-    monkeypatch.setattr(spectrum, "closed_form", lambda s: calls.append(s) or closed_form(s))
-    table = spectrum.arbitration_table(sigmas)
-    assert len(calls) == len(sigmas)
-    assert list(table) == [*radial.FUNDAMENTAL_DENOMINATORS, "squared", "unsquared"]
-    for variant in radial.FUNDAMENTAL_DENOMINATORS:
-        errs = []
-        for sigma in sigmas:
-            cf = closed_form(sigma)
-            e_ref = spectrum.energy_closed_form(cf)
-            e_root = spectrum.energy_consistency_solve(sigma, spectrum.rho0_natural(cf), cf, variant)
-            errs.append(abs(e_root - e_ref) / abs(e_ref))
-        assert table[variant] == max(errs)
-    for key, squared in (("squared", True), ("unsquared", False)):
-        errs = []
-        for sigma in sigmas:
-            cf = closed_form(sigma)
-            e_ref = spectrum.energy_closed_form(cf)
-            e_lit = spectrum.energy_shifted_literal(cf, spectrum.rho0_natural(cf), squared=squared)
-            errs.append(abs(e_lit - e_ref) / abs(e_ref))
-        assert table[key] == max(errs)
-
-
 def test_literal_energy_relation_squared_equals_closed_form():
     cf = spectrum.closed_form(0.1775)
     rho = spectrum.rho0_natural(cf)

@@ -6,7 +6,7 @@ import pytest
 
 from hespinor import angular, cli, optimize, radial, spectrum, verify
 from hespinor.model import ModelParams
-from hespinor.operators import ConfigPoint
+from hespinor.operators import ConfigPoint, SpinorField
 
 CHECK_NAMES = [
     "clifford anticommutation, 15 pairs",
@@ -127,9 +127,34 @@ def test_informational_check_prints_info_and_fails_only_on_nan():
 
 
 def _accept_alt_weight(monkeypatch):
-    table = spectrum.arbitration_table
-    monkeypatch.setattr(spectrum, "arbitration_table",
-                        lambda sigmas: {**table(sigmas), "alt-weight": 0.0})
+    solve = spectrum.energy_consistency_solve
+
+    def biased(sigma, rho, cf, variant="default"):
+        if variant == "alt-weight":
+            return spectrum.energy_closed_form(cf)
+        return solve(sigma, rho, cf, variant)
+
+    monkeypatch.setattr(spectrum, "energy_consistency_solve", biased)
+
+
+def _bias_covariant_row(monkeypatch):
+    covariant = verify.covariant_form_residual
+    monkeypatch.setattr(verify, "covariant_form_residual",
+                        lambda *args: covariant(*args) + np.array([0, 0, 1e-6, 0]))
+
+
+def _bias_separation_rows(monkeypatch, angle_bias):
+    separation = angular.separation_residual
+    monkeypatch.setattr(angular, "separation_residual",
+                        lambda *args: separation(*args) + angle_bias[:, None])
+
+
+def _perturb_one_angle(monkeypatch):
+    _bias_separation_rows(monkeypatch, np.eye(8)[3] * 1e-6)
+
+
+def _bias_every_angle(monkeypatch):
+    _bias_separation_rows(monkeypatch, np.full(8, 1e-6))
 
 
 def _sigma0_at_lower_edge(monkeypatch):
@@ -142,18 +167,81 @@ def _nan_kernel_angles(monkeypatch):
     monkeypatch.setattr(radial, "indicial_kernel_angles", lambda *a: np.full(2, np.nan))
 
 
-# an upper bound failing the command: test_cli's gamma sign flip
+# an upper bound failing the command: test_cli's gamma sign flip, and the
+# comparisons of the expansion and separation rows below; every FAIL line is listed
 @pytest.mark.parametrize("fault, failed", [
-    (_accept_alt_weight, "[FAIL] alt-weight denominator rejected: value 0.000e+00 > 1e-06"),
-    (_sigma0_at_lower_edge, "[FAIL] ground-state sigma0 in [0.1765, 0.1785]: "
-                            "value 1.765e-01 in (0.1765, 0.1785]"),
-    (_nan_kernel_angles, "[FAIL] indicial kernel compatibility angles (deg): value nan"),
-], ids=["lower", "window", "none"])
+    (_accept_alt_weight, ["[FAIL] alt-weight denominator rejected: value 0.000e+00 > 1e-06"]),
+    (_sigma0_at_lower_edge, ["[FAIL] ground-state sigma0 in [0.1765, 0.1785]: "
+                             "value 1.765e-01 in (0.1765, 0.1785]",
+                             "[FAIL] equilibrium r20 = 0.732 +- 0.005: ",
+                             "[FAIL] equilibrium rho0 = 0.862 +- 0.005: "]),
+    (_nan_kernel_angles, ["[FAIL] indicial kernel compatibility angles (deg): value nan"]),
+    (_bias_covariant_row, ["[FAIL] covariant contraction equals g0(H-E): value 1.000e-06"]),
+    (_perturb_one_angle, ["[FAIL] angular cancellation spread / field scale: "]),
+    (_bias_every_angle, ["[FAIL] radial rows equal angle-frozen evaluation: value 1.000e-06"]),
+], ids=["lower", "window", "none", "covariant-row", "one-angle", "every-angle"])
 def test_each_bound_form_fails_the_command(monkeypatch, capsys, fault, failed):
     fault(monkeypatch)
     assert cli.main(["verify"]) == 1
     out = capsys.readouterr().out
-    assert any(line.startswith(failed) for line in out.splitlines()), out
+    lines = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert len(lines) == len(failed), out
+    assert all(line.startswith(prefix) for line, prefix in zip(lines, failed)), out
+
+
+def _arbitration_loops(sigmas):
+    """Worst relative deviation of each reading from the closed-form energy, one sigma at a time."""
+    worst = {}
+    for variant in radial.FUNDAMENTAL_DENOMINATORS:
+        errs = []
+        for sigma in sigmas:
+            cf = spectrum.closed_form(sigma)
+            e_ref = spectrum.energy_closed_form(cf)
+            e_root = spectrum.energy_consistency_solve(sigma, spectrum.rho0_natural(cf), cf, variant)
+            errs.append(abs(e_root - e_ref) / abs(e_ref))
+        worst[variant] = max(errs)
+    for key, squared in (("squared", True), ("unsquared", False)):
+        errs = []
+        for sigma in sigmas:
+            cf = spectrum.closed_form(sigma)
+            e_ref = spectrum.energy_closed_form(cf)
+            e_lit = spectrum.energy_shifted_literal(cf, spectrum.rho0_natural(cf), squared=squared)
+            errs.append(abs(e_lit - e_ref) / abs(e_ref))
+        worst[key] = max(errs)
+    return worst
+
+
+ARBITRATION_CHECKS = {
+    "default": "consistency root vs closed form",
+    "alt-weight": "alt-weight denominator rejected",
+    "alt-shift": "alt-shift denominator rejected",
+    "squared": "energy relation inner denominator: squared",
+    "unsquared": "energy relation unsquared reading rejected",
+}
+
+
+def test_arbitration_equals_per_sigma_loops_with_one_closed_form_per_sigma(monkeypatch):
+    sigmas = np.linspace(0.06, 0.49, 10)
+    closed_form, calls = spectrum.closed_form, []
+    monkeypatch.setattr(spectrum, "closed_form",
+                        lambda s, *a, **k: calls.append(s) or closed_form(s, *a, **k))
+    values = {r.name: r.value for r in verify.spectrum_checks()}
+    assert [s for s in calls if np.ndim(s) == 0 and s in sigmas] == list(sigmas)
+    monkeypatch.undo()
+    reference = _arbitration_loops(sigmas)
+    assert list(reference) == list(ARBITRATION_CHECKS)
+    for key, name in ARBITRATION_CHECKS.items():
+        assert values[name] == reference[key], name
+    assert reference["default"] <= 1e-9 and reference["squared"] <= 1e-9
+    assert min(reference["alt-weight"], reference["alt-shift"], reference["unsquared"]) > 1e-6
+
+
+def test_angular_checks_call_each_field_once_per_phase_assignment(monkeypatch):
+    call, calls = SpinorField.__call__, []
+    monkeypatch.setattr(SpinorField, "__call__",
+                        lambda field, point: calls.append(point) or call(field, point))
+    verify.angular_checks()
+    assert len(calls) == 2
 
 
 def _per_draw_radial_values(seed=20240802):
