@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .model import ModelParams
-from .operators import ConfigPoint, SpinorField, component_system_residual, potential_radii
+from .operators import (ConfigPoint, SpinorField, component_system_residual, gradient,
+                        potential_radii)
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,8 @@ def separation_residual(params: ModelParams, assignment: PhaseAssignment, profil
     angles = np.asarray(angle_samples, dtype=float).reshape(-1, 2)
     r1, r2 = (np.expand_dims(r, -1) for r in radial_point)
     p = point_from_polar(r1, angles[:, 0], r2, angles[:, 1])
-    res = component_system_residual(params, build_spinor(assignment, profiles), p, step,
-                                    energy, rho_freeze=rho0)
+    f0, d = gradient(build_spinor(assignment, profiles), p, step)
+    res = component_system_residual(params, p, f0, d, energy, rho_freeze=rho0)
     return res / assignment.phase_vector(p.theta1, p.theta2)
 
 

@@ -15,7 +15,6 @@ the electron mass m = 1: energies are in units of m c^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
 from typing import Callable
 
@@ -152,9 +151,9 @@ def potential_radii(params: ModelParams, r1: float, r2: float, r12: float) -> fl
 
 def _require_clearance(point: ConfigPoint, margin: float):
     closest = float(np.min(point.min_radius(), initial=np.inf))  # an empty batch clears
-    if closest <= margin:
-        raise SingularPointError(f"point with min radius {closest:.3e} is within "
-                                 f"{margin:.3e} of a Coulomb singularity")
+    if not closest > margin:  # a NaN radius propagates through np.min and fails here
+        raise SingularPointError(f"point with min radius {closest:.3e} is not clear of "
+                                 f"a Coulomb singularity by more than {margin:.3e}")
 
 
 def _stencil(point: ConfigPoint, step: float) -> ConfigPoint:
@@ -170,14 +169,23 @@ def _differences(f, step: float):
     return f[0], (f[1::2] - f[2::2]) / (2 * step)
 
 
-def _gradient(field: SpinorField, point: ConfigPoint, step: float):
-    """Field values (shape S + (4,) for points of shape S) and central-difference
-    derivatives along x1, y1, x2, y2 (shape (4,) + S + (4,)), from one field
-    call on the stacked 9-point stencil of every point."""
+def gradient(field: SpinorField, point: ConfigPoint, step: float):
+    """Field values f0 (shape S + (4,) for points of shape S) and central-difference
+    derivatives d along x1, y1, x2, y2 (shape (4,) + S + (4,)), from one field
+    call on the stacked 9-point stencil of every point.
+
+    Every point must keep all three radii r1, r2, r12 above 4*step so the
+    stencil stays clear of the Coulomb singularities; a NaN radius fails.
+    The operators below act on the (f0, d) of one such pass, so H, Jz, M and
+    both expansions of one field share its stencil.
+    """
+    _require_clearance(point, 4 * step)
     return _differences(field(_stencil(point, step)), step)
 
 
-def _h_terms(params, point, f0, d, assignment) -> np.ndarray:
+def apply_H(params, point, f0, d, assignment=CANONICAL_ASSIGNMENT) -> np.ndarray:
+    """The Hamiltonian applied to a field with values f0 and derivatives d at
+    a point or batch, as ``gradient`` returns them."""
     s, a = params.sigma, params.alpha
     (ix1, sx1), (iy1, sy1) = assignment.e1
     (ix2, sx2), (iy2, sy2) = assignment.e2
@@ -188,42 +196,23 @@ def _h_terms(params, point, f0, d, assignment) -> np.ndarray:
     return out + (1 + s) * (f0 @ _GAMMA[0].T + _col(a / point.r12) * f0)
 
 
-def _jz_terms(point, f0, d) -> np.ndarray:
+def apply_Jz(point, f0, d) -> np.ndarray:
+    """The orbital angular momentum Jz applied to a field with values f0 and derivatives d.
+
+    Convention check: Jz e^{i theta1} = +1 e^{i theta1}, i.e. a phase
+    winding +n in either angle carries Jz eigenvalue +n.
+    """
     return 1j * (_col(point.y1) * d[0] - _col(point.x1) * d[1]
                  + _col(point.y2) * d[2] - _col(point.x2) * d[3])
 
 
-def _m_terms(point, f0, d) -> np.ndarray:
-    return _jz_terms(point, f0, d) + f0 @ _SPIN_SHIFT.T
+def apply_M(point, f0, d) -> np.ndarray:
+    """Jz plus the constant spin shift diag(-1, 1, 0, 0)."""
+    return apply_Jz(point, f0, d) + f0 @ _SPIN_SHIFT.T
 
 
 # Jz and M by name, each applied to a field with values f0 and derivatives d.
-_ANGULAR_TERMS = {"Jz": _jz_terms, "M": _m_terms}
-
-
-def apply_H(params, field, point, step, assignment=CANONICAL_ASSIGNMENT) -> np.ndarray:
-    """Central-difference application of the Hamiltonian at a point or batch.
-
-    Every point must keep all three radii r1, r2, r12 above 4*step so the
-    stencil stays clear of the Coulomb singularities.
-    """
-    _require_clearance(point, 4 * step)
-    return _h_terms(params, point, *_gradient(field, point, step), assignment)
-
-
-def apply_Jz(field, point, step) -> np.ndarray:
-    """Central-difference application of the orbital angular momentum Jz.
-
-    Convention check: Jz e^{i theta1} = +1 e^{i theta1}, i.e. a phase
-    winding +n in either angle carries Jz eigenvalue +n.  There are no
-    Coulomb coefficients here, so no singularity clearance is required.
-    """
-    return _ANGULAR_TERMS["Jz"](point, *_gradient(field, point, step))
-
-
-def apply_M(field, point, step) -> np.ndarray:
-    """Jz plus the constant spin shift diag(-1, 1, 0, 0)."""
-    return _ANGULAR_TERMS["M"](point, *_gradient(field, point, step))
+_ANGULAR_TERMS = {"Jz": apply_Jz, "M": apply_M}
 
 
 def commutator_residual(params, fields, batch, step, ops,
@@ -249,32 +238,30 @@ def commutator_residual(params, fields, batch, step, ops,
     # one copy of the batch per field, to match the concatenated values
     batch = ConfigPoint(*(np.tile(x, len(fields)) for x in coords))
     outer = _stencil(batch, step)
-    h_inner = _differences(_h_terms(params, outer, f0, d, assignment), step)
+    h_inner = _differences(apply_H(params, outer, f0, d, assignment), step)
     return tuple(
-        float(np.abs(_h_terms(params, batch, *_differences(q(outer, f0, d), step), assignment)
+        float(np.abs(apply_H(params, batch, *_differences(q(outer, f0, d), step), assignment)
                      - q(batch, *h_inner)).max())
         for q in terms)
 
 
-def component_system_residual(params, field, point, step, energy,
-                              rho_freeze=None) -> np.ndarray:
+def component_system_residual(params, point, f0, d, energy, rho_freeze=None) -> np.ndarray:
     """Evaluate the four componentwise equations of the energy eigenproblem.
 
-    Returns the left-hand sides, shape (4,) for one point and (N, 4) for a
-    batch; they equal gamma(0) (H - E) field up to the O(step^2) difference
-    of independently taken stencils.  With ``rho_freeze`` set, the
-    interelectron distance inside the potential is held at that constant
-    (the separation constraint) while the derivative terms are untouched.
+    Takes a field's values f0 and derivatives d at a point or batch, as
+    ``gradient`` returns them, and returns the left-hand sides, shape (4,)
+    for one point and (N, 4) for a batch; they equal gamma(0) (H - E) field
+    up to rounding.  With ``rho_freeze`` set, the interelectron distance
+    inside the potential is held at that constant (the separation
+    constraint) while the derivative terms are untouched.
     """
-    _require_clearance(point, 4 * step)
     s, a = params.sigma, params.alpha
     r12 = point.r12 if rho_freeze is None else rho_freeze
     phi = potential_radii(params, point.r1, point.r2, r12)
     qp = (1 + s) + (phi - energy)
     qm = (1 + s) - (phi - energy)
-    f0, (dx1, dy1, dx2, dy2) = _gradient(field, point, step)
     # component-first views, so f0[k] holds component k at every point
-    f0, dx1, dy1, dx2, dy2 = (np.moveaxis(v, -1, 0) for v in (f0, dx1, dy1, dx2, dy2))
+    f0, dx1, dy1, dx2, dy2 = (np.moveaxis(v, -1, 0) for v in (f0, *d))
     w1, w2 = 1 - s, 2 * s
     return np.stack([
         qp * f0[0] - w1 * (dx1[2] + 1j * dy1[2]) - w2 * (dx2[3] + 1j * dy2[3]),
@@ -284,8 +271,9 @@ def component_system_residual(params, field, point, step, energy,
     ], axis=-1)
 
 
-def covariant_form_residual(params, field, point, step, energy) -> np.ndarray:
-    """The covariant contraction (1-sigma) zeta_1.pi_1 + 2 sigma zeta_2.pi_2 applied to a field.
+def covariant_form_residual(params, point, f0, d, energy) -> np.ndarray:
+    """The covariant contraction (1-sigma) zeta_1.pi_1 + 2 sigma zeta_2.pi_2 applied to a field
+    with values f0 and derivatives d, as ``gradient`` returns them.
 
     The effective momenta are pi_k = (1, -i d/dx_k, -i d/dy_k, -2a/r_k + a/r12 - E')
     with E' = E / (1 + sigma): the energy component carries that weight
@@ -294,9 +282,7 @@ def covariant_form_residual(params, field, point, step, energy) -> np.ndarray:
     (N, 4) for a batch, equal gamma(0) (H - E) field up to rounding, as
     those of ``component_system_residual`` do.
     """
-    _require_clearance(point, 4 * step)
     s, a = params.sigma, params.alpha
-    f0, d = _gradient(field, point, step)
     # matrix four-vectors of the contraction, one per electron
     z1 = (_I4, -(_GAMMA[0] @ _GAMMA[3]), _GAMMA[0] @ _GAMMA[5], _GAMMA[0])
     z2 = (_I4, -(_GAMMA[0] @ _GAMMA[1]), _GAMMA[0] @ _GAMMA[2], _GAMMA[0])
@@ -326,17 +312,14 @@ def scan_derivative_assignments() -> list:
     def comm(a):
         return _SPIN_SHIFT @ a - a @ _SPIN_SHIFT
 
-    @cache
-    def residual(pair):
-        (ix, sx), (iy, sy) = pair
-        p, q = sx * _GAMMA[ix], sy * _GAMMA[iy]
-        return max(np.abs(1j * comm(p) + q).max(), np.abs(1j * comm(q) - p).max())
-
+    # the 8 (d/dx, d/dy) pairs of electron 1, then the 8 of electron 2, stacked
+    pairs = [((ix, sx), (iy, sy)) for axes in (((3, 5), (5, 3)), ((1, 2), (2, 1)))
+             for (ix, iy), sx, sy in product(axes, (+1, -1), (+1, -1))]
+    p = np.array([sx * _GAMMA[ix] for (ix, sx), _ in pairs])
+    q = np.array([sy * _GAMMA[iy] for _, (iy, sy) in pairs])
+    residual = np.maximum(np.abs(1j * comm(p) + q).max(axis=(1, 2)),
+                          np.abs(1j * comm(q) - p).max(axis=(1, 2)))
     mass = np.abs(comm(_GAMMA[0])).max()
-    variants = (
-        DerivativeAssignment(e1=((a1, s1x), (b1, s1y)), e2=((a2, s2x), (b2, s2y)))
-        for (a1, b1), s1x, s1y, (a2, b2), s2x, s2y in product(
-            ((3, 5), (5, 3)), (+1, -1), (+1, -1), ((1, 2), (2, 1)), (+1, -1), (+1, -1))
-    )
-    return sorted(((v, float(max(residual(v.e1), residual(v.e2), mass))) for v in variants),
-                  key=lambda t: t[1])
+    table = np.maximum(np.maximum.outer(residual[:8], residual[8:]), mass).ravel()
+    variants = (DerivativeAssignment(e1=e1, e2=e2) for e1, e2 in product(pairs[:8], pairs[8:]))
+    return sorted(zip(variants, table.tolist()), key=lambda t: t[1])

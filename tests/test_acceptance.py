@@ -17,6 +17,7 @@ from hespinor.operators import (
     commutator_residual,
     component_system_residual,
     covariant_form_residual,
+    gradient,
 )
 
 ALPHA = FINE_STRUCTURE_ALPHA
@@ -155,10 +156,11 @@ def test_criterion_09_structural_consistency():
     point = ConfigPoint(1.1, 0.4, -0.8, 0.9)
     energy, step = 1.2, 1e-3
     g0 = clifford.gamma(0)
-    target = g0 @ (apply_H(params, field, point, step) - energy * field(point))
-    dev_rows = float(np.abs(component_system_residual(params, field, point, step, energy)
+    f0, d = gradient(field, point, step)
+    target = g0 @ (apply_H(params, point, f0, d) - energy * field(point))
+    dev_rows = float(np.abs(component_system_residual(params, point, f0, d, energy)
                             - target).max())
-    dev_cov = float(np.abs(covariant_form_residual(params, field, point, step, energy)
+    dev_cov = float(np.abs(covariant_form_residual(params, point, f0, d, energy)
                            - target).max())
 
     rng = np.random.default_rng(99)

@@ -6,7 +6,7 @@ import pytest
 
 from hespinor import angular
 from hespinor.model import ModelParams
-from hespinor.operators import apply_M, component_system_residual
+from hespinor.operators import apply_M, component_system_residual, gradient
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ def test_built_spinor_is_m_eigenstate():
     profiles = [angular.RadialProfile.power_exponential(1.0, 0.6, 0.7, 1.0, 0.8)] * 4
     spinor = angular.build_spinor(angular.PhaseAssignment.canonical(1.0, 1.0), profiles)
     p = angular.point_from_polar(0.9, 0.52, 1.2, -1.1)
-    out = apply_M(spinor, p, 1e-5)
+    out = apply_M(p, *gradient(spinor, p, 1e-5))
     ratios = out / spinor(p)
     assert np.allclose(ratios, 2.0, atol=1e-8)
 
@@ -124,7 +124,8 @@ def test_radial_rows_match_angle_frozen_path(params):
     for theta1, theta2 in ((0.4, 1.1), (2.0, -1.2), (-2.3, 0.7)):
         rp = (0.95, 1.25)
         p = angular.point_from_polar(rp[0], theta1, rp[1], theta2)
-        fd = component_system_residual(params, spinor, p, step, energy, rho_freeze=rho0)
+        f0, d = gradient(spinor, p, step)
+        fd = component_system_residual(params, p, f0, d, energy, rho_freeze=rho0)
         fd = fd / assignment.phase_vector(p.theta1, p.theta2)
         exact = angular.radial_system_residual(params, profiles, energy, rho0, rp)
         assert np.abs(fd - exact).max() < 50 * step**2
@@ -260,7 +261,7 @@ def test_separation_batch_matches_per_angle_loop(params):
     rows = []
     for theta1, theta2 in ANGLES:
         p = angular.point_from_polar(r1, theta1, r2, theta2)
-        res = component_system_residual(params, spinor, p, 1e-5, 1.1, rho_freeze=0.86)
+        res = component_system_residual(params, p, *gradient(spinor, p, 1e-5), 1.1, rho_freeze=0.86)
         rows.append(res / assignment.phase_vector(p.theta1, p.theta2))
     batched = angular.separation_residual(params, assignment, profiles, 1.1,
                                           ANGLES, (r1, r2), 0.86, step=1e-5)
@@ -276,8 +277,8 @@ def test_separation_first_angle_equals_a_separate_evaluation(params):
     rows = angular.separation_residual(params, assignment, profiles, 1.1,
                                        ANGLES, (r1, r2), 0.86, step=1e-5)
     p = angular.point_from_polar(r1, ANGLES[0][0], r2, ANGLES[0][1])
-    first = component_system_residual(params, angular.build_spinor(assignment, profiles), p,
-                                      1e-5, 1.1, rho_freeze=0.86)
+    f0, d = gradient(angular.build_spinor(assignment, profiles), p, 1e-5)
+    first = component_system_residual(params, p, f0, d, 1.1, rho_freeze=0.86)
     assert np.array_equal(rows[:, 0], first / assignment.phase_vector(p.theta1, p.theta2))
 
 

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from hespinor.operators import (
     CANONICAL_ASSIGNMENT,
     E2_EXCHANGED_ASSIGNMENT,
     ConfigPoint,
+    DerivativeAssignment,
     SingularPointError,
     SpinorField,
     _stencil,
@@ -18,6 +21,7 @@ from hespinor.operators import (
     commutator_residual,
     component_system_residual,
     covariant_form_residual,
+    gradient,
     potential_radii,
     scan_derivative_assignments,
 )
@@ -80,7 +84,7 @@ def test_h_on_constant_field_balanced_potentials():
     params = ModelParams(sigma=0.0, alpha=1.0, j1=3.0, j2=3.0)
     field = SpinorField.plane_wave((0, 0, 0, 0), (1, 0, 0, 0))
     point = ConfigPoint(1.0, 0.0, 2.0, 0.0)
-    out = apply_H(params, field, point, STEP)
+    out = apply_H(params, point, *gradient(field, point, STEP))
     assert np.abs(out).max() < 1e-12
 
 
@@ -88,7 +92,7 @@ def test_h_on_constant_field_lower_block_sign():
     params = ModelParams(sigma=0.0, alpha=1.0, j1=3.0, j2=3.0)
     field = SpinorField.plane_wave((0, 0, 0, 0), (0, 0, 1, 0))
     point = ConfigPoint(1.0, 0.0, 2.0, 0.0)
-    out = apply_H(params, field, point, STEP)
+    out = apply_H(params, point, *gradient(field, point, STEP))
     phi = potential_radii(params, point.r1, point.r2, point.r12)
     assert phi == pytest.approx(-1.0)
     # third component is phi - (1+sigma) = -2, everything else zero
@@ -107,7 +111,7 @@ def test_h_plane_wave_second_order_convergence(params):
     exact = (1 - s) * (1j * (g[3] @ d[0] - g[5] @ d[1]) - (2 * a / point.r1) * f0)
     exact = exact + 2 * s * (1j * (g[1] @ d[2] - g[2] @ d[3]) - (2 * a / point.r2) * f0)
     exact = exact + (1 + s) * (g[0] @ f0 + (a / point.r12) * f0)
-    errs = [float(np.abs(apply_H(params, wave, point, h) - exact).max())
+    errs = [float(np.abs(apply_H(params, point, *gradient(wave, point, h)) - exact).max())
             for h in (STEP, STEP / 2)]
     assert 3.5 <= errs[0] / errs[1] <= 4.5
 
@@ -116,7 +120,7 @@ def test_h_singular_point_guard(params):
     field = SpinorField.plane_wave((0, 0, 0, 0), (1, 0, 0, 0))
     near_origin = ConfigPoint(1e-4, 0.0, 1.0, 1.0)
     with pytest.raises(SingularPointError):
-        apply_H(params, field, near_origin, STEP)
+        gradient(field, near_origin, STEP)
 
 
 def test_jz_annihilates_rotation_invariants():
@@ -127,7 +131,7 @@ def test_jz_annihilates_rotation_invariants():
 
     field = SpinorField(fn)
     point = ConfigPoint(0.9, 0.5, -0.7, 1.1)
-    out = apply_Jz(field, point, STEP)
+    out = apply_Jz(point, *gradient(field, point, STEP))
     assert np.abs(out).max() < 10 * STEP**2
 
 
@@ -140,7 +144,7 @@ def test_jz_winding_eigenvalue_is_plus_one():
 
     field = SpinorField(fn)
     point = ConfigPoint(0.8, 0.45, 1.0, -0.3)
-    out = apply_Jz(field, point, 1e-5)
+    out = apply_Jz(point, *gradient(field, point, 1e-5))
     ratio = out[0] / field(point)[0]
     assert ratio == pytest.approx(1.0, abs=1e-8)
 
@@ -151,10 +155,10 @@ def test_jz_polynomial_case():
         return np.stack([p.x1, zero, zero, zero], axis=-1).astype(complex)
 
     field = SpinorField(fn)
-    at_axis = ConfigPoint(1.0, 0.0, 1.0, 0.0)
-    assert np.abs(apply_Jz(field, at_axis, STEP)).max() < 1e-10
+    at_axis = ConfigPoint(1.0, 0.0, 2.0, 0.0)
+    assert np.abs(apply_Jz(at_axis, *gradient(field, at_axis, STEP))).max() < 1e-10
     generic = ConfigPoint(0.7, 1.2, 0.5, -0.9)
-    out = apply_Jz(field, generic, STEP)
+    out = apply_Jz(generic, *gradient(field, generic, STEP))
     assert out[0] == pytest.approx(1j * generic.y1, abs=1e-9)
 
 
@@ -166,7 +170,7 @@ def test_jz_polynomial_case():
 def test_m_on_constant_fields(values, expected):
     field = SpinorField.plane_wave((0, 0, 0, 0), values)
     point = ConfigPoint(1.0, 0.3, -0.5, 0.8)
-    out = apply_M(field, point, STEP)
+    out = apply_M(point, *gradient(field, point, STEP))
     assert np.allclose(out, np.array(expected, dtype=complex), atol=1e-10)
 
 
@@ -201,6 +205,38 @@ def test_assignment_scan_identifies_commuting_variants():
     assert [r for _, r in scan] == sorted(residuals.values())
 
 
+def _scalar_assignment_scan():
+    """Reference: one cached scalar 4x4 residual per derivative pair, maxed per variant."""
+    g = {i: clifford.gamma(i) for i in clifford.GAMMA_INDICES}
+    shift = clifford.spin_shift_matrix()
+
+    def comm(a):
+        return shift @ a - a @ shift
+
+    @functools.cache
+    def residual(pair):
+        (ix, sx), (iy, sy) = pair
+        p, q = sx * g[ix], sy * g[iy]
+        return max(np.abs(1j * comm(p) + q).max(), np.abs(1j * comm(q) - p).max())
+
+    mass = np.abs(comm(g[0])).max()
+    variants = (
+        DerivativeAssignment(e1=((a1, s1x), (b1, s1y)), e2=((a2, s2x), (b2, s2y)))
+        for (a1, b1), s1x, s1y, (a2, b2), s2x, s2y in itertools.product(
+            ((3, 5), (5, 3)), (+1, -1), (+1, -1), ((1, 2), (2, 1)), (+1, -1), (+1, -1))
+    )
+    return sorted(((v, float(max(residual(v.e1), residual(v.e2), mass))) for v in variants),
+                  key=lambda t: t[1])
+
+
+def test_assignment_scan_equals_the_scalar_pair_loop():
+    # same 64 variants in the same order, with bit-identical residuals
+    scan, reference = scan_derivative_assignments(), _scalar_assignment_scan()
+    assert len(scan) == 64
+    assert [a for a, _ in scan] == [a for a, _ in reference]
+    assert [(type(r), r) for _, r in scan] == [(float, r) for _, r in reference]
+
+
 def test_fd_commutator_marks_the_exact_commuting_set(params, rows, test_fields):
     # the finite-difference reference for the exact scan: [H, M] on a field,
     # variant by variant, is small exactly where the gamma identities hold
@@ -217,8 +253,9 @@ def test_component_system_equals_matrix_route(params, rows, test_fields):
     g0 = clifford.gamma(0)
     for field in test_fields:
         for point in _single_points(rows[:6]):
-            lhs = component_system_residual(params, field, point, STEP, energy)
-            ref = g0 @ (apply_H(params, field, point, STEP) - energy * field(point))
+            f0, d = gradient(field, point, STEP)
+            lhs = component_system_residual(params, point, f0, d, energy)
+            ref = g0 @ (apply_H(params, point, f0, d) - energy * field(point))
             assert np.abs(lhs - ref).max() < 1e-12
 
 
@@ -226,7 +263,7 @@ def test_component_system_qplus_zero_case(params):
     point = ConfigPoint(1.0, 0.2, -0.8, 0.9)
     energy = potential_radii(params, point.r1, point.r2, point.r12) + (1 + params.sigma)
     field = SpinorField.plane_wave((0, 0, 0, 0), (1, 0, 0, 0))
-    rows = component_system_residual(params, field, point, STEP, energy)
+    rows = component_system_residual(params, point, *gradient(field, point, STEP), energy)
     assert abs(rows[0]) < 1e-14
 
 
@@ -234,7 +271,7 @@ def test_component_system_chi3_only(params):
     point = ConfigPoint(1.0, 0.2, -0.8, 0.9)
     energy = 0.7
     field = SpinorField.plane_wave((0, 0, 0, 0), (0, 0, 1, 0))
-    rows = component_system_residual(params, field, point, STEP, energy)
+    rows = component_system_residual(params, point, *gradient(field, point, STEP), energy)
     phi = potential_radii(params, point.r1, point.r2, point.r12)
     qm = (1 + params.sigma) - (phi - energy)
     assert rows[0] == pytest.approx(0.0, abs=1e-14)
@@ -243,8 +280,9 @@ def test_component_system_chi3_only(params):
 
 def _covariant_gap(params, field, point, energy):
     """Largest deviation of the covariant rows from gamma(0) (H - E) field."""
-    target = (apply_H(params, field, point, STEP) - energy * field(point)) @ clifford.gamma(0).T
-    rows = covariant_form_residual(params, field, point, STEP, energy)
+    f0, d = gradient(field, point, STEP)
+    target = (apply_H(params, point, f0, d) - energy * field(point)) @ clifford.gamma(0).T
+    rows = covariant_form_residual(params, point, f0, d, energy)
     assert rows.shape == target.shape
     return float(np.abs(rows - target).max())
 
@@ -313,13 +351,17 @@ def test_empty_batch_is_rejected(params, rows, test_fields):
 @pytest.mark.parametrize("name", ["H", "Jz", "M", "component", "covariant"])
 def test_batch_equals_stacked_single_points(name, params, rows, batch, test_fields):
     energy = 1.2
-    apply = {
-        "H": lambda f, p: apply_H(params, f, p, STEP),
-        "Jz": lambda f, p: apply_Jz(f, p, STEP),
-        "M": lambda f, p: apply_M(f, p, STEP),
-        "component": lambda f, p: component_system_residual(params, f, p, STEP, energy),
-        "covariant": lambda f, p: covariant_form_residual(params, f, p, STEP, energy),
+    op = {
+        "H": lambda p, f0, d: apply_H(params, p, f0, d),
+        "Jz": apply_Jz,
+        "M": apply_M,
+        "component": lambda p, f0, d: component_system_residual(params, p, f0, d, energy),
+        "covariant": lambda p, f0, d: covariant_form_residual(params, p, f0, d, energy),
     }[name]
+
+    def apply(field, p):
+        return op(p, *gradient(field, p, STEP))
+
     for field in test_fields:
         batched = apply(field, batch)
         stacked = np.stack([apply(field, p) for p in _single_points(rows)])
@@ -330,15 +372,23 @@ def test_batch_equals_stacked_single_points(name, params, rows, batch, test_fiel
 def test_one_singular_point_in_a_batch_raises(params, rows, test_fields):
     bad = (1e-4, 0.0, 1.0, -1.0)
     batch = ConfigPoint(*np.vstack([rows[:3], bad, rows[3:6]]).T)
-    energy = 1.2
     for call in (
-        lambda: apply_H(params, test_fields[0], batch, STEP),
-        lambda: component_system_residual(params, test_fields[0], batch, STEP, energy),
-        lambda: covariant_form_residual(params, test_fields[0], batch, STEP, energy),
+        lambda: gradient(test_fields[0], batch, STEP),
         lambda: commutator_residual(params, test_fields[:1], batch, STEP, ("M",)),
     ):
         with pytest.raises(SingularPointError):
             call()
+
+
+def test_a_nan_coordinate_does_not_clear_the_batch(params, test_fields):
+    # the smallest radius of this batch is NaN, which compares false with the
+    # margin; the point at r1 = 1e-4, whose stencil straddles the nucleus,
+    # must still be refused
+    batch = ConfigPoint(np.array([np.nan, 1e-4]), np.zeros(2), np.ones(2), -np.ones(2))
+    with pytest.raises(SingularPointError):
+        apply_H(params, batch, *gradient(test_fields[0], batch, STEP))
+    with pytest.raises(SingularPointError):
+        commutator_residual(params, test_fields[:1], batch, STEP, ("M",))
 
 
 @pytest.mark.parametrize("field", [
@@ -358,8 +408,10 @@ def test_builtin_field_shapes(field, rows):
 def _nested_commutator(op, params, field, batch, step, assignment=CANONICAL_ASSIGNMENT):
     """Reference: H applied to a field that wraps Q field, minus the reverse."""
     apply_q = {"Jz": apply_Jz, "M": apply_M}[op]
-    hq = apply_H(params, SpinorField(lambda p: apply_q(field, p, step)), batch, step, assignment)
-    qh = apply_q(SpinorField(lambda p: apply_H(params, field, p, step, assignment)), batch, step)
+    q_field = SpinorField(lambda p: apply_q(p, *gradient(field, p, step)))
+    h_field = SpinorField(lambda p: apply_H(params, p, *gradient(field, p, step), assignment))
+    hq = apply_H(params, batch, *gradient(q_field, batch, step), assignment)
+    qh = apply_q(batch, *gradient(h_field, batch, step))
     return float(np.abs(hq - qh).max())
 
 

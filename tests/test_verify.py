@@ -236,6 +236,28 @@ def test_arbitration_equals_per_sigma_loops_with_one_closed_form_per_sigma(monke
     assert min(reference["alt-weight"], reference["alt-shift"], reference["unsquared"]) > 1e-6
 
 
+def test_spectrum_checks_hand_python_floats_to_the_scalar_solvers(monkeypatch):
+    # numpy scalars give the same values but make every scalar step several times slower
+    solve, literal, seen = spectrum.energy_consistency_solve, spectrum.energy_shifted_literal, []
+    monkeypatch.setattr(spectrum, "energy_consistency_solve", lambda sigma, rho, cf, variant: (
+        seen.append((type(sigma), type(cf.sigma), type(rho))) or solve(sigma, rho, cf, variant)))
+    monkeypatch.setattr(spectrum, "energy_shifted_literal", lambda cf, rho, squared=True: (
+        seen.append((float, type(cf.sigma), type(rho))) or literal(cf, rho, squared)))
+    verify.spectrum_checks()
+    assert len(seen) == 3 * 10 + 2 * 10  # three denominators and two readings, 10 sigma each
+    assert set(seen) == {(float, float, float)}
+
+
+def test_operator_checks_call_each_field_once_per_stencil(monkeypatch):
+    # [H, M] and [H, Jz] at two steps (3 + 3), the two assignments (1 + 1), the
+    # plane wave (its value and two steps), and one pass per expansion field (3)
+    call, calls = SpinorField.__call__, []
+    monkeypatch.setattr(SpinorField, "__call__",
+                        lambda field, point: calls.append(point) or call(field, point))
+    verify.operator_checks()
+    assert len(calls) == 14
+
+
 def test_angular_checks_call_each_field_once_per_phase_assignment(monkeypatch):
     call, calls = SpinorField.__call__, []
     monkeypatch.setattr(SpinorField, "__call__",
