@@ -14,6 +14,7 @@ the electron mass m = 1: energies are in units of m c^2.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable
@@ -121,8 +122,7 @@ class SpinorField:
         return SpinorField(fn)
 
 
-@dataclass(frozen=True)
-class DerivativeAssignment:
+class DerivativeAssignment(namedtuple("DerivativeAssignment", "e1 e2")):
     """Gamma matrix (index, sign) attached to each first derivative.
 
     e1 and e2 hold ((idx, sign) for d/dx, (idx, sign) for d/dy) of the
@@ -130,8 +130,7 @@ class DerivativeAssignment:
     i * (sign_x * gamma(idx_x) d/dx + sign_y * gamma(idx_y) d/dy).
     """
 
-    e1: tuple
-    e2: tuple
+    __slots__ = ()
 
 
 # Assignment under which [H, M] vanishes and the componentwise expansion
@@ -211,27 +210,24 @@ def apply_M(point, f0, d) -> np.ndarray:
     return apply_Jz(point, f0, d) + f0 @ _SPIN_SHIFT.T
 
 
-# Jz and M by name, each applied to a field with values f0 and derivatives d.
-_ANGULAR_TERMS = {"Jz": apply_Jz, "M": apply_M}
+def commutator_residual(params, fields, batch, step, assignment=CANONICAL_ASSIGNMENT) -> tuple:
+    """The rows (H M - M H) field and (H Jz - Jz H) field of every field and point.
 
-
-def commutator_residual(params, fields, batch, step, ops,
-                        assignment=CANONICAL_ASSIGNMENT) -> tuple:
-    """max over fields and points of |(H Q - Q H) field|, one per name Q in ``ops`` ('M', 'Jz').
-
-    Each field is called once, on the nested stencil of the batch, of shape
-    (9, 9, N); a batch of any shape is flattened, floats to a batch of one.
-    The field values are concatenated along the point axis, so the operator
-    algebra runs once on the F * N batch.  Each field's gradient on the outer
-    9-point stencil gives H field and Q field at every stencil point, and each
+    For F fields and a batch of shape S each array has shape (F,) + S + (4,),
+    the rows of ``apply_H``; floats are a batch of shape (), an empty batch
+    gives empty rows.  Each field is called once, on the nested stencil of
+    the flattened batch, of shape (9, 9, N).  The field values are
+    concatenated along the point axis, so the operator algebra runs once on
+    the F * N batch.  Each field's gradient on the outer 9-point stencil
+    gives H field, M field and Jz field at every stencil point, and each
     outer difference then takes the other operator at the batch, with the
     same step on both levels.  The 4*step clearance of the batch covers both
     levels: a stencil point moves one step along one coordinate, so r1, r2
     and r12 each change by at most one step, and every outer stencil point
     keeps them above 3*step, every inner one above 2*step.
     """
-    terms = [_ANGULAR_TERMS[name] for name in ops]
     _require_clearance(batch, 4 * step)
+    shape = (len(fields),) + np.shape(batch.x1) + (4,)
     coords = [np.ravel(x) for x in (batch.x1, batch.y1, batch.x2, batch.y2)]
     nested = _stencil(_stencil(ConfigPoint(*coords), step), step)
     f0, d = _differences(np.concatenate([f(nested) for f in fields], axis=2), step)
@@ -239,10 +235,8 @@ def commutator_residual(params, fields, batch, step, ops,
     batch = ConfigPoint(*(np.tile(x, len(fields)) for x in coords))
     outer = _stencil(batch, step)
     h_inner = _differences(apply_H(params, outer, f0, d, assignment), step)
-    return tuple(
-        float(np.abs(apply_H(params, batch, *_differences(q(outer, f0, d), step), assignment)
-                     - q(batch, *h_inner)).max())
-        for q in terms)
+    return tuple((apply_H(params, batch, *_differences(q(outer, f0, d), step), assignment)
+                  - q(batch, *h_inner)).reshape(shape) for q in (apply_M, apply_Jz))
 
 
 def component_system_residual(params, point, f0, d, energy, rho_freeze=None) -> np.ndarray:

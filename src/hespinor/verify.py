@@ -132,8 +132,9 @@ def operator_checks() -> list:
     fields = _test_fields()
     results = []
 
-    res_h, res_jz = commutator_residual(params, fields, batch, step, ("M", "Jz"))
-    (res_h2,) = commutator_residual(params, fields, batch, step / 2, ("M",))
+    hm, hjz = commutator_residual(params, fields, batch, step)
+    hm_half, _ = commutator_residual(params, fields, batch, step / 2)
+    res_h, res_jz, res_h2 = (float(np.abs(r).max()) for r in (hm, hjz, hm_half))
     ratio = res_h / res_h2
     results.append(CheckResult("[H,M] second-order decay (|ratio - 4|)", abs(ratio - 4), hi=0.5,
                                note=f"residuals {res_h:.2e} -> {res_h2:.2e}"))
@@ -171,9 +172,10 @@ def operator_checks() -> list:
 
     scan = scan_derivative_assignments()
     commuting = sum(r == 0.0 for _, r in scan)
-    canon, swapped = (commutator_residual(params, fields[:1], ConfigPoint(*rows[:4].T), step,
-                                          ("M",), a)[0]
-                      for a in (CANONICAL_ASSIGNMENT, E2_EXCHANGED_ASSIGNMENT))
+    # the first field on the first 4 points: canonical rows from the full-step call above
+    canon = float(np.abs(hm[0, :4]).max())
+    swapped = float(np.abs(commutator_residual(params, fields[:1], ConfigPoint(*rows[:4].T), step,
+                                               E2_EXCHANGED_ASSIGNMENT)[0]).max())
     results.append(CheckResult("canonical assignment in the exact commuting set",
                                dict(scan)[CANONICAL_ASSIGNMENT], hi=0.0))
     results.append(CheckResult(

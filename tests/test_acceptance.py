@@ -101,11 +101,15 @@ def test_criterion_06_commutation_structure():
                              (0.5j, 0.6, -0.7, 0.3 - 0.1j), linear=(0.0, 0.15, 0.1, 0.0)),
     ]
     step = 1e-3
-    res = max(commutator_residual(params, [f], batch, step, ("M",))[0] for f in fields)
-    res_half = max(commutator_residual(params, [f], batch, step / 2, ("M",))[0] for f in fields)
+
+    def worst(rows):
+        return float(np.abs(rows).max())
+
+    res = max(worst(commutator_residual(params, [f], batch, step)[0]) for f in fields)
+    res_half = max(worst(commutator_residual(params, [f], batch, step / 2)[0]) for f in fields)
     ratio = res / res_half
     extrap = abs(4 * res_half - res) / 3
-    res_jz = max(commutator_residual(params, [f], batch, step, ("Jz",))[0] for f in fields)
+    res_jz = max(worst(commutator_residual(params, [f], batch, step)[1]) for f in fields)
     ok = 3.5 <= ratio <= 4.5 and res_jz > 1e3 * extrap
     report(6, ok, f"[H,M] {res:.2e} -> {res_half:.2e} (ratio {ratio:.2f} in [3.5,4.5]); "
                   f"[H,Jz] {res_jz:.2e} > 1e3 * extrapolated [H,M] limit {extrap:.1e}")

@@ -55,6 +55,11 @@ def _single_points(rows):
     return [ConfigPoint(*row.tolist()) for row in rows]
 
 
+def _worst(rows):
+    """Largest modulus over all rows."""
+    return float(np.abs(rows).max())
+
+
 def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(sigma=1.2)
@@ -176,22 +181,22 @@ def test_m_on_constant_fields(values, expected):
 
 def test_h_m_commutator_vanishes_at_second_order(params, batch, test_fields):
     for field in test_fields:
-        (res,) = commutator_residual(params, [field], batch, STEP, ("M",))
-        (res_half,) = commutator_residual(params, [field], batch, STEP / 2, ("M",))
+        res = _worst(commutator_residual(params, [field], batch, STEP)[0])
+        res_half = _worst(commutator_residual(params, [field], batch, STEP / 2)[0])
         assert 3.5 <= res / res_half <= 4.5
         assert res < 1e-4
 
 
 def test_h_jz_commutator_does_not_vanish(params, batch, test_fields):
-    (res,) = commutator_residual(params, test_fields[:1], batch, STEP, ("Jz",))
-    (res_half,) = commutator_residual(params, test_fields[:1], batch, STEP / 2, ("Jz",))
+    res = _worst(commutator_residual(params, test_fields[:1], batch, STEP)[1])
+    res_half = _worst(commutator_residual(params, test_fields[:1], batch, STEP / 2)[1])
     assert res > 0.1
     assert res_half == pytest.approx(res, rel=1e-3)  # converges to a nonzero limit
 
 
 def test_exchanged_assignment_breaks_commutation(params, rows, test_fields):
-    (res,) = commutator_residual(params, test_fields[:1], ConfigPoint(*rows[:6].T), STEP,
-                                 ("M",), assignment=E2_EXCHANGED_ASSIGNMENT)
+    res = _worst(commutator_residual(params, test_fields[:1], ConfigPoint(*rows[:6].T), STEP,
+                                     assignment=E2_EXCHANGED_ASSIGNMENT)[0])
     assert res > 0.01
 
 
@@ -244,7 +249,7 @@ def test_fd_commutator_marks_the_exact_commuting_set(params, rows, test_fields):
     exact = {a for a, r in scan if r == 0.0}
     batch = ConfigPoint(*rows[:4].T)
     fd = {a for a, _ in scan
-          if commutator_residual(params, test_fields[:1], batch, STEP, ("M",), a)[0] < 1e-3}
+          if _worst(commutator_residual(params, test_fields[:1], batch, STEP, a)[0]) < 1e-3}
     assert fd == exact
 
 
@@ -309,7 +314,7 @@ def test_covariant_sigma_zero(test_fields):
 def test_commutator_rejects_unsafe_points(params, test_fields):
     bad = ConfigPoint(1e-4, 0.0, 1.0, -1.0)
     with pytest.raises(SingularPointError):
-        commutator_residual(params, test_fields[:1], bad, STEP, ("M",))
+        commutator_residual(params, test_fields[:1], bad, STEP)
 
 
 @pytest.mark.parametrize("scale, raises", [(0.99, True), (1.01, False)], ids=["inside", "outside"])
@@ -324,28 +329,25 @@ def test_commutator_clearance_is_four_steps(radius, scale, raises, params, test_
     assert point.min_radius() == getattr(point, radius) == pytest.approx(d, rel=1e-9)
     if raises:
         with pytest.raises(SingularPointError):
-            commutator_residual(params, test_fields, point, STEP, ("M", "Jz"))
+            commutator_residual(params, test_fields, point, STEP)
     else:
-        assert np.all(np.isfinite(commutator_residual(params, test_fields, point, STEP,
-                                                      ("M", "Jz"))))
+        assert np.all(np.isfinite(commutator_residual(params, test_fields, point, STEP)))
 
 
 @pytest.mark.parametrize("step", [0.0, -STEP], ids=["zero", "negative"])
 def test_commutator_rejects_a_nonpositive_step(step, params, batch, test_fields):
     with pytest.raises(ValueError, match="step must be positive"):
-        commutator_residual(params, test_fields, batch, step, ("M",))
+        commutator_residual(params, test_fields, batch, step)
 
 
-def test_unknown_operator_tag(params, rows, test_fields):
-    # only [H, M] and [H, Jz] are defined; H itself is not a name in ops
-    for ops in (("Q",), ("M", "H")):
-        with pytest.raises(KeyError):
-            commutator_residual(params, test_fields, ConfigPoint(*rows[:2].T), STEP, ops)
-
-
-def test_empty_batch_is_rejected(params, rows, test_fields):
-    with pytest.raises(ValueError):
-        commutator_residual(params, test_fields, ConfigPoint(*rows[:0].T), STEP, ("M",))
+@pytest.mark.parametrize("n_fields", [1, 3])
+@pytest.mark.parametrize("shape", [(), (20,), (4, 5), (0,)], ids=["float", "flat", "grid", "empty"])
+def test_commutator_rows_have_the_apply_h_shape(shape, n_fields, params, rows, test_fields):
+    # (F,) + S + (4,) for F fields and a batch of shape S; an empty batch gives empty rows
+    coords = rows[:int(np.prod(shape))].T.reshape((4,) + shape)
+    point = ConfigPoint(*(coords.tolist() if shape == () else coords))
+    for out in commutator_residual(params, test_fields[:n_fields], point, STEP):
+        assert out.shape == (n_fields,) + shape + (4,) and out.dtype == complex
 
 
 @pytest.mark.parametrize("name", ["H", "Jz", "M", "component", "covariant"])
@@ -374,7 +376,7 @@ def test_one_singular_point_in_a_batch_raises(params, rows, test_fields):
     batch = ConfigPoint(*np.vstack([rows[:3], bad, rows[3:6]]).T)
     for call in (
         lambda: gradient(test_fields[0], batch, STEP),
-        lambda: commutator_residual(params, test_fields[:1], batch, STEP, ("M",)),
+        lambda: commutator_residual(params, test_fields[:1], batch, STEP),
     ):
         with pytest.raises(SingularPointError):
             call()
@@ -388,7 +390,7 @@ def test_a_nan_coordinate_does_not_clear_the_batch(params, test_fields):
     with pytest.raises(SingularPointError):
         apply_H(params, batch, *gradient(test_fields[0], batch, STEP))
     with pytest.raises(SingularPointError):
-        commutator_residual(params, test_fields[:1], batch, STEP, ("M",))
+        commutator_residual(params, test_fields[:1], batch, STEP)
 
 
 @pytest.mark.parametrize("field", [
@@ -406,53 +408,67 @@ def test_builtin_field_shapes(field, rows):
 
 
 def _nested_commutator(op, params, field, batch, step, assignment=CANONICAL_ASSIGNMENT):
-    """Reference: H applied to a field that wraps Q field, minus the reverse."""
+    """Reference rows: H applied to a field that wraps Q field, minus the reverse."""
     apply_q = {"Jz": apply_Jz, "M": apply_M}[op]
     q_field = SpinorField(lambda p: apply_q(p, *gradient(field, p, step)))
     h_field = SpinorField(lambda p: apply_H(params, p, *gradient(field, p, step), assignment))
     hq = apply_H(params, batch, *gradient(q_field, batch, step), assignment)
     qh = apply_q(batch, *gradient(h_field, batch, step))
-    return float(np.abs(hq - qh).max())
+    return hq - qh
+
+
+# the two rows commutator_residual returns, in order
+OPS = ["M", "Jz"]
 
 
 @pytest.mark.parametrize("step", [STEP, STEP / 2])
-@pytest.mark.parametrize("op", ["M", "Jz"], ids=["H-M", "H-Jz"])
+@pytest.mark.parametrize("op", OPS, ids=["H-M", "H-Jz"])
 def test_commutator_equals_nested_composition(op, step, params, batch, test_fields):
-    for field in test_fields:
-        assert (commutator_residual(params, [field], batch, step, (op,))
-                == (_nested_commutator(op, params, field, batch, step),))
+    # every field's rows, from one batched call, bit for bit
+    rows = commutator_residual(params, test_fields, batch, step)[OPS.index(op)]
+    for k, field in enumerate(test_fields):
+        assert np.array_equal(rows[k], _nested_commutator(op, params, field, batch, step))
 
 
 @pytest.mark.parametrize("step", [STEP, STEP / 2])
-@pytest.mark.parametrize("op", ["M", "Jz"], ids=["H-M", "H-Jz"])
+@pytest.mark.parametrize("op", OPS, ids=["H-M", "H-Jz"])
 def test_exchanged_commutator_equals_nested_composition(op, step, params, batch, test_fields):
     # the contrast assignment of the verify report goes through the same fused path
-    for field in test_fields:
-        assert (commutator_residual(params, [field], batch, step, (op,), E2_EXCHANGED_ASSIGNMENT)
-                == (_nested_commutator(op, params, field, batch, step, E2_EXCHANGED_ASSIGNMENT),))
+    rows = commutator_residual(params, test_fields, batch, step, E2_EXCHANGED_ASSIGNMENT)
+    for k, field in enumerate(test_fields):
+        assert np.array_equal(rows[OPS.index(op)][k], _nested_commutator(
+            op, params, field, batch, step, E2_EXCHANGED_ASSIGNMENT))
 
 
 def test_commutator_makes_one_field_call(params, batch, test_fields):
-    # one call per field on the nested stencil, whatever the number of fields and names
+    # one call per field on the nested stencil, whatever the number of fields
     calls = []
 
     def counted(k):
         return SpinorField(lambda p: calls.append((k, np.shape(p.x1))) or test_fields[k](p))
 
     for n_fields in (1, 3):
-        for ops in (("M",), ("Jz",), ("M", "Jz")):
-            calls.clear()
-            commutator_residual(params, [counted(k) for k in range(n_fields)], batch, STEP, ops)
-            assert calls == [(k, (9, 9, len(batch.x1))) for k in range(n_fields)]
+        calls.clear()
+        commutator_residual(params, [counted(k) for k in range(n_fields)], batch, STEP)
+        assert calls == [(k, (9, 9, len(batch.x1))) for k in range(n_fields)]
 
 
 @pytest.mark.parametrize("step", [STEP, STEP / 2])
-def test_batched_fields_and_tags_equal_the_per_field_max(step, params, batch, test_fields):
+def test_batched_fields_equal_the_per_field_rows(step, params, batch, test_fields):
     # the verify battery's fields and points, batched as operator_checks batches them
-    batched = commutator_residual(params, test_fields, batch, step, ("M", "Jz"))
-    assert batched == tuple(max(commutator_residual(params, [f], batch, step, (op,))[0]
-                                for f in test_fields) for op in ("M", "Jz"))
-    assert commutator_residual(params, test_fields, batch, step, ("M",)) == batched[:1]
+    batched = commutator_residual(params, test_fields, batch, step)
+    single = [commutator_residual(params, [f], batch, step) for f in test_fields]
+    for k, rows in enumerate(batched):
+        assert np.array_equal(rows, np.concatenate([s[k] for s in single]))
+
+
+def test_leading_points_equal_their_own_batch(params, rows, batch, test_fields):
+    # the canonical contrast of the verify report reads the first field's
+    # first 4 points from the full call's rows
+    hm = commutator_residual(params, test_fields, batch, STEP)[0]
+    assert np.array_equal(hm[0, :4],
+                          commutator_residual(params, test_fields[:1], ConfigPoint(*rows[:4].T),
+                                              STEP)[0][0])
 
 
 @pytest.mark.parametrize("n_fields", [1, 3])
@@ -460,23 +476,18 @@ def test_float_point_equals_the_batch_of_one(n_fields, params, rows, test_fields
     # a point of floats is a batch of one, not a point whose values the
     # fields' concatenation would join along the spinor axis
     fields = test_fields[:n_fields]
-    single = commutator_residual(params, fields, ConfigPoint(*rows[0].tolist()), STEP,
-                                 ("M", "Jz"))
-    assert single == commutator_residual(params, fields, ConfigPoint(*rows[:1].T), STEP,
-                                         ("M", "Jz"))
+    single = commutator_residual(params, fields, ConfigPoint(*rows[0].tolist()), STEP)
+    batch_of_one = commutator_residual(params, fields, ConfigPoint(*rows[:1].T), STEP)
+    for out, ref in zip(single, batch_of_one):
+        assert np.array_equal(out, ref[:, 0])
 
 
-def test_residuals_follow_the_order_of_ops(params, batch, test_fields):
-    m, jz = commutator_residual(params, test_fields, batch, STEP, ("M", "Jz"))
-    assert commutator_residual(params, test_fields, batch, STEP, ("Jz", "M")) == (jz, m)
-    assert commutator_residual(params, test_fields, batch, STEP, ("M", "M")) == (m, m)
-
-
-@pytest.mark.parametrize("op", ["M", "Jz"])
+@pytest.mark.parametrize("op", OPS)
 def test_batch_residual_is_the_max_over_its_points(op, params, rows, batch, test_fields):
-    (batched,) = commutator_residual(params, test_fields, batch, STEP, (op,))
-    per_point = [commutator_residual(params, test_fields, ConfigPoint(*rows[k:k + 1].T), STEP,
-                                     (op,))[0] for k in range(len(rows))]
+    k = OPS.index(op)
+    batched = _worst(commutator_residual(params, test_fields, batch, STEP)[k])
+    per_point = [_worst(commutator_residual(params, test_fields, ConfigPoint(*rows[j:j + 1].T),
+                                            STEP)[k]) for j in range(len(rows))]
     assert batched == pytest.approx(max(per_point), rel=1e-12)
 
 
@@ -485,8 +496,9 @@ def test_batch_of_any_shape_equals_the_flat_batch(n_fields, params, rows, batch,
     # a (4, 5) grid of the battery's 20 points is the same batch as its flat form
     fields = test_fields[:n_fields]
     grid = ConfigPoint(*rows.T.reshape(4, 4, 5))
-    assert (commutator_residual(params, fields, grid, STEP, ("M", "Jz"))
-            == commutator_residual(params, fields, batch, STEP, ("M", "Jz")))
+    for out, flat in zip(commutator_residual(params, fields, grid, STEP),
+                         commutator_residual(params, fields, batch, STEP)):
+        assert np.array_equal(out.reshape(flat.shape), flat)
 
 
 def _stacked_gaussian(center, width, values, winding=(0, 0), linear=None):

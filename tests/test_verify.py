@@ -6,7 +6,12 @@ import pytest
 
 from hespinor import angular, cli, optimize, radial, spectrum, verify
 from hespinor.model import ModelParams
-from hespinor.operators import ConfigPoint, SpinorField
+from hespinor.operators import (
+    CANONICAL_ASSIGNMENT,
+    E2_EXCHANGED_ASSIGNMENT,
+    ConfigPoint,
+    SpinorField,
+)
 
 CHECK_NAMES = [
     "clifford anticommutation, 15 pairs",
@@ -157,6 +162,16 @@ def _bias_every_angle(monkeypatch):
     _bias_separation_rows(monkeypatch, np.full(8, 1e-6))
 
 
+def _bias_canonical_commutator(monkeypatch):
+    commutator = verify.commutator_residual
+
+    def biased(params, fields, batch, step, assignment=CANONICAL_ASSIGNMENT):
+        hm, hjz = commutator(params, fields, batch, step, assignment)
+        return (hm + 1e-3 if assignment == CANONICAL_ASSIGNMENT else hm), hjz
+
+    monkeypatch.setattr(verify, "commutator_residual", biased)
+
+
 def _sigma0_at_lower_edge(monkeypatch):
     minimize = optimize.minimize_delta_e
     monkeypatch.setattr(optimize, "minimize_delta_e", lambda *a, **k: minimize(*a, **k)._replace(
@@ -168,7 +183,8 @@ def _nan_kernel_angles(monkeypatch):
 
 
 # an upper bound failing the command: test_cli's gamma sign flip, and the
-# comparisons of the expansion and separation rows below; every FAIL line is listed
+# comparisons of the commutator, expansion and separation rows below; every FAIL
+# line is listed
 @pytest.mark.parametrize("fault, failed", [
     (_accept_alt_weight, ["[FAIL] alt-weight denominator rejected: value 0.000e+00 > 1e-06"]),
     (_sigma0_at_lower_edge, ["[FAIL] ground-state sigma0 in [0.1765, 0.1785]: "
@@ -176,10 +192,13 @@ def _nan_kernel_angles(monkeypatch):
                              "[FAIL] equilibrium r20 = 0.732 +- 0.005: ",
                              "[FAIL] equilibrium rho0 = 0.862 +- 0.005: "]),
     (_nan_kernel_angles, ["[FAIL] indicial kernel compatibility angles (deg): value nan"]),
+    (_bias_canonical_commutator, ["[FAIL] [H,M] second-order decay (|ratio - 4|): ",
+                                  "[FAIL] canonical assignment commutes with M: value 1.840e-03"]),
     (_bias_covariant_row, ["[FAIL] covariant contraction equals g0(H-E): value 1.000e-06"]),
     (_perturb_one_angle, ["[FAIL] angular cancellation spread / field scale: "]),
     (_bias_every_angle, ["[FAIL] radial rows equal angle-frozen evaluation: value 1.000e-06"]),
-], ids=["lower", "window", "none", "covariant-row", "one-angle", "every-angle"])
+], ids=["lower", "window", "none", "canonical-commutator", "covariant-row", "one-angle",
+        "every-angle"])
 def test_each_bound_form_fails_the_command(monkeypatch, capsys, fault, failed):
     fault(monkeypatch)
     assert cli.main(["verify"]) == 1
@@ -249,13 +268,25 @@ def test_spectrum_checks_hand_python_floats_to_the_scalar_solvers(monkeypatch):
 
 
 def test_operator_checks_call_each_field_once_per_stencil(monkeypatch):
-    # [H, M] and [H, Jz] at two steps (3 + 3), the two assignments (1 + 1), the
-    # plane wave (its value and two steps), and one pass per expansion field (3)
+    # [H, M] and [H, Jz] at two steps (3 + 3), the exchanged assignment (1), the
+    # plane wave (its value and two steps), and one pass per expansion field (3);
+    # the canonical contrast reads the first field's rows of the full-step call
     call, calls = SpinorField.__call__, []
     monkeypatch.setattr(SpinorField, "__call__",
                         lambda field, point: calls.append(point) or call(field, point))
     verify.operator_checks()
-    assert len(calls) == 14
+    assert len(calls) == 13
+
+
+def test_canonical_contrast_is_the_first_field_on_four_points():
+    # the canonical side is read from the full-step rows; it must equal its own call
+    params, fields = ModelParams(sigma=0.23), verify._test_fields()
+    points = ConfigPoint(*verify._safe_points(20, seed=20240801)[:4].T)
+    canon, swapped = (float(np.abs(verify.commutator_residual(params, fields[:1], points, 1e-3,
+                                                              a)[0]).max())
+                      for a in (CANONICAL_ASSIGNMENT, E2_EXCHANGED_ASSIGNMENT))
+    values = {r.name: r.value for r in verify.operator_checks()}
+    assert values["canonical assignment commutes with M"] == canon / swapped
 
 
 def test_angular_checks_call_each_field_once_per_phase_assignment(monkeypatch):
