@@ -7,11 +7,8 @@ system (with the interelectron distance frozen), leaving a purely radial
 system whose rows are evaluated here in closed form as well.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
-from typing import Callable
 
 import numpy as np
 
@@ -20,15 +17,19 @@ from .operators import (ConfigPoint, SpinorField, component_system_residual, gra
                         potential_radii)
 
 
-@dataclass(frozen=True)
-class PhaseAssignment:
+class PhaseAssignment(namedtuple("PhaseAssignment", "pairs")):
     """Four (theta1, theta2) winding coefficient pairs, one per component."""
 
-    pairs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.pairs) != 4:
+    def __new__(cls, pairs):
+        if len(pairs) != 4:
             raise ValueError("a phase assignment needs exactly four coefficient pairs")
+        return super().__new__(cls, pairs)
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @classmethod
     def canonical(cls, j1: float, j2: float) -> "PhaseAssignment":
@@ -61,15 +62,12 @@ class PhaseAssignment:
         )
 
 
-@dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(namedtuple("RadialProfile", "value d_r1 d_r2")):
     """Radial factor of one spinor component with its analytic partials.
 
     The callables map r1, r2 (floats or arrays of one shape) to that shape."""
 
-    value: Callable[[float, float], float]
-    d_r1: Callable[[float, float], float]
-    d_r2: Callable[[float, float], float]
+    __slots__ = ()
 
     @classmethod
     def power_exponential(cls, coef, s1, s2, beta1, beta2) -> "RadialProfile":

@@ -10,8 +10,6 @@ the relations hold to machine exactness; ``verify.clifford_checks``
 checks them entrywise with an explicit absolute tolerance.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 GAMMA_INDICES = (0, 1, 2, 3, 5)

@@ -2,9 +2,10 @@
 
 ``exponents`` checks alpha, j1 and j2 for every layer: each entry point
 takes the radial exponents from it, the closed form and ``ModelParams``
-included.  This module imports no numpy and no dataclasses: the records on
-the command-line path are ``namedtuple`` subclasses, so a command that
-needs no arrays (``hespinor minimize``) loads neither.
+included.  This module imports no numpy, so a command that needs no
+arrays (``hespinor minimize``) loads no numpy.  Every record of the package is
+a ``namedtuple`` subclass, as ``ModelParams`` is, so no command loads
+dataclasses.
 """
 
 import math

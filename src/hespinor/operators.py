@@ -12,12 +12,8 @@ coordinates and the nucleus sits at the origin.  Units are natural with
 the electron mass m = 1: energies are in units of m c^2.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable
 
 import numpy as np
 
@@ -41,14 +37,10 @@ class SingularPointError(ValueError):
     """Evaluation point too close to a Coulomb singularity for the stencil."""
 
 
-@dataclass(frozen=True)
-class ConfigPoint:
+class ConfigPoint(namedtuple("ConfigPoint", "x1 y1 x2 y2")):
     """Planar configuration of the two electrons; a batch of N if coordinates have shape (N,)."""
 
-    x1: float
-    y1: float
-    x2: float
-    y2: float
+    __slots__ = ()
 
     @property
     def r1(self):
@@ -74,14 +66,13 @@ class ConfigPoint:
         return np.minimum(np.minimum(self.r1, self.r2), self.r12)
 
 
-@dataclass(frozen=True)
-class SpinorField:
+class SpinorField(namedtuple("SpinorField", "fn")):
     """Smooth map from configuration space to four complex components.
 
     ``fn`` takes a point or a batch: coordinates of shape S give spinors of
     shape S + (4,), i.e. (4,) for one point and (N, 4) for N points."""
 
-    fn: Callable[[ConfigPoint], np.ndarray]
+    __slots__ = ()
 
     def __call__(self, point: ConfigPoint) -> np.ndarray:
         return self.fn(point)
@@ -109,10 +100,9 @@ class SpinorField:
 
         def fn(p: ConfigPoint) -> np.ndarray:
             # per coordinate, summed in the order np.sum takes over a length-4 axis
-            x = (p.x1, p.y1, p.x2, p.y2)
-            q = [np.square(x[k] - c[k]) for k in range(4)]
+            q = [np.square(p[k] - c[k]) for k in range(4)]
             env = np.exp(-(((q[0] + q[1]) + q[2]) + q[3]) / width**2)
-            poly = 1.0 + (((lin[0] * x[0] + lin[1] * x[1]) + lin[2] * x[2]) + lin[3] * x[3])
+            poly = 1.0 + (((lin[0] * p[0] + lin[1] * p[1]) + lin[2] * p[2]) + lin[3] * p[3])
             angle = n1 * p.theta1 + n2 * p.theta2
             phase = np.empty(np.shape(angle), complex)
             np.cos(angle, out=phase.real)
@@ -159,8 +149,7 @@ def _stencil(point: ConfigPoint, step: float) -> ConfigPoint:
     """The 9-point stencil of every point: coordinates of shape (9,) + S for points of shape S."""
     if step <= 0:
         raise ValueError("step must be positive")
-    coords = (point.x1, point.y1, point.x2, point.y2)
-    return ConfigPoint(*(np.add.outer(step * _STENCIL[:, k], x) for k, x in enumerate(coords)))
+    return ConfigPoint(*(np.add.outer(step * _STENCIL[:, k], x) for k, x in enumerate(point)))
 
 
 def _differences(f, step: float):
@@ -228,7 +217,7 @@ def commutator_residual(params, fields, batch, step, assignment=CANONICAL_ASSIGN
     """
     _require_clearance(batch, 4 * step)
     shape = (len(fields),) + np.shape(batch.x1) + (4,)
-    coords = [np.ravel(x) for x in (batch.x1, batch.y1, batch.x2, batch.y2)]
+    coords = [np.ravel(x) for x in batch]
     nested = _stencil(_stencil(ConfigPoint(*coords), step), step)
     f0, d = _differences(np.concatenate([f(nested) for f in fields], axis=2), step)
     # one copy of the batch per field, to match the concatenated values

@@ -18,18 +18,12 @@ Units are natural with the electron mass m = 1: energies are in units of
 m c^2, decay rates and inverse radii in units of m c / hbar.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import ModelParams, exponents
-
-if TYPE_CHECKING:
-    from .spectrum import ClosedFormParams
 
 
 class NoRealDecayError(ValueError):
@@ -239,10 +233,10 @@ def kernel_contraction(params: ModelParams, gr: GammaRho, beta1: float, beta2: f
 FUNDAMENTAL_DENOMINATORS = ("default", "alt-weight", "alt-shift")
 
 
-def fundamental_relation(cf: ClosedFormParams, rho: float, variant: str = "default") -> tuple:
+def fundamental_relation(cf, rho: float, variant: str = "default") -> tuple:
     """Per-solve terms (1+s, (1+s) a / rho, (1-s)^2 + 4 s^2 h^2, a (1+s), denominator)
-    of the decay-rate relation, with sigma, alpha and the exponents read from a
-    float-sigma closed-form record, h = sigma s2 / s1 and g_k = s_k + 1/2.
+    of the decay-rate relation, with sigma, alpha and the exponents read from
+    a float-sigma ``spectrum.ClosedFormParams``, h = sigma s2 / s1 and g_k = s_k + 1/2.
 
     The denominator of the fundamental beta1 relation is
 

@@ -10,10 +10,8 @@ phase, the derivative assignment that commutes with M, and the reading of
 the energy relation selected by the consistency root-finder.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -33,16 +31,12 @@ from .operators import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "name value lo hi note",
+                             defaults=(-math.inf, math.inf, ""))):
     """One check: it passes when ``lo < value <= hi``; with neither bound it is
     informational, and still fails on NaN."""
 
-    name: str
-    value: float
-    lo: float = -math.inf
-    hi: float = math.inf
-    note: str = ""
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -62,9 +56,8 @@ class CheckResult:
         return text
 
 
-@dataclass
-class VerifyReport:
-    results: list = field(default_factory=list)
+class VerifyReport(namedtuple("VerifyReport", "results", defaults=((),))):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -395,12 +388,11 @@ def optimizer_checks() -> list:
 
 def run_all(fast: bool = False) -> VerifyReport:
     """Full verification battery; ``fast`` skips the operator and angular batteries."""
-    report = VerifyReport()
-    report.results += clifford_checks()
+    results = clifford_checks()
     if not fast:
-        report.results += operator_checks()
-        report.results += angular_checks()
-    report.results += radial_checks()
-    report.results += spectrum_checks()
-    report.results += optimizer_checks()
-    return report
+        results += operator_checks()
+        results += angular_checks()
+    results += radial_checks()
+    results += spectrum_checks()
+    results += optimizer_checks()
+    return VerifyReport(results)

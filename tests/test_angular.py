@@ -238,6 +238,11 @@ def test_find_cancelling_assignments_unique_in_band(j1, j2, n_ladders):
 def test_phase_assignment_needs_four_pairs():
     with pytest.raises(ValueError):
         angular.PhaseAssignment(pairs=((1.5, 1.5),))
+    canonical = angular.PhaseAssignment.canonical(1.0, 1.0)
+    with pytest.raises(ValueError):  # _replace builds through _make
+        canonical._replace(pairs=canonical.pairs[:3])
+    with pytest.raises(ValueError):
+        angular.PhaseAssignment._make((((1.5, 1.5),),))
 
 
 def test_built_spinor_shapes_for_point_and_batch():

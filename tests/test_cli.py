@@ -476,6 +476,24 @@ def test_cli_startup_loads_no_dataclasses_json_radial_or_numpy():
                                         "False True False False"]   # minimize --format json
 
 
+def test_verify_scan_and_ion_limit_load_no_dataclasses():
+    # every record is a namedtuple, so no command needs dataclasses; numpy lives in
+    # site-packages, so this interpreter keeps its site hook and checks it preloaded nothing
+    code = ("import contextlib, io, sys\n"
+            "assert 'dataclasses' not in sys.modules, 'preloaded'\n"
+            "from hespinor import cli\n"
+            "for argv in (['verify'], ['verify', '--fast'], ['scan', '--points', '10'],\n"
+            "             ['ion-limit']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    print('dataclasses' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False"] * 4
+
+
 def test_package_exports_only_alpha_and_version():
     import hespinor
     from hespinor import model

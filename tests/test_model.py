@@ -1,8 +1,8 @@
-"""The records of the model, spectrum, optimize and radial layers."""
+"""The records of the model, spectrum, optimize, radial, operators, angular and verify layers."""
 
 import pytest
 
-from hespinor import model, optimize, radial, spectrum
+from hespinor import angular, model, operators, optimize, radial, spectrum, verify
 from hespinor.model import ModelParams, ParameterError
 
 
@@ -23,6 +23,12 @@ def test_replace_and_make_validate_model_params():
     radial.indicial_kernel(1, 1.0, model.FINE_STRUCTURE_ALPHA),
     radial.GammaRho(1.1, 1.5),
     radial.RadialAnsatz(1.0, 2.0, 0.1, 0.2, 0.3, 0.4),
+    operators.ConfigPoint(1.1, 0.4, -0.8, 0.9),
+    operators.SpinorField.plane_wave((0.6, -0.4, 0.3, 0.8), (1, 1, 1, 1)),
+    angular.PhaseAssignment.canonical(1.0, 1.0),
+    angular.RadialProfile.power_exponential(0.8, 1.0, 0.5, 0.9, 0.4),
+    verify.CheckResult("c", 0.25, hi=1.0),
+    verify.VerifyReport([verify.CheckResult("c", 0.25, hi=1.0)]),
 ], ids=lambda record: type(record).__name__)
 def test_records_are_immutable(record):
     field = record._fields[0]
