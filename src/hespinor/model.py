@@ -58,5 +58,6 @@ def exponents(j1: float, j2: float, alpha: float) -> tuple:
         if not four_a2 < j * j <= J_MAX * J_MAX:
             raise ParameterError(f"{name} = {j!r}: need {name}^2 > 4 alpha^2 for real "
                                  f"exponents and |{name}| <= 2**254")
-        out.append(-0.5 + math.sqrt(j * j - four_a2))
+        # not -1/2 + sqrt(...): near j = 1/2 that cancels, while (j - 1/2)(j + 1/2) is exact
+        out.append(((j - 0.5) * (j + 0.5) - four_a2) / (0.5 + math.sqrt(j * j - four_a2)))
     return tuple(out)

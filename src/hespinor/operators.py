@@ -17,11 +17,9 @@ from itertools import product
 
 import numpy as np
 
-from . import clifford
+from .clifford import GAMMA, SPIN_SHIFT
 from .model import ModelParams
 
-_GAMMA = {i: clifford.gamma(i) for i in clifford.GAMMA_INDICES}
-_SPIN_SHIFT = clifford.spin_shift_matrix()
 _I4 = np.eye(4, dtype=complex)
 
 # Stencil offsets: the centre, then +step and -step along each of the four axes.
@@ -117,7 +115,7 @@ class DerivativeAssignment(namedtuple("DerivativeAssignment", "e1 e2")):
 
     e1 and e2 hold ((idx, sign) for d/dx, (idx, sign) for d/dy) of the
     corresponding electron; the derivative block of the Hamiltonian is
-    i * (sign_x * gamma(idx_x) d/dx + sign_y * gamma(idx_y) d/dy).
+    i * (sign_x * GAMMA[idx_x] d/dx + sign_y * GAMMA[idx_y] d/dy).
     """
 
     __slots__ = ()
@@ -177,11 +175,11 @@ def apply_H(params, point, f0, d, assignment=CANONICAL_ASSIGNMENT) -> np.ndarray
     s, a = params.sigma, params.alpha
     (ix1, sx1), (iy1, sy1) = assignment.e1
     (ix2, sx2), (iy2, sy2) = assignment.e2
-    out = (1 - s) * (1j * (sx1 * (d[0] @ _GAMMA[ix1].T) + sy1 * (d[1] @ _GAMMA[iy1].T))
+    out = (1 - s) * (1j * (sx1 * (d[0] @ GAMMA[ix1].T) + sy1 * (d[1] @ GAMMA[iy1].T))
                      - _col(2 * a / point.r1) * f0)
-    out = out + 2 * s * (1j * (sx2 * (d[2] @ _GAMMA[ix2].T) + sy2 * (d[3] @ _GAMMA[iy2].T))
+    out = out + 2 * s * (1j * (sx2 * (d[2] @ GAMMA[ix2].T) + sy2 * (d[3] @ GAMMA[iy2].T))
                          - _col(2 * a / point.r2) * f0)
-    return out + (1 + s) * (f0 @ _GAMMA[0].T + _col(a / point.r12) * f0)
+    return out + (1 + s) * (f0 @ GAMMA[0].T + _col(a / point.r12) * f0)
 
 
 def apply_Jz(point, f0, d) -> np.ndarray:
@@ -196,7 +194,7 @@ def apply_Jz(point, f0, d) -> np.ndarray:
 
 def apply_M(point, f0, d) -> np.ndarray:
     """Jz plus the constant spin shift diag(-1, 1, 0, 0)."""
-    return apply_Jz(point, f0, d) + f0 @ _SPIN_SHIFT.T
+    return apply_Jz(point, f0, d) + f0 @ SPIN_SHIFT.T
 
 
 def commutator_residual(params, fields, batch, step, assignment=CANONICAL_ASSIGNMENT) -> tuple:
@@ -233,7 +231,7 @@ def component_system_residual(params, point, f0, d, energy, rho_freeze=None) -> 
 
     Takes a field's values f0 and derivatives d at a point or batch, as
     ``gradient`` returns them, and returns the left-hand sides, shape (4,)
-    for one point and (N, 4) for a batch; they equal gamma(0) (H - E) field
+    for one point and (N, 4) for a batch; they equal GAMMA[0] (H - E) field
     up to rounding.  With ``rho_freeze`` set, the interelectron distance
     inside the potential is held at that constant (the separation
     constraint) while the derivative terms are untouched.
@@ -262,13 +260,13 @@ def covariant_form_residual(params, point, f0, d, energy) -> np.ndarray:
     with E' = E / (1 + sigma): the energy component carries that weight
     because the mixing prefactors sum to 1 + sigma while E enters the
     eigenproblem exactly once.  The rows, shape (4,) for one point and
-    (N, 4) for a batch, equal gamma(0) (H - E) field up to rounding, as
+    (N, 4) for a batch, equal GAMMA[0] (H - E) field up to rounding, as
     those of ``component_system_residual`` do.
     """
     s, a = params.sigma, params.alpha
     # matrix four-vectors of the contraction, one per electron
-    z1 = (_I4, -(_GAMMA[0] @ _GAMMA[3]), _GAMMA[0] @ _GAMMA[5], _GAMMA[0])
-    z2 = (_I4, -(_GAMMA[0] @ _GAMMA[1]), _GAMMA[0] @ _GAMMA[2], _GAMMA[0])
+    z1 = (_I4, -(GAMMA[0] @ GAMMA[3]), GAMMA[0] @ GAMMA[5], GAMMA[0])
+    z2 = (_I4, -(GAMMA[0] @ GAMMA[1]), GAMMA[0] @ GAMMA[2], GAMMA[0])
     eshift = energy / (1 + s)
     pi1 = (f0, -1j * d[0], -1j * d[1],
            _col(-2 * a / point.r1 + a / point.r12 - eshift) * f0)
@@ -284,25 +282,25 @@ def scan_derivative_assignments() -> list:
     Per electron Jz = i(y d/dx - x d/dy), so [Jz, d/dx] = i d/dy and [Jz, d/dy] = -i d/dx.
     So i(P d/dx + Q d/dy) commutes with M = Jz + S, S = diag(-1, 1, 0, 0),
     exactly when i[S, P] = -Q and i[S, Q] = P.
-    The rest of H commutes with M: [S, gamma(0)] = 0 and the potential is rotation-invariant.
+    The rest of H commutes with M: [S, GAMMA[0]] = 0 and the potential is rotation-invariant.
 
     Both electrons are scanned over their two axis pairings and four sign
     combinations (64 variants).  Returns (assignment, residual) sorted by
     residual: the largest entry of i[S, P] + Q, i[S, Q] - P (either
-    electron) and [S, gamma(0)].  The entries are 0, +-1 and +-1j, so a
+    electron) and [S, GAMMA[0]].  The entries are 0, +-1 and +-1j, so a
     commuting variant reads exactly 0.0.
     """
     def comm(a):
-        return _SPIN_SHIFT @ a - a @ _SPIN_SHIFT
+        return SPIN_SHIFT @ a - a @ SPIN_SHIFT
 
     # the 8 (d/dx, d/dy) pairs of electron 1, then the 8 of electron 2, stacked
     pairs = [((ix, sx), (iy, sy)) for axes in (((3, 5), (5, 3)), ((1, 2), (2, 1)))
              for (ix, iy), sx, sy in product(axes, (+1, -1), (+1, -1))]
-    p = np.array([sx * _GAMMA[ix] for (ix, sx), _ in pairs])
-    q = np.array([sy * _GAMMA[iy] for _, (iy, sy) in pairs])
+    p = np.array([sx * GAMMA[ix] for (ix, sx), _ in pairs])
+    q = np.array([sy * GAMMA[iy] for _, (iy, sy) in pairs])
     residual = np.maximum(np.abs(1j * comm(p) + q).max(axis=(1, 2)),
                           np.abs(1j * comm(q) - p).max(axis=(1, 2)))
-    mass = np.abs(comm(_GAMMA[0])).max()
+    mass = np.abs(comm(GAMMA[0])).max()
     table = np.maximum(np.maximum.outer(residual[:8], residual[8:]), mass).ravel()
     variants = (DerivativeAssignment(e1=e1, e2=e2) for e1, e2 in product(pairs[:8], pairs[8:]))
     return sorted(zip(variants, table.tolist()), key=lambda t: t[1])

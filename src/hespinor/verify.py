@@ -15,7 +15,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import angular, clifford, optimize, radial, spectrum
+from . import angular, optimize, radial, spectrum
+from .clifford import ALPHA_Z, GAMMA, GAMMA_INDICES, SPIN_SHIFT
 from .model import FINE_STRUCTURE_ALPHA, ModelParams, exponents
 from .operators import (
     CANONICAL_ASSIGNMENT,
@@ -71,25 +72,25 @@ class VerifyReport(namedtuple("VerifyReport", "results", defaults=((),))):
 
 
 def clifford_checks() -> list:
-    g = {i: clifford.gamma(i) for i in clifford.GAMMA_INDICES}
     eye = np.eye(4)
-    devs = {(mu, nu): float(np.abs(g[mu] @ g[nu] + g[nu] @ g[mu] - 2 * (mu == nu) * eye).max())
-            for k, mu in enumerate(clifford.GAMMA_INDICES) for nu in clifford.GAMMA_INDICES[k:]}
+    devs = {(mu, nu): float(np.abs(GAMMA[mu] @ GAMMA[nu] + GAMMA[nu] @ GAMMA[mu]
+                                   - 2 * (mu == nu) * eye).max())
+            for k, mu in enumerate(GAMMA_INDICES) for nu in GAMMA_INDICES[k:]}
     # max keeps the first of equal deviations, so a tie names the first pair in table order
     (mu, nu), dev = max(devs.items(), key=lambda item: item[1])
     results = [CheckResult("clifford anticommutation, 15 pairs", dev, hi=1e-14,
                            note=f"worst pair ({mu},{nu})")]
-    unit = max(float(np.abs(g[i] @ g[i].conj().T - eye).max()) for i in clifford.GAMMA_INDICES)
+    unit = max(float(np.abs(GAMMA[i] @ GAMMA[i].conj().T - eye).max()) for i in GAMMA_INDICES)
     results.append(CheckResult("gamma unitarity", unit, hi=1e-14))
-    dev = float(np.abs(g[5] + g[0] @ g[1] @ g[2] @ g[3]).max())
+    dev = float(np.abs(GAMMA[5] + GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3]).max())
     results.append(CheckResult(
         "gamma5 product phase", dev, hi=0.0,
         note="gamma5 = -(g0 g1 g2 g3) exactly; a -1j prefactor does not hold"))
-    a1 = float(np.abs(clifford.alpha_z(1) - (-1j) * g[5] @ g[3]).max())
-    a2 = float(np.abs(clifford.alpha_z(2) - (-1j) * g[2] @ g[1]).max())
+    a1 = float(np.abs(ALPHA_Z[1] - (-1j) * GAMMA[5] @ GAMMA[3]).max())
+    a2 = float(np.abs(ALPHA_Z[2] - (-1j) * GAMMA[2] @ GAMMA[1]).max())
     results.append(CheckResult("alpha_z product identities", max(a1, a2), hi=1e-14,
                                note="alpha_z(2) = -i g2 g1 (reversed order)"))
-    shift = float(np.abs(clifford.spin_shift_matrix() - np.diag([-1, 1, 0, 0])).max())
+    shift = float(np.abs(SPIN_SHIFT - np.diag([-1, 1, 0, 0])).max())
     results.append(CheckResult("spin shift diag(-1,1,0,0)", shift, hi=1e-14))
     return results
 
@@ -140,11 +141,10 @@ def operator_checks() -> list:
     p = ConfigPoint(1.1, 0.4, -0.8, 0.9)
     f0 = wave(p)
     d = [1j * kvec[ax] * f0 for ax in range(4)]
-    g = {i: clifford.gamma(i) for i in clifford.GAMMA_INDICES}
     s, a = params.sigma, params.alpha
-    exact = (1 - s) * (1j * (g[3] @ d[0] - g[5] @ d[1]) - (2 * a / p.r1) * f0)
-    exact = exact + 2 * s * (1j * (g[1] @ d[2] - g[2] @ d[3]) - (2 * a / p.r2) * f0)
-    exact = exact + (1 + s) * (g[0] @ f0 + (a / p.r12) * f0)
+    exact = (1 - s) * (1j * (GAMMA[3] @ d[0] - GAMMA[5] @ d[1]) - (2 * a / p.r1) * f0)
+    exact = exact + 2 * s * (1j * (GAMMA[1] @ d[2] - GAMMA[2] @ d[3]) - (2 * a / p.r2) * f0)
+    exact = exact + (1 + s) * (GAMMA[0] @ f0 + (a / p.r12) * f0)
     err = [float(np.abs(apply_H(params, p, *gradient(wave, p, h)) - exact).max())
            for h in (step, step / 2)]
     results.append(CheckResult("plane-wave FD order (|ratio - 4|)", abs(err[0] / err[1] - 4),
@@ -155,7 +155,7 @@ def operator_checks() -> list:
     gaps = []  # (component, covariant) per field; the target and both read one stencil pass
     for f in fields:
         f0, d = gradient(f, batch, step)
-        target = (apply_H(params, batch, f0, d) - energy * f0) @ g[0].T
+        target = (apply_H(params, batch, f0, d) - energy * f0) @ GAMMA[0].T
         gaps.append([float(np.abs(lhs - target).max()) for lhs in (
             component_system_residual(params, batch, f0, d, energy),
             covariant_form_residual(params, batch, f0, d, energy))])

@@ -75,8 +75,8 @@ def test_criterion_04_one_electron_reduction():
 def test_criterion_05_clifford_suite():
     checks = {r.name: r for r in verify.clifford_checks()}
     exact = checks["clifford anticommutation, 15 pairs"].value == 0.0
-    prod = clifford.gamma(0) @ clifford.gamma(1) @ clifford.gamma(2) @ clifford.gamma(3)
-    product_ok = np.array_equal(clifford.gamma(5), -prod)
+    prod = clifford.GAMMA[0] @ clifford.GAMMA[1] @ clifford.GAMMA[2] @ clifford.GAMMA[3]
+    product_ok = np.array_equal(clifford.GAMMA[5], -prod)
     report(5, exact and product_ok,
            "15 pairs machine-exact; gamma5 = (-1) * g0 g1 g2 g3 exactly "
            "(arbitrated phase -1; a -1j prefactor is inconsistent with these tables)")
@@ -159,7 +159,7 @@ def test_criterion_09_structural_consistency():
                                  winding=(1, -2), linear=(0.2, 0.0, -0.1, 0.05))
     point = ConfigPoint(1.1, 0.4, -0.8, 0.9)
     energy, step = 1.2, 1e-3
-    g0 = clifford.gamma(0)
+    g0 = clifford.GAMMA[0]
     f0, d = gradient(field, point, step)
     target = g0 @ (apply_H(params, point, f0, d) - energy * field(point))
     dev_rows = float(np.abs(component_system_residual(params, point, f0, d, energy)

@@ -216,16 +216,32 @@ def test_verify_rejects_physics_flags(capsys, flag):
     assert run(capsys, "verify", "--fast")[0] == 0
 
 
+GAMMA1_FLIP_FAILS = [  # every check of the full battery that one sign flip in GAMMA[1] fails
+    "clifford anticommutation, 15 pairs",
+    "gamma5 product phase",
+    "alpha_z product identities",
+    "[H,M] second-order decay (|ratio - 4|)",
+    "[H,M] limit below [H,Jz] by 1e3",
+    "component expansion equals g0(H-E)",
+    "canonical assignment in the exact commuting set",
+    "canonical assignment commutes with M",
+]
+
+
 def test_verify_fault_injection_exits_one_and_names_pair(capsys, monkeypatch):
-    bad = clifford.gamma(1)
+    import hespinor.verify  # noqa: F401 -- the flip below comes after every layer is imported
+
+    bad = clifford.GAMMA[1].copy()
     bad[0, 3] = -bad[0, 3]  # flip one sign; the report must name the pair
-    monkeypatch.setitem(clifford._GAMMA_TABLES, 1, bad)
-    code, out, err = run(capsys, "verify", "--fast")
-    assert code == 1
-    fail_lines = [line for line in out.split("\n") if line.startswith("[FAIL]")]
-    assert any("clifford anticommutation" in line and "(1," in line for line in fail_lines)
-    assert any("gamma5 product phase" in line for line in fail_lines)
-    assert err == ""
+    monkeypatch.setitem(clifford.GAMMA, 1, bad)
+    for argv, names in ((["verify"], GAMMA1_FLIP_FAILS),
+                        (["verify", "--fast"], GAMMA1_FLIP_FAILS[:3])):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        fail_lines = [line for line in out.split("\n") if line.startswith("[FAIL]")]
+        assert [line[len("[FAIL] "):].split(": value")[0] for line in fail_lines] == names
+        assert fail_lines[0].endswith("worst pair (1,1)")
+        assert err == ""
 
 
 def test_usage_error_exit_code(tmp_path, capsys):
@@ -332,7 +348,7 @@ def test_minimize_on_a_slope_flat_to_rounding_prints_finite_values(tmp_path, cap
     assert 0 < record["sigma0"] < 1
 
 
-S1_ZERO = ["--j1", "0.5", "--alpha", "1e-10"]  # s1 = -1/2 + sqrt(j1^2 - 4 alpha^2) rounds to 0
+S1_ZERO = ["--j1", "0.5", "--alpha", "1e-10"]  # s1 = -4e-20; -1/2 + sqrt(j1^2 - 4 alpha^2) gives 0
 
 
 def test_s1_zero_scan_and_ion_limit_print_finite_rows(capsys):
@@ -356,12 +372,33 @@ def test_s1_zero_minimize_finds_no_interior_minimum(capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_s1_zero_scan_where_b_squared_underflows_exits_three(capsys):
-    # B ~ 4 sigma^3 at s1 = 0, so B^2 is 0 in binary64 at sigma = 2.4e-57
-    code, out, err = run(capsys, "scan", *S1_ZERO, "--sigma-min", "2.4e-57",
-                         "--sigma-max", "2.3e-48", "--points", "3")
+    # s1 = -4e-200, so B ~ s1 / 2 = -2e-200 at sigma <= 1e-140 and B^2 is 0 in binary64
+    code, out, err = run(capsys, "scan", "--j1", "0.5", "--alpha", "1e-100",
+                         "--sigma-min", "1e-150", "--sigma-max", "1e-140", "--points", "3")
     assert code == 3
     assert err.startswith("numeric error: B^2")
     assert out == ""
+
+
+def test_s1_near_zero_scan_matches_50_digit_oracle(capsys):
+    # perfbench/oracle.point at each sigma, rounded to binary64; the subtraction
+    # -1/2 + sqrt(j1^2 - 4 alpha^2) made s1 = 0 and the first row read 1e60
+    oracle = [
+        (-8.0, 1.0000000000000001e30, 1.0000000000000001e-20, 1.0000000000000001e30),
+        (333335189630.80743, 2.9999777477778707e-12, 9.9999257925931498e-21,
+         2.9999777377779449e-12),
+        (666696315237.71482, 1.4999110811118522e-12, 9.999407140749634e-21,
+         1.4999110711124451e-12),
+        (1000150060001.9987, 9.9979997000250055e-13, 9.9979996000450097e-21,
+         9.9979996000450095e-13),
+    ]
+    code, out, err = run(capsys, "scan", *S1_ZERO, "--points", "4", "--sigma-min", "1e-50",
+                         "--sigma-max", "1e-8")
+    assert code == 0, err
+    rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [1e-50, 1e-8 / 3, 2e-8 / 3, 1e-8]
+    for row, ref in zip(rows, oracle, strict=True):
+        assert row[1:] == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_minimize_where_b_squared_underflows_names_the_cause(capsys):

@@ -109,7 +109,7 @@ def test_h_plane_wave_second_order_convergence(params):
     kvec = (0.6, -0.4, 0.3, 0.8)
     wave = SpinorField.plane_wave(kvec, (1, 1, 1, 1))
     point = ConfigPoint(1.1, 0.4, -0.8, 0.9)
-    g = {i: clifford.gamma(i) for i in (0, 1, 2, 3, 5)}
+    g = clifford.GAMMA
     f0 = wave(point)
     d = [1j * kvec[ax] * f0 for ax in range(4)]
     s, a = params.sigma, params.alpha
@@ -212,8 +212,8 @@ def test_assignment_scan_identifies_commuting_variants():
 
 def _scalar_assignment_scan():
     """Reference: one cached scalar 4x4 residual per derivative pair, maxed per variant."""
-    g = {i: clifford.gamma(i) for i in clifford.GAMMA_INDICES}
-    shift = clifford.spin_shift_matrix()
+    g = clifford.GAMMA
+    shift = clifford.SPIN_SHIFT
 
     def comm(a):
         return shift @ a - a @ shift
@@ -255,7 +255,7 @@ def test_fd_commutator_marks_the_exact_commuting_set(params, rows, test_fields):
 
 def test_component_system_equals_matrix_route(params, rows, test_fields):
     energy = 1.2
-    g0 = clifford.gamma(0)
+    g0 = clifford.GAMMA[0]
     for field in test_fields:
         for point in _single_points(rows[:6]):
             f0, d = gradient(field, point, STEP)
@@ -286,7 +286,7 @@ def test_component_system_chi3_only(params):
 def _covariant_gap(params, field, point, energy):
     """Largest deviation of the covariant rows from gamma(0) (H - E) field."""
     f0, d = gradient(field, point, STEP)
-    target = (apply_H(params, point, f0, d) - energy * field(point)) @ clifford.gamma(0).T
+    target = (apply_H(params, point, f0, d) - energy * field(point)) @ clifford.GAMMA[0].T
     rows = covariant_form_residual(params, point, f0, d, energy)
     assert rows.shape == target.shape
     return float(np.abs(rows - target).max())

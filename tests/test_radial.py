@@ -332,16 +332,23 @@ def _grid_params(sigma):
                 yield ModelParams(sigma=sigma, alpha=alpha, j1=j1, j2=j2)
 
 
+def per_site_root(j, alpha):
+    """Reference arithmetic: sqrt(j^2 - 4 alpha^2) = s + 1/2, with the exponent s in the
+    factored form ((j - 1/2)(j + 1/2) - 4 alpha^2) / (1/2 + sqrt(j^2 - 4 alpha^2))."""
+    four_a2 = 4 * alpha * alpha
+    return ((j - 0.5) * (j + 0.5) - four_a2) / (0.5 + math.sqrt(j * j - four_a2)) + 0.5
+
+
 def per_site_shift(j, alpha, sign):
     """Reference arithmetic: the bracket 1 + sqrt(j^2 - 4 alpha^2) +- j with its own root."""
-    return 1 + math.sqrt(j * j - 4 * alpha * alpha) + sign * j
+    return 1 + per_site_root(j, alpha) + sign * j
 
 
 def per_site_denominator(params, h, variant):
     """Reference arithmetic: the denominator with its own square roots."""
     s, a = params.sigma, params.alpha
-    g1 = math.sqrt(params.j1**2 - 4 * a * a)
-    g2 = math.sqrt(params.j2**2 - 4 * a * a)
+    g1 = per_site_root(params.j1, a)
+    g2 = per_site_root(params.j2, a)
     tail = 4 * s**2 * h * (1 + g2)
     return {"default": (1 - s) ** 2 * g1 + tail, "alt-weight": (1 - s**2) * g1 + tail,
             "alt-shift": (1 - s) ** 2 * (1 + g1) + tail}[variant]
