@@ -95,15 +95,21 @@ def clifford_checks() -> list:
     return results
 
 
-def _safe_points(n, seed):
-    """The first n rows (x1, y1, x2, y2) drawn in [-2, 2]^4 with every radius
-    above 0.5, drawn 2n at a time."""
-    rng = np.random.default_rng(seed)
-    kept = np.empty((0, 4))
-    while len(kept) < n:
-        draws = rng.uniform(-2.0, 2.0, (2 * n, 4))
-        kept = np.concatenate([kept, draws[ConfigPoint(*draws.T).min_radius() > 0.5]])
-    return kept[:n]
+def _box_points(n, box) -> np.ndarray:
+    """n fixed rows in a box of d (lo, hi) pairs: the R_d low-discrepancy sequence
+    frac(0.5 + i phi^-k), i = 1..n, k = 1..d, phi the positive root of x^(d+1) = x + 1."""
+    lo, hi = np.array(box, dtype=float).T
+    phi = 2.0
+    for _ in range(64):  # fixed-point iteration; each step shrinks the error by more than half
+        phi = (1 + phi) ** (1 / (len(box) + 1))
+    unit = (0.5 + np.outer(np.arange(1, n + 1), phi ** -np.arange(1.0, len(box) + 1))) % 1
+    return lo + (hi - lo) * unit
+
+
+def _safe_points(n):
+    """The first n of 2n fixed rows (x1, y1, x2, y2) in [-2, 2]^4 with every radius above 0.5."""
+    rows = _box_points(2 * n, [(-2, 2)] * 4)
+    return rows[ConfigPoint(*rows.T).min_radius() > 0.5][:n]
 
 
 def _test_fields():
@@ -121,7 +127,7 @@ def _test_fields():
 def operator_checks() -> list:
     step = 1e-3
     params = ModelParams(sigma=0.23)
-    rows = _safe_points(20, seed=20240801)
+    rows = _safe_points(20)
     batch = ConfigPoint(*rows.T)
     fields = _test_fields()
     results = []
@@ -152,14 +158,13 @@ def operator_checks() -> list:
 
     energy = 1.2
     batch = ConfigPoint(*rows[:8].T)
-    gaps = []  # (component, covariant) per field; the target and both read one stencil pass
-    for f in fields:
-        f0, d = gradient(f, batch, step)
-        target = (apply_H(params, batch, f0, d) - energy * f0) @ GAMMA[0].T
-        gaps.append([float(np.abs(lhs - target).max()) for lhs in (
-            component_system_residual(params, batch, f0, d, energy),
-            covariant_form_residual(params, batch, f0, d, energy))])
-    component_gap, covariant_gap = (max(col) for col in zip(*gaps))
+    # the fields' stencil passes concatenated along the point axis, as in commutator_residual
+    f0, d = (np.concatenate(v, axis=-2) for v in zip(*(gradient(f, batch, step) for f in fields)))
+    batch = ConfigPoint(*np.tile(rows[:8], (len(fields), 1)).T)
+    target = (apply_H(params, batch, f0, d) - energy * f0) @ GAMMA[0].T
+    component_gap, covariant_gap = (float(np.abs(lhs - target).max()) for lhs in (
+        component_system_residual(params, batch, f0, d, energy),
+        covariant_form_residual(params, batch, f0, d, energy)))
     results.append(CheckResult("component expansion equals g0(H-E)", component_gap, hi=1e-10))
     results.append(CheckResult("covariant contraction equals g0(H-E)", covariant_gap, hi=1e-10))
 
@@ -204,7 +209,7 @@ def angular_checks() -> list:
     energy = 1.1
     rho0 = 0.86
     angles = [(0.1 + 0.7 * k, 0.4 + 1.1 * k) for k in range(8)]
-    r1, r2 = np.random.default_rng(7).uniform(0.6, 1.6, (10, 2)).T
+    r1, r2 = _box_points(10, [(0.6, 1.6)] * 2).T
     rows = angular.separation_residual(params, assignment, profiles, energy,
                                        angles, (r1, r2), rho0, step)
     scale = np.max([np.abs(prof.value(r1, r2)) for prof in profiles], axis=0)
@@ -264,15 +269,14 @@ def radial_checks() -> list:
         "indicial kernel compatibility angles (deg)", float(angles.max()),
         note=f"principal angles {angles.round(4).tolist()}; joint kernel is trivial"))
 
-    rng = np.random.default_rng(20240802)
-    g1v, g2v, sig, b1, b2 = rng.uniform(0.2, 2.5, (100, 5)).T
+    g1v, g2v, sig, b1, b2 = _box_points(100, [(0.2, 2.5)] * 5).T
     gr = radial.GammaRho(g1v, g2v)
     det = np.linalg.det(radial.spectral_matrix(gr, sig, b1, b2))
     fac = radial.spectral_quadratic(gr, sig, b1, b2) ** 2
     worst = np.max(np.abs(det - fac) / np.maximum(np.abs(fac), 1e-30))
     results.append(CheckResult("spectral determinant factorization (100 draws)", worst, hi=1e-10))
 
-    g1v, g2v, sig, b2 = rng.uniform(0.2, 1.2, (100, 4)).T
+    g1v, g2v, sig, b2 = _box_points(100, [(0.2, 1.2)] * 4).T
     sig = np.minimum(sig, 0.9)
     real = radial.spectral_quadratic(radial.GammaRho(g1v, g2v), sig, 0.0, b2) >= 0
     gr, sig, b2 = radial.GammaRho(g1v[real], g2v[real]), sig[real], b2[real]
@@ -284,8 +288,8 @@ def radial_checks() -> list:
     results.append(CheckResult("kernel vectors annihilated", worst, hi=1e-10))
 
     params = ModelParams(sigma=0.3)
-    # per draw: gamma1, gamma2, beta1, beta2 in [0.2, 2], then a100..a400 in [-1, 1]
-    draws = rng.uniform([0.2] * 4 + [-1] * 4, [2.0] * 4 + [1] * 4, (50, 8))
+    # per point: gamma1, gamma2, beta1, beta2, then a100..a400
+    draws = _box_points(50, [(0.2, 2.0)] * 4 + [(-1, 1)] * 4)
     g1v, g2v, b1, b2 = draws[:, :4].T
     gr = radial.GammaRho(g1v, g2v)
     a00 = draws[:, 4:]
@@ -294,14 +298,11 @@ def radial_checks() -> list:
     worst = np.max(np.abs(rvec - svec).max(axis=-1) / np.abs(svec).max(axis=-1))
     results.append(CheckResult("recurrence reduces to spectral matrix", worst, hi=1e-12))
 
-    # a draw with no real decay rate takes no coefficient draws
-    draws = []
-    for _ in range(50):
-        g = rng.uniform(0.2, 1.2, 3)
-        if radial.spectral_quadratic(radial.GammaRho(g[0], g[1]), params.sigma, 0.0, g[2]) >= 0:
-            draws.append(np.concatenate([g, rng.uniform(-1, 1, 8)]))
-    # the drawn a410 is unused: the contraction form holds for a410 = 0
-    g1v, g2v, b2, a110, a210, a310, _, a100, a200, a300, a400 = np.array(draws).T
+    # gamma1, gamma2, beta2, a110..a310, a100..a400 (a410 = 0); no real decay rate drops a point
+    draws = _box_points(50, [(0.2, 1.2)] * 3 + [(-1, 1)] * 7)
+    real = radial.spectral_quadratic(radial.GammaRho(*draws[:, :2].T), params.sigma,
+                                     0.0, draws[:, 2]) >= 0
+    g1v, g2v, b2, a110, a210, a310, a100, a200, a300, a400 = draws[real].T
     gr = radial.GammaRho(g1v, g2v)
     b1 = radial.beta1_from_determinant(gr, params.sigma, b2)
     ansatz = radial.RadialAnsatz(b1, b2, a100, a200, a300, a400)
@@ -317,7 +318,7 @@ def radial_checks() -> list:
 def spectrum_checks() -> list:
     alpha = FINE_STRUCTURE_ALPHA
     results = []
-    sigmas = np.random.default_rng(42).uniform(0.01, 1.0, 20)
+    sigmas = _box_points(20, [(0.01, 1.0)])[:, 0]
     cf = spectrum.closed_form(sigmas)
     # compare in energy units: the Hartree-direction division by
     # alpha^2 amplifies the last-place rounding of E itself

@@ -514,21 +514,24 @@ def test_cli_startup_loads_no_dataclasses_json_radial_or_numpy():
 
 
 def test_verify_scan_and_ion_limit_load_no_dataclasses():
-    # every record is a namedtuple, so no command needs dataclasses; numpy lives in
-    # site-packages, so this interpreter keeps its site hook and checks it preloaded nothing
+    # every record is a namedtuple, so no command needs dataclasses, and verify reads a
+    # fixed point set, so none draws from numpy.random; numpy lives in site-packages, so
+    # this interpreter keeps its site hook and checks it preloaded neither.  --fast runs
+    # first: the full battery runs everything it runs
     code = ("import contextlib, io, sys\n"
-            "assert 'dataclasses' not in sys.modules, 'preloaded'\n"
+            "names = ('dataclasses', 'numpy.random')\n"
+            "assert not set(names) & set(sys.modules), 'preloaded'\n"
             "from hespinor import cli\n"
-            "for argv in (['verify'], ['verify', '--fast'], ['scan', '--points', '10'],\n"
+            "for argv in (['verify', '--fast'], ['verify'], ['scan', '--points', '10'],\n"
             "             ['ion-limit']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv) == 0, argv\n"
-            "    print('dataclasses' in sys.modules)\n")
+            "    print(*(name in sys.modules for name in names))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["False"] * 4
+    assert proc.stdout.splitlines() == ["False False"] * 4
 
 
 def test_package_exports_only_alpha_and_version():
