@@ -192,6 +192,8 @@ def _nan_kernel_angles(monkeypatch):
                              "[FAIL] equilibrium r20 = 0.732 +- 0.005: ",
                              "[FAIL] equilibrium rho0 = 0.862 +- 0.005: "]),
     (_nan_kernel_angles, ["[FAIL] indicial kernel compatibility angles (deg): value nan"]),
+    # the limit line fails because 1e3 x 1e-3 over [H,Jz] (0.98 on the fixed points) is
+    # above 1; were [H,Jz] above 1 there, this entry would fail two lines
     (_bias_canonical_commutator, ["[FAIL] [H,M] second-order decay (|ratio - 4|): ",
                                   "[FAIL] [H,M] limit below [H,Jz] by 1e3: value 1.017e+00",
                                   "[FAIL] canonical assignment commutes with M: value 3.157e-03"]),
