@@ -1,10 +1,12 @@
 """Command-line interface: verify, scan, minimize, ion-limit.
 
-Data output is deterministic (identical configuration gives byte-identical
-files) and round-trips binary64 exactly; no timestamps are emitted.  CSV
-writes each float as the bytes of ``"%.17g" % x`` (17 significant digits);
-JSON goes through ``json.dumps``, which writes the shortest repr that
-round-trips.
+Stdout, or the ``--output`` file, holds only data; summary lines (minimize's
+deviations from the reference and experimental energies, ion-limit's limit
+value) go to stderr.  Data output is deterministic (identical configuration
+gives byte-identical files) and round-trips binary64 exactly; no timestamps
+are emitted.  CSV writes each float as the bytes of ``"%.17g" % x`` (17
+significant digits); JSON goes through ``json.dumps``, which writes the
+shortest repr that round-trips.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (an argparse
 error, a ``ParameterError`` from the library call, or an ``--output`` path
@@ -25,10 +27,6 @@ SCAN_FIELDS = ("sigma", "delta_e_hartree", "rho0_bohr", "r10_bohr", "r20_bohr")
 REFERENCE_DELTA_E = -2.90589      # model ground-state excess energy
 EXPERIMENTAL_DELTA_E = -2.90330   # measured helium ground-state excess energy
 CSV_CHUNK_ROWS = 8192             # rows encoded and written per step
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 @contextlib.contextmanager
@@ -115,7 +113,7 @@ def cmd_minimize(args) -> int:
 
         text = json.dumps(record, indent=2) + "\n"
     else:
-        lines = [f"{k} = {_fmt(v) if not isinstance(v, int) else v}" for k, v in record.items()]
+        lines = [f"{k} = {v:.17g}" for k, v in record.items()]
         text = "\n".join(lines) + "\n"
     with _data_stream(args.output) as stream:
         stream.write(text)
@@ -125,20 +123,17 @@ def cmd_minimize(args) -> int:
 
 def _print_minimize_summary(record):
     print(f"reference excess energy {REFERENCE_DELTA_E}: "
-          f"deviation {abs(record['delta_e_hartree'] - REFERENCE_DELTA_E):.2e}")
+          f"deviation {abs(record['delta_e_hartree'] - REFERENCE_DELTA_E):.2e}", file=sys.stderr)
     dev_exp = abs(record["delta_e_hartree"] - EXPERIMENTAL_DELTA_E)
     rel = dev_exp / abs(EXPERIMENTAL_DELTA_E)
     print(f"experimental excess energy {EXPERIMENTAL_DELTA_E}: "
-          f"deviation {dev_exp:.4f} ({100 * rel:.3f}%)")
+          f"deviation {dev_exp:.4f} ({100 * rel:.3f}%)", file=sys.stderr)
 
 
 def cmd_ion_limit(args) -> int:
-    import numpy as np
-
-    rows = optimize.ion_limit_report(args.sigmas, alpha=args.alpha, j1=args.j1, j2=args.j2)
-    _write_table(np.array(rows).T, ("sigma", "delta_e_hartree"), args.fmt, args.output)
-    if args.output:
-        print(f"limit value {_fmt(spectrum.ion_limit(args.alpha, args.j1))}")
+    columns = optimize.ion_limit_report(args.sigmas, alpha=args.alpha, j1=args.j1, j2=args.j2)
+    _write_table(columns, ("sigma", "delta_e_hartree"), args.fmt, args.output)
+    print(f"limit value {spectrum.ion_limit(args.alpha, args.j1):.17g}", file=sys.stderr)
     return 0
 
 

@@ -5,8 +5,6 @@ each value v.  It lives apart from ``cli`` because it builds numpy tables
 at import, and only the commands that write CSV import it.
 """
 
-import functools
-
 import numpy as np
 
 # "%.17g" of |x| in [1e-4, 1e16) is fixed notation with 17 significant
@@ -20,7 +18,6 @@ _POW10_F_LO = _POW10_F - _POW10_F_HI
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 
 
-@functools.cache  # built on first use, so commands that write no CSV never pay for it
 def _quad_tables():
     """ASCII of 0..9999 as four digits (entries 0..9999), then the same with
     trailing zeros turned into NUL (10000..19999), each packed in a uint32,
@@ -31,6 +28,9 @@ def _quad_tables():
     stripped = np.where(np.arange(4) < length[:, None], full, 0)
     ascii_ = np.concatenate([full, stripped]).astype(np.uint8)
     return ascii_.view(np.uint32).ravel(), np.concatenate([np.full(10_000, 4), length])
+
+
+_QUAD, _QUAD_LEN = _quad_tables()
 
 
 def _round_scaled(mag, k):
@@ -61,7 +61,6 @@ def _fixed_17g(mag, negative):
     signed by ``negative``: an (n, width) uint8 array whose non-NUL bytes
     are the text."""
     n = len(mag)
-    quad, quad_len = _quad_tables()
     # decimal exponent e and the 17 significant digits.  Within a few ulps of
     # a power of ten floor(log10) can be one off, which puts the digits
     # outside [10**16, 10**17); those rows are redone at e +- 1 from the
@@ -89,7 +88,7 @@ def _fixed_17g(mag, negative):
     frac_width = 0
     for j in range(4, -1, -1):  # the last group holding text in any row sets the width
         if (quads[:, j] != 10_000).any():
-            frac_width = 4 * j + int(quad_len[quads[:, j]].max())
+            frac_width = 4 * j + int(_QUAD_LEN[quads[:, j]].max())
             break
 
     sign = int(negative.any())
@@ -103,11 +102,11 @@ def _fixed_17g(mag, negative):
     else:
         whole_quads = np.empty((n, 4), np.int64)
         _split_quads(whole, whole_quads.T)
-        text[:, sign:point] = quad[whole_quads].view(np.uint8)[:, 16 - whole_width:]
+        text[:, sign:point] = _QUAD[whole_quads].view(np.uint8)[:, 16 - whole_width:]
         text[:, sign:point - 1] *= np.arange(whole_width - 1, 0, -1) <= e[:, None]
     if frac_width:
         text[:, point] = np.where(zero_tail, 0, ord("."))
-        text[:, point + 1:] = quad[quads].view(np.uint8)[:, :frac_width]
+        text[:, point + 1:] = _QUAD[quads].view(np.uint8)[:, :frac_width]
     return text
 
 

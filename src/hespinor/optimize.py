@@ -137,11 +137,11 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
 
 
 def ion_limit_report(sigmas, alpha: float = FINE_STRUCTURE_ALPHA,
-                     j1: float = 1.0, j2: float = 1.0) -> list:
-    """(sigma, delta_e) rows approaching the one-electron limit as sigma -> 0+."""
+                     j1: float = 1.0, j2: float = 1.0) -> tuple:
+    """(sigma, delta_e) float64 columns approaching the one-electron limit as sigma -> 0+."""
     sigmas = [float(sigma) for sigma in sigmas]
     check_parameters(alpha, j1, j2, sigmas)
     import numpy as np
-    values = delta_e(closed_form(np.array(sigmas), alpha=alpha, j1=j1, j2=j2))
-    return list(zip(sigmas, values.tolist()))
+    sigma = np.array(sigmas)
+    return sigma, delta_e(closed_form(sigma, alpha=alpha, j1=j1, j2=j2))
 

@@ -104,15 +104,11 @@ def radii_bohr(cf: ClosedFormParams) -> tuple:
     return r10, r20
 
 
-def rho0_bohr(cf: ClosedFormParams):
-    """Equilibrium interelectron distance r10 + r20 = C1 / (2 sigma (1 + sigma)), Bohr."""
-    r10, r20 = radii_bohr(cf)
-    return r10 + r20
-
-
 def rho0_natural(cf: ClosedFormParams):
-    """Same distance in natural length units (hbar / (m c)), rho0_bohr / alpha."""
-    return rho0_bohr(cf) / cf.alpha
+    """Equilibrium interelectron distance r10 + r20 = C1 / (2 sigma (1 + sigma)) in
+    natural length units (hbar / (m c)): the distance in Bohr radii over alpha."""
+    r10, r20 = radii_bohr(cf)
+    return (r10 + r20) / cf.alpha
 
 
 def energy_closed_form(cf: ClosedFormParams):

@@ -102,7 +102,7 @@ def test_scan_bytes_pinned_to_per_value_rendering(tmp_path, capsys, lo, hi, n, b
 def test_ion_limit_csv_pinned_to_per_value_rendering(tmp_path, capsys, to_file):
     sigmas = [1e-155, SIGMA_MIN, 1e-9, 0.0001]
     lines = ["sigma,delta_e_hartree"]
-    lines += [f"{s:.17g},{d:.17g}" for s, d in optimize.ion_limit_report(sigmas)]
+    lines += [f"{s:.17g},{d:.17g}" for s, d in zip(*optimize.ion_limit_report(sigmas))]
     expected = "\n".join(lines) + "\n"
     path = tmp_path / "ion.csv"
     argv = ["ion-limit", "--sigmas", ",".join(map(repr, sigmas))]
@@ -172,18 +172,38 @@ def test_encoder_equals_percent_17g_on_any_float():
 
 
 def test_minimize_defaults(capsys):
-    code, out, _ = run(capsys, "minimize")
+    code, out, err = run(capsys, "minimize")
     assert code == 0
     values = {}
     for line in out.strip().split("\n"):
-        if " = " in line:
-            key, _, val = line.partition(" = ")
-            values[key] = float(val)
+        key, _, val = line.partition(" = ")
+        values[key] = float(val)
     assert values["sigma0"] == pytest.approx(0.1775, abs=0.001)
     assert values["delta_e_hartree"] == pytest.approx(-2.90589, abs=0.005)
     assert values["rho0_bohr"] == pytest.approx(0.862, abs=0.005)
-    assert "experimental excess energy -2.9033: deviation 0.0026" in out
-    assert "0.090%" in out  # below the 0.1 percent mark
+    assert "experimental excess energy -2.9033: deviation 0.0026" in err
+    assert "0.090%" in err  # below the 0.1 percent mark
+
+
+MINIMIZE_SUMMARY = ("reference excess energy -2.90589: deviation 8.68e-06\n"
+                    "experimental excess energy -2.9033: deviation 0.0026 (0.090%)\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, summary", [
+    (["scan", "--points", "7"], ""),
+    (["minimize"], MINIMIZE_SUMMARY),
+    (["ion-limit"], "limit value -2.0001065140533782\n"),
+], ids=["scan", "minimize", "ion-limit"])
+def test_stdout_holds_only_data(tmp_path, capsys, argv, summary, fmt):
+    path = tmp_path / "data"
+    code, out, err = run(capsys, *argv, "--format", fmt, "--output", str(path))
+    assert (code, out, err) == (0, "", summary)
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, summary)
+    assert out.encode() == path.read_bytes()
+    if fmt == "json":
+        json.loads(out)
 
 
 def test_minimize_json(tmp_path, capsys):
@@ -418,7 +438,8 @@ def test_json_written_in_chunks_equals_one_dumps(monkeypatch, capsys, rows):
     code, out, _ = run(capsys, "ion-limit", "--sigmas", ",".join(map(repr, sigmas)),
                        "--format", "json")
     assert code == 0
-    expected = [{"sigma": s, "delta_e_hartree": d} for s, d in optimize.ion_limit_report(sigmas)]
+    expected = [{"sigma": s, "delta_e_hartree": d}
+                for s, d in zip(*optimize.ion_limit_report(sigmas))]
     assert out == json.dumps(expected, indent=2) + "\n"
     if rows < 2:
         return  # scan needs two grid points

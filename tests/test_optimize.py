@@ -284,7 +284,7 @@ def test_check_parameters_with_tol_and_no_sigma_is_a_parameter_error():
 
 
 def test_ion_limit_report_bounds_and_monotonicity():
-    rows = optimize.ion_limit_report([1e-2, 1e-3, 1e-4])
+    rows = zip(*optimize.ion_limit_report([1e-2, 1e-3, 1e-4]))
     limit = spectrum.ion_limit()
     gaps = []
     for (sigma, de), k in zip(rows, (2, 3, 4)):
@@ -297,10 +297,11 @@ def test_ion_limit_report_bounds_and_monotonicity():
 
 def test_ion_limit_report_equals_closed_form_per_sigma():
     sigmas = [1e-2, 3e-3, 1e-4]
-    rows = optimize.ion_limit_report(sigmas)
+    columns = optimize.ion_limit_report(sigmas)
+    assert [column.dtype for column in columns] == [np.float64, np.float64]
+    rows = list(zip(*columns))
     assert [r[0] for r in rows] == sigmas
     for sigma, de in rows:
-        assert type(de) is float
         assert de == pytest.approx(spectrum.delta_e(spectrum.closed_form(sigma)), rel=1e-15)
 
 

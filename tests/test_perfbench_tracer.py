@@ -30,3 +30,16 @@ def test_every_binding_the_tracer_patches_exists():
     assert tracer.counts["verify.checks_total"] == len(report.results)
     assert tracer.counts["verify.checks_failed"] == 0
     assert [s[0] for s in tracer.spans][:2] == ["verify.run_all", "clifford.checks"]
+
+
+def test_tracer_sees_the_ion_limit_closed_form(capsys):
+    # ion_limit_report looks closed_form up in optimize's namespace, where the tracer wraps it
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.instrument(tracer, hespinor)
+        assert hespinor.cli.main(["ion-limit"]) == 0
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert tracer.counts["spectrum.closed_form"] >= 1

@@ -94,7 +94,7 @@ def test_exponents_finite_at_the_domain_edges():
 
 def test_rho0_frozen_value_and_radii_split():
     cf = spectrum.closed_form(0.1775)
-    rho0 = spectrum.rho0_bohr(cf)
+    rho0 = spectrum.equilibrium_point(0.1775).rho0
     assert rho0 == pytest.approx(RHO0_AT_01775, rel=1e-12)
     r10, r20 = spectrum.radii_bohr(cf)
     assert r10 == pytest.approx(0.1775 / 1.1775 * rho0, rel=1e-12)
@@ -106,7 +106,7 @@ def test_rho0_frozen_value_and_radii_split():
 
 def test_rho0_diverges_at_sigma_zero():
     cf = spectrum.closed_form(0.0)
-    assert math.isinf(spectrum.rho0_bohr(cf))
+    assert math.isinf(sum(spectrum.radii_bohr(cf)))
     r10, r20 = spectrum.radii_bohr(cf)
     assert math.isinf(r20)
     assert math.isfinite(r10)  # sigma*rho0 stays finite
@@ -252,7 +252,7 @@ def test_array_sigma_zero_gives_infinite_outer_radius():
     with np.errstate(divide="ignore"):
         cf = spectrum.closed_form(np.array([0.0, 0.2]))
         r10, r20 = spectrum.radii_bohr(cf)
-        rho0 = spectrum.rho0_bohr(cf)
+        rho0 = r10 + r20
     assert np.isinf(r20[0]) and np.isinf(rho0[0])
     assert r10[0] == spectrum.radii_bohr(spectrum.closed_form(0.0))[0]
     assert np.isfinite(r20[1])
