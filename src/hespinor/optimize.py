@@ -4,9 +4,11 @@ import math
 from collections import namedtuple
 
 from .model import FINE_STRUCTURE_ALPHA, SIGMA_MIN, ParameterError, exponents
-from .spectrum import EquilibriumPoint, brentq, c_params, closed_form, delta_e, equilibrium_point
+from .spectrum import (brentq, c_params, closed_form, delta_e, equilibrium_point,
+                       shape_bracket)
 
 _GRID_POINTS = 32
+SCAN_CHUNK_ROWS = 8192  # rows per EquilibriumPoint a scan yields, and per write of its table
 
 
 class NonUnimodalError(ValueError):
@@ -43,18 +45,46 @@ class MinimizeResult(namedtuple("MinimizeResult", "point iterations")):
     __slots__ = ()
 
 
+def _grid(lo: float, hi: float, n: int):
+    """k -> np.linspace(lo, hi, n)[k], bit for bit, on Python floats: numpy's
+    k * step + lo with step = (hi - lo) / (n - 1), and exactly hi at k = n - 1.
+    For SIGMA_MIN <= lo < hi the step cannot underflow to 0, so numpy's
+    step == 0 branch never applies."""
+    step = (hi - lo) / (n - 1)
+    return lambda k: hi if k == n - 1 else k * step + lo
+
+
+def _grid_chunk(lo: float, hi: float, n: int, start: int):
+    """np.linspace(lo, hi, n)[start:start + SCAN_CHUNK_ROWS], bit for bit: ``_grid``'s
+    rule on a float64 arange."""
+    import numpy as np
+    stop = min(start + SCAN_CHUNK_ROWS, n)
+    sigma = np.arange(start, stop, dtype=np.float64) * ((hi - lo) / (n - 1)) + lo
+    if stop == n:
+        sigma[-1] = hi
+    return sigma
+
+
 def scan_sigma(sigma_min: float, sigma_max: float, n_points: int,
-               alpha: float = FINE_STRUCTURE_ALPHA, j1: float = 1.0,
-               j2: float = 1.0) -> EquilibriumPoint:
-    """Equilibrium columns on a uniform sigma grid, ascending: one EquilibriumPoint of arrays."""
-    check_parameters(alpha, j1, j2, (sigma_min, sigma_max))
+               alpha: float = FINE_STRUCTURE_ALPHA, j1: float = 1.0, j2: float = 1.0):
+    """Equilibrium columns on the grid np.linspace(sigma_min, sigma_max, n_points),
+    ascending: an iterator of EquilibriumPoint chunks of arrays, SCAN_CHUNK_ROWS
+    rows each but the last, so no array of n_points is built.
+
+    Every parameter, and B^2 on every chunk of the grid, is checked before this
+    returns: a ParameterError, or the ZeroDivisionError of a zero B^2, comes
+    before the first chunk, however late in the grid its cause lies.
+    """
+    s1, s2 = check_parameters(alpha, j1, j2, (sigma_min, sigma_max))
     if not sigma_min < sigma_max:
         raise ParameterError(f"sigma_min = {sigma_min!r}: need sigma_min < sigma_max")
     if n_points < 2:
         raise ParameterError(f"points = {n_points!r}: need at least two grid points")
-    import numpy as np
-    grid = np.linspace(sigma_min, sigma_max, n_points)
-    return equilibrium_point(grid, alpha=alpha, j1=j1, j2=j2)
+    starts = range(0, n_points, SCAN_CHUNK_ROWS)
+    for start in starts:
+        shape_bracket(_grid_chunk(sigma_min, sigma_max, n_points, start), s1, s2)
+    return (equilibrium_point(_grid_chunk(sigma_min, sigma_max, n_points, start),
+                              alpha=alpha, j1=j1, j2=j2) for start in starts)
 
 
 def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_ALPHA,
@@ -110,11 +140,7 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
 
     ends = {lo: slope(lo), hi: slope(hi)}
     if not ends[lo] < 0 < ends[hi]:
-        step, stop_at_rise = (hi - lo) / (_GRID_POINTS - 1), s1 > 0 and s2 > 0
-
-        def grid(k):  # np.linspace(lo, hi, 32)[k], bit for bit
-            return hi if k == _GRID_POINTS - 1 else k * step + lo
-
+        grid, stop_at_rise = _grid(lo, hi, _GRID_POINTS), s1 > 0 and s2 > 0
         first = least = excess(lo)
         k_least = 0
         for k in range(1, _GRID_POINTS - 1):

@@ -51,14 +51,15 @@ class EquilibriumPoint(namedtuple("EquilibriumPoint", "sigma delta_e rho0 r10 r2
     __slots__ = ()
 
 
-def c_params(sigma, s1: float, s2: float, alpha: float) -> ClosedFormParams:
-    """Evaluate B, C1 and C2 for given exponents, at a float or an array sigma.
+def shape_bracket(sigma, s1: float, s2: float) -> tuple:
+    """((1 - sigma)^2, sigma^3, B, B^2) at a float or an array sigma.
 
     A complex or an mpmath sigma follows the float path (the minimizer's
     complex-step slope relies on it).  A zero B^2, where B vanishes or B^2
     underflows (at s1 = 0, B ~ sigma^3), raises ZeroDivisionError with one
     message on a scalar and on an array; numpy would divide an array by it
-    silently.
+    silently.  ``c_params`` divides by B^2, and ``optimize.scan_sigma``
+    checks every chunk of its grid here before it yields the first.
     """
     w = (1 - sigma) * (1 - sigma)
     cube = sigma * sigma * sigma
@@ -66,6 +67,13 @@ def c_params(sigma, s1: float, s2: float, alpha: float) -> ClosedFormParams:
     bb = b * b
     if not (bb.all() if hasattr(bb, "all") else bb):
         raise ZeroDivisionError("B^2 of the shape bracket is 0; C2 is undefined")
+    return w, cube, b, bb
+
+
+def c_params(sigma, s1: float, s2: float, alpha: float) -> ClosedFormParams:
+    """Evaluate B, C1 and C2 for given exponents, at a float or an array sigma
+    (a complex or an mpmath sigma too); a zero B^2 raises, see ``shape_bracket``."""
+    w, cube, b, bb = shape_bracket(sigma, s1, s2)
     d = 4 * alpha**2 * (1 + sigma) * (1 + sigma) * (w * s1**2 + 4 * cube * sigma * s2**2)
     c2sq_minus_1 = d / bb
     return ClosedFormParams(sigma, alpha, s1, s2, b, (bb + d) ** 0.5,

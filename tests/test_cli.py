@@ -58,7 +58,7 @@ def test_scan_csv_round_trips_exactly(tmp_path, capsys):
     path = tmp_path / "scan.csv"
     assert cli.main(["scan", "--sigma-min", "0.05", "--sigma-max", "0.4",
                      "--points", "23", "--output", str(path)]) == 0
-    table = optimize.scan_sigma(0.05, 0.4, 23)
+    (table,) = optimize.scan_sigma(0.05, 0.4, 23)  # 23 rows: one chunk
     lines = path.read_text().strip().split("\n")[1:]
     assert len(lines) == len(table.sigma) == 23
     for i, line in enumerate(lines):
@@ -76,11 +76,13 @@ def _reference_scan_csv(lo, hi, n):
     return ("\n".join(lines) + "\n").encode()
 
 
-# on [0.01, 0.9] delta_e changes sign, and the two rows next to the crossing
-# fall below 1e-4, where "%.17g" switches to exponent notation
-@pytest.mark.parametrize("lo, hi, n, below_1e4", [(0.05, 0.4, 23, 0), (0.05, 0.4, 2000, 0),
-                                                   (0.01, 0.9, 100000, 2)],
-                         ids=["23", "2000", "100000"])
+# delta_e changes sign near sigma = 0.3858, and the rows next to the crossing
+# that fall below 1e-4 are where "%.17g" switches to exponent notation; 8191
+# to 16385 rows sit on the edges of the scan's 8192-row chunks
+@pytest.mark.parametrize("lo, hi, n, below_1e4", [
+    (0.05, 0.4, 23, 0), (0.05, 0.4, 2000, 0), (0.05, 0.4, 8191, 1), (0.05, 0.4, 8192, 1),
+    (0.05, 0.4, 8193, 1), (0.05, 0.4, 16385, 1), (0.01, 0.9, 100000, 2),
+], ids=["23", "2000", "8191", "8192", "8193", "16385", "100000"])
 def test_scan_bytes_pinned_to_per_value_rendering(tmp_path, capsys, lo, hi, n, below_1e4):
     argv = ["scan", "--sigma-min", repr(lo), "--sigma-max", repr(hi), "--points", str(n)]
     path = tmp_path / "scan.csv"
@@ -113,7 +115,7 @@ def test_ion_limit_csv_pinned_to_per_value_rendering(tmp_path, capsys, to_file):
 
 def _csv_via_encoder(columns):
     stream = io.StringIO()
-    cli._write_csv([np.array(c, dtype=np.float64) for c in columns], ["a", "b"], stream)
+    cli._write_csv([[np.array(c, dtype=np.float64) for c in columns]], ["a", "b"], stream)
     return stream.getvalue()
 
 
@@ -400,6 +402,22 @@ def test_s1_zero_scan_where_b_squared_underflows_exits_three(capsys):
     assert out == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_b_squared_zero_in_the_last_chunk_writes_nothing(tmp_path, capsys, fmt, to_file):
+    # s2 = -4e-200: B = 6 s2 underflows B^2 only at sigma = 1, the last of 100000 rows;
+    # the check of every chunk comes before the first is written
+    path = tmp_path / "scan.out"
+    code, out, err = run(capsys, "scan", "--j2", "0.5", "--alpha", "1e-100", "--sigma-min", "0.5",
+                         "--sigma-max", "1", "--points", "100000", "--format", fmt,
+                         *(["--output", str(path)] if to_file else []))
+    assert code == 3
+    assert err == "numeric error: B^2 of the shape bracket is 0; C2 is undefined\n"
+    assert out == ""
+    assert not path.exists()
+
+
 def test_s1_near_zero_scan_matches_50_digit_oracle(capsys):
     # perfbench/oracle.point at each sigma, rounded to binary64; the subtraction
     # -1/2 + sqrt(j1^2 - 4 alpha^2) made s1 = 0 and the first row read 1e60
@@ -433,7 +451,7 @@ def test_minimize_where_b_squared_underflows_names_the_cause(capsys):
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7])
 def test_json_written_in_chunks_equals_one_dumps(monkeypatch, capsys, rows):
-    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)
+    monkeypatch.setattr(optimize, "SCAN_CHUNK_ROWS", 3)
     sigmas = [10.0 ** -k for k in range(1, rows + 1)]
     code, out, _ = run(capsys, "ion-limit", "--sigmas", ",".join(map(repr, sigmas)),
                        "--format", "json")
@@ -445,7 +463,7 @@ def test_json_written_in_chunks_equals_one_dumps(monkeypatch, capsys, rows):
         return  # scan needs two grid points
     code, out, _ = run(capsys, "scan", "--points", str(rows), "--format", "json")
     assert code == 0
-    table = optimize.scan_sigma(0.01, 0.5, rows)
+    table = spectrum.equilibrium_point(np.linspace(0.01, 0.5, rows))
     columns = (table.sigma, table.delta_e, table.rho0, table.r10, table.r20)
     expected = [dict(zip(cli.SCAN_FIELDS, map(float, row))) for row in zip(*columns)]
     assert out == json.dumps(expected, indent=2) + "\n"
@@ -480,6 +498,26 @@ def test_scan_to_a_pipe_closed_early_exits_zero_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def _scan_peak_rss_kb(points):
+    # an interpreter that only starts the scan, so RUSAGE_CHILDREN is the scan's peak alone
+    code = ("import os, resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-m', 'hespinor.cli', 'scan', '--points', sys.argv[1],\n"
+            "                '--output', os.devnull], check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, str(points)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+def test_scan_peak_memory_does_not_grow_with_points():
+    # the scan is made and written chunk by chunk: no array of --points length
+    small, large = _scan_peak_rss_kb(10_000), _scan_peak_rss_kb(1_000_000)
+    assert large - small <= 5 * 1024, (small, large)
 
 
 def test_minimize_tolerance_below_one_ulp_exits_two_and_the_floor_terminates(tmp_path):

@@ -5,12 +5,18 @@ import numpy as np
 import pytest
 
 from hespinor import optimize, radial, spectrum
-from hespinor.model import FINE_STRUCTURE_ALPHA, ModelParams, ParameterError
+from hespinor.model import FINE_STRUCTURE_ALPHA, SIGMA_MIN, ModelParams, ParameterError
 
 # the root of d(delta_e)/d(sigma) at the default constants and delta_e there,
 # both from a 50-digit mpmath evaluation of the closed form
 SIGMA0_REF = 0.17711646742155152
 DELTA_E_MIN_REF = -2.9058986787204573
+
+
+def _scan(*args, **kwargs):
+    # the scan's chunks joined into one EquilibriumPoint of arrays
+    return spectrum.EquilibriumPoint(*map(np.concatenate,
+                                          zip(*optimize.scan_sigma(*args, **kwargs))))
 
 
 def test_scan_config_validation():
@@ -29,7 +35,7 @@ def test_scan_config_validation():
 
 
 def test_scan_rows_ascending_and_counted():
-    table = optimize.scan_sigma(0.01, 0.5, 50)
+    table = _scan(0.01, 0.5, 50)
     assert len(table.sigma) == 50
     sigmas = table.sigma.tolist()
     assert sigmas == sorted(sigmas)
@@ -37,17 +43,40 @@ def test_scan_rows_ascending_and_counted():
 
 
 def test_scan_two_points_endpoints_only():
-    table = optimize.scan_sigma(0.1, 0.3, 2)
+    table = _scan(0.1, 0.3, 2)
     assert table.sigma.tolist() == [pytest.approx(0.1), pytest.approx(0.3)]
 
 
+def test_scan_yields_chunks_of_at_most_scan_chunk_rows():
+    rows = 2 * optimize.SCAN_CHUNK_ROWS + 1
+    sizes = [len(chunk.sigma) for chunk in optimize.scan_sigma(0.01, 0.5, rows)]
+    assert sizes == [optimize.SCAN_CHUNK_ROWS, optimize.SCAN_CHUNK_ROWS, 1]
+    assert [len(chunk.sigma) for chunk in optimize.scan_sigma(0.01, 0.5, 50)] == [50]
+
+
+def test_scan_and_walk_grids_equal_linspace_bit_for_bit():
+    # both grids form k * step + lo and end exactly at hi, as np.linspace does
+    rng = np.random.default_rng(20261019)
+    chunk = optimize.SCAN_CHUNK_ROWS
+    edges = [2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1]
+    for trial in range(120):
+        lo, hi = sorted(np.maximum(10.0 ** rng.uniform(math.log10(SIGMA_MIN), 0, 2), SIGMA_MIN))
+        n = edges[trial] if trial < len(edges) else int(rng.integers(2, 3 * chunk + 2))
+        grid = np.concatenate([c.sigma for c in optimize.scan_sigma(lo, hi, n)])
+        assert grid.tobytes() == np.linspace(lo, hi, n).tobytes(), (lo, hi, n)
+    for _ in range(20000):
+        lo, hi = sorted(np.maximum(10.0 ** rng.uniform(math.log10(SIGMA_MIN), 0, 2), SIGMA_MIN))
+        walk = optimize._grid(lo, hi, 32)
+        assert [walk(k) for k in range(32)] == np.linspace(lo, hi, 32).tolist(), (lo, hi)
+
+
 def test_scan_first_point_near_ion_limit():
-    table = optimize.scan_sigma(0.01, 0.5, 50)
+    table = _scan(0.01, 0.5, 50)
     assert abs(table.delta_e[0] - (-2.0)) < 0.1
 
 
 def test_scan_single_well_shape():
-    table = optimize.scan_sigma(0.01, 0.5, 50)
+    table = _scan(0.01, 0.5, 50)
     values = table.delta_e
     diffs = np.sign(np.diff(values))
     # strictly decreasing then strictly increasing: exactly one sign change
@@ -112,7 +141,7 @@ def test_minimize_refines_the_prescan_minimum_not_the_whole_bracket():
     pt = optimize.minimize_delta_e((0.01, 0.99), tol=1e-6, j1=1.0, j2=2.0).point
     assert pt.sigma == pytest.approx(0.0999, abs=1e-3)
     assert pt.delta_e < -2.4
-    table = optimize.scan_sigma(0.01, 0.99, 2000, j1=1.0, j2=2.0)
+    table = _scan(0.01, 0.99, 2000, j1=1.0, j2=2.0)
     assert pt.delta_e <= table.delta_e.min()
 
 
@@ -317,7 +346,7 @@ def test_ion_limit_report_rejects_empty_sequence():
 
 def test_scan_neighbors_of_minimum_both_exceed():
     result = optimize.minimize_delta_e((0.05, 0.5), tol=1e-6)
-    table = optimize.scan_sigma(0.05, 0.5, 200)
+    table = _scan(0.05, 0.5, 200)
     values = table.delta_e.tolist()
     imin = int(np.argmin(values))
     assert values[imin - 1] > result.point.delta_e

@@ -43,3 +43,19 @@ def test_tracer_sees_the_ion_limit_closed_form(capsys):
         tracer.restore()
     capsys.readouterr()
     assert tracer.counts["spectrum.closed_form"] >= 1
+
+
+def test_tracer_sees_each_scan_chunk(tmp_path):
+    # scan_sigma makes each chunk through optimize's namespace, where the tracer wraps
+    # equilibrium_point; the scan_sigma span ends once its checks are done
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    rows = 3 * hespinor.optimize.SCAN_CHUNK_ROWS + 1
+    try:
+        tracer_module.instrument(tracer, hespinor)
+        assert hespinor.cli.main(["scan", "--points", str(rows),
+                                  "--output", str(tmp_path / "scan.csv")]) == 0
+    finally:
+        tracer.restore()
+    assert tracer.counts["spectrum.equilibrium_point"] == 4
+    assert [s[0] for s in tracer.spans] == ["cli.main", "optimize.scan_sigma"]
