@@ -10,7 +10,7 @@ shortest repr that round-trips.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (an argparse
 error, a ``ParameterError`` from the library call, or an ``--output`` path
-that cannot be opened for writing), 3 numeric error (no root /
+or stdout that cannot be opened or written), 3 numeric error (no root /
 non-unimodal bracket).  The handlers take the argparse namespace; the
 parser holds the only defaults and the library the only checks.
 """
@@ -35,11 +35,10 @@ def _data_stream(output: str):
         yield sys.stdout
         return
     try:
-        fh = open(output, "w", encoding="utf-8")
-    except OSError as exc:
+        with open(output, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:  # opening, a write, or the flush at close
         raise ParameterError(f"output = {output!r}: {exc.strerror}") from exc
-    with fh:
-        yield fh
 
 
 def _write_csv(chunks, fields, stream):
@@ -210,11 +209,16 @@ def entry():
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader stopped early (``hespinor scan | head``): drop the rest of
-        # the data quietly, including what the interpreter would flush at exit
+    except OSError as exc:
+        # stdout takes no more data: drop the rest, including what the
+        # interpreter would flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 0
+        if isinstance(exc, BrokenPipeError):  # the reader stopped early (``hespinor scan | head``)
+            code = 0
+        else:  # ``> /dev/full``: a usage error, as for an --output that cannot be written
+            print(f"invalid arguments: output = {sys.stdout.name!r}: {exc.strerror}",
+                  file=sys.stderr)
+            code = 2
     sys.exit(code)
 
 

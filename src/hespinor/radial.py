@@ -14,6 +14,10 @@ linear conditions on the leading coefficients:
     eliminates the leading coefficients and yields the fundamental
     relation between beta1 and the energy.
 
+The energy enters as gamma1,2 = (1+sigma) +- (E - (1+sigma) alpha / rho),
+whose sum is the two rest masses 2 (1+sigma).  Each function takes gamma1
+and gamma2 as arrays; the identities ``verify`` checks hold for any pair.
+
 Units are natural with the electron mass m = 1: energies are in units of
 m c^2, decay rates and inverse radii in units of m c / hbar.
 """
@@ -113,25 +117,6 @@ def indicial_kernel_angles(j1: float, j2: float, alpha: float) -> np.ndarray:
     return np.arccos(svals)
 
 
-class GammaRho(namedtuple("GammaRho", "gamma1 gamma2")):
-    """Energy/potential combinations entering the radial coefficients.
-
-    gamma1 = (1+sigma) + E - (1+sigma) alpha / rho
-    gamma2 = (1+sigma) - E + (1+sigma) alpha / rho
-
-    Their sum is 2 (1+sigma), the two rest masses, identically.
-    """
-
-    __slots__ = ()
-
-
-class RadialAnsatz(namedtuple("RadialAnsatz", "beta1 beta2 a100 a200 a300 a400")):
-    """Decay rates and leading coefficients of the power-exponential solution;
-    j1, j2 and the exponents come from the ModelParams it is used with."""
-
-    __slots__ = ()
-
-
 def first_order_brackets(params: ModelParams) -> tuple:
     """Brackets (1 + g1 - j1, 1 + g1 + j1, 1 + g2 - j2, 1 + g2 + j2) of the first-order
     recurrence, with g_k = s_k + 1/2 = sqrt(j_k^2 - 4 alpha^2) from ``exponents``."""
@@ -140,62 +125,62 @@ def first_order_brackets(params: ModelParams) -> tuple:
     return 1 + g1 - params.j1, 1 + g1 + params.j1, 1 + g2 - params.j2, 1 + g2 + params.j2
 
 
-def recurrence_R(params: ModelParams, gr: GammaRho, ansatz: RadialAnsatz,
+def recurrence_R(params: ModelParams, gamma1, gamma2, beta1, beta2, a00,
                  a110=0.0, a210=0.0, a310=0.0, a410=0.0) -> np.ndarray:
-    """First-order recurrence functions R1..R4, shape S + (4,) for inputs of shape S.
+    """First-order recurrence functions R1..R4, shape S + (4,) for inputs of shape S
+    and leading coefficients ``a00`` = (a100, a200, a300, a400) of shape S + (4,).
 
     With all first-order coefficients zero this reduces exactly to the
-    spectral matrix acting on (a100, a200, a300, a400).  The sign of the
-    beta1 a400 term in R2 is fixed by that reduction.
+    spectral matrix acting on ``a00``.  The sign of the beta1 a400 term in
+    R2 is fixed by that reduction.
     """
     s, a = params.sigma, params.alpha
-    b1, b2 = ansatz.beta1, ansatz.beta2
+    a100, a200, a300, a400 = np.moveaxis(a00, -1, 0)
     a1m, a1p, a2m, a2p = first_order_brackets(params)
     w1, w2 = 1 - s, 2 * s
     cmix = 2 * a * (1 + s)
-    r1 = (gr.gamma2 * ansatz.a100 - cmix * a110 - w1 * a1m * a310
-          + w1 * b1 * ansatz.a300 - w2 * a2m * a410 + w2 * b2 * ansatz.a400)
-    r2 = (gr.gamma2 * ansatz.a200 - cmix * a210 - w2 * a2p * a310
-          + w2 * b2 * ansatz.a300 + w1 * a1p * a410 - w1 * b1 * ansatz.a400)
-    r3 = (gr.gamma1 * ansatz.a300 + cmix * a310 - w1 * a1p * a110
-          + w1 * b1 * ansatz.a100 - w2 * a2m * a210 + w2 * b2 * ansatz.a200)
-    r4 = (gr.gamma1 * ansatz.a400 + cmix * a410 - w2 * a2p * a110
-          + w2 * b2 * ansatz.a100 + w1 * a1m * a210 - w1 * b1 * ansatz.a200)
+    r1 = (gamma2 * a100 - cmix * a110 - w1 * a1m * a310
+          + w1 * beta1 * a300 - w2 * a2m * a410 + w2 * beta2 * a400)
+    r2 = (gamma2 * a200 - cmix * a210 - w2 * a2p * a310
+          + w2 * beta2 * a300 + w1 * a1p * a410 - w1 * beta1 * a400)
+    r3 = (gamma1 * a300 + cmix * a310 - w1 * a1p * a110
+          + w1 * beta1 * a100 - w2 * a2m * a210 + w2 * beta2 * a200)
+    r4 = (gamma1 * a400 + cmix * a410 - w2 * a2p * a110
+          + w2 * beta2 * a100 + w1 * a1m * a210 - w1 * beta1 * a200)
     return np.stack(np.broadcast_arrays(r1, r2, r3, r4), axis=-1)
 
 
-def spectral_matrix(gr: GammaRho, sigma, beta1, beta2) -> np.ndarray:
+def spectral_matrix(gamma1, gamma2, sigma, beta1, beta2) -> np.ndarray:
     """4x4 matrix of the power-free conditions on the leading coefficients,
     shape S + (4, 4) for inputs of shape S."""
-    g1, g2, a, b = np.broadcast_arrays(gr.gamma1, gr.gamma2, (1 - sigma) * beta1,
-                                       2 * sigma * beta2)
+    g1, g2, a, b = np.broadcast_arrays(gamma1, gamma2, (1 - sigma) * beta1, 2 * sigma * beta2)
     z = np.zeros(a.shape)
     rows = ((g2, z, a, b), (z, g2, b, -a), (a, b, g1, z), (b, -a, z, g1))
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
-def spectral_quadratic(gr: GammaRho, sigma, beta1, beta2) -> float:
+def spectral_quadratic(gamma1, gamma2, sigma, beta1, beta2) -> float:
     """gamma1 gamma2 - (1-sigma)^2 beta1^2 - 4 sigma^2 beta2^2.
 
     The spectral determinant equals this quantity squared.
     """
-    return gr.gamma1 * gr.gamma2 - (1 - sigma) ** 2 * beta1**2 - 4 * sigma**2 * beta2**2
+    return gamma1 * gamma2 - (1 - sigma) ** 2 * beta1**2 - 4 * sigma**2 * beta2**2
 
 
-def beta1_from_determinant(gr: GammaRho, sigma, beta2):
+def beta1_from_determinant(gamma1, gamma2, sigma, beta2):
     """Nonnegative root of the spectral determinant condition, shape S for inputs of shape S.
 
     Raises if any entry has sigma >= 1 or a negative discriminant.
     """
     if np.any(sigma >= 1):
         raise ZeroDivisionError("sigma = 1 removes beta1 from the determinant condition")
-    disc = gr.gamma1 * gr.gamma2 - 4 * sigma**2 * beta2**2
+    disc = gamma1 * gamma2 - 4 * sigma**2 * beta2**2
     if np.any(disc < 0):
         raise NoRealDecayError(f"discriminant {np.min(disc):.3e} is negative")
     return np.sqrt(disc) / (1 - sigma)
 
 
-def kernel_vectors(gr: GammaRho, sigma, beta1, beta2) -> tuple:
+def kernel_vectors(gamma2, sigma, beta1, beta2) -> tuple:
     """Two independent null vectors of the spectral matrix at the beta1 root,
     each of shape S + (4,) for inputs of shape S.
 
@@ -205,15 +190,14 @@ def kernel_vectors(gr: GammaRho, sigma, beta1, beta2) -> tuple:
     The + sign on psi2's second entry is required for annihilation: the
     second spectral row reads g2 a2 + 2 s b2 a3 - (1-s) b1 a4.
     """
-    if np.any(gr.gamma2 == 0):
+    if np.any(gamma2 == 0):
         raise DegenerateKernelError("gamma2 = 0")
-    p, q = np.broadcast_arrays((1 - sigma) * beta1 / gr.gamma2, 2 * sigma * beta2 / gr.gamma2)
+    p, q = np.broadcast_arrays((1 - sigma) * beta1 / gamma2, 2 * sigma * beta2 / gamma2)
     one, zero = np.ones(p.shape), np.zeros(p.shape)
     return np.stack([-p, -q, one, zero], axis=-1), np.stack([-q, p, zero, one], axis=-1)
 
 
-def kernel_contraction(params: ModelParams, gr: GammaRho, beta1: float, beta2: float,
-                       a110: float, a210: float, a310: float) -> float:
+def kernel_contraction(params: ModelParams, gamma2, beta1, beta2, a110, a210, a310):
     """First kernel vector dotted into the recurrence, leading terms removed.
 
     Equals psi1 . (R1, R2, R3, R4) whenever a410 = 0: contracting with a
@@ -223,14 +207,14 @@ def kernel_contraction(params: ModelParams, gr: GammaRho, beta1: float, beta2: f
     """
     s, a = params.sigma, params.alpha
     a1m, a1p, a2m, a2p = first_order_brackets(params)
-    g2 = gr.gamma2
-    c110 = 2 * a * (1 - s**2) * beta1 / g2 - (1 - s) * a1p
-    c210 = 2 * s * (2 * a * (1 + s) * beta2 / g2 - a2m)
-    c310 = (1 - s) ** 2 * beta1 * a1m / g2 + 4 * s**2 * beta2 * a2p / g2 + 2 * a * (1 + s)
+    c110 = 2 * a * (1 - s**2) * beta1 / gamma2 - (1 - s) * a1p
+    c210 = 2 * s * (2 * a * (1 + s) * beta2 / gamma2 - a2m)
+    c310 = ((1 - s) ** 2 * beta1 * a1m / gamma2 + 4 * s**2 * beta2 * a2p / gamma2
+            + 2 * a * (1 + s))
     return c110 * a110 + c210 * a210 + c310 * a310
 
 
-FUNDAMENTAL_DENOMINATORS = ("default", "alt-weight", "alt-shift")
+FUNDAMENTAL_DENOMINATORS = ("default", "alt-weight", "alt-shift")  # the selected reading first
 
 
 def fundamental_relation(cf, rho: float, variant: str = "default") -> tuple:

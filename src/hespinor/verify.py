@@ -270,46 +270,41 @@ def radial_checks() -> list:
         note=f"principal angles {angles.round(4).tolist()}; joint kernel is trivial"))
 
     g1v, g2v, sig, b1, b2 = _box_points(100, [(0.2, 2.5)] * 5).T
-    gr = radial.GammaRho(g1v, g2v)
-    det = np.linalg.det(radial.spectral_matrix(gr, sig, b1, b2))
-    fac = radial.spectral_quadratic(gr, sig, b1, b2) ** 2
+    det = np.linalg.det(radial.spectral_matrix(g1v, g2v, sig, b1, b2))
+    fac = radial.spectral_quadratic(g1v, g2v, sig, b1, b2) ** 2
     worst = np.max(np.abs(det - fac) / np.maximum(np.abs(fac), 1e-30))
     results.append(CheckResult("spectral determinant factorization (100 draws)", worst, hi=1e-10))
 
     g1v, g2v, sig, b2 = _box_points(100, [(0.2, 1.2)] * 4).T
     sig = np.minimum(sig, 0.9)
-    real = radial.spectral_quadratic(radial.GammaRho(g1v, g2v), sig, 0.0, b2) >= 0
-    gr, sig, b2 = radial.GammaRho(g1v[real], g2v[real]), sig[real], b2[real]
-    b1 = radial.beta1_from_determinant(gr, sig, b2)
-    mat = radial.spectral_matrix(gr, sig, b1, b2)
+    real = radial.spectral_quadratic(g1v, g2v, sig, 0.0, b2) >= 0
+    g1v, g2v, sig, b2 = g1v[real], g2v[real], sig[real], b2[real]
+    b1 = radial.beta1_from_determinant(g1v, g2v, sig, b2)
+    mat = radial.spectral_matrix(g1v, g2v, sig, b1, b2)
     scale = np.abs(mat).max(axis=(-2, -1))
     worst = max(np.max(np.abs(_matvec(mat, vec)).max(axis=-1) / scale)
-                for vec in radial.kernel_vectors(gr, sig, b1, b2))
+                for vec in radial.kernel_vectors(g2v, sig, b1, b2))
     results.append(CheckResult("kernel vectors annihilated", worst, hi=1e-10))
 
     params = ModelParams(sigma=0.3)
     # per point: gamma1, gamma2, beta1, beta2, then a100..a400
     draws = _box_points(50, [(0.2, 2.0)] * 4 + [(-1, 1)] * 4)
     g1v, g2v, b1, b2 = draws[:, :4].T
-    gr = radial.GammaRho(g1v, g2v)
     a00 = draws[:, 4:]
-    rvec = radial.recurrence_R(params, gr, radial.RadialAnsatz(b1, b2, *a00.T))
-    svec = _matvec(radial.spectral_matrix(gr, params.sigma, b1, b2), a00)
+    rvec = radial.recurrence_R(params, g1v, g2v, b1, b2, a00)
+    svec = _matvec(radial.spectral_matrix(g1v, g2v, params.sigma, b1, b2), a00)
     worst = np.max(np.abs(rvec - svec).max(axis=-1) / np.abs(svec).max(axis=-1))
     results.append(CheckResult("recurrence reduces to spectral matrix", worst, hi=1e-12))
 
     # gamma1, gamma2, beta2, a110..a310, a100..a400 (a410 = 0); no real decay rate drops a point
     draws = _box_points(50, [(0.2, 1.2)] * 3 + [(-1, 1)] * 7)
-    real = radial.spectral_quadratic(radial.GammaRho(*draws[:, :2].T), params.sigma,
-                                     0.0, draws[:, 2]) >= 0
-    g1v, g2v, b2, a110, a210, a310, a100, a200, a300, a400 = draws[real].T
-    gr = radial.GammaRho(g1v, g2v)
-    b1 = radial.beta1_from_determinant(gr, params.sigma, b2)
-    ansatz = radial.RadialAnsatz(b1, b2, a100, a200, a300, a400)
-    rvec = radial.recurrence_R(params, gr, ansatz, a110, a210, a310)
-    psi1, _ = radial.kernel_vectors(gr, params.sigma, b1, b2)
+    real = radial.spectral_quadratic(*draws[:, :2].T, params.sigma, 0.0, draws[:, 2]) >= 0
+    g1v, g2v, b2, a110, a210, a310 = draws[real, :6].T
+    b1 = radial.beta1_from_determinant(g1v, g2v, params.sigma, b2)
+    rvec = radial.recurrence_R(params, g1v, g2v, b1, b2, draws[real, 6:], a110, a210, a310)
+    psi1, _ = radial.kernel_vectors(g2v, params.sigma, b1, b2)
     direct = _matvec(psi1[:, None, :], rvec)[:, 0]
-    form = radial.kernel_contraction(params, gr, b1, b2, a110, a210, a310)
+    form = radial.kernel_contraction(params, g2v, b1, b2, a110, a210, a310)
     worst = np.max(np.abs(direct - form) / np.maximum(np.abs(form), 1e-12))
     results.append(CheckResult("kernel contraction equals dot product", worst, hi=1e-10))
     return results
@@ -352,7 +347,7 @@ def spectrum_checks() -> list:
 
     results.append(CheckResult("consistency root vs closed form", root("default"), hi=1e-6,
                                note="fundamental denominator: default reading selected"))
-    for variant in ("alt-weight", "alt-shift"):
+    for variant in radial.FUNDAMENTAL_DENOMINATORS[1:]:
         results.append(CheckResult(f"{variant} denominator rejected", root(variant), lo=1e-6,
                                    note="disagrees with the closed form"))
     results.append(CheckResult("energy relation inner denominator: squared",

@@ -122,16 +122,15 @@ def test_criterion_07_spectral_algebra():
     while draws < 100:
         g1v, g2v, sig, b2 = rng.uniform(0.2, 1.2, 4)
         sig = min(sig, 0.9)
-        gr = radial.GammaRho(g1v, g2v)
         try:
-            b1 = radial.beta1_from_determinant(gr, sig, b2)
+            b1 = radial.beta1_from_determinant(g1v, g2v, sig, b2)
         except radial.NoRealDecayError:
             continue
         draws += 1
-        mat = radial.spectral_matrix(gr, sig, b1, b2)
+        mat = radial.spectral_matrix(g1v, g2v, sig, b1, b2)
         scale = np.abs(mat).max()
         worst_det = max(worst_det, abs(np.linalg.det(mat)) / scale**4)
-        for vec in radial.kernel_vectors(gr, sig, b1, b2):
+        for vec in radial.kernel_vectors(g2v, sig, b1, b2):
             worst_kernel = max(worst_kernel, float(np.abs(mat @ vec).max()) / scale)
     ok = worst_det <= 1e-12 and worst_kernel <= 1e-10
     report(7, ok, f"100 draws: det at beta1 root <= {worst_det:.1e} (tol 1e-12 * scale^4); "
@@ -172,11 +171,8 @@ def test_criterion_09_structural_consistency():
     for _ in range(50):
         g1v, g2v, b1, b2 = rng.uniform(0.2, 2.0, 4)
         a00 = rng.uniform(-1, 1, 4)
-        gr = radial.GammaRho(g1v, g2v)
-        ansatz = radial.RadialAnsatz(beta1=b1, beta2=b2,
-                                     a100=a00[0], a200=a00[1], a300=a00[2], a400=a00[3])
-        rvec = radial.recurrence_R(params, gr, ansatz)
-        svec = radial.spectral_matrix(gr, params.sigma, b1, b2) @ a00
+        rvec = radial.recurrence_R(params, g1v, g2v, b1, b2, a00)
+        svec = radial.spectral_matrix(g1v, g2v, params.sigma, b1, b2) @ a00
         worst_rec = max(worst_rec, float(np.abs(rvec - svec).max() / np.abs(svec).max()))
     bound = 100 * step**2
     ok = dev_rows <= bound and dev_cov <= bound and worst_rec <= 1e-12

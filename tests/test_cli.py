@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import math
@@ -479,6 +480,41 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, argv, target):
     assert err.startswith(f"invalid arguments: output = {str(path)!r}: ")
     assert err.count("\n") == 1
     assert out == ""
+
+
+FULL_DEVICE = "/dev/full"  # every write to it fails with ENOSPC
+requires_full_device = pytest.mark.skipif(not os.path.exists(FULL_DEVICE),
+                                          reason=f"{FULL_DEVICE} does not exist")
+
+
+@requires_full_device
+@pytest.mark.parametrize("argv", [["scan", "--points", "100000"], ["minimize"], ["ion-limit"]],
+                         ids=["scan", "minimize", "ion-limit"])
+def test_failed_write_to_output_is_usage_error(argv):
+    proc = _run_cli(*argv, "--output", FULL_DEVICE, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"invalid arguments: output = {FULL_DEVICE!r}: "
+                           f"{os.strerror(errno.ENOSPC)}\n")
+    assert proc.stdout == ""
+
+
+@requires_full_device
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["verify", "--fast"], ["scan", "--points", "100000"],
+                                  ["minimize"], ["ion-limit"]],
+                         ids=["verify", "scan", "minimize", "ion-limit"])
+def test_failed_write_to_stdout_is_usage_error(argv, unbuffered):
+    # a passing battery whose report cannot be written must not read as a failed one (exit 1)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    with open(FULL_DEVICE, "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "hespinor.cli", *argv], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 2
+    # buffered, minimize and ion-limit write their summary before the data reaches the device
+    assert proc.stderr.splitlines()[-1] == (f"invalid arguments: output = '<stdout>': "
+                                            f"{os.strerror(errno.ENOSPC)}")
+    assert "Traceback" not in proc.stderr
 
 
 def _run_cli(*argv, timeout):

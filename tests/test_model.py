@@ -21,8 +21,6 @@ def test_replace_and_make_validate_model_params():
     spectrum.equilibrium_point(0.3),
     optimize.minimize_delta_e((0.05, 0.5)),
     radial.indicial_kernel(1, 1.0, model.FINE_STRUCTURE_ALPHA),
-    radial.GammaRho(1.1, 1.5),
-    radial.RadialAnsatz(1.0, 2.0, 0.1, 0.2, 0.3, 0.4),
     operators.ConfigPoint(1.1, 0.4, -0.8, 0.9),
     operators.SpinorField.plane_wave((0.6, -0.4, 0.3, 0.8), (1, 1, 1, 1)),
     angular.PhaseAssignment.canonical(1.0, 1.0),

@@ -59,3 +59,20 @@ def test_tracer_sees_each_scan_chunk(tmp_path):
         tracer.restore()
     assert tracer.counts["spectrum.equilibrium_point"] == 4
     assert [s[0] for s in tracer.spans] == ["cli.main", "optimize.scan_sigma"]
+
+
+def test_full_battery_counts():
+    # a battery that routes around radial's decay-rate relation or the closed form fails here
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.instrument(tracer, hespinor)
+        verify.run_all()
+    finally:
+        tracer.restore()
+    assert {name: tracer.counts[name] for name in (
+        "operators.field_evals", "angular.field_evals", "radial.fundamental_residual",
+        "spectrum.closed_form", "verify.checks_total", "verify.checks_failed")} == {
+        "operators.field_evals": 13, "angular.field_evals": 2,
+        "radial.fundamental_residual": 300, "spectrum.closed_form": 15,
+        "verify.checks_total": 39, "verify.checks_failed": 0}

@@ -30,9 +30,9 @@ def det4_cofactor(m):
 
 
 def gamma_rho(sigma, alpha, energy, rho):
-    """Reference: gamma1,2 = (1+sigma) +- X with X = E - (1+sigma) alpha / rho."""
+    """Reference pair (gamma1, gamma2) = (1+sigma) +- X with X = E - (1+sigma) alpha / rho."""
     shift = energy - (1 + sigma) * alpha / rho
-    return radial.GammaRho(gamma1=(1 + sigma) + shift, gamma2=(1 + sigma) - shift)
+    return (1 + sigma) + shift, (1 + sigma) - shift
 
 
 def test_exponents_default_alpha_frozen_value():
@@ -117,15 +117,14 @@ def test_indicial_kernel_angles():
 
 def test_gamma_rho_sum_invariant():
     sigma = 0.31
-    gr = gamma_rho(sigma, ALPHA, energy=0.93, rho=0.8)
-    assert gr.gamma1 + gr.gamma2 == pytest.approx(2 * (1 + sigma), rel=1e-15)
+    g1v, g2v = gamma_rho(sigma, ALPHA, energy=0.93, rho=0.8)
+    assert g1v + g2v == pytest.approx(2 * (1 + sigma), rel=1e-15)
 
 
 def test_recurrence_all_zero():
     params = ModelParams(sigma=0.3)
-    gr = radial.GammaRho(1.1, 0.9)
-    ansatz = radial.RadialAnsatz(beta1=0.4, beta2=0.2, a100=0, a200=0, a300=0, a400=0)
-    assert np.array_equal(radial.recurrence_R(params, gr, ansatz), np.zeros(4))
+    assert np.array_equal(radial.recurrence_R(params, 1.1, 0.9, 0.4, 0.2, [0, 0, 0, 0]),
+                          np.zeros(4))
 
 
 def test_recurrence_reduces_to_spectral_matrix():
@@ -134,68 +133,58 @@ def test_recurrence_reduces_to_spectral_matrix():
     for _ in range(50):
         g1v, g2v, b1, b2 = rng.uniform(0.2, 2.0, 4)
         a00 = rng.uniform(-1, 1, 4)
-        gr = radial.GammaRho(g1v, g2v)
-        ansatz = radial.RadialAnsatz(beta1=b1, beta2=b2,
-                                     a100=a00[0], a200=a00[1], a300=a00[2], a400=a00[3])
-        rvec = radial.recurrence_R(params, gr, ansatz)
-        svec = radial.spectral_matrix(gr, params.sigma, b1, b2) @ a00
+        rvec = radial.recurrence_R(params, g1v, g2v, b1, b2, a00)
+        svec = radial.spectral_matrix(g1v, g2v, params.sigma, b1, b2) @ a00
         assert np.abs(rvec - svec).max() <= 1e-12 * np.abs(svec).max()
 
 
 def test_recurrence_sigma_zero_one_electron_shape():
     params = ModelParams(sigma=0.0)
-    gr = radial.GammaRho(1.3, 0.7)
-    ansatz = radial.RadialAnsatz(beta1=0.6, beta2=0.9, a100=0.8, a200=0.0, a300=-0.5, a400=0.0)
-    rvec = radial.recurrence_R(params, gr, ansatz)
-    assert rvec[0] == pytest.approx(gr.gamma2 * 0.8 + 0.6 * (-0.5), rel=1e-14)
+    rvec = radial.recurrence_R(params, 1.3, 0.7, 0.6, 0.9, [0.8, 0.0, -0.5, 0.0])
+    assert rvec[0] == pytest.approx(0.7 * 0.8 + 0.6 * (-0.5), rel=1e-14)
 
 
 def test_spectral_determinant_factorization():
     rng = np.random.default_rng(123)
     for _ in range(100):
         g1v, g2v, sig, b1, b2 = rng.uniform(0.2, 2.5, 5)
-        gr = radial.GammaRho(g1v, g2v)
-        mat = radial.spectral_matrix(gr, sig, b1, b2)
-        fac = radial.spectral_quadratic(gr, sig, b1, b2) ** 2
+        mat = radial.spectral_matrix(g1v, g2v, sig, b1, b2)
+        fac = radial.spectral_quadratic(g1v, g2v, sig, b1, b2) ** 2
         assert abs(det4_cofactor(mat) - fac) <= 1e-10 * max(abs(fac), 1e-30)
 
 
 def test_spectral_determinant_beta_zero():
-    gr = radial.GammaRho(1.7, 0.6)
-    det = np.linalg.det(radial.spectral_matrix(gr, 0.4, 0.0, 0.0))
+    det = np.linalg.det(radial.spectral_matrix(1.7, 0.6, 0.4, 0.0, 0.0))
     assert det == pytest.approx((1.7 * 0.6) ** 2, rel=1e-12)
 
 
 def test_beta1_sigma_zero_case():
-    gr = radial.GammaRho(1.0, 1.0)
-    assert radial.beta1_from_determinant(gr, 0.0, beta2=7.3) == pytest.approx(1.0, rel=1e-15)
+    b1 = radial.beta1_from_determinant(1.0, 1.0, 0.0, beta2=7.3)
+    assert b1 == pytest.approx(1.0, rel=1e-15)
 
 
 def test_beta1_closed_value_and_determinant_zero():
-    gr = radial.GammaRho(2.0, 1.0)
-    b1 = radial.beta1_from_determinant(gr, 0.5, beta2=0.5)
+    b1 = radial.beta1_from_determinant(2.0, 1.0, 0.5, beta2=0.5)
     assert b1 == pytest.approx(2 * math.sqrt(1.75), rel=1e-14)
-    mat = radial.spectral_matrix(gr, 0.5, b1, 0.5)
+    mat = radial.spectral_matrix(2.0, 1.0, 0.5, b1, 0.5)
     scale = np.abs(mat).max()
     assert abs(np.linalg.det(mat)) <= 1e-12 * scale**4
 
 
 def test_beta1_negative_discriminant_error():
-    gr = radial.GammaRho(0.0, 1.0)
     with pytest.raises(radial.NoRealDecayError):
-        radial.beta1_from_determinant(gr, 0.5, beta2=0.5)
-    assert radial.beta1_from_determinant(gr, 0.5, beta2=0.0) == 0.0
+        radial.beta1_from_determinant(0.0, 1.0, 0.5, beta2=0.5)
+    assert radial.beta1_from_determinant(0.0, 1.0, 0.5, beta2=0.0) == 0.0
 
 
 def test_beta1_sigma_one_error():
     with pytest.raises(ZeroDivisionError):
-        radial.beta1_from_determinant(radial.GammaRho(1.0, 1.0), 1.0, beta2=0.1)
+        radial.beta1_from_determinant(1.0, 1.0, 1.0, beta2=0.1)
 
 
 def test_kernel_vectors_sigma_zero_forms():
-    gr = radial.GammaRho(1.2, 0.8)
-    b1 = radial.beta1_from_determinant(gr, 0.0, beta2=0.3)
-    psi1, psi2 = radial.kernel_vectors(gr, 0.0, b1, 0.3)
+    b1 = radial.beta1_from_determinant(1.2, 0.8, 0.0, beta2=0.3)
+    psi1, psi2 = radial.kernel_vectors(0.8, 0.0, b1, 0.3)
     assert np.allclose(psi1, [-b1 / 0.8, 0.0, 1.0, 0.0], atol=1e-15)
     assert np.allclose(psi2, [0.0, +b1 / 0.8, 0.0, 1.0], atol=1e-15)
 
@@ -205,13 +194,12 @@ def test_kernel_vectors_annihilated_and_independent():
     for _ in range(100):
         g1v, g2v, sig, b2 = rng.uniform(0.2, 1.2, 4)
         sig = min(sig, 0.9)
-        gr = radial.GammaRho(g1v, g2v)
         try:
-            b1 = radial.beta1_from_determinant(gr, sig, b2)
+            b1 = radial.beta1_from_determinant(g1v, g2v, sig, b2)
         except radial.NoRealDecayError:
             continue
-        mat = radial.spectral_matrix(gr, sig, b1, b2)
-        psi1, psi2 = radial.kernel_vectors(gr, sig, b1, b2)
+        mat = radial.spectral_matrix(g1v, g2v, sig, b1, b2)
+        psi1, psi2 = radial.kernel_vectors(g2v, sig, b1, b2)
         scale = np.abs(mat).max()
         assert np.abs(mat @ psi1).max() <= 1e-10 * scale
         assert np.abs(mat @ psi2).max() <= 1e-10 * scale
@@ -220,13 +208,12 @@ def test_kernel_vectors_annihilated_and_independent():
 
 def test_kernel_vectors_gamma2_zero_degeneracy():
     with pytest.raises(radial.DegenerateKernelError):
-        radial.kernel_vectors(radial.GammaRho(1.0, 0.0), 0.3, 0.5, 0.2)
+        radial.kernel_vectors(0.0, 0.3, 0.5, 0.2)
 
 
 def test_contraction_zero_inputs():
     params = ModelParams(sigma=0.3)
-    gr = radial.GammaRho(1.1, 0.9)
-    assert radial.kernel_contraction(params, gr, 0.5, 0.2, 0.0, 0.0, 0.0) == 0.0
+    assert radial.kernel_contraction(params, 0.9, 0.5, 0.2, 0.0, 0.0, 0.0) == 0.0
 
 
 def _assert_contraction_equals_kernel_dot_product(params, seed, draws):
@@ -234,20 +221,17 @@ def _assert_contraction_equals_kernel_dot_product(params, seed, draws):
     checked = 0
     while checked < draws:
         g1v, g2v, b2 = rng.uniform(0.2, 1.2, 3)
-        gr = radial.GammaRho(g1v, g2v)
         try:
-            b1 = radial.beta1_from_determinant(gr, params.sigma, b2)
+            b1 = radial.beta1_from_determinant(g1v, g2v, params.sigma, b2)
         except radial.NoRealDecayError:
             continue
         a00 = rng.uniform(-1, 1, 4)
         a10 = rng.uniform(-1, 1, 4)
         a10[3] = 0.0  # the three-term form assumes the fourth first-order coefficient is 0
-        ansatz = radial.RadialAnsatz(beta1=b1, beta2=b2,
-                                     a100=a00[0], a200=a00[1], a300=a00[2], a400=a00[3])
-        rvec = radial.recurrence_R(params, gr, ansatz, *a10)
-        psi1, _ = radial.kernel_vectors(gr, params.sigma, b1, b2)
+        rvec = radial.recurrence_R(params, g1v, g2v, b1, b2, a00, *a10)
+        psi1, _ = radial.kernel_vectors(g2v, params.sigma, b1, b2)
         direct = float(psi1 @ rvec)
-        form = radial.kernel_contraction(params, gr, b1, b2, a10[0], a10[1], a10[2])
+        form = radial.kernel_contraction(params, g2v, b1, b2, a10[0], a10[1], a10[2])
         assert direct == pytest.approx(form, rel=1e-10, abs=1e-12)
         checked += 1
 
@@ -264,9 +248,8 @@ def test_contraction_equals_kernel_dot_product_away_from_default_j():
 
 def test_contraction_sigma_zero_keeps_only_electron1_brackets():
     params = ModelParams(sigma=0.0)
-    gr = radial.GammaRho(1.3, 0.7)
-    base = radial.kernel_contraction(params, gr, 0.6, 0.4, 0.3, 0.0, 0.2)
-    with_a210 = radial.kernel_contraction(params, gr, 0.6, 0.4, 0.3, 5.0, 0.2)
+    base = radial.kernel_contraction(params, 0.7, 0.6, 0.4, 0.3, 0.0, 0.2)
+    with_a210 = radial.kernel_contraction(params, 0.7, 0.6, 0.4, 0.3, 5.0, 0.2)
     assert base == with_a210  # a210 enters with weight 2*sigma = 0
 
 
@@ -277,16 +260,15 @@ def test_both_kernel_vectors_give_identical_energy_condition():
     rho, h = 120.0, 0.25
     weight = (1 - params.sigma) ** 2 + 4 * params.sigma**2 * h**2
     for energy in np.linspace(0.2, 1.1, 12):
-        gr = gamma_rho(params.sigma, params.alpha, energy, rho)
-        b1 = math.sqrt(gr.gamma1 * gr.gamma2 / weight)
+        g1v, g2v = gamma_rho(params.sigma, params.alpha, energy, rho)
+        b1 = math.sqrt(g1v * g2v / weight)
         b2 = h * b1
-        psi1, psi2 = radial.kernel_vectors(gr, params.sigma, b1, b2)
+        psi1, psi2 = radial.kernel_vectors(g2v, params.sigma, b1, b2)
         values = []
         for vec, a10 in ((psi1, [psi1[0], psi1[1], 1.0, 0.0]),
                          (psi2, [psi2[0], psi2[1], 0.0, 1.0])):
-            ansatz = radial.RadialAnsatz(beta1=b1, beta2=b2,
-                                         a100=0.3, a200=-0.8, a300=0.5, a400=0.1)
-            values.append(float(vec @ radial.recurrence_R(params, gr, ansatz, *a10)))
+            rvec = radial.recurrence_R(params, g1v, g2v, b1, b2, [0.3, -0.8, 0.5, 0.1], *a10)
+            values.append(float(vec @ rvec))
         assert values[0] == pytest.approx(values[1], rel=1e-12)
 
 
@@ -298,9 +280,9 @@ def test_fundamental_residual_gamma_equal_case():
     energy = (1 + cf.sigma) * cf.alpha / rho  # shift X = 0
     h = cf.sigma * cf.s2 / cf.s1
     res = radial.fundamental_residual(radial.fundamental_relation(cf, rho), energy)
-    gr = gamma_rho(cf.sigma, cf.alpha, energy, rho)
+    g1v, g2v = gamma_rho(cf.sigma, cf.alpha, energy, rho)
     weight = (1 - cf.sigma) ** 2 + 4 * cf.sigma**2 * h**2
-    assert res == pytest.approx(math.sqrt(gr.gamma1 * gr.gamma2 / weight), rel=1e-14)
+    assert res == pytest.approx(math.sqrt(g1v * g2v / weight), rel=1e-14)
 
 
 def test_fundamental_sigma_zero_hydrogen_like_root():
@@ -395,11 +377,11 @@ def test_fundamental_residual_no_real_decay():
 
 def reference_residual(params, energy, rho, h, variant):
     """The decay-rate mismatch at one energy, written out from gamma_rho."""
-    gr = gamma_rho(params.sigma, params.alpha, energy, rho)
+    g1v, g2v = gamma_rho(params.sigma, params.alpha, energy, rho)
     weight = (1 - params.sigma) ** 2 + 4 * params.sigma**2 * h**2
-    beta_det = math.sqrt(gr.gamma1 * gr.gamma2 / weight)
+    beta_det = math.sqrt(g1v * g2v / weight)
     den = per_site_denominator(params, h, variant)
-    return beta_det - params.alpha * (1 + params.sigma) * (gr.gamma1 - gr.gamma2) / den
+    return beta_det - params.alpha * (1 + params.sigma) * (g1v - g2v) / den
 
 
 @pytest.mark.parametrize("variant", radial.FUNDAMENTAL_DENOMINATORS)
@@ -444,25 +426,21 @@ def test_fundamental_relation_rejects_vanishing_denominator():
 
 
 def _random_inputs(shape, seed=29):
-    g1v, g2v, sig, b1, b2 = np.random.default_rng(seed).uniform(0.2, 1.2, (5,) + shape)
-    return radial.GammaRho(g1v, g2v), sig, b1, b2
-
-
-def _entry(gr, index):
-    return radial.GammaRho(gr.gamma1[index], gr.gamma2[index])
+    """gamma1, gamma2, sigma, beta1, beta2, each of the given shape."""
+    return np.random.default_rng(seed).uniform(0.2, 1.2, (5,) + shape)
 
 
 def test_spectral_matrix_array_equals_stacked_scalar_calls():
-    gr, sig, b1, b2 = _random_inputs((2, 3))
-    batch = radial.spectral_matrix(gr, sig, b1, b2)
+    inputs = _random_inputs((2, 3))
+    batch = radial.spectral_matrix(*inputs)
     assert batch.shape == (2, 3, 4, 4)
     for index in np.ndindex(2, 3):
-        single = radial.spectral_matrix(_entry(gr, index), sig[index], b1[index], b2[index])
+        single = radial.spectral_matrix(*(x[index] for x in inputs))
         assert np.array_equal(batch[index], single)
 
 
 def test_spectral_matrix_float_path_layout():
-    mat = radial.spectral_matrix(radial.GammaRho(1.7, 0.6), 0.4, 0.9, 0.3)
+    mat = radial.spectral_matrix(1.7, 0.6, 0.4, 0.9, 0.3)
     a, b = (1 - 0.4) * 0.9, 2 * 0.4 * 0.3
     expected = np.array([[0.6, 0.0, a, b], [0.0, 0.6, b, -a], [a, b, 1.7, 0.0], [b, -a, 0.0, 1.7]])
     assert mat.shape == (4, 4) and mat.dtype == float
@@ -470,16 +448,16 @@ def test_spectral_matrix_float_path_layout():
 
 
 def test_kernel_vectors_array_equals_stacked_scalar_calls():
-    gr, sig, b1, b2 = _random_inputs((7,))
-    psi1, psi2 = radial.kernel_vectors(gr, sig, b1, b2)
+    _, g2v, sig, b1, b2 = _random_inputs((7,))
+    psi1, psi2 = radial.kernel_vectors(g2v, sig, b1, b2)
     assert psi1.shape == psi2.shape == (7, 4)
     for i in range(7):
-        one, two = radial.kernel_vectors(_entry(gr, i), sig[i], b1[i], b2[i])
+        one, two = radial.kernel_vectors(g2v[i], sig[i], b1[i], b2[i])
         assert np.array_equal(psi1[i], one) and np.array_equal(psi2[i], two)
 
 
 def test_kernel_vectors_float_path_layout():
-    psi1, psi2 = radial.kernel_vectors(radial.GammaRho(1.2, 0.8), 0.3, 0.5, 0.2)
+    psi1, psi2 = radial.kernel_vectors(0.8, 0.3, 0.5, 0.2)
     p, q = (1 - 0.3) * 0.5 / 0.8, 2 * 0.3 * 0.2 / 0.8
     assert psi1.dtype == psi2.dtype == float
     assert np.array_equal(psi1, np.array([-p, -q, 1.0, 0.0]))
@@ -487,49 +465,46 @@ def test_kernel_vectors_float_path_layout():
 
 
 def test_kernel_vectors_array_with_one_gamma2_zero_raises():
-    gr = radial.GammaRho(np.array([1.0, 1.0]), np.array([0.5, 0.0]))
     with pytest.raises(radial.DegenerateKernelError):
-        radial.kernel_vectors(gr, 0.3, np.array([0.5, 0.5]), np.array([0.2, 0.2]))
+        radial.kernel_vectors(np.array([0.5, 0.0]), 0.3, np.array([0.5, 0.5]),
+                              np.array([0.2, 0.2]))
 
 
 def test_recurrence_array_equals_stacked_scalar_calls():
     params = ModelParams(sigma=0.3)
-    gr, _, b1, b2 = _random_inputs((6,))
+    g1v, g2v, _, b1, b2 = _random_inputs((6,))
     coeffs = np.random.default_rng(31).uniform(-1, 1, (7, 6))
-    ansatz = radial.RadialAnsatz(b1, b2, *coeffs[:4])
-    batch = radial.recurrence_R(params, gr, ansatz, *coeffs[4:])
+    batch = radial.recurrence_R(params, g1v, g2v, b1, b2, coeffs[:4].T, *coeffs[4:])
     assert batch.shape == (6, 4)
     for i in range(6):
-        single = radial.RadialAnsatz(b1[i], b2[i], *coeffs[:4, i])
-        assert np.array_equal(batch[i],
-                              radial.recurrence_R(params, _entry(gr, i), single, *coeffs[4:, i]))
+        single = radial.recurrence_R(params, g1v[i], g2v[i], b1[i], b2[i], coeffs[:4, i],
+                                     *coeffs[4:, i])
+        assert np.array_equal(batch[i], single)
 
 
 def test_recurrence_float_path_values():
     params = ModelParams(sigma=0.0)
-    gr = radial.GammaRho(1.3, 0.7)
-    ansatz = radial.RadialAnsatz(beta1=0.6, beta2=0.9, a100=0.8, a200=0.0, a300=-0.5, a400=0.0)
-    rvec = radial.recurrence_R(params, gr, ansatz)
+    rvec = radial.recurrence_R(params, 1.3, 0.7, 0.6, 0.9, [0.8, 0.0, -0.5, 0.0])
     assert rvec.shape == (4,) and rvec.dtype == float
     assert np.array_equal(rvec, [0.7 * 0.8 + 0.6 * -0.5, 0.0, 1.3 * -0.5 + 0.6 * 0.8, 0.0])
 
 
 def test_beta1_array_equals_scalar_loop():
-    gr, sig, _, b2 = _random_inputs((20,))
+    g1v, g2v, sig, _, b2 = _random_inputs((20,))
     sig = np.minimum(sig, 0.9)
-    keep = radial.spectral_quadratic(gr, sig, 0.0, b2) >= 0
-    gr, sig, b2 = radial.GammaRho(gr.gamma1[keep], gr.gamma2[keep]), sig[keep], b2[keep]
-    batch = radial.beta1_from_determinant(gr, sig, b2)
+    keep = radial.spectral_quadratic(g1v, g2v, sig, 0.0, b2) >= 0
+    g1v, g2v, sig, b2 = g1v[keep], g2v[keep], sig[keep], b2[keep]
+    batch = radial.beta1_from_determinant(g1v, g2v, sig, b2)
     assert batch.shape == (int(keep.sum()),) and len(batch) > 0
-    assert np.array_equal(batch, [radial.beta1_from_determinant(_entry(gr, i), sig[i], b2[i])
+    assert np.array_equal(batch, [radial.beta1_from_determinant(g1v[i], g2v[i], sig[i], b2[i])
                                   for i in range(len(batch))])
 
 
 def test_beta1_array_with_one_bad_entry_raises():
-    gr = radial.GammaRho(np.array([1.0, 0.0, 2.0]), np.array([1.0, 1.0, 1.0]))
+    g1v, g2v = np.array([1.0, 0.0, 2.0]), np.array([1.0, 1.0, 1.0])
     beta2 = np.array([0.1, 0.5, 0.1])
     with pytest.raises(radial.NoRealDecayError):
-        radial.beta1_from_determinant(gr, 0.5, beta2)
+        radial.beta1_from_determinant(g1v, g2v, 0.5, beta2)
     with pytest.raises(ZeroDivisionError):
-        radial.beta1_from_determinant(radial.GammaRho(1.0, 1.0), np.array([0.2, 1.0]), 0.1)
-    assert radial.beta1_from_determinant(gr, 0.5, np.zeros(3))[1] == 0.0
+        radial.beta1_from_determinant(1.0, 1.0, np.array([0.2, 1.0]), 0.1)
+    assert radial.beta1_from_determinant(g1v, g2v, 0.5, np.zeros(3))[1] == 0.0

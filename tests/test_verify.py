@@ -305,47 +305,38 @@ def _per_point_radial_values():
     on the rows of the battery's boxes."""
     worst = dict.fromkeys(("factorization", "kernel", "recurrence", "contraction"), 0.0)
     for g1v, g2v, sig, b1, b2 in verify._box_points(100, [(0.2, 2.5)] * 5):
-        gr = radial.GammaRho(gamma1=g1v, gamma2=g2v)
-        det = np.linalg.det(radial.spectral_matrix(gr, sig, b1, b2))
-        fac = radial.spectral_quadratic(gr, sig, b1, b2) ** 2
+        det = np.linalg.det(radial.spectral_matrix(g1v, g2v, sig, b1, b2))
+        fac = radial.spectral_quadratic(g1v, g2v, sig, b1, b2) ** 2
         worst["factorization"] = max(worst["factorization"], abs(det - fac) / max(abs(fac), 1e-30))
     for g1v, g2v, sig, b2 in verify._box_points(100, [(0.2, 1.2)] * 4):
         sig = min(sig, 0.9)
         try:
-            b1 = radial.beta1_from_determinant(radial.GammaRho(g1v, g2v), sig, b2)
+            b1 = radial.beta1_from_determinant(g1v, g2v, sig, b2)
         except radial.NoRealDecayError:
             continue
-        gr = radial.GammaRho(g1v, g2v)
-        mat = radial.spectral_matrix(gr, sig, b1, b2)
+        mat = radial.spectral_matrix(g1v, g2v, sig, b1, b2)
         scale = float(np.abs(mat).max())
-        for vec in radial.kernel_vectors(gr, sig, b1, b2):
+        for vec in radial.kernel_vectors(g2v, sig, b1, b2):
             worst["kernel"] = max(worst["kernel"], float(np.abs(mat @ vec).max()) / scale)
     params = ModelParams(sigma=0.3)
     for row in verify._box_points(50, [(0.2, 2.0)] * 4 + [(-1, 1)] * 4):
         g1v, g2v, b1, b2 = row[:4]
-        gr = radial.GammaRho(g1v, g2v)
         a00 = row[4:]
-        ansatz = radial.RadialAnsatz(beta1=b1, beta2=b2,
-                                     a100=a00[0], a200=a00[1], a300=a00[2], a400=a00[3])
-        rvec = radial.recurrence_R(params, gr, ansatz)
-        svec = radial.spectral_matrix(gr, params.sigma, b1, b2) @ a00
+        rvec = radial.recurrence_R(params, g1v, g2v, b1, b2, a00)
+        svec = radial.spectral_matrix(g1v, g2v, params.sigma, b1, b2) @ a00
         worst["recurrence"] = max(worst["recurrence"],
                                   float(np.abs(rvec - svec).max()) / float(np.abs(svec).max()))
     for row in verify._box_points(50, [(0.2, 1.2)] * 3 + [(-1, 1)] * 7):
         g1v, g2v, b2 = row[:3]
         try:
-            b1 = radial.beta1_from_determinant(radial.GammaRho(g1v, g2v), params.sigma, b2)
+            b1 = radial.beta1_from_determinant(g1v, g2v, params.sigma, b2)
         except radial.NoRealDecayError:
             continue
-        gr = radial.GammaRho(g1v, g2v)
         a10 = np.append(row[3:6], 0.0)
-        a00 = row[6:]
-        ansatz = radial.RadialAnsatz(beta1=b1, beta2=b2,
-                                     a100=a00[0], a200=a00[1], a300=a00[2], a400=a00[3])
-        rvec = radial.recurrence_R(params, gr, ansatz, *a10)
-        psi1, _ = radial.kernel_vectors(gr, params.sigma, b1, b2)
+        rvec = radial.recurrence_R(params, g1v, g2v, b1, b2, row[6:], *a10)
+        psi1, _ = radial.kernel_vectors(g2v, params.sigma, b1, b2)
         direct = float(psi1 @ rvec)
-        form = radial.kernel_contraction(params, gr, b1, b2, a10[0], a10[1], a10[2])
+        form = radial.kernel_contraction(params, g2v, b1, b2, a10[0], a10[1], a10[2])
         worst["contraction"] = max(worst["contraction"], abs(direct - form) / max(abs(form), 1e-12))
     return worst
 
