@@ -8,11 +8,13 @@ are emitted.  CSV writes each float as the bytes of ``"%.17g" % x`` (17
 significant digits); JSON goes through ``json.dumps``, which writes the
 shortest repr that round-trips.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (an argparse
-error, a ``ParameterError`` from the library call, or an ``--output`` path
-or stdout that cannot be opened or written), 3 numeric error (no root /
-non-unimodal bracket).  The handlers take the argparse namespace; the
-parser holds the only defaults and the library the only checks.
+Exit codes: 0 success, 1 verification failure (only a failed battery), 2
+usage error (an argparse error, a ``ParameterError`` from the library call,
+or an ``--output`` file, stdout or stderr that takes no more data: no
+traceback, at most one stderr line), 3 numeric error (no root / non-unimodal
+bracket).  Summary lines follow the data; a reader that closes the pipe
+early gives exit 0.  The handlers take the argparse namespace; the parser
+holds the only defaults and the library the only checks.
 """
 
 import argparse
@@ -30,15 +32,19 @@ EXPERIMENTAL_DELTA_E = -2.90330   # measured helium ground-state excess energy
 
 @contextlib.contextmanager
 def _data_stream(output: str):
-    """The text stream a command's data goes to: the ``--output`` file, else stdout."""
-    if not output:
-        yield sys.stdout
-        return
+    """The text stream a command's data goes to, the ``--output`` file or
+    stdout, flushed on leaving: data always precedes its summary lines."""
     try:
-        with open(output, "w", encoding="utf-8") as fh:
-            yield fh
-    except OSError as exc:  # opening, a write, or the flush at close
-        raise ParameterError(f"output = {output!r}: {exc.strerror}") from exc
+        with (open(output, "w", encoding="utf-8") if output
+              else contextlib.nullcontext(sys.stdout)) as stream:
+            yield stream
+            stream.flush()
+    except OSError as exc:  # opening, a write, or the flush
+        if not output:  # stdout takes no more data: drop the rest, at exit too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                raise  # the reader stopped early (``hespinor scan | head``): ``entry`` exits 0
+        raise ParameterError(f"output = {output or '<stdout>'!r}: {exc.strerror}") from exc
 
 
 def _write_csv(chunks, fields, stream):
@@ -84,8 +90,8 @@ def cmd_verify(args) -> int:
     from . import verify
 
     report = verify.run_all(fast=args.fast)
-    for line in report.lines():
-        print(line)
+    with _data_stream("") as stream:
+        stream.write("\n".join(report.lines()) + "\n")
     return 0 if report.passed else 1
 
 
@@ -188,14 +194,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage error, 0 on --help
-        return int(exc.code or 0)
     handlers = {"verify": cmd_verify, "scan": cmd_scan,
                 "minimize": cmd_minimize, "ion-limit": cmd_ion_limit}
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits 2 on usage error, 0 on --help
+            sys.stderr.flush()  # argparse drops a failed write of its message
+            with _data_stream(""):  # and of --help's text
+                return int(exc.code or 0)
         return handlers[args.command](args)
     except ParameterError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
@@ -208,17 +215,10 @@ def main(argv=None) -> int:
 def entry():
     try:
         code = main()
-        sys.stdout.flush()
-    except OSError as exc:
-        # stdout takes no more data: drop the rest, including what the
-        # interpreter would flush at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if isinstance(exc, BrokenPipeError):  # the reader stopped early (``hespinor scan | head``)
-            code = 0
-        else:  # ``> /dev/full``: a usage error, as for an --output that cannot be written
-            print(f"invalid arguments: output = {sys.stdout.name!r}: {exc.strerror}",
-                  file=sys.stderr)
-            code = 2
+    except OSError as exc:  # a reader that stopped early, or a stderr that takes no more data
+        code = 0 if isinstance(exc, BrokenPipeError) else 2
+        for stream in (sys.stdout, sys.stderr):  # so the flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     sys.exit(code)
 
 

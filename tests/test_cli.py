@@ -511,10 +511,41 @@ def test_failed_write_to_stdout_is_usage_error(argv, unbuffered):
         proc = subprocess.run([sys.executable, "-m", "hespinor.cli", *argv], env=env,
                               stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
     assert proc.returncode == 2
-    # buffered, minimize and ion-limit write their summary before the data reaches the device
-    assert proc.stderr.splitlines()[-1] == (f"invalid arguments: output = '<stdout>': "
-                                            f"{os.strerror(errno.ENOSPC)}")
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (f"invalid arguments: output = '<stdout>': "
+                           f"{os.strerror(errno.ENOSPC)}\n")
+
+
+@requires_full_device
+def test_help_to_a_full_buffered_stdout_is_usage_error():
+    # unbuffered, argparse drops the failed write itself and --help exits 0
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONUNBUFFERED="")
+    with open(FULL_DEVICE, "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "hespinor.cli", "--help"], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"invalid arguments: output = '<stdout>': "
+                           f"{os.strerror(errno.ENOSPC)}\n")
+
+
+@requires_full_device
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, stdout_full", [
+    (["minimize"], False), (["ion-limit"], False), (["scan", "--alpha", "1e-170"], False),
+    (["minimize", "--sigma-min", "0.3", "--sigma-max", "0.9"], False),
+    (["scan", "--bogus"], False), (["verify", "--fast"], True)],
+    ids=["minimize", "ion-limit", "usage-error", "numeric-error", "argparse-error", "verify"])
+def test_failed_write_to_stderr_exits_two(argv, stdout_full, unbuffered):
+    # a summary or error line that cannot be written is an I/O failure (2), not a
+    # failed battery (1); the data written before it reaches stdout intact
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    with open(FULL_DEVICE, "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "hespinor.cli", *argv], env=env,
+                              stdout=full if stdout_full else subprocess.PIPE, stderr=full,
+                              text=True, timeout=60)
+    assert proc.returncode == 2
+    if not stdout_full:
+        assert proc.stdout == _run_cli(*argv, timeout=60).stdout
 
 
 def _run_cli(*argv, timeout):
