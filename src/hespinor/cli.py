@@ -145,13 +145,22 @@ def cmd_ion_limit(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse drops a failed message write: here it raises, --help's via ``_data_stream``."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            with _data_stream("") if file is sys.stdout else contextlib.nullcontext():
+                (file or sys.stderr).write(message)
+
+
 def sigma_list(text: str) -> tuple:
     """argparse type of ``--sigmas``: comma-separated floats, empty tokens skipped."""
     return tuple(float(tok) for tok in text.split(",") if tok)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hespinor",
         description="Four-spinor two-electron model: verification, sigma scans and "
                     "ground-state minimization.")
@@ -200,9 +209,7 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:  # argparse exits 2 on usage error, 0 on --help
-            sys.stderr.flush()  # argparse drops a failed write of its message
-            with _data_stream(""):  # and of --help's text
-                return int(exc.code or 0)
+            return int(exc.code or 0)
         return handlers[args.command](args)
     except ParameterError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)

@@ -250,17 +250,16 @@ def fundamental_relation(cf, rho: float, variant: str = "default") -> tuple:
     return 1 + s, (1 + s) * a / rho, (1 - s) ** 2 + 4 * s**2 * h**2, a * (1 + s), den
 
 
-def fundamental_residual(relation: tuple, energy: float) -> float:
-    """Decay-rate mismatch beta1(determinant route) - beta1(fundamental relation) at one energy.
+def fundamental_residual(relation: tuple, shift: float) -> float:
+    """Decay-rate mismatch beta1(determinant route) - beta1(fundamental relation) at one shift.
 
     The determinant route eliminates beta2 = h beta1 self-consistently:
     beta1^2 [(1-s)^2 + 4 s^2 h^2] = gamma1 gamma2, with gamma1,2 = (1+s) +- X and
-    X = E - (1+s) a / rho;
+    the shift X = E - (1+s) a / rho;
     the contracted recurrence gives beta1 = a(1+s)(gamma1-gamma2)/denominator.
-    A zero in the energy characterizes the bound state for the relation's sigma, rho and h.
+    A zero in X characterizes the bound state for the relation's sigma, rho and h.
     """
-    rest, coulomb, weight, coupling, den = relation
-    shift = energy - coulomb
+    rest, _, weight, coupling, den = relation
     gamma1 = rest + shift
     gamma2 = rest - shift
     disc = gamma1 * gamma2

@@ -14,8 +14,8 @@ natural with the electron mass m = 1: energies are in units of m c^2 and,
 for the excess energy, in Hartree (m c^2 a^2); lengths in Bohr radii
 (hbar / (m c a)).
 
-An independent check is provided by ``energy_consistency_solve``, which
-recovers the energy by root-finding on the radial module's
+An independent check is provided by ``energy_consistency_solve``, which finds
+the shift X = E - (1+sigma) alpha / rho as a root of the radial module's
 ``fundamental_residual`` instead of using the closed form.  It and
 ``energy_shifted_literal`` import ``radial`` inside, so the closed form
 alone, like ``hespinor minimize``, does not load it.
@@ -207,27 +207,20 @@ def energy_consistency_solve(sigma: float, rho: float, cf: ClosedFormParams,
                              variant: str = "default") -> float:
     """Solve the decay-rate consistency condition for the energy.
 
-    Finds the E in ((1+s) a / rho, (1+s) + (1+s) a / rho) at which the
-    determinant-route and fundamental-relation decay rates coincide
-    (``radial.fundamental_residual`` = 0), with rho in natural units and
-    beta2 = h beta1, h = sigma s2 / s1.  The relation reads sigma, alpha and
-    the exponents from ``cf``, a record at the float ``sigma``, and none of
-    its closed-form values: at rho = rho0(sigma) the root must reproduce
-    ``energy_closed_form``.
-
-    sigma = 0 is the degenerate one-electron case and is answered with its
-    limiting relation g1 / sqrt(g1^2 + 4 a^2), g1 = s1 + 1/2, directly.
+    Finds the shift X = E - (1+s) a / rho at which the determinant-route and
+    fundamental-relation decay rates coincide (``radial.fundamental_residual``
+    = 0), with rho in natural units, and returns E.  The bracket [0, 1+s] is
+    exact: the residual is positive at X = 0 (gamma1 = gamma2) and negative at
+    X = 1+s (gamma2 = 0).  The relation reads sigma, alpha and the exponents
+    from ``cf``, a record at the float ``sigma``, and none of its closed-form
+    values: at rho = rho0(sigma) the root must reproduce ``energy_closed_form``,
+    at sigma = 0 (rho = inf) the one-electron g1 / sqrt(g1^2 + 4 a^2).
     """
-    if sigma == 0:
-        g1 = cf.s1 + 0.5
-        return g1 / math.sqrt(g1 * g1 + 4 * cf.alpha**2)
     from . import radial
 
-    residual = partial(radial.fundamental_residual, radial.fundamental_relation(cf, rho, variant))
-    margin = 1e-12
-    lo = (1 + sigma) * cf.alpha / rho + margin
-    hi = (1 + sigma) + (1 + sigma) * cf.alpha / rho - margin
-    return brentq(residual, lo, hi, xtol=1e-15)[0]
+    relation = radial.fundamental_relation(cf, rho, variant)
+    shift = brentq(partial(radial.fundamental_residual, relation), 0.0, 1 + sigma, xtol=1e-15)[0]
+    return relation[1] + shift
 
 
 def energy_shifted_literal(cf: ClosedFormParams, rho: float, squared: bool = True) -> float:

@@ -516,11 +516,14 @@ def test_failed_write_to_stdout_is_usage_error(argv, unbuffered):
 
 
 @requires_full_device
-def test_help_to_a_full_buffered_stdout_is_usage_error():
-    # unbuffered, argparse drops the failed write itself and --help exits 0
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONUNBUFFERED="")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"]], ids=["hespinor", "scan"])
+def test_help_to_a_full_stdout_is_usage_error(argv, unbuffered):
+    # argparse itself drops a failed write: unbuffered, --help would exit 0
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
     with open(FULL_DEVICE, "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "hespinor.cli", "--help"], env=env,
+        proc = subprocess.run([sys.executable, "-m", "hespinor.cli", *argv], env=env,
                               stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr == (f"invalid arguments: output = '<stdout>': "

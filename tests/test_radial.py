@@ -273,23 +273,20 @@ def test_both_kernel_vectors_give_identical_energy_condition():
 
 
 def test_fundamental_residual_gamma_equal_case():
-    # energy at which gamma1 = gamma2: the fundamental route gives beta1 = 0
+    # at shift X = 0 gamma1 = gamma2 = 1+sigma: the fundamental route gives beta1 = 0
     # and the residual equals the determinant-route value
     cf = spectrum.closed_form(0.3)
-    rho = 1.5
-    energy = (1 + cf.sigma) * cf.alpha / rho  # shift X = 0
     h = cf.sigma * cf.s2 / cf.s1
-    res = radial.fundamental_residual(radial.fundamental_relation(cf, rho), energy)
-    g1v, g2v = gamma_rho(cf.sigma, cf.alpha, energy, rho)
+    res = radial.fundamental_residual(radial.fundamental_relation(cf, 1.5), 0.0)
     weight = (1 - cf.sigma) ** 2 + 4 * cf.sigma**2 * h**2
-    assert res == pytest.approx(math.sqrt(g1v * g2v / weight), rel=1e-14)
+    assert res == pytest.approx((1 + cf.sigma) / math.sqrt(weight), rel=1e-14)
 
 
 def test_fundamental_sigma_zero_hydrogen_like_root():
-    # at sigma = 0 (and rho -> infinity) the residual vanishes exactly at
-    # the one-electron ground energy sqrt(1 - (2 alpha)^2)
+    # at sigma = 0 and rho = inf the shift is the energy, and the residual vanishes
+    # exactly at the one-electron ground energy sqrt(1 - (2 alpha)^2)
     e_star = math.sqrt(1 - 4 * ALPHA**2)
-    relation = radial.fundamental_relation(spectrum.closed_form(0.0), rho=1e12)
+    relation = radial.fundamental_relation(spectrum.closed_form(0.0), rho=math.inf)
     assert abs(radial.fundamental_residual(relation, e_star)) < 1e-9
 
 
@@ -368,16 +365,17 @@ def test_ion_limit_equals_high_precision_value(alpha):
 
 def test_fundamental_residual_no_real_decay():
     cf = spectrum.closed_form(0.3)
-    rho = 1.5
-    # energy far above the bracket makes gamma1*gamma2 negative
-    energy = 5.0
-    with pytest.raises(radial.NoRealDecayError):
-        radial.fundamental_residual(radial.fundamental_relation(cf, rho), energy)
+    relation = radial.fundamental_relation(cf, 1.5)
+    # a shift one step outside [-(1+sigma), 1+sigma] makes gamma1*gamma2 negative
+    rest = 1 + cf.sigma
+    for shift in (math.nextafter(rest, math.inf), math.nextafter(-rest, -math.inf)):
+        with pytest.raises(radial.NoRealDecayError):
+            radial.fundamental_residual(relation, shift)
 
 
-def reference_residual(params, energy, rho, h, variant):
-    """The decay-rate mismatch at one energy, written out from gamma_rho."""
-    g1v, g2v = gamma_rho(params.sigma, params.alpha, energy, rho)
+def reference_residual(params, shift, h, variant):
+    """The decay-rate mismatch at one shift X, with gamma1,2 = (1+sigma) +- X."""
+    g1v, g2v = (1 + params.sigma) + shift, (1 + params.sigma) - shift
     weight = (1 - params.sigma) ** 2 + 4 * params.sigma**2 * h**2
     beta_det = math.sqrt(g1v * g2v / weight)
     den = per_site_denominator(params, h, variant)
@@ -392,14 +390,13 @@ def test_fundamental_residual_equals_per_energy_reference(variant):
             params = ModelParams(sigma=sigma, alpha=alpha, j1=j1, j2=j2)
             cf = spectrum.closed_form(sigma, alpha, j1, j2)
             h = sigma * cf.s2 / cf.s1
-            for rho in (0.05, 0.8626, 3.0, 1e12):
+            for rho in (0.05, 0.8626, 3.0, 1e12):  # rho enters only the energy, not X
                 relation = radial.fundamental_relation(cf, rho, variant)
-                lo = (1 + sigma) * alpha / rho
-                for energy in np.linspace(lo, lo + (1 + sigma), 9)[1:-1]:
-                    assert (radial.fundamental_residual(relation, energy)
-                            == reference_residual(params, energy, rho, h, variant))
+                for shift in np.linspace(0.0, 1 + sigma, 9).tolist():
+                    assert (radial.fundamental_residual(relation, shift)
+                            == reference_residual(params, shift, h, variant))
                     checked += 1
-    assert checked == 6 * 3 * 4 * 7
+    assert checked == 6 * 3 * 4 * 9
 
 
 @pytest.mark.parametrize("variant", radial.FUNDAMENTAL_DENOMINATORS)
@@ -410,12 +407,10 @@ def test_consistency_solve_equals_brentq_on_per_energy_reference(variant):
         cf = spectrum.closed_form(sigma)
         rho = spectrum.rho0_natural(cf)
         params = ModelParams(sigma=sigma)
-        margin = 1e-12
-        lo = (1 + sigma) * cf.alpha / rho + margin
-        hi = (1 + sigma) + (1 + sigma) * cf.alpha / rho - margin
         h = sigma * cf.s2 / cf.s1
-        expected = brentq(lambda e: reference_residual(params, e, rho, h, variant), lo, hi,
-                          xtol=1e-15)
+        shift = brentq(lambda x: reference_residual(params, x, h, variant), 0.0, 1 + sigma,
+                       xtol=1e-15)
+        expected = (1 + sigma) * cf.alpha / rho + shift
         assert spectrum.energy_consistency_solve(sigma, rho, cf, variant) == expected
 
 

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -145,13 +146,25 @@ def test_consistency_solver_matches_closed_form():
         assert abs(e_root - e_ref) <= 1e-6 * e_ref
 
 
+@pytest.mark.parametrize("alpha", [1e-7, 1e-9, 1e-12, 1e-100, 2.0**-511, ALPHA, 0.1, 0.3])
+def test_consistency_root_equals_closed_form_to_4_ulp(alpha):
+    # the shift's bracket [0, 1+sigma] is exact, so the root holds at any alpha, however
+    # close to the bracket end (1+sigma) - X ~ alpha^2 |delta_e| puts it
+    for j1, j2 in ((1.0, 1.0), (1.5, 2.0), (2.0, 1.5)):
+        for sigma in (0.0, model.SIGMA_MIN, 1e-8, 0.2, 0.9, 1.0):
+            cf = spectrum.closed_form(sigma, alpha, j1, j2)
+            e_ref = spectrum.energy_closed_form(cf)
+            e_root = spectrum.energy_consistency_solve(sigma, spectrum.rho0_natural(cf), cf)
+            assert abs(e_root - e_ref) <= 4 * math.ulp(1.0) * e_ref, (j1, j2, sigma)
+
+
 def test_consistency_solver_residual_at_root():
     sigma = 0.1775
     cf = spectrum.closed_form(sigma)
     rho = spectrum.rho0_natural(cf)
-    e_root = spectrum.energy_consistency_solve(sigma, rho, cf)
-    res = radial.fundamental_residual(radial.fundamental_relation(cf, rho), e_root)
-    assert abs(res) <= 1e-12
+    relation = radial.fundamental_relation(cf, rho)
+    shift = spectrum.energy_consistency_solve(sigma, rho, cf) - relation[1]
+    assert abs(radial.fundamental_residual(relation, shift)) <= 1e-12
 
 
 def test_consistency_solver_sigma_zero():
@@ -311,9 +324,7 @@ def test_brentq_equals_scipy_bit_for_bit():
             cf = spectrum.closed_form(sigma)
             rho = spectrum.rho0_natural(cf)
             relation = radial.fundamental_relation(cf, rho, variant)
-            coulomb = (1 + sigma) * ALPHA / rho
-            both(lambda e: radial.fundamental_residual(relation, e),
-                 coulomb + 1e-12, (1 + sigma) + coulomb - 1e-12, xtol=1e-15)
+            both(partial(radial.fundamental_residual, relation), 0.0, 1 + sigma, xtol=1e-15)
             solves += 1
     # values so small that the extrapolation divisor underflows to 0: scipy bisects there
     for f, lo, hi in ((lambda x: 1e-160 * (x**3 - 0.2), 0.0, 1.0),
