@@ -47,27 +47,6 @@ def _data_stream(output: str):
         raise ParameterError(f"output = {output or '<stdout>'!r}: {exc.strerror}") from exc
 
 
-def _write_csv(chunks, fields, stream):
-    """A header line, then one line per row of each chunk of float64 columns,
-    each chunk encoded and written as it arrives."""
-    import numpy as np
-
-    from .csv17g import _format_17g
-
-    stream.write(",".join(fields) + "\n")
-    for columns in chunks:
-        parts = []
-        for column in columns:
-            parts += [_format_17g(column), np.full((len(column), 1), ord(","), np.uint8)]
-        parts[-1][:] = ord("\n")
-        # ``text`` lives on until the next chunk's replaces it.  Freed at once, it
-        # left glibc's heap top empty after each chunk, the top was trimmed and the
-        # next chunk faulted its pages back in: about 4400 minor faults per warm
-        # 1e5-row scan, against 1400-2200 this way (Linux, CPython 3.11)
-        text = np.concatenate(parts, axis=1).tobytes().replace(b"\0", b"").decode("ascii")
-        stream.write(text)
-
-
 def _write_json(chunks, fields, stream):
     """``json.dumps(rows, indent=2) + "\\n"`` of all rows, at least one, written
     chunk by chunk: each chunk's list without its brackets, joined by commas."""
@@ -83,7 +62,12 @@ def _write_json(chunks, fields, stream):
 
 def _write_table(chunks, fields, fmt: str, output: str):
     with _data_stream(output) as stream:
-        (_write_csv if fmt == "csv" else _write_json)(chunks, fields, stream)
+        if fmt == "csv":
+            from .csv17g import write_csv
+
+            write_csv(chunks, fields, stream)
+        else:
+            _write_json(chunks, fields, stream)
 
 
 def cmd_verify(args) -> int:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hespinor import cli, clifford, optimize, spectrum
+from hespinor import cli, clifford, csv17g, optimize, spectrum
 from hespinor.model import J_MAX, SIGMA_MIN
 
 
@@ -116,7 +116,7 @@ def test_ion_limit_csv_pinned_to_per_value_rendering(tmp_path, capsys, to_file):
 
 def _csv_via_encoder(columns):
     stream = io.StringIO()
-    cli._write_csv([[np.array(c, dtype=np.float64) for c in columns]], ["a", "b"], stream)
+    csv17g.write_csv([[np.array(c, dtype=np.float64) for c in columns]], ["a", "b"], stream)
     return stream.getvalue()
 
 
@@ -172,6 +172,116 @@ def test_encoder_equals_percent_17g_on_any_float():
         assert _csv_via_encoder([values, values[::-1]]) == _csv_per_value([values, values[::-1]])
 
     check()
+
+
+def _csv_via_stream(values, stream):
+    # the columns values and values[::-1], split into the scan's chunks
+    columns = [np.array(values, dtype=np.float64), np.array(values[::-1], dtype=np.float64)]
+    rows = optimize.SCAN_CHUNK_ROWS
+    chunks = [[c[i:i + rows] for c in columns] for i in range(0, len(values), rows)]
+    csv17g.write_csv(chunks, ["a", "b"], stream)
+    stream.flush()
+    return stream.getvalue() if isinstance(stream, io.StringIO) else stream.buffer.getvalue().decode()
+
+
+_FIXED_EDGES = [v for v in _edge_values() if 1e-4 <= abs(v) < 1e16]
+
+
+def test_encoder_equals_percent_17g_on_fixed_notation_floats():
+    # every value takes the vectorised path; up to three chunks, and the
+    # exponents inside a chunk mixed
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    magnitude = st.floats(min_value=1e-4, max_value=1e16, exclude_max=True)
+    signed = st.one_of(magnitude, magnitude.map(lambda v: -v))
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(1, 2 * optimize.SCAN_CHUNK_ROWS + 1),
+                      st.lists(signed, min_size=1, max_size=64))
+    @hypothesis.example(len(_FIXED_EDGES), _FIXED_EDGES)
+    @hypothesis.example(2 * optimize.SCAN_CHUNK_ROWS + 1, _FIXED_EDGES)
+    def check(n, pool):
+        values = [pool[i % len(pool)] for i in range(n)]
+        # compared line by line: a failure then reports the first line that differs
+        expected = _csv_per_value([values, values[::-1]]).split("\n")
+        assert _csv_via_stream(values, io.StringIO()).split("\n") == expected
+        text = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        assert _csv_via_stream(values, text).split("\n") == expected
+
+    check()
+
+
+class _CountingBytesIO(io.BytesIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return super().write(data)
+
+
+class _TextLayer(io.TextIOWrapper):
+    def __init__(self, raw):
+        super().__init__(raw, encoding="utf-8")
+        self.text = []
+
+    def write(self, text):
+        self.text.append(text)
+        return super().write(text)
+
+
+def test_csv_header_and_each_chunk_are_one_binary_write():
+    # no row goes through the text layer: it would decode and re-encode every byte
+    raw = _CountingBytesIO()
+    stream = _TextLayer(raw)
+    chunks = [(t.sigma, t.delta_e, t.rho0, t.r10, t.r20)
+              for t in optimize.scan_sigma(0.01, 0.5, 2 * optimize.SCAN_CHUNK_ROWS + 1)]
+    csv17g.write_csv(chunks, cli.SCAN_FIELDS, stream)
+    stream.flush()
+    assert stream.text == []
+    assert [data.count(b"\n") for data in raw.writes] == [1, *(len(c[0]) for c in chunks)]
+    assert len(raw.writes) == 1 + len(chunks) == 4
+    lines = ["sigma,delta_e_hartree,rho0_bohr,r10_bohr,r20_bohr"]
+    lines += [",".join(f"{x:.17g}" for x in row) for c in chunks for row in zip(*c)]
+    assert b"".join(raw.writes).decode().split("\n") == [*lines, ""]
+
+
+class _ShortWrites(io.RawIOBase):
+    """A raw stream that takes at most 1000 bytes a call, as a raw stdout may."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.data += bytes(data[:1000])
+        return min(len(data), 1000)
+
+
+def test_csv_to_a_raw_stream_taking_part_of_each_write_is_complete():
+    raw = _ShortWrites()
+    stream = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+    chunks = [(t.sigma, t.delta_e) for t in optimize.scan_sigma(0.01, 0.5, 10_000)]
+    csv17g.write_csv(chunks, ["a", "b"], stream)
+    expected = _csv_per_value([np.concatenate(c) for c in zip(*chunks)])
+    assert raw.data.decode().split("\n") == expected.split("\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_scan_stdout_equals_output_file(tmp_path, unbuffered):
+    # unbuffered, stdout's binary layer is the raw file, whose writes may be short
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    argv = [sys.executable, "-m", "hespinor.cli", "scan", "--points", "100000"]
+    path = tmp_path / "scan.csv"
+    subprocess.run([*argv, "--output", str(path)], env=env, check=True, timeout=60)
+    proc = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert proc.stdout.split(b"\n") == path.read_bytes().split(b"\n")
 
 
 def test_minimize_defaults(capsys):
