@@ -19,6 +19,7 @@ holds the only defaults and the library the only checks.
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 
@@ -186,12 +187,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: argparse keeps no state between parses, and it
+# formats help, at the terminal's width, only when it prints
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     handlers = {"verify": cmd_verify, "scan": cmd_scan,
                 "minimize": cmd_minimize, "ion-limit": cmd_ion_limit}
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:  # argparse exits 2 on usage error, 0 on --help
             return int(exc.code or 0)
         return handlers[args.command](args)

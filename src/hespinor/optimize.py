@@ -23,7 +23,9 @@ def check_parameters(alpha: float, j1: float, j2: float, sigmas, tol: float | No
     ``exponents`` checks alpha, j1 and j2.  ``sigmas`` must be non-empty
     with every sigma in [SIGMA_MIN, 1], and ``tol``, the root-finder's
     absolute sigma tolerance, must be at least one ulp of the largest sigma,
-    since no sigma can be located more finely than that.  ``scan_sigma``,
+    since no sigma can be located more finely than that, and below the
+    width of sigmas that span a bracket, where an end would pass for the
+    root.  ``scan_sigma``,
     ``minimize_delta_e`` and ``ion_limit_report`` each call this before any
     numeric work.
     """
@@ -35,6 +37,8 @@ def check_parameters(alpha: float, j1: float, j2: float, sigmas, tol: float | No
             raise ParameterError(f"sigma = {sigma!r}: need 2**-516 <= sigma <= 1")
     if tol is not None and not tol >= (floor := math.ulp(max(sigmas))):
         raise ParameterError(f"tol = {tol!r}: need tol >= {floor:.3g}, one ulp of sigma")
+    if tol is not None and tol >= (width := max(sigmas) - min(sigmas)) > 0:
+        raise ParameterError(f"tol = {tol!r}: need tol < {width!r}, the bracket width")
     return s1, s2
 
 
@@ -80,6 +84,8 @@ def scan_sigma(sigma_min: float, sigma_max: float, n_points: int,
         raise ParameterError(f"sigma_min = {sigma_min!r}: need sigma_min < sigma_max")
     if n_points < 2:
         raise ParameterError(f"points = {n_points!r}: need at least two grid points")
+    if n_points > 2**53 + 1:  # past it the float64 row index of _grid_chunk is inexact
+        raise ParameterError(f"points = {n_points!r}: need at most 2**53 + 1 grid points")
     starts = range(0, n_points, SCAN_CHUNK_ROWS)
     for start in starts:
         shape_bracket(_grid_chunk(sigma_min, sigma_max, n_points, start), s1, s2)

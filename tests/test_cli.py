@@ -21,6 +21,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_same_output(got, want):
+    """got == want for two outputs, str or bytes, a failure naming the first line
+    that differs: pytest's diff of two large outputs runs for minutes."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    i = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+             min(len(got_lines), len(want_lines)))
+    raise AssertionError(f"{len(got_lines)} lines, expected {len(want_lines)}; line {i + 1} "
+                         f"differs: {got_lines[i:i + 1]!r} != {want_lines[i:i + 1]!r}")
+
+
 def test_scan_row_count_and_header(capsys):
     code, out, _ = run(capsys, "scan", "--sigma-min", "0.01", "--sigma-max", "0.5",
                        "--points", "100")
@@ -51,7 +63,7 @@ def test_scan_output_deterministic_bytes(tmp_path):
     for path in paths:
         code = cli.main(["scan", "--points", "40", "--output", str(path)])
         assert code == 0
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert_same_output(paths[0].read_bytes(), paths[1].read_bytes())
 
 
 def test_scan_csv_round_trips_exactly(tmp_path, capsys):
@@ -88,10 +100,10 @@ def test_scan_bytes_pinned_to_per_value_rendering(tmp_path, capsys, lo, hi, n, b
     argv = ["scan", "--sigma-min", repr(lo), "--sigma-max", repr(hi), "--points", str(n)]
     path = tmp_path / "scan.csv"
     assert cli.main([*argv, "--output", str(path)]) == 0
-    assert path.read_bytes() == _reference_scan_csv(lo, hi, n)
+    assert_same_output(path.read_bytes(), _reference_scan_csv(lo, hi, n))
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert out.encode() == path.read_bytes()
+    assert_same_output(out.encode(), path.read_bytes())
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     table = spectrum.equilibrium_point(np.linspace(lo, hi, n))
@@ -202,11 +214,10 @@ def test_encoder_equals_percent_17g_on_fixed_notation_floats():
     @hypothesis.example(2 * optimize.SCAN_CHUNK_ROWS + 1, _FIXED_EDGES)
     def check(n, pool):
         values = [pool[i % len(pool)] for i in range(n)]
-        # compared line by line: a failure then reports the first line that differs
-        expected = _csv_per_value([values, values[::-1]]).split("\n")
-        assert _csv_via_stream(values, io.StringIO()).split("\n") == expected
+        expected = _csv_per_value([values, values[::-1]])
+        assert_same_output(_csv_via_stream(values, io.StringIO()), expected)
         text = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
-        assert _csv_via_stream(values, text).split("\n") == expected
+        assert_same_output(_csv_via_stream(values, text), expected)
 
     check()
 
@@ -244,7 +255,7 @@ def test_csv_header_and_each_chunk_are_one_binary_write():
     assert len(raw.writes) == 1 + len(chunks) == 4
     lines = ["sigma,delta_e_hartree,rho0_bohr,r10_bohr,r20_bohr"]
     lines += [",".join(f"{x:.17g}" for x in row) for c in chunks for row in zip(*c)]
-    assert b"".join(raw.writes).decode().split("\n") == [*lines, ""]
+    assert_same_output(b"".join(raw.writes).decode(), "\n".join(lines) + "\n")
 
 
 class _ShortWrites(io.RawIOBase):
@@ -267,7 +278,7 @@ def test_csv_to_a_raw_stream_taking_part_of_each_write_is_complete():
     chunks = [(t.sigma, t.delta_e) for t in optimize.scan_sigma(0.01, 0.5, 10_000)]
     csv17g.write_csv(chunks, ["a", "b"], stream)
     expected = _csv_per_value([np.concatenate(c) for c in zip(*chunks)])
-    assert raw.data.decode().split("\n") == expected.split("\n")
+    assert_same_output(raw.data.decode(), expected)
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
@@ -281,7 +292,7 @@ def test_scan_stdout_equals_output_file(tmp_path, unbuffered):
     proc = subprocess.run(argv, env=env, capture_output=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stderr == b""
-    assert proc.stdout.split(b"\n") == path.read_bytes().split(b"\n")
+    assert_same_output(proc.stdout, path.read_bytes())
 
 
 def test_minimize_defaults(capsys):
@@ -314,7 +325,7 @@ def test_stdout_holds_only_data(tmp_path, capsys, argv, summary, fmt):
     assert (code, out, err) == (0, "", summary)
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert (code, err) == (0, summary)
-    assert out.encode() == path.read_bytes()
+    assert_same_output(out.encode(), path.read_bytes())
     if fmt == "json":
         json.loads(out)
 
@@ -551,10 +562,11 @@ def test_s1_near_zero_scan_matches_50_digit_oracle(capsys):
 
 
 def test_minimize_where_b_squared_underflows_names_the_cause(capsys):
-    # |j| ~ 1e-23 and sigma ~ 1e-122: B^2 is 0 in binary64 on the float path of the slope
+    # |j| ~ 1e-23 and sigma ~ 1e-122: B^2 is 0 in binary64 on the float path of the
+    # slope; the default tol, 1e-6, is wider than this bracket
     code, out, err = run(capsys, "minimize", "--alpha=1.2457268173565584e-107",
                          "--j1=-5.942966867006111e-24", "--j2=-2.5450831915338916e-23",
-                         "--sigma-min=5.6e-141", "--sigma-max=2.9e-122")
+                         "--sigma-min=5.6e-141", "--sigma-max=2.9e-122", "--tol=1e-130")
     assert code == 3
     assert err == "numeric error: B^2 of the shape bracket is 0; C2 is undefined\n"
     assert out == ""
@@ -711,6 +723,29 @@ def test_minimize_tolerance_below_one_ulp_exits_two_and_the_floor_terminates(tmp
     assert json.loads(path.read_text())["sigma0"] == pytest.approx(0.17711646742155152, abs=1e-6)
 
 
+@pytest.mark.parametrize("tol", ["inf", "1e300", repr(0.5 - 0.05)],
+                         ids=["inf", "1e300", "bracket-width"])
+def test_minimize_tolerance_not_below_the_bracket_width_exits_two(capsys, tol):
+    # a tol as wide as the bracket would print a bracket end as the ground state
+    code, out, err = run(capsys, "minimize", "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err == f"invalid arguments: tol = {float(tol)!r}: need tol < 0.45, the bracket width\n"
+
+
+def test_minimize_tolerance_of_half_the_bracket_width_still_solves(capsys):
+    code, out, _ = run(capsys, "minimize", "--tol", repr((0.5 - 0.05) / 2), "--format", "json")
+    assert code == 0
+    assert abs(json.loads(out)["sigma0"] - 0.17711646742155152) <= (0.5 - 0.05) / 2
+
+
+def test_scan_points_past_an_exact_float64_row_index_exits_two():
+    # n - 1 > 2**53: the row index k of _grid_chunk is no longer exact as a float64
+    proc = _run_cli("scan", "--points", str(2**53 + 2), timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("invalid arguments: points = 9007199254740994: "
+                           "need at most 2**53 + 1 grid points\n")
+
+
 def test_no_command_imports_scipy():
     # numpy is the only runtime dependency: both root-finders use spectrum.brentq
     code = ("import sys; from hespinor import cli\n"
@@ -812,6 +847,58 @@ def test_ion_limit_command(capsys):
 
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
+
+
+def test_main_builds_one_parser_per_process():
+    # a fresh interpreter counts the argparse parsers made: the parser and its
+    # four subcommands' parsers, in the first call only
+    code = ("import argparse, contextlib, io\n"
+            "from hespinor import cli\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **kw: (\n"
+            "    built.append(self) or init(self, *a, **kw))\n"
+            "for argv in (['verify', '--fast'], ['scan', '--points', '3']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    print(len(built))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["5", "5"]
+
+
+def _runs_as_fresh_processes(capsys, *argvs):
+    """Each call's exit code, stdout and stderr in this process, where every call
+    parses with the same parser, checked against a fresh interpreter's."""
+    results = []
+    for argv in argvs:
+        fresh = _run_cli(*argv, timeout=60)
+        results.append(run(capsys, *argv))
+        assert results[-1] == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    return results
+
+
+def test_a_value_given_once_does_not_leak_into_the_next_call(capsys):
+    _runs_as_fresh_processes(capsys, ["scan", "--points", "3", "--j1", "1.5"],
+                             ["scan", "--points", "3"])
+
+
+def test_usage_errors_and_help_between_calls_print_as_fresh_runs(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the fresh runs print to a pipe, not this terminal
+    _runs_as_fresh_processes(
+        capsys, ["scan", "--j1", "1.5", "--points", "x"], ["scan", "--points", "3"],
+        ["--help"], ["minimize", "--tol"], ["scan", "--help"], ["verify", "--fast"])
+
+
+def test_help_wraps_to_the_columns_of_its_own_call(capsys, monkeypatch):
+    widths = []
+    for columns in (60, 200):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        ((_, out, _),) = _runs_as_fresh_processes(capsys, ["scan", "--help"])
+        widths.append(max(map(len, out.splitlines())))
+    assert widths[0] <= 60 - 2 < widths[1] <= 200 - 2  # argparse wraps to COLUMNS - 2
 
 
 def test_verify_full_battery_exits_zero(capsys):

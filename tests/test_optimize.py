@@ -27,6 +27,7 @@ def test_scan_config_validation():
     bad = [("alpha", dict(alpha=-1.0)), ("alpha", dict(alpha=math.nan)),
            ("alpha", dict(alpha=math.inf)), ("alpha", dict(alpha=0.0)),
            ("j1", dict(j1=0.001)), ("j2", dict(j2=math.nan)), ("points", dict(n_points=0)),
+           ("points", dict(n_points=2**53 + 2)),
            ("sigma", dict(sigma_min=0.0)), ("sigma", dict(sigma_max=1.5))]
     for name, override in bad:
         kwargs = dict(dict(sigma_min=0.1, sigma_max=0.5, n_points=10), **override)
@@ -292,6 +293,19 @@ def test_minimize_rejects_bad_tolerance():
     for tol in (1e-20, math.ulp(0.5) / 2, math.nan):
         with pytest.raises(ValueError, match="tol"):
             optimize.minimize_delta_e((0.05, 0.5), tol=tol)
+
+
+def test_minimize_tolerance_is_below_the_bracket_width():
+    # a tol as wide as the bracket lets brentq return an end as the ground state
+    width = 0.5 - 0.05
+    for bracket in ((0.05, 0.5), (0.5, 0.05)):
+        for tol in (width, 1e300, math.inf):
+            with pytest.raises(ParameterError, match=r"^tol = .*: need tol < 0\.45, the bracket"):
+                optimize.minimize_delta_e(bracket, tol=tol)
+        optimize.minimize_delta_e(bracket, tol=math.nextafter(width, 0))  # the widest tol accepted
+    # a zero-width bracket is named as such, whatever the tol
+    with pytest.raises(ParameterError, match="^sigma_min = 0.3: need sigma_min != sigma_max"):
+        optimize.minimize_delta_e((0.3, 0.3), tol=math.inf)
 
 
 def test_minimize_terminates_at_the_tolerance_floor():

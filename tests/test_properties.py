@@ -58,7 +58,8 @@ def test_property_ion_limit_approach(sigmas):
 def command_inputs(draw):
     """Log-uniform draws that each reach a little past their documented edges:
     alpha >= 2**-511, 4 alpha^2 < j^2 <= J_MAX^2 with either sign of j,
-    SIGMA_MIN <= sigma <= 1, points >= 2 and tol >= one ulp of the largest sigma.
+    SIGMA_MIN <= sigma <= 1, points >= 2 and one ulp of the largest sigma <= tol
+    < the bracket width.
     alpha stops at 2**256: above J_MAX / 2 no j is in the domain, and the
     examples hold the largest floats.
 
@@ -90,8 +91,9 @@ DOMAIN_EXAMPLES = [  # each exact edge and its neighbour outside the domain
     dict(sigma_lo=SIGMA_MIN), dict(sigma_lo=EDGE(SIGMA_MIN, 0)),
     dict(sigma_hi=1.0), dict(sigma_hi=EDGE(1.0, 2.0)),
     dict(sigma_lo=0.3, sigma_hi=0.3), dict(sigma_lo=0.5, sigma_hi=0.05),
-    dict(points=2), dict(points=1),
+    dict(points=2), dict(points=1), dict(points=2**53 + 2),  # 2**53 + 1 walks 1.1e12 chunks
     dict(tol=math.ulp(0.5)), dict(tol=EDGE(math.ulp(0.5), 0)),
+    dict(tol=EDGE(0.5 - 0.05, 0)), dict(tol=0.5 - 0.05),
 ]
 DEFAULTS = dict(fmt="csv", alpha=FINE_STRUCTURE_ALPHA, j1=1.0, j2=1.0, sigma_lo=0.05, sigma_hi=0.5,
                 points=5, tol=1e-6)
