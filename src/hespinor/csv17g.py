@@ -4,15 +4,19 @@
 ``write_csv`` writes a header line, then each chunk of float64 columns as
 one byte string to the binary layer under the text stream it is given.
 ``_csv_rows`` makes that string: each value the bytes of ``"%.17g" % v``.
-Where that is fixed notation, the 17 significant digits of every value take
-one layout, a leading digit and four 4-digit groups split by constant
-divisors, held in three uint64 words.  The point, or the leading ``0.000``,
-is then placed by shifting those words, once per exponent value the column
-holds (one or two in a chunk of a scan).  Each column is stored straight
-into its slice of one row buffer, NUL-padded to the column's width, and one
-``replace`` drops the padding.  It lives apart from ``cli`` because it
-builds numpy tables at import, and only the commands that write CSV import
-it.
+A first pass over each column reads, from one ``"%.16e"`` each, the
+exponents of its smallest and largest value in fixed notation, which set
+its width.  Where those are equal, as in most columns of a chunk of a scan,
+every value's 17 significant digits are rounded at one scale; otherwise
+each value's exponent is found first.  The digits take one layout, a
+leading digit and four 4-digit groups split by constant divisors, held in
+three uint64 words.  The point, or the leading ``0.000``, is then placed by
+shifting those words, a word wholly before or after the point whole: once
+for the smallest exponent, and again on the rows of each larger one.  Each
+column is stored straight into its slice of one row buffer, NUL-padded to
+the column's width, and one ``replace`` drops the padding.  It lives apart
+from ``cli`` because it builds numpy tables at import, and only the
+commands that write CSV import it.
 """
 
 import numpy as np
@@ -50,18 +54,34 @@ def _round_scaled(mag, k):
     Dekker's two-product splits the float product p into p + err exactly;
     p is then an even integer, so p + rint(err) is the correctly rounded value.
     """
+    # in place where it can be, so that few row-long temporaries live at once
     p = mag * _POW10_F[k]
-    c = _VELTKAMP * mag
-    hi = c - (c - mag)
+    hi = _VELTKAMP * mag
+    hi -= hi - mag
     lo = mag - hi
     b_hi, b_lo = _POW10_F_HI[k], _POW10_F_LO[k]
-    err = lo * b_lo - (((p - hi * b_hi) - lo * b_hi) - hi * b_lo)
-    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+    err = p - hi * b_hi
+    err -= lo * b_hi
+    err -= hi * b_lo
+    np.subtract(lo * b_lo, err, out=err)
+    digits = p.astype(np.int64)
+    digits += np.rint(err, out=err).astype(np.int64)
+    return digits
 
 
-def _exponent_digits(mag):
-    """Decimal exponent e of each value of ``mag`` (in [_FIXED_MIN, _FIXED_MAX))
-    and its 17 significant digits, an int64 in [10**16, 10**17)."""
+def _exponent(v):
+    """The decimal exponent "%.17g" writes the float ``v`` > 0 with: that of
+    ``v`` rounded to 17 significant digits, as "%.16e" writes it."""
+    return int((b"%.16e" % v).partition(b"e")[2])
+
+
+def _exponent_digits(mag, low, high):
+    """Decimal exponent e of each value of ``mag`` (in [_FIXED_MIN, _FIXED_MAX),
+    each e in [low, high]) and its 17 significant digits, an int64 in
+    [10**16, 10**17).  Where ``low == high``, e is that one int, and every
+    value is rounded at one scale."""
+    if low == high:
+        return low, _round_scaled(mag, 16 - low)
     # within a few ulps of a power of ten floor(log10) can be one off, which
     # puts the digits outside [10**16, 10**17); those rows are redone at e +- 1
     # from the unrounded value, so no digit is ever rounded twice
@@ -79,25 +99,25 @@ def _digit_words(digits):
     uint64 words: bytes 0..7, 8..15 and byte 16.  The digits are a leading
     one and four 4-digit groups."""
     # each split is `//` by a constant, which numpy turns into a multiplication,
-    # then a multiply-subtract
-    groups = np.empty((5, len(digits)), np.int64)
+    # then a multiply-subtract; below 10**9 they run in int32, at half the
+    # cost of int64
     high = digits // 10 ** 8
-    low = digits - high * 10 ** 8
+    low = (digits - high * 10 ** 8).astype(np.int32)
+    high = high.astype(np.int32)
     top = high // 10 ** 4
-    groups[0] = top // 10 ** 4
-    groups[1] = top - groups[0] * 10 ** 4
-    groups[2] = high - top * 10 ** 4
-    groups[3] = low // 10 ** 4
-    groups[4] = low - groups[3] * 10 ** 4
+    lead = top // 10 ** 4
+    third = low // 10 ** 4
+    groups = [top - lead * 10 ** 4, high - top * 10 ** 4, third, low - third * 10 ** 4]
     # the last nonzero group and the zero groups after it drop trailing zeros
-    zero_tail = np.ones(len(digits), bool)
-    for group in groups[:0:-1]:
-        np.add(group, 10_000, out=group, where=zero_tail)
-        zero_tail &= group == 10_000
+    groups[3] += 10_000
+    zero_tail = groups[3] == 10_000
+    for group in groups[2::-1]:
         if not zero_tail.any():
             break
-    lead = groups[0].astype(np.uint64) + _ZERO
-    q1, q2, q3, q4 = (_QUAD.take(group) for group in groups[1:])
+        np.add(group, 10_000, out=group, where=zero_tail)
+        zero_tail &= group == 10_000
+    q1, q2, q3, q4 = (_QUAD.take(group) for group in groups)
+    lead = lead.astype(np.uint64) + _ZERO
     return [lead | q1 << 8 | q2 << 40, q2 >> 24 | q3 << 8 | q4 << 40, q4 >> 24]
 
 
@@ -105,23 +125,35 @@ def _layout(words, e):
     """The text of every row as if its exponent were ``e``, in three words
     like ``words``: the digits with a point after the first e + 1 of them,
     or after ``0.000``."""
-    # the bytes from the point on move up by the point (one byte) or by 0.000
+    # the bytes from the point on move up by the point (one byte) or by 0.000,
+    # and a word wholly before or after the point is kept or moved whole; a
+    # NUL before the point is a trailing zero of an integer: ORed with "0",
+    # which leaves every digit as it is, it becomes one
     point, shift = (e + 1, 8) if e >= 0 else (0, 8 * (1 - e))
-    text, carry = [], 0
+    text, carry = [], None
     for j, word in enumerate(words):
-        before = (1 << 8 * min(max(point - 8 * j, 0), 8)) - 1  # bytes before the point
-        kept = word & before
-        moved = word ^ kept
-        # a NUL before the point is a trailing zero of an integer: ORed with
-        # "0", which leaves every digit as it is, it becomes one
-        text.append(kept | _ZEROS & before | moved << shift | carry)
-        carry = moved >> (64 - shift)
+        before = min(max(point - 8 * j, 0), 8)  # bytes before the point
+        if before == 8:
+            text.append(word | _ZEROS)
+            continue
+        moved = word
+        if before:
+            mask = (1 << 8 * before) - 1
+            kept = word & mask
+            moved = word ^ kept
+            part = kept | _ZEROS & mask | moved << shift
+        else:
+            part = moved << shift
+        if carry is not None:
+            part |= carry
+        text.append(part)
+        if j + 1 < len(words):
+            carry = moved >> (64 - shift)
     if e < 0:
         text[0] |= int.from_bytes(b"0.000"[:1 - e], "little")
-    else:  # the point, unless no digit follows it
+    else:  # the point, unless no digit follows it: a digit has bit 5 set, a NUL not
         at = 8 * (point % 8)
-        digit = words[point // 8] >> at & 0xFF
-        text[point // 8] |= np.where(digit != 0, np.uint64(_POINT << at), np.uint64(0))
+        text[point // 8] |= (words[point // 8] >> at + 5 & 1) * np.uint64(_POINT << at)
     return text
 
 
@@ -137,34 +169,36 @@ def _store(dst, word):
             start += size
 
 
-def _fixed(x):
-    """|x| and where "%.17g" writes x in fixed notation."""
+def _extent(x):
+    """How column ``x`` is laid out: the bytes it takes in a row (a sign if
+    any value is negative, then its widest text, which its smallest exponent
+    sets in fixed notation); the sign's width, 0 or 1; the exponents of its
+    smallest and largest magnitude that "%.17g" writes in fixed notation (0
+    and 0 if it writes none so); and the rows it writes otherwise."""
     mag = np.abs(x)
-    return mag, (mag >= _FIXED_MIN) & (mag < _FIXED_MAX)
+    smallest, largest = float(mag.min()), float(mag.max())
+    rest = []
+    if not (smallest >= _FIXED_MIN and largest < _FIXED_MAX):  # nan fails both
+        fixed = (mag >= _FIXED_MIN) & (mag < _FIXED_MAX)
+        rest = np.flatnonzero(~fixed).tolist()
+        smallest = float(mag.min(where=fixed, initial=_FIXED_MAX))
+        largest = float(mag.max(where=fixed, initial=0.0))
+    low, high = (_exponent(smallest), _exponent(largest)) if largest else (0, 0)
+    sign = int((x < 0).any())
+    width = max([sign + 18 - min(low, 0), *(len(b"%.17g" % x[i]) for i in rest)])
+    return width, sign, low, high, rest
 
 
-def _width(x):
-    """The bytes column ``x`` takes in a row: a sign if any value is negative,
-    then its widest text, which its smallest exponent sets in fixed notation."""
-    mag, fixed = _fixed(x)
-    smallest = mag.min(where=fixed, initial=_FIXED_MAX)
-    low = int(_exponent_digits(np.array([smallest]))[0][0]) if smallest < _FIXED_MAX else 0
-    return max([int((x < 0).any()) + 18 - min(low, 0),
-                *(len(b"%.17g" % v) for v in x[~fixed].tolist())])
-
-
-def _write_column(slot, x):
-    """The text of each value of column ``x`` into its row of ``slot``."""
-    mag, fixed = _fixed(x)
-    rest = np.flatnonzero(~fixed).tolist()
+def _write_column(slot, x, sign, low, high, rest):
+    """The text of each value of column ``x`` into its row of ``slot``, as
+    ``_extent(x)`` lays it out."""
+    mag = np.abs(x)
     if rest:
-        mag = np.where(fixed, mag, 1.0)  # a stand-in, overwritten below
-    negative = x < 0
-    sign = int(negative.any())
-    np.copyto(slot[:, 0], ord("-"), where=negative)
-    e, digits = _exponent_digits(mag)
+        mag[rest] = 10.0 ** low  # a stand-in of exponent low, overwritten below
+    if sign:
+        np.copyto(slot[:, 0], ord("-"), where=x < 0)
+    e, digits = _exponent_digits(mag, low, high)
     words = _digit_words(digits)
-    low, high = int(e.min()), int(e.max())
     text = _layout(words, low)
     for value in range(low + 1, high + 1):
         rows = e == value
@@ -183,9 +217,9 @@ def _csv_rows(columns, buffer: bytearray) -> bytearray:
     ``buffer`` is the row buffer, kept by the caller from chunk to chunk:
     resized and overwritten here, it keeps its pages, which a fresh buffer
     for each chunk faults in again."""
-    widths = [_width(column) for column in columns]
+    extents = [_extent(column) for column in columns]
     # each column's NUL-padded slot, then a comma or the newline
-    template = bytearray(b"".join(bytes(width) + b"," for width in widths))
+    template = bytearray(b"".join(bytes(extent[0]) + b"," for extent in extents))
     template[-1] = ord("\n")
     size = len(template) * len(columns[0])
     del buffer[size:]
@@ -193,8 +227,8 @@ def _csv_rows(columns, buffer: bytearray) -> bytearray:
     rows = np.frombuffer(buffer, np.uint8).reshape(len(columns[0]), len(template))
     rows[:] = np.frombuffer(template, np.uint8)
     end = 0
-    for column, width in zip(columns, widths):
-        _write_column(rows[:, end:end + width], column)
+    for column, (width, *layout) in zip(columns, extents):
+        _write_column(rows[:, end:end + width], column, *layout)
         end += width + 1
     return buffer.replace(b"\0", b"")
 

@@ -222,6 +222,61 @@ def test_encoder_equals_percent_17g_on_fixed_notation_floats():
     check()
 
 
+def _ending_at(e, p, rng):
+    """A float that "%.17g" writes with exponent e and whose last nonzero
+    significant digit is the (p + 1)-th, so its 17 digits end in 16 - p zeros."""
+    for _ in range(200):
+        digits = str(rng.integers(10 ** p, 10 ** (p + 1)))
+        if digits[-1] == "0":
+            continue
+        near = float(f"{digits[0]}.{digits[1:]}e{e}")
+        for v in (near, math.nextafter(near, 0.0), math.nextafter(near, math.inf)):
+            mantissa, exponent = f"{v:.16e}".split("e")
+            if int(exponent) == e and mantissa.replace(".", "").rstrip("0") == digits:
+                return v
+    raise AssertionError(f"no float of exponent {e} ends at digit {p + 1}")
+
+
+@pytest.mark.parametrize("e", range(-4, 16))
+def test_encoder_on_columns_of_one_exponent(e):
+    # each column of both chunks holds one exponent, so every value is rounded
+    # at one scale and the point moves whole words; the last nonzero digit
+    # falls in every place of every 4-digit group, and the column holds the
+    # smallest and the largest float of exponent e
+    rng = np.random.default_rng(e + 4)
+    rows = optimize.SCAN_CHUNK_ROWS + 1
+    special = [_ending_at(e, p, rng) for p in range(17)]
+    special += [float(f"1e{e}"), math.nextafter(float(f"1e{e + 1}"), 0.0)]
+    column = rng.uniform(float(f"1e{e}"), float(f"1e{e + 1}"), rows)
+    column[rng.choice(rows - 1, len(special) - 1, replace=False)] = special[:-1]
+    column[-1] = special[-1]  # the second chunk's one row
+    signs = rng.choice([-1.0, 1.0], rows)
+    columns = [column, -column, signs * column]
+    chunk = optimize.SCAN_CHUNK_ROWS
+    chunks = [[c[:chunk] for c in columns], [c[chunk:] for c in columns]]
+    for part in chunks[0] + chunks[1]:
+        width, sign, low, high, rest = csv17g._extent(part)
+        assert (sign, low, high, rest) == (int((part < 0).any()), e, e, [])
+        assert width >= max(len(b"%.17g" % v) for v in part.tolist())
+    stream = io.StringIO()
+    csv17g.write_csv(chunks, ["p", "n", "m"], stream)
+    expected = "p,n,m\n" + "".join(f"{a:.17g},{b:.17g},{c:.17g}\n" for a, b, c in zip(*columns))
+    assert_same_output(stream.getvalue(), expected)
+
+
+def test_encoder_exponent_routes_agree_on_fixed_edges():
+    # one "%.16e" per value against floor(log10) with its redo, on every
+    # nextafter of a power of ten and every exact tie: the same exponent, and
+    # the digits rounded at that one scale equal the per-row digits
+    mag = np.abs(np.array(_FIXED_EDGES))
+    e, digits = csv17g._exponent_digits(mag, -4, 15)
+    for v, row_e, row_digits in zip(mag.tolist(), e.tolist(), digits.tolist()):
+        low = csv17g._exponent(v)
+        assert low == row_e == int(f"{v:.16e}".split("e")[1]), v
+        one_e, one_digits = csv17g._exponent_digits(np.array([v]), low, low)
+        assert (one_e, one_digits.tolist()) == (low, [row_digits]), v
+
+
 class _CountingBytesIO(io.BytesIO):
     def __init__(self):
         super().__init__()
