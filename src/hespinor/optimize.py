@@ -100,7 +100,8 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
     The slope is the complex step Im delta_e(sigma + i h) / h, exact to
     rounding through the one closed-form path, and ``spectrum.brentq``
     solves for its zero, so sigma0 obeys Brent's contract
-    |sigma0 - sigma*| <= tol + 4 eps |sigma0|.
+    |sigma0 - sigma*| <= tol + 4 eps |sigma0|.  A sigma0 at an end of the
+    bracket raises ParameterError: tol is then too wide to tell it from the root.
 
     Where B > 0 the excess energy is made of two polynomials in sigma,
 
@@ -141,8 +142,8 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
     def excess(sigma):
         return delta_e(c_params(sigma, s1, s2, alpha))
 
-    def slope(sigma):
-        return excess(sigma + 1e-30j).imag / 1e-30
+    def slope(sigma):  # excess's expression in line: one frame per slope
+        return delta_e(c_params(sigma + 1e-30j, s1, s2, alpha)).imag / 1e-30
 
     ends = {lo: slope(lo), hi: slope(hi)}
     if not ends[lo] < 0 < ends[hi]:
@@ -164,6 +165,9 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
         lo, hi = grid(k_least - 1), grid(k_least + 1)
     # brentq starts by evaluating both ends: reuse the rule's two slopes
     sigma0, iterations = brentq(lambda s: ends[s] if s in ends else slope(s), lo, hi, xtol=tol)
+    if sigma0 in ends:  # a tol this wide lets brentq stop at an end of the user's bracket
+        raise ParameterError(f"tol = {tol!r}: the solve stopped at the bracket end "
+                             f"sigma = {sigma0!r}; need a smaller tol")
     return MinimizeResult(point=equilibrium_point(sigma0, alpha=alpha, j1=j1, j2=j2),
                           iterations=iterations)
 

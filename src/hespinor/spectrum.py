@@ -27,6 +27,8 @@ from functools import partial
 
 from .model import FINE_STRUCTURE_ALPHA, exponents
 
+_RTOL = 4 * math.ulp(1.0)  # brentq's relative tolerance, scipy's default 4 eps
+
 
 class ClosedFormParams(namedtuple("ClosedFormParams",
                                   "sigma alpha s1 s2 bracket c1 c2 c2sq_minus_1")):
@@ -146,20 +148,20 @@ def brentq(f, a: float, b: float, xtol: float) -> tuple:
     the interpolated step would not shrink the bracket fast enough.  The
     root x0 obeys |x0 - x*| <= xtol + rtol |x0|, with rtol fixed at scipy's
     default 4 eps.  The ends are turned into Python floats first, as scipy's
-    wrapper does, so f sees the same x.
+    wrapper does, so f sees the same x.  The loop calls f once per point,
+    with no wrapper around it, and tests each value for NaN in line.
 
     Raises NoRootInBracketError if f(a) and f(b) have the same sign, and
     ValueError on a NaN value of f or after 100 steps without convergence.
     A root at a bracket end is returned after 0 steps.
     """
-    def value(x):
-        fx = f(x)
-        if fx != fx:
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
     xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre = f(xpre)
+    if fpre != fpre:
+        raise ValueError(f"The function value at x={xpre} is NaN; solver cannot continue.")
+    fcur = f(xcur)
+    if fcur != fcur:
+        raise ValueError(f"The function value at x={xcur} is NaN; solver cannot continue.")
     if fpre == 0:
         return xpre, 0
     if fcur == 0:
@@ -170,7 +172,6 @@ def brentq(f, a: float, b: float, xtol: float) -> tuple:
             f"f({xpre:.6g}) = {fpre:.3e}, f({xcur:.6g}) = {fcur:.3e}"
         )
     xblk = fblk = spre = scur = 0.0
-    rtol = 4 * math.ulp(1.0)
     for iterations in range(1, 101):  # scipy's default maxiter
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
@@ -178,7 +179,7 @@ def brentq(f, a: float, b: float, xtol: float) -> tuple:
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur, iterations
@@ -191,7 +192,9 @@ def brentq(f, a: float, b: float, xtol: float) -> tuple:
                 den = dblk * dpre * (fblk - fpre)
                 # a zero divisor gives inf or nan in C, which fails the test below: bisect
                 stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+            # good short step, 2|stry| < min(|spre|, 3|sbis| - delta): neither bound is NaN here
+            step = 2 * abs(stry)
+            if step < abs(spre) and step < 3 * abs(sbis) - delta:
                 spre, scur = scur, stry
             else:
                 spre = scur = sbis
@@ -199,7 +202,9 @@ def brentq(f, a: float, b: float, xtol: float) -> tuple:
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise ValueError(f"The function value at x={xcur} is NaN; solver cannot continue.")
     raise ValueError(f"Brent's method did not converge in 100 steps: x = {xcur!r}")
 
 

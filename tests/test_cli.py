@@ -787,6 +787,38 @@ def test_minimize_tolerance_not_below_the_bracket_width_exits_two(capsys, tol):
     assert err == f"invalid arguments: tol = {float(tol)!r}: need tol < 0.45, the bracket width\n"
 
 
+@pytest.mark.parametrize("tol, end", [("0.44999999999999996", "0.5"), ("0.3", "0.05")],
+                         ids=["widest-accepted", "lo"])
+def test_minimize_stopping_at_a_bracket_end_exits_two(capsys, tol, end):
+    # a tol below the bracket width may still let brentq stop at an end: no ground state there
+    code, out, err = run(capsys, "minimize", "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err == (f"invalid arguments: tol = {tol}: the solve stopped at the bracket end "
+                   f"sigma = {end}; need a smaller tol\n")
+
+
+# every byte of ``minimize --format json`` on the direct route (the default bracket,
+# whose end slopes enclose sigma0) and on the walk route (the 32-point grid first)
+MINIMIZE_JSON = {
+    "direct": ([], (b'{\n  "sigma0": 0.17711643414645833,\n'
+                    b'  "delta_e_hartree": -2.9058986787203875,\n'
+                    b'  "rho0_bohr": 0.8651607333077722,\n  "r10_bohr": 0.1301775929737313,\n'
+                    b'  "r20_bohr": 0.7349831403340409,\n  "iterations": 9\n}\n')),
+    "walk": (["--sigma-min", "0.01", "--sigma-max", "0.99"],
+             (b'{\n  "sigma0": 0.17711645754576363,\n'
+              b'  "delta_e_hartree": -2.905898678720451,\n'
+              b'  "rho0_bohr": 0.865160576769843,\n  "r10_bohr": 0.13017758403039478,\n'
+              b'  "r20_bohr": 0.7349829927394482,\n  "iterations": 6\n}\n')),
+}
+
+
+@pytest.mark.parametrize("route", MINIMIZE_JSON)
+def test_minimize_json_bytes_are_pinned(capsys, route):
+    argv, want = MINIMIZE_JSON[route]
+    code, out, _ = run(capsys, "minimize", *argv, "--format", "json")
+    assert (code, out.encode()) == (0, want)
+
+
 def test_minimize_tolerance_of_half_the_bracket_width_still_solves(capsys):
     code, out, _ = run(capsys, "minimize", "--tol", repr((0.5 - 0.05) / 2), "--format", "json")
     assert code == 0

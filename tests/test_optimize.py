@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -302,10 +303,23 @@ def test_minimize_tolerance_is_below_the_bracket_width():
         for tol in (width, 1e300, math.inf):
             with pytest.raises(ParameterError, match=r"^tol = .*: need tol < 0\.45, the bracket"):
                 optimize.minimize_delta_e(bracket, tol=tol)
-        optimize.minimize_delta_e(bracket, tol=math.nextafter(width, 0))  # the widest tol accepted
+        # the widest tol the width check accepts lets brentq stop at hi: that raises too
+        widest = math.nextafter(width, 0)
+        optimize.check_parameters(FINE_STRUCTURE_ALPHA, 1.0, 1.0, bracket, widest)
+        with pytest.raises(ParameterError, match=r"^tol = 0\.44999999999999996: the solve "
+                           r"stopped at the bracket end sigma = 0\.5; need a smaller tol$"):
+            optimize.minimize_delta_e(bracket, tol=widest)
     # a zero-width bracket is named as such, whatever the tol
     with pytest.raises(ParameterError, match="^sigma_min = 0.3: need sigma_min != sigma_max"):
         optimize.minimize_delta_e((0.3, 0.3), tol=math.inf)
+
+
+@pytest.mark.parametrize("tol", [0.25, 0.3, 0.4, 0.44, 0.4499])
+def test_minimize_never_returns_a_bracket_end(tol):
+    # brentq may stop at lo = 0.05 once tol spans most of the bracket: no ground state there
+    with pytest.raises(ParameterError, match=rf"^tol = {re.escape(repr(tol))}: the solve "
+                       r"stopped at the bracket end sigma = 0\.05; need a smaller tol$"):
+        optimize.minimize_delta_e((0.05, 0.5), tol=tol)
 
 
 def test_minimize_terminates_at_the_tolerance_floor():

@@ -286,6 +286,54 @@ def test_mpmath_sigma_takes_the_float_path():
 
 
 
+def _closed_form_transcription(sigma, s1, s2, alpha):
+    """(w, cube, B, B^2, C1, C2, D/B^2, delta_e), the closed form's expressions
+    written out here term by term, each (1 - sigma) and (1 + sigma) where it is used."""
+    w = (1 - sigma) * (1 - sigma)
+    cube = sigma * sigma * sigma
+    b = w * (s1 + 0.5) * s1 + 4 * cube * (s2 + 1.5) * s2
+    bb = b * b
+    d = 4 * alpha**2 * (1 + sigma) * (1 + sigma) * (w * s1**2 + 4 * cube * sigma * s2**2)
+    c2sq_minus_1 = d / bb
+    c1, c2 = (bb + d) ** 0.5, (1 + c2sq_minus_1) ** 0.5
+    excess = (2 * sigma * (1 + sigma) * (1 + sigma) / c1
+              - (1 + sigma) * c2sq_minus_1 / ((1 + c2) * c2 * alpha**2))
+    return w, cube, b, bb, c1, c2, c2sq_minus_1, excess
+
+
+def _bits(x):
+    if isinstance(x, np.ndarray):
+        return [v.hex() for v in x.tolist()]
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    if isinstance(x, float):
+        return x.hex()
+    return x._mpf_  # an mpmath mpf: sign, mantissa, exponent and bit count
+
+
+def _sigmas(kind):
+    grid = np.linspace(1e-6, 1, 97).tolist()
+    if kind == "float":
+        return grid
+    if kind == "complex step":
+        return [s + 1e-30j for s in grid]
+    if kind == "float64 array":
+        return [np.linspace(1e-6, 1, 4097)]
+    return list(map(pytest.importorskip("mpmath").mpf, grid))
+
+
+@pytest.mark.parametrize("kind", ["float", "complex step", "float64 array", "mpmath"])
+@pytest.mark.parametrize("alpha, j1, j2", [(ALPHA, 1.0, 1.0), (0.05, 1.5, 2.0), (0.1, 2.0, 1.0)])
+def test_closed_form_is_bit_for_bit_its_transcription(alpha, j1, j2, kind):
+    s1, s2 = model.exponents(j1, j2, alpha)
+    for sigma in _sigmas(kind):
+        cf = spectrum.c_params(sigma, s1, s2, alpha)
+        got = (*spectrum.shape_bracket(sigma, s1, s2), cf.c1, cf.c2, cf.c2sq_minus_1,
+               spectrum.delta_e(cf))
+        want = _closed_form_transcription(sigma, s1, s2, alpha)
+        assert list(map(_bits, got)) == list(map(_bits, want)), sigma
+
+
 def _recorded(f, calls):
     def wrapper(x):
         calls.append(x)
@@ -350,6 +398,16 @@ def test_brentq_nan_value_raises_value_error():
     with pytest.raises(ValueError, match="NaN") as info:
         spectrum.brentq(lambda x: math.nan if x > 0.9 else x - 0.7, 0.5, 1.0, xtol=1e-12)
     assert not isinstance(info.value, spectrum.NoRootInBracketError)
+
+
+def test_brentq_nan_at_the_first_end_raises_before_the_second_is_evaluated():
+    calls = []
+    with pytest.raises(ValueError, match=r"^The function value at x=0\.5 is NaN; solver cannot "
+                       r"continue\.$"):
+        spectrum.brentq(_recorded(lambda x: math.nan, calls), 0.5, 1.0, xtol=1e-12)
+    assert calls == [0.5]
+    with pytest.raises(ValueError, match=r"^The function value at x=1\.0 is NaN"):
+        spectrum.brentq(lambda x: math.nan if x == 1.0 else x, 0.5, 1.0, xtol=1e-12)
 
 
 def test_brentq_gives_up_after_100_steps():
