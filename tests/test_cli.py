@@ -80,9 +80,9 @@ def test_scan_csv_round_trips_exactly(tmp_path, capsys):
                           table.r10[i], table.r20[i]]
 
 
-def _reference_scan_csv(lo, hi, n):
+def _reference_scan_csv(lo, hi, n, **physics):
     # independent rendering: the closed form on the grid, one f"{x:.17g}" per value
-    table = spectrum.equilibrium_point(np.linspace(lo, hi, n))
+    table = spectrum.equilibrium_point(np.linspace(lo, hi, n), **physics)
     columns = [table.sigma, table.delta_e, table.rho0, table.r10, table.r20]
     lines = ["sigma,delta_e_hartree,rho0_bohr,r10_bohr,r20_bohr"]
     lines += [",".join(f"{float(x):.17g}" for x in row) for row in zip(*columns)]
@@ -91,22 +91,27 @@ def _reference_scan_csv(lo, hi, n):
 
 # delta_e changes sign near sigma = 0.3858, and the rows next to the crossing
 # that fall below 1e-4 are where "%.17g" switches to exponent notation; 8191
-# to 16385 rows sit on the edges of the scan's 8192-row chunks
-@pytest.mark.parametrize("lo, hi, n, below_1e4", [
-    (0.05, 0.4, 23, 0), (0.05, 0.4, 2000, 0), (0.05, 0.4, 8191, 1), (0.05, 0.4, 8192, 1),
-    (0.05, 0.4, 8193, 1), (0.05, 0.4, 16385, 1), (0.01, 0.9, 100000, 2),
-], ids=["23", "2000", "8191", "8192", "8193", "16385", "100000"])
-def test_scan_bytes_pinned_to_per_value_rendering(tmp_path, capsys, lo, hi, n, below_1e4):
+# to 16385 rows sit on the edges of the scan's 8192-row chunks; at j1 = 3, j2 = 40
+# on [1e-6, 1], 12 of the 65 column-chunks hold more than one decimal exponent and
+# the 10 smallest sigmas print in exponent notation
+@pytest.mark.parametrize("lo, hi, n, below_1e4, physics", [
+    (0.05, 0.4, 23, 0, {}), (0.05, 0.4, 2000, 0, {}), (0.05, 0.4, 8191, 1, {}),
+    (0.05, 0.4, 8192, 1, {}), (0.05, 0.4, 8193, 1, {}), (0.05, 0.4, 16385, 1, {}),
+    (0.01, 0.9, 100000, 2, {}), (1e-6, 1.0, 100000, 0, {"j1": 3.0, "j2": 40.0}),
+], ids=["23", "2000", "8191", "8192", "8193", "16385", "100000", "100000-j1=3-j2=40"])
+def test_scan_bytes_pinned_to_per_value_rendering(tmp_path, capsys, lo, hi, n, below_1e4,
+                                                  physics):
     argv = ["scan", "--sigma-min", repr(lo), "--sigma-max", repr(hi), "--points", str(n)]
+    argv += [arg for name, value in physics.items() for arg in (f"--{name}", repr(value))]
     path = tmp_path / "scan.csv"
     assert cli.main([*argv, "--output", str(path)]) == 0
-    assert_same_output(path.read_bytes(), _reference_scan_csv(lo, hi, n))
+    assert_same_output(path.read_bytes(), _reference_scan_csv(lo, hi, n, **physics))
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert_same_output(out.encode(), path.read_bytes())
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
-    table = spectrum.equilibrium_point(np.linspace(lo, hi, n))
+    table = spectrum.equilibrium_point(np.linspace(lo, hi, n), **physics)
     expected = [[float(x) for x in row]
                 for row in zip(table.sigma, table.delta_e, table.rho0, table.r10, table.r20)]
     assert [list(record.values()) for record in json.loads(out)] == expected
@@ -373,7 +378,8 @@ MINIMIZE_SUMMARY = ("reference excess energy -2.90589: deviation 8.68e-06\n"
     (["scan", "--points", "7"], ""),
     (["minimize"], MINIMIZE_SUMMARY),
     (["ion-limit"], "limit value -2.0001065140533782\n"),
-], ids=["scan", "minimize", "ion-limit"])
+    (["ion-limit", "--alpha", "1e-10"], "limit value -2\n"),
+], ids=["scan", "minimize", "ion-limit", "ion-limit-alpha=1e-10"])
 def test_stdout_holds_only_data(tmp_path, capsys, argv, summary, fmt):
     path = tmp_path / "data"
     code, out, err = run(capsys, *argv, "--format", fmt, "--output", str(path))
@@ -472,6 +478,9 @@ def test_usage_error_exit_code(tmp_path, capsys):
     (["ion-limit", "--alpha", "1e-170"], "alpha"),
     (["scan", "--points", "3", "--j1", "1e78"], "j1"),  # B*B would overflow
     (["scan", "--points", "3", "--j2", "1e78"], "j2"),
+    (["ion-limit", "--alpha", "nan"], "alpha"),
+    (["minimize", "--j2", "inf"], "j2"),
+    (["scan", "--sigma-min", "5e-324", "--sigma-max", "1e-300"], "sigma"),  # subnormal
 ])
 def test_invalid_parameter_is_usage_error(tmp_path, capsys, argv, name):
     path = tmp_path / "out.txt"
@@ -734,10 +743,12 @@ def _run_cli(*argv, timeout):
                           capture_output=True, text=True, timeout=timeout)
 
 
-def test_scan_to_a_pipe_closed_early_exits_zero_quietly():
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_scan_to_a_pipe_closed_early_exits_zero_quietly(unbuffered):
     # ``hespinor scan | head``: the CSV is written in chunks, and the chunks
     # after the reader has gone are dropped without a traceback
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
     proc = subprocess.Popen([sys.executable, "-m", "hespinor.cli", "scan", "--points", "100000"],
                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.read(100).startswith(b"sigma,delta_e_hartree,")
@@ -915,9 +926,14 @@ def test_package_exports_only_alpha_and_version():
     assert proc.stdout.split() == ["False", "False", "False"]
 
 
-def test_numeric_error_exit_code(capsys):
+@pytest.mark.parametrize("argv", [
     # delta_e rises from 0.3 to its maximum near 0.6, then falls: the grid walk rejects (0.3, 0.9)
-    code, _, err = run(capsys, "minimize", "--sigma-min", "0.3", "--sigma-max", "0.9")
+    ["--sigma-min", "0.3", "--sigma-max", "0.9"],
+    # the coarse scan of the default bracket bottoms out at its edge
+    ["--alpha", "0.45"],
+], ids=["walk", "alpha=0.45"])
+def test_numeric_error_exit_code(capsys, argv):
+    code, _, err = run(capsys, "minimize", *argv)
     assert code == 3
     assert "numeric error" in err
 
@@ -976,7 +992,8 @@ def test_usage_errors_and_help_between_calls_print_as_fresh_runs(capsys, monkeyp
     monkeypatch.setenv("COLUMNS", "80")  # the fresh runs print to a pipe, not this terminal
     _runs_as_fresh_processes(
         capsys, ["scan", "--j1", "1.5", "--points", "x"], ["scan", "--points", "3"],
-        ["--help"], ["minimize", "--tol"], ["scan", "--help"], ["verify", "--fast"])
+        ["--help"], ["minimize", "--format", "json"], ["minimize", "--tol"], ["scan", "--help"],
+        ["verify", "--fast"])
 
 
 def test_help_wraps_to_the_columns_of_its_own_call(capsys, monkeypatch):
