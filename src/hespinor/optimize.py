@@ -12,8 +12,8 @@ SCAN_CHUNK_ROWS = 8192  # rows per EquilibriumPoint a scan yields, and per write
 
 
 class NonUnimodalError(ValueError):
-    """The bracket's end slopes do not enclose a minimum, and the walk over the
-    coarse grid found no interior minimum either."""
+    """The bracket's end slopes do not enclose a minimum, and no cell of the
+    coarse grid has end slopes that run (-, +) either."""
 
 
 def check_parameters(alpha: float, j1: float, j2: float, sigmas, tol: float | None = None):
@@ -44,7 +44,7 @@ def check_parameters(alpha: float, j1: float, j2: float, sigmas, tol: float | No
 
 class MinimizeResult(namedtuple("MinimizeResult", "point iterations")):
     """The ground state's EquilibriumPoint, and the Brent steps taken on the
-    bracket, or on the grid cell around the walk's minimum."""
+    bracket, or on the first grid cell whose end slopes run (-, +)."""
 
     __slots__ = ()
 
@@ -119,14 +119,11 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
     holds sigma0 and no other stationary point: brentq then starts on the
     bracket itself.  Other (alpha, j1, j2) take the same rule unproven.
 
-    Otherwise (an end past the maximum, or a bracket without sigma0) a
-    walk over the 32-point grid lo + k (hi - lo) / 31 must find a point
-    strictly below both bracket ends, and brentq solves between the lowest
-    point's two neighbours; without one, or on a NaN, it raises
-    NonUnimodalError.  Where s1, s2 > 0 the walk stops at its first strict
-    rise: past it delta_e climbs to the maximum and then only falls, so
-    the grid's lowest point is the walk's minimum or hi.  At s1 <= 0 or
-    s2 <= 0 it walks all 32 points, as the slope may change sign more often.
+    Otherwise (an end past the maximum, or a bracket without sigma0) the
+    slope is walked up the 32-point grid lo + k (hi - lo) / 31 to its
+    first cell whose end slopes run (-, +), and brentq solves on that
+    cell; under the -, +, - pattern it holds sigma0 and nothing else.  No
+    such cell, or a NaN slope, raises NonUnimodalError.
 
     B > 0 holds on (0, 1] when s1, s2 > 0, that is j^2 - 4 a^2 > 1/4 for
     both electrons.  Below that B can change sign inside the bracket; the
@@ -139,33 +136,28 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
     if lo == hi:
         raise ParameterError(f"sigma_min = {lo!r}: need sigma_min != sigma_max")
 
-    def excess(sigma):
-        return delta_e(c_params(sigma, s1, s2, alpha))
+    shape_bracket(lo, s1, s2)  # on floats: the slope's complex step hides a B^2 of 0
 
-    def slope(sigma):  # excess's expression in line: one frame per slope
+    def slope(sigma):  # delta_e's complex step in line: one frame per slope
         return delta_e(c_params(sigma + 1e-30j, s1, s2, alpha)).imag / 1e-30
 
     ends = {lo: slope(lo), hi: slope(hi)}
+    a, b = lo, hi
     if not ends[lo] < 0 < ends[hi]:
-        grid, stop_at_rise = _grid(lo, hi, _GRID_POINTS), s1 > 0 and s2 > 0
-        first = least = excess(lo)
-        k_least = 0
-        for k in range(1, _GRID_POINTS - 1):
-            value = excess(grid(k))
-            if value < least:
-                least, k_least = value, k
-            elif value != value:
-                least = value  # a NaN fails the test below
+        grid, fa = _grid(lo, hi, _GRID_POINTS), ends[lo]
+        for k in range(1, _GRID_POINTS):
+            b = grid(k)
+            fb = ends[b] if b in ends else slope(b)
+            if fa < 0 < fb or fa != fa:  # a NaN stops the walk and fails the test below
                 break
-            elif stop_at_rise and value > least:
-                break
-        if not first > least < excess(hi):
-            raise NonUnimodalError(f"no interior minimum on [{lo}, {hi}]: coarse scan bottoms "
-                                   "out at the bracket edge; widen or reposition the bracket")
-        lo, hi = grid(k_least - 1), grid(k_least + 1)
-    # brentq starts by evaluating both ends: reuse the rule's two slopes
-    sigma0, iterations = brentq(lambda s: ends[s] if s in ends else slope(s), lo, hi, xtol=tol)
-    if sigma0 in ends:  # a tol this wide lets brentq stop at an end of the user's bracket
+            a, fa = b, fb
+        if not fa < 0 < fb:
+            raise NonUnimodalError(f"no interior minimum on [{lo}, {hi}]: no cell of the "
+                                   "slope grid runs (-, +); widen or reposition the bracket")
+        ends = {a: fa, b: fb}
+    # brentq starts by evaluating both ends: reuse the two slopes that chose them
+    sigma0, iterations = brentq(lambda s: ends[s] if s in ends else slope(s), a, b, xtol=tol)
+    if sigma0 == lo or sigma0 == hi:  # a tol this wide lets brentq stop at an end of the bracket
         raise ParameterError(f"tol = {tol!r}: the solve stopped at the bracket end "
                              f"sigma = {sigma0!r}; need a smaller tol")
     return MinimizeResult(point=equilibrium_point(sigma0, alpha=alpha, j1=j1, j2=j2),

@@ -809,17 +809,17 @@ def test_minimize_stopping_at_a_bracket_end_exits_two(capsys, tol, end):
 
 
 # every byte of ``minimize --format json`` on the direct route (the default bracket,
-# whose end slopes enclose sigma0) and on the walk route (the 32-point grid first)
+# whose end slopes enclose sigma0) and on the walk route (the slope on the 32-point grid first)
 MINIMIZE_JSON = {
     "direct": ([], (b'{\n  "sigma0": 0.17711643414645833,\n'
                     b'  "delta_e_hartree": -2.9058986787203875,\n'
                     b'  "rho0_bohr": 0.8651607333077722,\n  "r10_bohr": 0.1301775929737313,\n'
                     b'  "r20_bohr": 0.7349831403340409,\n  "iterations": 9\n}\n')),
     "walk": (["--sigma-min", "0.01", "--sigma-max", "0.99"],
-             (b'{\n  "sigma0": 0.17711645754576363,\n'
-              b'  "delta_e_hartree": -2.905898678720451,\n'
-              b'  "rho0_bohr": 0.865160576769843,\n  "r10_bohr": 0.13017758403039478,\n'
-              b'  "r20_bohr": 0.7349829927394482,\n  "iterations": 6\n}\n')),
+             (b'{\n  "sigma0": 0.1771164122197526,\n'
+              b'  "delta_e_hartree": -2.9058986787202663,\n'
+              b'  "rho0_bohr": 0.8651608799942715,\n  "r10_bohr": 0.13017760135423415,\n'
+              b'  "r20_bohr": 0.7349832786400373,\n  "iterations": 5\n}\n')),
 }
 
 
@@ -828,6 +828,29 @@ def test_minimize_json_bytes_are_pinned(capsys, route):
     argv, want = MINIMIZE_JSON[route]
     code, out, _ = run(capsys, "minimize", *argv, "--format", "json")
     assert (code, out.encode()) == (0, want)
+
+
+@pytest.mark.parametrize("j1, sigma_min", [("0.63", "1e-6"), ("0.626", "1e-6"), ("0.63", "1e-3")])
+def test_minimize_finds_a_minimum_in_the_walks_first_cell(capsys, j1, sigma_min):
+    # both end slopes are negative, and sigma0 lies in the first cell of the walk's grid,
+    # where delta_e at the cell's right end is above delta_e(sigma_min): the slope's sign
+    # sees the minimum there, delta_e's values do not
+    mp = pytest.importorskip("mpmath")
+    code, out, err = run(capsys, "minimize", "--j1", j1, "--sigma-min", sigma_min,
+                         "--format", "json")
+    assert code == 0, err
+    sigma0, lo = json.loads(out)["sigma0"], float(sigma_min)
+    first = lo + (0.5 - lo) / 31  # the walk's first grid point after lo
+    assert lo < sigma0 < first
+    with mp.workdps(50):  # the closed form on mpmath sigma, its slope by mpmath
+        def delta_e(sigma):
+            return spectrum.delta_e(spectrum.closed_form(sigma, j1=float(j1)))
+
+        assert delta_e(mp.mpf(first)) > delta_e(mp.mpf(lo))
+        root = mp.findroot(lambda s: mp.diff(delta_e, s), (mp.mpf(sigma0) / 2, 2 * mp.mpf(sigma0)),
+                           solver="anderson")
+        assert abs(mp.mpf(sigma0) - root) <= 1e-6 + 4 * math.ulp(1.0) * sigma0
+        assert delta_e(root) < min(delta_e(mp.mpf(lo)), delta_e(mp.mpf(0.5)))
 
 
 def test_minimize_tolerance_of_half_the_bracket_width_still_solves(capsys):
@@ -877,7 +900,7 @@ def test_cli_startup_loads_no_dataclasses_json_radial_or_numpy():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    # the grid walk on (0.01, 0.99), and its rejection of (0.3, 0.9), load none of them either
+    # the slope walk on (0.01, 0.99), and its rejection of (0.3, 0.9), load none of them either
     assert proc.stdout.splitlines() == ["False False False False",  # import and parser
                                         "False False False False",  # minimize
                                         "False False False False",  # (0.01, 0.99)
@@ -927,11 +950,13 @@ def test_package_exports_only_alpha_and_version():
 
 
 @pytest.mark.parametrize("argv", [
-    # delta_e rises from 0.3 to its maximum near 0.6, then falls: the grid walk rejects (0.3, 0.9)
+    # delta_e rises from 0.3 to its maximum near 0.6, then falls: the slope walk rejects (0.3, 0.9)
     ["--sigma-min", "0.3", "--sigma-max", "0.9"],
-    # the coarse scan of the default bracket bottoms out at its edge
+    # no cell of the default bracket's slope grid runs (-, +)
     ["--alpha", "0.45"],
-], ids=["walk", "alpha=0.45"])
+    # the slope is positive up to past 0.1, then negative: delta_e has no minimum on (0, 0.5]
+    ["--j1", "0.6"],
+], ids=["walk", "alpha=0.45", "j1=0.6"])
 def test_numeric_error_exit_code(capsys, argv):
     code, _, err = run(capsys, "minimize", *argv)
     assert code == 3

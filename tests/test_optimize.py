@@ -158,51 +158,55 @@ def _numpy_grid(alpha, j1, j2, bracket):
     return grid, spectrum.delta_e(spectrum.closed_form(grid, alpha=alpha, j1=j1, j2=j2))
 
 
-def _walked(calls):
-    """The real sigma delta_e was evaluated at, in order: one per grid point, scalar or array."""
-    return [float(x) for s in calls if not isinstance(s, complex) for x in np.ravel(s)]
+def _walk(slope, bracket):
+    """The 32-point np.linspace grid over the bracket, walked: its points from the second on
+    up to the right end of the first cell whose end slopes run (-, +), one slope each."""
+    grid = np.linspace(*bracket, 32)
+    for k in range(1, 32):
+        if slope(grid[k - 1]) < 0 < slope(grid[k]):
+            return grid[1:k + 1].tolist()
+    raise AssertionError(f"no (-, +) cell on {bracket}")
+
+
+def _counting_delta_e(monkeypatch):
+    """The sigma of every delta_e the minimizer evaluates, in order."""
+    calls = []
+    monkeypatch.setattr(optimize, "delta_e",
+                        lambda cf: calls.append(cf.sigma) or spectrum.delta_e(cf))
+    return calls
 
 
 @pytest.mark.parametrize("alpha, j1, j2, bracket", [
     (FINE_STRUCTURE_ALPHA, 1.0, 1.0, (0.05, 0.5)), (FINE_STRUCTURE_ALPHA, 1.0, 1.0, (0.01, 0.99)),
     (0.05, 1.5, 1.0, (0.05, 0.5)), (0.08, 1.0, 2.0, (0.01, 0.99)), (0.02, 2.0, 1.5, (0.05, 0.5)),
     (0.1, 1.5, 1.5, (0.01, 0.99)),
-    # s1 < 0: B changes sign on (0, 1) and the slope may too, so the walk visits every point
+    # s1 < 0: B changes sign on (0, 1) and the slope may too; the walk takes its first (-, +)
     (FINE_STRUCTURE_ALPHA, 0.45, 1.0, (0.01, 0.99)), (FINE_STRUCTURE_ALPHA, 0.45, 1.0, (0.05, 0.5)),
     (FINE_STRUCTURE_ALPHA, 0.35, 1.0, (0.01, 0.99)), (0.05, 0.45, 2.0, (0.01, 0.99)),
 ])
 def test_minimize_equals_brentq_on_the_closed_form_slope(monkeypatch, alpha, j1, j2, bracket):
     # brentq on the bracket itself where its end slopes enclose the minimum, else on the
-    # cell around the lowest point of numpy's grid; delta_e from closed_form at every point
+    # first (-, +) cell of numpy's grid; the slope from closed_form at every point
     brentq = pytest.importorskip("scipy.optimize").brentq
     slope = _slope(alpha, j1, j2)
     lo, hi = bracket
-    direct = slope(lo) < 0 < slope(hi)
-    if not direct:
-        grid, values = _numpy_grid(alpha, j1, j2, bracket)
-        assert values[0] > values.min() < values[-1]
-        k = int(np.argmin(values))
-        lo, hi = grid[k - 1], grid[k + 1]
-    evaluated, calls = [], []
-    sigma0, root = brentq(lambda s: evaluated.append(s) or slope(s), lo, hi, xtol=1e-6,
+    walked = [] if slope(lo) < 0 < slope(hi) else _walk(slope, bracket)
+    cell = ([lo] + walked)[-2:] if walked else bracket
+    evaluated = []
+    sigma0, root = brentq(lambda s: evaluated.append(s) or slope(s), *cell, xtol=1e-6,
                           full_output=True)
-    monkeypatch.setattr(optimize, "delta_e",
-                        lambda cf: calls.append(cf.sigma) or spectrum.delta_e(cf))
+    calls = _counting_delta_e(monkeypatch)
     res = optimize.minimize_delta_e(bracket, alpha=alpha, j1=j1, j2=j2)
-    # one slope per sigma: brentq reuses the two bracket-end slopes the rule was decided on
-    slopes = [s.real for s in calls if isinstance(s, complex)]
-    assert sorted(slopes) == sorted({*bracket, *evaluated})
+    # only slopes, one per sigma: lo and hi, the walk up to its cell (reusing the slope at
+    # hi), then brentq inside the cell (reusing the cell's two end slopes)
+    assert all(isinstance(s, complex) for s in calls)
+    slopes = [s.real for s in calls]
+    walk = [lo, hi, *(s for s in walked if s != hi)]
+    assert slopes[:len(walk)] == walk
+    assert sorted(slopes) == sorted({*walk, *evaluated})
     assert res.point.sigma == sigma0
     assert res.iterations == root.iterations
     assert res.point == spectrum.equilibrium_point(sigma0, alpha=alpha, j1=j1, j2=j2)
-    # the walk: no grid without the rule, else a head of numpy's grid, then its last point
-    walked, (s1, s2) = _walked(calls), radial.exponents(j1, j2, alpha)
-    if direct:
-        assert walked == []
-    elif s1 > 0 and s2 > 0:
-        assert walked == [*grid[:len(walked) - 1], grid[-1]]
-    else:
-        assert walked == grid.tolist()
 
 
 @pytest.mark.parametrize("alpha, j1, j2, bracket", [
@@ -212,7 +216,9 @@ def test_minimize_equals_brentq_on_the_closed_form_slope(monkeypatch, alpha, j1,
 ])
 def test_minimize_rejects_where_numpy_grid_has_no_interior_minimum(alpha, j1, j2, bracket):
     slope = _slope(alpha, j1, j2)
-    assert not slope(bracket[0]) < 0 < slope(bracket[1])
+    slopes = [slope(s) for s in np.linspace(*bracket, 32)]
+    # neither the bracket's end slopes nor those of any grid cell run (-, +)
+    assert not any(a < 0 < b for a, b in [(slopes[0], slopes[-1]), *zip(slopes, slopes[1:])])
     _, values = _numpy_grid(alpha, j1, j2, bracket)
     assert not values[0] > values.min() < values[-1]
     with pytest.raises(optimize.NonUnimodalError, match="no interior minimum"):
@@ -220,22 +226,30 @@ def test_minimize_rejects_where_numpy_grid_has_no_interior_minimum(alpha, j1, j2
 
 
 def test_walk_stops_at_the_first_rise_on_the_sweep_bracket(monkeypatch):
-    # the slope at 0.99 is negative, past the maximum: no direct rule, but no full grid either
-    calls = []
-    monkeypatch.setattr(optimize, "delta_e",
-                        lambda cf: calls.append(cf.sigma) or spectrum.delta_e(cf))
+    # the slope at 0.99 is negative, past the maximum: no direct rule, but no full grid either;
+    # the walk takes grid points 1 to 6 and stops at the (-, +) cell [grid[5], grid[6]]
+    calls = _counting_delta_e(monkeypatch)
     assert optimize.minimize_delta_e((0.01, 0.99)).point.sigma == pytest.approx(SIGMA0_REF)
-    assert 0 < len(_walked(calls)) <= 10
+    grid = np.linspace(0.01, 0.99, 32).tolist()
+    assert grid[5] < SIGMA0_REF < grid[6]
+    assert [s.real for s in calls if s.real in grid[1:-1]] == grid[1:7]
 
 
-@pytest.mark.parametrize("j1, k", [(1.0, 3), (0.45, 20)])
+@pytest.mark.parametrize("j1, k", [(1.0, 0), (1.0, 3), (0.45, 2)])
 def test_walk_rejects_a_nan(monkeypatch, j1, k):
-    # a NaN on the walk fails the interior-minimum test, as it fails numpy's min() < ends
-    nan_at = k * ((0.99 - 0.01) / 31) + 0.01
-    monkeypatch.setattr(optimize, "delta_e",
-                        lambda cf: math.nan if cf.sigma == nan_at else spectrum.delta_e(cf))
-    with pytest.raises(optimize.NonUnimodalError):
+    # a NaN slope at lo or on the grid stops the walk and raises, as a NaN fails numpy's
+    # (-, +) test, though the first (-, +) cell comes after it: grid points 5 to 6 (j1 = 1)
+    # or 4 to 5 (j1 = 0.45)
+    nan_at, walked = k * ((0.99 - 0.01) / 31) + 0.01, []
+
+    def delta_e(cf):
+        walked.append(cf.sigma.real)
+        return complex(math.nan, math.nan) if cf.sigma.real == nan_at else spectrum.delta_e(cf)
+
+    monkeypatch.setattr(optimize, "delta_e", delta_e)
+    with pytest.raises(optimize.NonUnimodalError, match="no interior minimum"):
         optimize.minimize_delta_e((0.01, 0.99), j1=j1)
+    assert nan_at in walked
 
 
 def _stationary_points(sp, alpha, j1, j2):
