@@ -4,8 +4,7 @@ import math
 from collections import namedtuple
 
 from .model import FINE_STRUCTURE_ALPHA, SIGMA_MIN, ParameterError, exponents
-from .spectrum import (brentq, c_params, closed_form, delta_e, equilibrium_point,
-                       shape_bracket)
+from .spectrum import brentq, c_params, closed_form, delta_e, equilibrium_point
 
 _GRID_POINTS = 32
 SCAN_CHUNK_ROWS = 8192  # rows per EquilibriumPoint a scan yields, and per write of its table
@@ -42,6 +41,18 @@ def check_parameters(alpha: float, j1: float, j2: float, sigmas, tol: float | No
     return s1, s2
 
 
+def _b_squared_proven(s1: float, s2: float) -> bool:
+    """Whether B^2 > 0 at every sigma in [SIGMA_MIN, 1], so that no sigma needs the check.
+
+    Where s1, s2 > 0 both terms of B = (1 - sigma)^2 s1 (s1 + 1/2) + 4 sigma^3 s2 (s2 + 3/2)
+    are non-negative: B >= s1 (s1 + 1/2) / 4 on sigma <= 1/2, B >= s2 (s2 + 3/2) / 2 on
+    sigma >= 1/2.  Halved, the smaller bound holds for B as rounded too (a few products,
+    each within a factor 1 - eps), so B^2 > 0 wherever the bound's square does not underflow.
+    """
+    bound = min(s1 * (s1 + 0.5) / 4, s2 * (s2 + 1.5) / 2) / 2
+    return s1 > 0 and s2 > 0 and bound * bound > 0
+
+
 class MinimizeResult(namedtuple("MinimizeResult", "point iterations")):
     """The ground state's EquilibriumPoint, and the Brent steps taken on the
     bracket, or on the first grid cell whose end slopes run (-, +)."""
@@ -75,9 +86,11 @@ def scan_sigma(sigma_min: float, sigma_max: float, n_points: int,
     ascending: an iterator of EquilibriumPoint chunks of arrays, SCAN_CHUNK_ROWS
     rows each but the last, so no array of n_points is built.
 
-    Every parameter, and B^2 on every chunk of the grid, is checked before this
+    Every parameter, and B^2 > 0 on the whole grid, is checked before this
     returns: a ParameterError, or the ZeroDivisionError of a zero B^2, comes
-    before the first chunk, however late in the grid its cause lies.
+    before the first chunk, however late in the grid its cause lies.  B^2 is
+    proven once where s1, s2 > 0 (``_b_squared_proven``), else checked by
+    ``c_params`` on every chunk.
     """
     s1, s2 = check_parameters(alpha, j1, j2, (sigma_min, sigma_max))
     if not sigma_min < sigma_max:
@@ -87,8 +100,9 @@ def scan_sigma(sigma_min: float, sigma_max: float, n_points: int,
     if n_points > 2**53 + 1:  # past it the float64 row index of _grid_chunk is inexact
         raise ParameterError(f"points = {n_points!r}: need at most 2**53 + 1 grid points")
     starts = range(0, n_points, SCAN_CHUNK_ROWS)
-    for start in starts:
-        shape_bracket(_grid_chunk(sigma_min, sigma_max, n_points, start), s1, s2)
+    if not _b_squared_proven(s1, s2):
+        for start in starts:
+            c_params(_grid_chunk(sigma_min, sigma_max, n_points, start), s1, s2, alpha)
     return (equilibrium_point(_grid_chunk(sigma_min, sigma_max, n_points, start),
                               alpha=alpha, j1=j1, j2=j2) for start in starts)
 
@@ -117,34 +131,39 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
     {1, 1.5, 2}: the minimum sigma0 and, after it, a maximum.  The slope
     runs -, +, -, so a bracket whose end slopes are negative then positive
     holds sigma0 and no other stationary point: brentq then starts on the
-    bracket itself.  Other (alpha, j1, j2) take the same rule unproven.
+    bracket itself, handed the two end slopes already evaluated.  Other
+    (alpha, j1, j2) take the same rule unproven.
 
     Otherwise (an end past the maximum, or a bracket without sigma0) the
     slope is walked up the 32-point grid lo + k (hi - lo) / 31 to its
     first cell whose end slopes run (-, +), and brentq solves on that
-    cell; under the -, +, - pattern it holds sigma0 and nothing else.  No
-    such cell, or a NaN slope, raises NonUnimodalError.
+    cell, handed its two end slopes; under the -, +, - pattern it holds
+    sigma0 and nothing else.  No such cell, or a NaN slope, raises
+    NonUnimodalError.  Each slope sigma is evaluated once.
 
     B > 0 holds on (0, 1] when s1, s2 > 0, that is j^2 - 4 a^2 > 1/4 for
-    both electrons.  Below that B can change sign inside the bracket; the
-    closed form, which takes |B|, then has a kink there, Q no longer
-    describes delta_e, and the certificate does not apply.  Either path
-    then returns a sign change of the slope, which may be the kink.
+    both electrons, and ``_b_squared_proven`` then shows B^2 > 0 too.
+    Otherwise B can change sign inside the bracket; the closed form, which
+    takes |B|, then has a kink there, Q no longer describes delta_e, and
+    the certificate does not apply.  Either path then returns a sign change
+    of the slope, which may be the kink.  There a float ``c_params`` at lo
+    checks B^2 first, since sigma + 1e-30i would swamp a B of 1e-141.
     """
     lo, hi = sorted(map(float, bracket))
     s1, s2 = check_parameters(alpha, j1, j2, (lo, hi), tol)
     if lo == hi:
         raise ParameterError(f"sigma_min = {lo!r}: need sigma_min != sigma_max")
 
-    shape_bracket(lo, s1, s2)  # on floats: the slope's complex step hides a B^2 of 0
+    if not _b_squared_proven(s1, s2):
+        c_params(lo, s1, s2, alpha)  # on floats: the slope's complex step hides a B^2 of 0
 
     def slope(sigma):  # delta_e's complex step in line: one frame per slope
         return delta_e(c_params(sigma + 1e-30j, s1, s2, alpha)).imag / 1e-30
 
-    ends = {lo: slope(lo), hi: slope(hi)}
     a, b = lo, hi
-    if not ends[lo] < 0 < ends[hi]:
-        grid, fa = _grid(lo, hi, _GRID_POINTS), ends[lo]
+    fa, fb = slope(lo), slope(hi)
+    if not fa < 0 < fb:
+        grid, ends = _grid(lo, hi, _GRID_POINTS), {lo: fa, hi: fb}
         for k in range(1, _GRID_POINTS):
             b = grid(k)
             fb = ends[b] if b in ends else slope(b)
@@ -154,9 +173,8 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
         if not fa < 0 < fb:
             raise NonUnimodalError(f"no interior minimum on [{lo}, {hi}]: no cell of the "
                                    "slope grid runs (-, +); widen or reposition the bracket")
-        ends = {a: fa, b: fb}
-    # brentq starts by evaluating both ends: reuse the two slopes that chose them
-    sigma0, iterations = brentq(lambda s: ends[s] if s in ends else slope(s), a, b, xtol=tol)
+    # brentq starts from the two end slopes that chose its cell
+    sigma0, iterations = brentq(slope, a, b, tol, fa, fb)
     if sigma0 == lo or sigma0 == hi:  # a tol this wide lets brentq stop at an end of the bracket
         raise ParameterError(f"tol = {tol!r}: the solve stopped at the bracket end "
                              f"sigma = {sigma0!r}; need a smaller tol")

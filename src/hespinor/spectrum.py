@@ -53,33 +53,30 @@ class EquilibriumPoint(namedtuple("EquilibriumPoint", "sigma delta_e rho0 r10 r2
     __slots__ = ()
 
 
-def shape_bracket(sigma, s1: float, s2: float) -> tuple:
-    """((1 - sigma)^2, sigma^3, B, B^2) at a float or an array sigma.
+def c_params(sigma, s1: float, s2: float, alpha: float) -> ClosedFormParams:
+    """Evaluate B, C1 and C2 for given exponents, at a float or an array sigma.
 
     A complex or an mpmath sigma follows the float path (the minimizer's
     complex-step slope relies on it).  A zero B^2, where B vanishes or B^2
     underflows (at s1 = 0, B ~ sigma^3), raises ZeroDivisionError with one
     message on a scalar and on an array; numpy would divide an array by it
-    silently.  ``c_params`` divides by B^2, and ``optimize.scan_sigma``
-    checks every chunk of its grid here before it yields the first.
+    silently; ``optimize`` checks B^2 here where it cannot prove it > 0.
+    ``tuple.__new__`` builds the record without the namedtuple's ``__new__`` frame.
     """
     w = (1 - sigma) * (1 - sigma)
     cube = sigma * sigma * sigma
     b = w * (s1 + 0.5) * s1 + 4 * cube * (s2 + 1.5) * s2
     bb = b * b
-    if not (bb.all() if hasattr(bb, "all") else bb):
+    try:
+        zero = not bb
+    except ValueError:  # an array of more than one sigma
+        zero = not bb.all()
+    if zero:
         raise ZeroDivisionError("B^2 of the shape bracket is 0; C2 is undefined")
-    return w, cube, b, bb
-
-
-def c_params(sigma, s1: float, s2: float, alpha: float) -> ClosedFormParams:
-    """Evaluate B, C1 and C2 for given exponents, at a float or an array sigma
-    (a complex or an mpmath sigma too); a zero B^2 raises, see ``shape_bracket``."""
-    w, cube, b, bb = shape_bracket(sigma, s1, s2)
     d = 4 * alpha**2 * (1 + sigma) * (1 + sigma) * (w * s1**2 + 4 * cube * sigma * s2**2)
     c2sq_minus_1 = d / bb
-    return ClosedFormParams(sigma, alpha, s1, s2, b, (bb + d) ** 0.5,
-                            (1 + c2sq_minus_1) ** 0.5, c2sq_minus_1)
+    return tuple.__new__(ClosedFormParams, (sigma, alpha, s1, s2, b, (bb + d) ** 0.5,
+                                            (1 + c2sq_minus_1) ** 0.5, c2sq_minus_1))
 
 
 def closed_form(sigma, alpha: float = FINE_STRUCTURE_ALPHA,
@@ -139,7 +136,8 @@ class NoRootInBracketError(ValueError):
     """The function handed to ``brentq`` does not change sign over the bracket."""
 
 
-def brentq(f, a: float, b: float, xtol: float) -> tuple:
+def brentq(f, a: float, b: float, xtol: float, fa: float | None = None,
+           fb: float | None = None) -> tuple:
     """Root of f between a and b by Brent's method, as (root, iterations).
 
     A line-for-line transcription of scipy's ``brentq.c`` (R. P. Brent,
@@ -149,17 +147,19 @@ def brentq(f, a: float, b: float, xtol: float) -> tuple:
     root x0 obeys |x0 - x*| <= xtol + rtol |x0|, with rtol fixed at scipy's
     default 4 eps.  The ends are turned into Python floats first, as scipy's
     wrapper does, so f sees the same x.  The loop calls f once per point,
-    with no wrapper around it, and tests each value for NaN in line.
+    with no wrapper around it, and tests each value for NaN in line.  ``fa``
+    and ``fb``, where given, are f(a) and f(b) already known to the caller:
+    they are taken as f's values there, so f is not called at that end.
 
     Raises NoRootInBracketError if f(a) and f(b) have the same sign, and
-    ValueError on a NaN value of f or after 100 steps without convergence.
-    A root at a bracket end is returned after 0 steps.
+    ValueError on a NaN value of f, given or evaluated, or after 100 steps
+    without convergence.  A root at a bracket end is returned after 0 steps.
     """
     xpre, xcur = float(a), float(b)
-    fpre = f(xpre)
+    fpre = f(xpre) if fa is None else fa
     if fpre != fpre:
         raise ValueError(f"The function value at x={xpre} is NaN; solver cannot continue.")
-    fcur = f(xcur)
+    fcur = f(xcur) if fb is None else fb
     if fcur != fcur:
         raise ValueError(f"The function value at x={xcur} is NaN; solver cannot continue.")
     if fpre == 0:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -865,6 +866,26 @@ def test_scan_points_past_an_exact_float64_row_index_exits_two():
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == ("invalid arguments: points = 9007199254740994: "
                            "need at most 2**53 + 1 grid points\n")
+
+
+def test_largest_scan_writes_its_first_bytes_at_once():
+    # 2**53 + 1 points: B^2 > 0 is proven once (s1, s2 > 0), so no pass walks the grid's
+    # 1.1e12 chunks before the first is written; the reader leaves after 100 bytes
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "hespinor.cli", "scan", "--points",
+                             str(2**53 + 1)], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    killer = threading.Timer(10, proc.kill)  # a read still blocked after 10 s gets b""
+    killer.start()
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        code = proc.wait(timeout=10)
+    finally:
+        killer.cancel()
+        proc.kill()
+    assert head.startswith(b"sigma,delta_e_hartree,") and len(head) == 100
+    assert (code, proc.stderr.read()) == (0, b"")
 
 
 def test_no_command_imports_scipy():

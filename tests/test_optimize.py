@@ -72,6 +72,21 @@ def test_scan_and_walk_grids_equal_linspace_bit_for_bit():
         assert [walk(k) for k in range(32)] == np.linspace(lo, hi, 32).tolist(), (lo, hi)
 
 
+def test_b_squared_is_proven_where_s1_and_s2_are_positive(monkeypatch):
+    # the bounds at CODATA alpha, j1 = j2 = 1: s1 (s1 + 1/2) / 4 and s2 (s2 + 3/2) / 2
+    s1, s2 = radial.exponents(1.0, 1.0, FINE_STRUCTURE_ALPHA)
+    assert (round(s1 * (s1 + 0.5) / 4, 3), round(s2 * (s2 + 1.5) / 2, 3)) == (0.125, 0.5)
+    assert optimize._b_squared_proven(s1, s2)
+    assert radial.exponents(0.625, 1.0, 0.1875)[0] == 0.0  # j1^2 - 1/4 = 4 alpha^2 exactly
+    for s1, s2 in ((0.0, 0.5), (0.5, 0.0), (-4e-20, 0.5), (0.5, -4e-200), (1e-170, 0.5)):
+        assert not optimize._b_squared_proven(s1, s2), (s1, s2)  # the last: the bound underflows
+    # where it holds, no chunk is made before the first is asked for, however many points
+    made = []
+    monkeypatch.setattr(optimize, "c_params", lambda *args: made.append(args))
+    optimize.scan_sigma(0.05, 0.5, 2**53 + 1)
+    assert made == []
+
+
 def test_scan_first_point_near_ion_limit():
     table = _scan(0.01, 0.5, 50)
     assert abs(table.delta_e[0] - (-2.0)) < 0.1

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import hespinor
 import hespinor.cli
 from hespinor import verify
@@ -76,3 +78,27 @@ def test_full_battery_counts():
         "operators.field_evals": 13, "angular.field_evals": 2,
         "radial.fundamental_residual": 300, "spectrum.closed_form": 15,
         "verify.checks_total": 39, "verify.checks_failed": 0}
+
+
+@pytest.mark.parametrize("bracket", [(0.05, 0.5), (0.01, 0.99)], ids=["direct", "walk"])
+def test_traced_minimize_counts_each_slope_once(monkeypatch, bracket):
+    # the slope calls delta_e through optimize's namespace, once per sigma: a slope routed
+    # around it, or an end slope evaluated twice, moves optimize.objective_evals
+    optimize = hespinor.optimize
+    slopes, c_params = [], optimize.c_params
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize, "c_params",
+                      lambda sigma, *args: slopes.append(sigma) or c_params(sigma, *args))
+        untraced = optimize.minimize_delta_e(bracket)
+    sigmas = [sigma.real for sigma in slopes if isinstance(sigma, complex)]
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.instrument(tracer, hespinor)
+        result = optimize.minimize_delta_e(bracket)
+    finally:
+        tracer.restore()
+    assert result == untraced
+    assert len(set(sigmas)) == len(sigmas) == tracer.counts["optimize.objective_evals"]
+    assert tracer.counts["optimize.iterations"] == result.iterations
+    assert tracer.counts["spectrum.equilibrium_point"] == 1

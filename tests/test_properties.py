@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from hespinor import cli, spectrum
+from hespinor import cli, model, optimize, spectrum
 from hespinor.model import FINE_STRUCTURE_ALPHA, J_MAX, SIGMA_MIN
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -55,6 +55,59 @@ def test_property_ion_limit_approach(sigmas):
 
 
 @st.composite
+def scan_domains(draw):
+    """(alpha, j1, j2, sigma_min, sigma_max, points) in the scan's domain, with
+    each j at or near the edge s = 0 two times in three: 1/2 + 10^-k for k <= 17
+    (1/2 itself at k = 17), or a few ulps either side of the root of
+    j^2 - 4 alpha^2 = 1/4.
+    Otherwise j is log-uniform between 2 alpha and 4, so s < 0 and B^2 underflows
+    at small sigma where j is tiny (s = -1/2 exactly, B ~ sigma^3)."""
+    rnd = draw(st.randoms(use_true_random=True))
+    alpha = 2.0 ** rnd.uniform(-511, -1.5)
+    edge = math.sqrt(0.25 + 4 * alpha * alpha)
+
+    def draw_j():
+        pick = rnd.randrange(3)
+        j = (0.5 + 10.0 ** -rnd.randint(1, 17) if pick == 0
+             else edge + rnd.randint(-4, 4) * math.ulp(edge) if pick == 1
+             else 2.0 ** rnd.uniform(math.log2(2 * alpha), 2))
+        return rnd.choice((1.0, -1.0)) * j
+
+    j1, j2 = draw_j(), draw_j()
+    hypothesis.assume(4 * alpha * alpha < min(j1 * j1, j2 * j2))
+    sigma_min, sigma_max = sorted(2.0 ** rnd.uniform(-516, 0) for _ in range(2))
+    hypothesis.assume(sigma_min < sigma_max)
+    return alpha, j1, j2, sigma_min, sigma_max, rnd.randint(2, 2 * optimize.SCAN_CHUNK_ROWS + 1)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.example(domain=(1e-100, 0.5, 1.0, 1e-150, 1e-140, 3))  # B ~ s1 / 2 = -2e-200
+@hypothesis.example(domain=(1e-100, 1.0, 0.5, 0.5, 1.0, 100000))  # B^2 = 0 in the last row only
+@hypothesis.example(domain=(1.2457268173565584e-107, -5.942966867006111e-24,
+                            -2.5450831915338916e-23, 5.6e-141, 2.9e-122, 3))
+@hypothesis.example(domain=(0.1875, 0.625, 1.0, 1e-60, 1e-50, 5))  # s1 = 0: B = 4 sigma^3 ...
+@hypothesis.example(domain=(0.1875, 0.625, 1.0, 0.05, 0.5, 9))  # ... which is > 0 here
+@hypothesis.example(domain=(1e-10, 0.5, 1.0, 0.05, 0.5, 9))  # s1 = -4e-20
+@hypothesis.given(domain=scan_domains())
+def test_property_b_squared_proof_or_pass_raises_where_the_full_pass_does(domain):
+    # scan_sigma checks B^2 only where the proof (s1, s2 > 0) does not hold; the full
+    # pass checks every row of the grid, with the closed form's own expression for B
+    alpha, j1, j2, sigma_min, sigma_max, points = domain
+    s1, s2 = model.exponents(j1, j2, alpha)
+    sigma = np.linspace(sigma_min, sigma_max, points)
+    with np.errstate(all="ignore"):
+        b = (1 - sigma) * (1 - sigma) * (s1 + 0.5) * s1 + 4 * (sigma * sigma * sigma) * (
+            s2 + 1.5) * s2
+        full_pass_raises = not (b * b).all()
+        try:
+            optimize.scan_sigma(sigma_min, sigma_max, points, alpha, j1, j2)
+        except ZeroDivisionError:
+            assert full_pass_raises
+        else:
+            assert not full_pass_raises
+
+
+@st.composite
 def command_inputs(draw):
     """Log-uniform draws that each reach a little past their documented edges:
     alpha >= 2**-511, 4 alpha^2 < j^2 <= J_MAX^2 with either sign of j,
@@ -91,7 +144,7 @@ DOMAIN_EXAMPLES = [  # each exact edge and its neighbour outside the domain
     dict(sigma_lo=SIGMA_MIN), dict(sigma_lo=EDGE(SIGMA_MIN, 0)),
     dict(sigma_hi=1.0), dict(sigma_hi=EDGE(1.0, 2.0)),
     dict(sigma_lo=0.3, sigma_hi=0.3), dict(sigma_lo=0.5, sigma_hi=0.05),
-    dict(points=2), dict(points=1), dict(points=2**53 + 2),  # 2**53 + 1 walks 1.1e12 chunks
+    dict(points=2), dict(points=1), dict(points=2**53 + 2),  # 2**53 + 1 writes 9e15 rows
     dict(tol=math.ulp(0.5)), dict(tol=EDGE(math.ulp(0.5), 0)),
     dict(tol=EDGE(0.5 - 0.05, 0)), dict(tol=0.5 - 0.05),
 ]

@@ -287,8 +287,8 @@ def test_mpmath_sigma_takes_the_float_path():
 
 
 def _closed_form_transcription(sigma, s1, s2, alpha):
-    """(w, cube, B, B^2, C1, C2, D/B^2, delta_e), the closed form's expressions
-    written out here term by term, each (1 - sigma) and (1 + sigma) where it is used."""
+    """(B, C1, C2, D/B^2, delta_e), the closed form's expressions written out
+    here term by term, each (1 - sigma) and (1 + sigma) where it is used."""
     w = (1 - sigma) * (1 - sigma)
     cube = sigma * sigma * sigma
     b = w * (s1 + 0.5) * s1 + 4 * cube * (s2 + 1.5) * s2
@@ -298,7 +298,7 @@ def _closed_form_transcription(sigma, s1, s2, alpha):
     c1, c2 = (bb + d) ** 0.5, (1 + c2sq_minus_1) ** 0.5
     excess = (2 * sigma * (1 + sigma) * (1 + sigma) / c1
               - (1 + sigma) * c2sq_minus_1 / ((1 + c2) * c2 * alpha**2))
-    return w, cube, b, bb, c1, c2, c2sq_minus_1, excess
+    return b, c1, c2, c2sq_minus_1, excess
 
 
 def _bits(x):
@@ -328,8 +328,7 @@ def test_closed_form_is_bit_for_bit_its_transcription(alpha, j1, j2, kind):
     s1, s2 = model.exponents(j1, j2, alpha)
     for sigma in _sigmas(kind):
         cf = spectrum.c_params(sigma, s1, s2, alpha)
-        got = (*spectrum.shape_bracket(sigma, s1, s2), cf.c1, cf.c2, cf.c2sq_minus_1,
-               spectrum.delta_e(cf))
+        got = (cf.bracket, cf.c1, cf.c2, cf.c2sq_minus_1, spectrum.delta_e(cf))
         want = _closed_form_transcription(sigma, s1, s2, alpha)
         assert list(map(_bits, got)) == list(map(_bits, want)), sigma
 
@@ -341,17 +340,9 @@ def _recorded(f, calls):
     return wrapper
 
 
-def test_brentq_equals_scipy_bit_for_bit():
-    # root, step count and every evaluated x, on the minimizer's slopes and the consistency residuals
-    scipy_brentq = pytest.importorskip("scipy.optimize").brentq
-
-    def both(f, lo, hi, **tols):
-        ours, theirs = [], []
-        root, iterations = spectrum.brentq(_recorded(f, ours), lo, hi, **tols)
-        ref, info = scipy_brentq(_recorded(f, theirs), lo, hi, full_output=True, **tols)
-        assert (root, iterations, ours) == (ref, info.iterations, theirs)
-
-    solves = 0
+def _brentq_cases():
+    """(f, lo, hi, xtol): the minimizer's slopes, the consistency residuals, and two
+    functions so small that the extrapolation divisor underflows to 0 (scipy bisects there)."""
     for alpha in (ALPHA, 0.02, 0.05, 0.1):
         for j1 in (1.0, 1.5, 2.0):
             for j2 in (1.0, 1.5, 2.0):
@@ -365,21 +356,62 @@ def test_brentq_equals_scipy_bit_for_bit():
                     grid = np.linspace(*bracket, 32)
                     k = int(np.argmin(spectrum.delta_e(spectrum.c_params(grid, s1, s2, alpha))))
                     for tol in (1e-6, 1e-9, 1e-12):
-                        both(slope, grid[k - 1], grid[k + 1], xtol=tol)
-                        solves += 1
+                        yield slope, grid[k - 1], grid[k + 1], tol
     for variant in radial.FUNDAMENTAL_DENOMINATORS:
         for sigma in np.linspace(0.002, 0.998, 500).tolist():
             cf = spectrum.closed_form(sigma)
             rho = spectrum.rho0_natural(cf)
             relation = radial.fundamental_relation(cf, rho, variant)
-            both(partial(radial.fundamental_residual, relation), 0.0, 1 + sigma, xtol=1e-15)
-            solves += 1
-    # values so small that the extrapolation divisor underflows to 0: scipy bisects there
-    for f, lo, hi in ((lambda x: 1e-160 * (x**3 - 0.2), 0.0, 1.0),
-                      (lambda x: 1e-170 * (math.exp(x) - 2), 0.0, 2.0)):
-        both(f, lo, hi, xtol=1e-12)
+            yield partial(radial.fundamental_residual, relation), 0.0, 1 + sigma, 1e-15
+    yield lambda x: 1e-160 * (x**3 - 0.2), 0.0, 1.0, 1e-12
+    yield lambda x: 1e-170 * (math.exp(x) - 2), 0.0, 2.0, 1e-12
+
+
+def test_brentq_equals_scipy_bit_for_bit():
+    # root, step count and every evaluated x, on the minimizer's slopes and the consistency residuals
+    scipy_brentq = pytest.importorskip("scipy.optimize").brentq
+    solves = 0
+    for f, lo, hi, xtol in _brentq_cases():
+        ours, theirs = [], []
+        root, iterations = spectrum.brentq(_recorded(f, ours), lo, hi, xtol=xtol)
+        ref, info = scipy_brentq(_recorded(f, theirs), lo, hi, full_output=True, xtol=xtol)
+        assert (root, iterations, ours) == (ref, info.iterations, theirs)
         solves += 1
     assert solves == 216 + 1500 + 2
+
+
+def test_brentq_given_end_values_equal_evaluated_ones():
+    # the same root, step count and interior x's; f is not called at an end whose value is given
+    solves = 0
+    for f, lo, hi, xtol in _brentq_cases():
+        evaluated = []
+        want = spectrum.brentq(_recorded(f, evaluated), lo, hi, xtol=xtol)
+        fa, fb = f(float(lo)), f(float(hi))
+        for ends, skipped in ((dict(fa=fa), [0]), (dict(fb=fb), [1]),
+                              (dict(fa=fa, fb=fb), [0, 1])):
+            calls = []
+            assert spectrum.brentq(_recorded(f, calls), lo, hi, xtol, **ends) == want
+            assert calls == [x for i, x in enumerate(evaluated) if i not in skipped]
+        solves += 1
+    assert solves == 216 + 1500 + 2
+
+
+def test_brentq_given_nan_or_zero_end_values():
+    calls = []
+    f = _recorded(lambda x: x - 0.7, calls)
+    for ends, x in ((dict(fa=math.nan), "0.5"), (dict(fa=-0.2, fb=math.nan), "1.0"),
+                    (dict(fb=math.nan), "1.0")):
+        with pytest.raises(ValueError, match=rf"^The function value at x={x} is NaN; solver "
+                           r"cannot continue\.$") as info:
+            spectrum.brentq(f, 0.5, 1.0, 1e-12, **ends)
+        assert not isinstance(info.value, spectrum.NoRootInBracketError)
+    assert calls == [0.5]  # f(a), where only fb was given: a given NaN raises with no call
+    calls.clear()
+    # a given 0 is a root at that end, returned after 0 steps
+    assert spectrum.brentq(f, 0.5, 1.0, 1e-12, fa=0.0) == (0.5, 0)
+    assert spectrum.brentq(f, 0.5, 1.0, 1e-12, fb=0.0) == (1.0, 0)
+    assert spectrum.brentq(f, 0.5, 1.0, 1e-12, fa=0.0, fb=0.0) == (0.5, 0)
+    assert calls == [1.0, 0.5]
 
 
 def test_brentq_root_at_a_bracket_end_takes_no_step():
