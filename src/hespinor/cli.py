@@ -74,7 +74,7 @@ def _write_table(chunks, fields, fmt: str, output: str):
 def cmd_verify(args) -> int:
     from . import verify
 
-    report = verify.run_all(fast=args.fast)
+    report = verify.run_all()
     with _data_stream("") as stream:
         stream.write("\n".join(report.lines()) + "\n")
     return 0 if report.passed else 1
@@ -162,8 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
     # no physics flags: the battery runs at its own fixed constants
-    p = sub.add_parser("verify", help="run the full identity-check battery")
-    p.add_argument("--fast", action="store_true", help="skip the operator and angular batteries")
+    sub.add_parser("verify", help="run the full identity-check battery")
 
     p = sub.add_parser("scan", help="tabulate excess energy and geometry over sigma")
     add_physics(p)

@@ -163,10 +163,11 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
     a, b = lo, hi
     fa, fb = slope(lo), slope(hi)
     if not fa < 0 < fb:
-        grid, ends = _grid(lo, hi, _GRID_POINTS), {lo: fa, hi: fb}
+        grid, f_hi = _grid(lo, hi, _GRID_POINTS), fb
         for k in range(1, _GRID_POINTS):
-            b = grid(k)
-            fb = ends[b] if b in ends else slope(b)
+            if (b := grid(k)) == a:  # rounds to the point before it: an empty cell
+                continue
+            fb = f_hi if b == hi else slope(b)
             if fa < 0 < fb or fa != fa:  # a NaN stops the walk and fails the test below
                 break
             a, fa = b, fb

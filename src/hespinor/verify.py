@@ -382,13 +382,8 @@ def optimizer_checks() -> list:
     return checks
 
 
-def run_all(fast: bool = False) -> VerifyReport:
-    """Full verification battery; ``fast`` skips the operator and angular batteries."""
-    results = clifford_checks()
-    if not fast:
-        results += operator_checks()
-        results += angular_checks()
-    results += radial_checks()
-    results += spectrum_checks()
-    results += optimizer_checks()
-    return VerifyReport(results)
+def run_all() -> VerifyReport:
+    """The verification battery: clifford, operator, angular, radial, spectrum and
+    optimizer checks, in that order."""
+    return VerifyReport([*clifford_checks(), *operator_checks(), *angular_checks(),
+                         *radial_checks(), *spectrum_checks(), *optimizer_checks()])

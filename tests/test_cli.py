@@ -403,23 +403,16 @@ def test_minimize_json(tmp_path, capsys):
     assert isinstance(record["iterations"], int)
 
 
-def test_verify_fast_exits_zero(capsys):
-    code, out, _ = run(capsys, "verify", "--fast")
-    assert code == 0
-    assert "[FAIL]" not in out
-    assert "checks passed" in out
-    # arbitration outcomes are part of the report
-    assert "squared reading selected" in out
-    assert "gamma5 product phase" in out
-
-
-@pytest.mark.parametrize("flag", ["--alpha", "--j1", "--j2"])
-def test_verify_rejects_physics_flags(capsys, flag):
-    # the battery runs at fixed constants, so a physics value it would ignore is a usage error
-    code, _, err = run(capsys, "verify", "--fast", flag, "0.1")
+@pytest.mark.parametrize("argv", [["--alpha", "0.1"], ["--j1", "0.1"], ["--j2", "0.1"], ["--fast"]],
+                         ids=["--alpha", "--j1", "--j2", "--fast"])
+def test_verify_rejects_physics_flags(capsys, argv):
+    # the battery runs at fixed constants, so a physics value it would ignore is a usage
+    # error; it has one configuration, so there is no --fast that would skip checks
+    code, out, err = run(capsys, "verify", *argv)
     assert code == 2
     assert "unrecognized arguments" in err
-    assert run(capsys, "verify", "--fast")[0] == 0
+    assert out == ""
+    assert run(capsys, "verify")[0] == 0
 
 
 GAMMA1_FLIP_FAILS = [  # every check of the full battery that one sign flip in GAMMA[1] fails
@@ -440,14 +433,12 @@ def test_verify_fault_injection_exits_one_and_names_pair(capsys, monkeypatch):
     bad = clifford.GAMMA[1].copy()
     bad[0, 3] = -bad[0, 3]  # flip one sign; the report must name the pair
     monkeypatch.setitem(clifford.GAMMA, 1, bad)
-    for argv, names in ((["verify"], GAMMA1_FLIP_FAILS),
-                        (["verify", "--fast"], GAMMA1_FLIP_FAILS[:3])):
-        code, out, err = run(capsys, *argv)
-        assert code == 1
-        fail_lines = [line for line in out.split("\n") if line.startswith("[FAIL]")]
-        assert [line[len("[FAIL] "):].split(": value")[0] for line in fail_lines] == names
-        assert fail_lines[0].endswith("worst pair (1,1)")
-        assert err == ""
+    code, out, err = run(capsys, "verify")
+    assert code == 1
+    fail_lines = [line for line in out.split("\n") if line.startswith("[FAIL]")]
+    assert [line[len("[FAIL] "):].split(": value")[0] for line in fail_lines] == GAMMA1_FLIP_FAILS
+    assert fail_lines[0].endswith("worst pair (1,1)")
+    assert err == ""
 
 
 def test_usage_error_exit_code(tmp_path, capsys):
@@ -687,7 +678,7 @@ def test_failed_write_to_output_is_usage_error(argv):
 
 @requires_full_device
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [["verify", "--fast"], ["scan", "--points", "100000"],
+@pytest.mark.parametrize("argv", [["verify"], ["scan", "--points", "100000"],
                                   ["minimize"], ["ion-limit"]],
                          ids=["verify", "scan", "minimize", "ion-limit"])
 def test_failed_write_to_stdout_is_usage_error(argv, unbuffered):
@@ -722,7 +713,7 @@ def test_help_to_a_full_stdout_is_usage_error(argv, unbuffered):
 @pytest.mark.parametrize("argv, stdout_full", [
     (["minimize"], False), (["ion-limit"], False), (["scan", "--alpha", "1e-170"], False),
     (["minimize", "--sigma-min", "0.3", "--sigma-max", "0.9"], False),
-    (["scan", "--bogus"], False), (["verify", "--fast"], True)],
+    (["scan", "--bogus"], False), (["verify"], True)],
     ids=["minimize", "ion-limit", "usage-error", "numeric-error", "argparse-error", "verify"])
 def test_failed_write_to_stderr_exits_two(argv, stdout_full, unbuffered):
     # a summary or error line that cannot be written is an I/O failure (2), not a
@@ -891,7 +882,7 @@ def test_largest_scan_writes_its_first_bytes_at_once():
 def test_no_command_imports_scipy():
     # numpy is the only runtime dependency: both root-finders use spectrum.brentq
     code = ("import sys; from hespinor import cli\n"
-            "for argv in (['verify', '--fast'], ['minimize'], ['scan', '--points', '10'],\n"
+            "for argv in (['verify'], ['minimize'], ['scan', '--points', '10'],\n"
             "             ['ion-limit']):\n"
             "    assert cli.main(argv) == 0, argv\n"
             "print('scipy' in sys.modules)")
@@ -935,14 +926,12 @@ def test_verify_scan_and_ion_limit_load_no_dataclasses():
     # this interpreter keeps its site hook and checks it preloaded no dataclasses.
     # numpy 1.x imports numpy.random in `import numpy` and numpy 2.x only on first use,
     # so the second column is whether a command added numpy.random to what numpy loaded.
-    # --fast runs first: the full battery runs everything it runs
     code = ("import contextlib, io, sys\n"
             "assert 'dataclasses' not in sys.modules, 'preloaded'\n"
             "import numpy\n"
             "numpy_loaded = set(sys.modules)\n"
             "from hespinor import cli\n"
-            "for argv in (['verify', '--fast'], ['verify'], ['scan', '--points', '10'],\n"
-            "             ['ion-limit']):\n"
+            "for argv in (['verify'], ['scan', '--points', '10'], ['ion-limit']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv) == 0, argv\n"
             "    print('dataclasses' in sys.modules,\n"
@@ -951,7 +940,7 @@ def test_verify_scan_and_ion_limit_load_no_dataclasses():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["False False"] * 4
+    assert proc.stdout.splitlines() == ["False False"] * 3
 
 
 def test_package_exports_only_alpha_and_version():
@@ -1007,7 +996,7 @@ def test_main_builds_one_parser_per_process():
             "init = argparse.ArgumentParser.__init__\n"
             "argparse.ArgumentParser.__init__ = lambda self, *a, **kw: (\n"
             "    built.append(self) or init(self, *a, **kw))\n"
-            "for argv in (['verify', '--fast'], ['scan', '--points', '3']):\n"
+            "for argv in (['verify'], ['scan', '--points', '3']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv) == 0, argv\n"
             "    print(len(built))\n")
@@ -1039,7 +1028,7 @@ def test_usage_errors_and_help_between_calls_print_as_fresh_runs(capsys, monkeyp
     _runs_as_fresh_processes(
         capsys, ["scan", "--j1", "1.5", "--points", "x"], ["scan", "--points", "3"],
         ["--help"], ["minimize", "--format", "json"], ["minimize", "--tol"], ["scan", "--help"],
-        ["verify", "--fast"])
+        ["verify"])
 
 
 def test_help_wraps_to_the_columns_of_its_own_call(capsys, monkeypatch):
@@ -1057,3 +1046,6 @@ def test_verify_full_battery_exits_zero(capsys):
     assert "[FAIL]" not in out
     assert out.count("[INFO]") == 1
     assert out.strip().split("\n")[-1] == "39/39 checks passed"
+    # arbitration outcomes are part of the report
+    assert "squared reading selected" in out
+    assert "gamma5 product phase" in out

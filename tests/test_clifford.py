@@ -98,5 +98,5 @@ def test_verify_clifford_fault_injection_names_pair(monkeypatch, capsys):
     assert check.value > 0.5
     pair = re.fullmatch(r"worst pair \((\d),(\d)\)", check.note)
     assert pair is not None and "1" in pair.groups()
-    assert cli.main(["verify", "--fast"]) == 1
+    assert cli.main(["verify"]) == 1
     assert "[FAIL] clifford anticommutation, 15 pairs" in capsys.readouterr().out

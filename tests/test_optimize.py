@@ -228,16 +228,24 @@ def test_minimize_equals_brentq_on_the_closed_form_slope(monkeypatch, alpha, j1,
     (FINE_STRUCTURE_ALPHA, 1.0, 1.0, (0.3, 0.9)), (FINE_STRUCTURE_ALPHA, 1.0, 1.0, (0.6, 0.99)),
     (FINE_STRUCTURE_ALPHA, 1.0, 1.0, (0.001, 0.1)), (0.08, 1.0, 2.0, (0.3, 0.9)),
     (FINE_STRUCTURE_ALPHA, 0.45, 1.0, (0.3, 0.9)), (FINE_STRUCTURE_ALPHA, 0.35, 1.0, (0.001, 0.1)),
+    # 4 ulp wide: the 32 grid points round to 5 distinct sigmas
+    (FINE_STRUCTURE_ALPHA, 1.0, 1.0, (0.3, 0.3 + 4 * math.ulp(0.3))),
 ])
-def test_minimize_rejects_where_numpy_grid_has_no_interior_minimum(alpha, j1, j2, bracket):
+def test_minimize_rejects_where_numpy_grid_has_no_interior_minimum(monkeypatch, alpha, j1, j2,
+                                                                   bracket):
+    grid = np.linspace(*bracket, 32)
     slope = _slope(alpha, j1, j2)
-    slopes = [slope(s) for s in np.linspace(*bracket, 32)]
+    slopes = [slope(s) for s in grid]
     # neither the bracket's end slopes nor those of any grid cell run (-, +)
     assert not any(a < 0 < b for a, b in [(slopes[0], slopes[-1]), *zip(slopes, slopes[1:])])
     _, values = _numpy_grid(alpha, j1, j2, bracket)
     assert not values[0] > values.min() < values[-1]
+    calls = _counting_delta_e(monkeypatch)
+    # the walk raises before brentq reads tol, so the finest tol the bracket allows will do
     with pytest.raises(optimize.NonUnimodalError, match="no interior minimum"):
-        optimize.minimize_delta_e(bracket, alpha=alpha, j1=j1, j2=j2)
+        optimize.minimize_delta_e(bracket, tol=math.ulp(bracket[1]), alpha=alpha, j1=j1, j2=j2)
+    # one slope per distinct grid sigma: a point that rounds to the one before it is skipped
+    assert len(calls) == len(set(calls)) == len(set(grid.tolist()))
 
 
 def test_walk_stops_at_the_first_rise_on_the_sweep_bracket(monkeypatch):
