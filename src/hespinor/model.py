@@ -52,12 +52,12 @@ def exponents(j1: float, j2: float, alpha: float) -> tuple:
     # below 2**-511 alpha^2 is subnormal, and delta_e = (E - 1 - sigma) / alpha^2 loses digits
     if not 2.0**-511 <= alpha < math.inf:
         raise ParameterError(f"alpha = {alpha!r}: need a finite alpha >= 2**-511")
+    # an int 4: an int alpha past the float range then gives an exact int, not OverflowError
     four_a2 = 4 * alpha * alpha  # not alpha**2: a float's ** raises OverflowError where * gives inf
-    out = []
     for name, j in (("j1", j1), ("j2", j2)):
         if not four_a2 < j * j <= J_MAX * J_MAX:
             raise ParameterError(f"{name} = {j!r}: need {name}^2 > 4 alpha^2 for real "
                                  f"exponents and |{name}| <= 2**254")
-        # not -1/2 + sqrt(...): near j = 1/2 that cancels, while (j - 1/2)(j + 1/2) is exact
-        out.append(((j - 0.5) * (j + 0.5) - four_a2) / (0.5 + math.sqrt(j * j - four_a2)))
-    return tuple(out)
+    # not -1/2 + sqrt(...): near j = 1/2 that cancels, while (j - 1/2)(j + 1/2) is exact
+    return (((j1 - 0.5) * (j1 + 0.5) - four_a2) / (0.5 + math.sqrt(j1 * j1 - four_a2)),
+            ((j2 - 0.5) * (j2 + 0.5) - four_a2) / (0.5 + math.sqrt(j2 * j2 - four_a2)))

@@ -32,7 +32,7 @@ def check_parameters(alpha: float, j1: float, j2: float, sigmas, tol: float | No
     if not len(sigmas):
         raise ParameterError("sigmas is empty: need at least one sigma")
     for sigma in sigmas:
-        if not SIGMA_MIN <= sigma <= 1:
+        if not SIGMA_MIN <= sigma <= 1.0:
             raise ParameterError(f"sigma = {sigma!r}: need 2**-516 <= sigma <= 1")
     if tol is not None and not tol >= (floor := math.ulp(max(sigmas))):
         raise ParameterError(f"tol = {tol!r}: need tol >= {floor:.3g}, one ulp of sigma")
@@ -49,7 +49,7 @@ def _b_squared_proven(s1: float, s2: float) -> bool:
     sigma >= 1/2.  Halved, the smaller bound holds for B as rounded too (a few products,
     each within a factor 1 - eps), so B^2 > 0 wherever the bound's square does not underflow.
     """
-    bound = min(s1 * (s1 + 0.5) / 4, s2 * (s2 + 1.5) / 2) / 2
+    bound = min(s1 * (s1 + 0.5) / 4.0, s2 * (s2 + 1.5) / 2.0) / 2.0
     return s1 > 0 and s2 > 0 and bound * bound > 0
 
 
@@ -179,8 +179,8 @@ def minimize_delta_e(bracket, tol: float = 1e-6, alpha: float = FINE_STRUCTURE_A
     if sigma0 == lo or sigma0 == hi:  # a tol this wide lets brentq stop at an end of the bracket
         raise ParameterError(f"tol = {tol!r}: the solve stopped at the bracket end "
                              f"sigma = {sigma0!r}; need a smaller tol")
-    return MinimizeResult(point=equilibrium_point(sigma0, alpha=alpha, j1=j1, j2=j2),
-                          iterations=iterations)
+    return tuple.__new__(MinimizeResult,
+                         (equilibrium_point(sigma0, alpha=alpha, j1=j1, j2=j2), iterations))
 
 
 def ion_limit_report(sigmas, alpha: float = FINE_STRUCTURE_ALPHA,

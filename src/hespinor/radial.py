@@ -236,18 +236,19 @@ def fundamental_relation(cf, rho: float, variant: str = "default") -> tuple:
     s, a = cf.sigma, cf.alpha
     h = s * cf.s2 / cf.s1
     g1, g2 = cf.s1 + 0.5, cf.s2 + 0.5
-    tail = 4 * s**2 * h * (1 + g2)
+    s_sq, w, rest = s**2, (1.0 - s) ** 2, 1.0 + s
+    tail = 4.0 * s_sq * h * (1.0 + g2)
     if variant == "default":
-        den = (1 - s) ** 2 * g1 + tail
+        den = w * g1 + tail
     elif variant == "alt-weight":
-        den = (1 - s**2) * g1 + tail
+        den = (1.0 - s_sq) * g1 + tail
     elif variant == "alt-shift":
-        den = (1 - s) ** 2 * (1 + g1) + tail
+        den = w * (1.0 + g1) + tail
     else:
         raise ValueError(f"unknown denominator variant {variant!r}")
     if den == 0:
         raise ZeroDivisionError("fundamental relation denominator vanished")
-    return 1 + s, (1 + s) * a / rho, (1 - s) ** 2 + 4 * s**2 * h**2, a * (1 + s), den
+    return rest, rest * a / rho, w + 4.0 * s_sq * h**2, a * rest, den
 
 
 def fundamental_residual(relation: tuple, shift: float) -> float:
@@ -263,6 +264,6 @@ def fundamental_residual(relation: tuple, shift: float) -> float:
     gamma1 = rest + shift
     gamma2 = rest - shift
     disc = gamma1 * gamma2
-    if disc < 0:
+    if disc < 0.0:
         raise NoRealDecayError(f"gamma1*gamma2 = {disc:.3e} is negative")
     return math.sqrt(disc / weight) - coupling * (gamma1 - gamma2) / den

@@ -63,7 +63,9 @@ def c_params(sigma, s1: float, s2: float, alpha: float) -> ClosedFormParams:
     silently; ``optimize`` checks B^2 here where it cannot prove it > 0.
     ``tuple.__new__`` builds the record without the namedtuple's ``__new__`` frame.
     """
-    w = (1 - sigma) * (1 - sigma)
+    # int literals: on CPython 3.11, int + complex (the slope's sigma) beats float + complex
+    one_minus = 1 - sigma
+    w = one_minus * one_minus
     cube = sigma * sigma * sigma
     b = w * (s1 + 0.5) * s1 + 4 * cube * (s2 + 1.5) * s2
     bb = b * b
@@ -73,7 +75,8 @@ def c_params(sigma, s1: float, s2: float, alpha: float) -> ClosedFormParams:
         zero = not bb.all()
     if zero:
         raise ZeroDivisionError("B^2 of the shape bracket is 0; C2 is undefined")
-    d = 4 * alpha**2 * (1 + sigma) * (1 + sigma) * (w * s1**2 + 4 * cube * sigma * s2**2)
+    one_plus = 1 + sigma
+    d = 4 * alpha**2 * one_plus * one_plus * (w * s1**2 + 4 * cube * sigma * s2**2)
     c2sq_minus_1 = d / bb
     return tuple.__new__(ClosedFormParams, (sigma, alpha, s1, s2, b, (bb + d) ** 0.5,
                                             (1 + c2sq_minus_1) ** 0.5, c2sq_minus_1))
@@ -93,8 +96,9 @@ def delta_e(cf: ClosedFormParams):
     of the naive difference near sigma = 0.  alpha must be nonzero.
     """
     s, c2 = cf.sigma, cf.c2
-    return (2 * s * (1 + s) * (1 + s) / cf.c1
-            - (1 + s) * cf.c2sq_minus_1 / ((1 + c2) * c2 * cf.alpha**2))
+    one_plus = 1 + s  # an int literal, as in c_params: sigma is complex on the slope
+    return (2 * s * one_plus * one_plus / cf.c1
+            - one_plus * cf.c2sq_minus_1 / ((1 + c2) * c2 * cf.alpha**2))
 
 
 def radii_bohr(cf: ClosedFormParams) -> tuple:
@@ -103,7 +107,8 @@ def radii_bohr(cf: ClosedFormParams) -> tuple:
     r10 stays finite at sigma = 0, where the partner electron recedes to
     infinity: r20 is inf there, for a float sigma as for an array (numpy warns).
     """
-    r10 = cf.c1 / (2 * (1 + cf.sigma) * (1 + cf.sigma))
+    one_plus = 1.0 + cf.sigma
+    r10 = cf.c1 / (2.0 * one_plus * one_plus)
     try:
         r20 = r10 / cf.sigma
     except ZeroDivisionError:  # a float sigma = 0
@@ -121,7 +126,8 @@ def rho0_natural(cf: ClosedFormParams):
 def energy_closed_form(cf: ClosedFormParams):
     """Total energy 2 sigma a^2 (1+sigma)^2 / C1 + (1+sigma) / C2, in units of m c^2."""
     s = cf.sigma
-    return 2 * s * cf.alpha**2 * (1 + s) * (1 + s) / cf.c1 + (1 + s) / cf.c2
+    one_plus = 1.0 + s
+    return 2.0 * s * cf.alpha**2 * one_plus * one_plus / cf.c1 + one_plus / cf.c2
 
 
 def equilibrium_point(sigma, alpha: float = FINE_STRUCTURE_ALPHA,
@@ -129,7 +135,8 @@ def equilibrium_point(sigma, alpha: float = FINE_STRUCTURE_ALPHA,
     """Excess energy and geometry at a float sigma, or at every sigma of an array."""
     cf = closed_form(sigma, alpha=alpha, j1=j1, j2=j2)
     r10, r20 = radii_bohr(cf)
-    return EquilibriumPoint(sigma, delta_e(cf), r10 + r20, r10, r20, energy_closed_form(cf))
+    return tuple.__new__(EquilibriumPoint,
+                         (sigma, delta_e(cf), r10 + r20, r10, r20, energy_closed_form(cf)))
 
 
 class NoRootInBracketError(ValueError):
@@ -145,7 +152,8 @@ def brentq(f, a: float, b: float, xtol: float, fa: float | None = None,
     interpolates (secant or inverse quadratic) and bisects instead whenever
     the interpolated step would not shrink the bracket fast enough.  The
     root x0 obeys |x0 - x*| <= xtol + rtol |x0|, with rtol fixed at scipy's
-    default 4 eps.  The ends are turned into Python floats first, as scipy's
+    default 4 eps.  Its float constants 2.0 and 3.0 are the doubles of
+    ``brentq.c``.  The ends are turned into Python floats first, as scipy's
     wrapper does, so f sees the same x.  The loop calls f once per point,
     with no wrapper around it, and tests each value for NaN in line.  ``fa``
     and ``fb``, where given, are f(a) and f(b) already known to the caller:
@@ -179,8 +187,8 @@ def brentq(f, a: float, b: float, xtol: float, fa: float | None = None,
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
+        delta = (xtol + _RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
         if fcur == 0 or abs(sbis) < delta:
             return xcur, iterations
         if abs(spre) > delta and abs(fcur) < abs(fpre):
@@ -193,8 +201,8 @@ def brentq(f, a: float, b: float, xtol: float, fa: float | None = None,
                 # a zero divisor gives inf or nan in C, which fails the test below: bisect
                 stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
             # good short step, 2|stry| < min(|spre|, 3|sbis| - delta): neither bound is NaN here
-            step = 2 * abs(stry)
-            if step < abs(spre) and step < 3 * abs(sbis) - delta:
+            step = 2.0 * abs(stry)
+            if step < abs(spre) and step < 3.0 * abs(sbis) - delta:
                 spre, scur = scur, stry
             else:
                 spre = scur = sbis

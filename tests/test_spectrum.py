@@ -93,6 +93,39 @@ def test_exponents_finite_at_the_domain_edges():
         assert all(map(math.isfinite, model.exponents(j1, j2, alpha)))
 
 
+def _exponent_transcription(j, alpha):
+    """s = ((j - 1/2)(j + 1/2) - 4 a^2) / (1/2 + sqrt(j^2 - 4 a^2)), with an int 4."""
+    four_a2 = 4 * alpha * alpha
+    return ((j - 0.5) * (j + 0.5) - four_a2) / (0.5 + math.sqrt(j * j - four_a2))
+
+
+@pytest.mark.parametrize("alpha", [2.0**-511, ALPHA, 0.05, 0.1, 0.2, 2.0**252])
+def test_exponents_are_bit_for_bit_their_transcription(alpha):
+    # j = 1/2 + 10^-k approaches the cancelling edge; 2 alpha and the floats above it, J_MAX
+    # and the float above it bound the domain, which the transcription's test decides
+    js = ([0.5] + [0.5 + 10.0**-k for k in range(1, 17)] + [0.626, 1.0, 1.5, 2.0, J_MAX,
+          math.nextafter(J_MAX, math.inf), 2 * alpha, math.nextafter(2 * alpha, math.inf),
+          math.nextafter(math.nextafter(2 * alpha, math.inf), math.inf)])
+    js += [-j for j in js]
+    inside = 0
+    for j1 in js:
+        for j2 in js:
+            if all(4 * alpha * alpha < j * j <= J_MAX * J_MAX for j in (j1, j2)):
+                got = model.exponents(j1, j2, alpha)
+                want = (_exponent_transcription(j1, alpha), _exponent_transcription(j2, alpha))
+                assert [s.hex() for s in got] == [s.hex() for s in want], (j1, j2)
+                inside += 1
+            else:
+                with pytest.raises(ParameterError):
+                    model.exponents(j1, j2, alpha)
+    assert inside > 0
+
+
+def test_exponents_of_an_int_alpha_past_the_float_range_name_j1():
+    with pytest.raises(ParameterError, match="^j1 = 1.0: need j1"):
+        model.exponents(1.0, 1.0, 10**400)
+
+
 def test_rho0_frozen_value_and_radii_split():
     cf = spectrum.closed_form(0.1775)
     rho0 = spectrum.equilibrium_point(0.1775).rho0
@@ -331,6 +364,29 @@ def test_closed_form_is_bit_for_bit_its_transcription(alpha, j1, j2, kind):
         got = (cf.bracket, cf.c1, cf.c2, cf.c2sq_minus_1, spectrum.delta_e(cf))
         want = _closed_form_transcription(sigma, s1, s2, alpha)
         assert list(map(_bits, got)) == list(map(_bits, want)), sigma
+
+
+def _geometry_transcription(sigma, alpha, c1, c2):
+    """(r10, r20, energy), the closed form's expressions written out here term by
+    term, each (1 + sigma) where it is used."""
+    r10 = c1 / (2 * (1 + sigma) * (1 + sigma))
+    energy = 2 * sigma * alpha**2 * (1 + sigma) * (1 + sigma) / c1 + (1 + sigma) / c2
+    return r10, r10 / sigma, energy
+
+
+@pytest.mark.parametrize("kind", ["float", "float64 array", "mpmath"])
+@pytest.mark.parametrize("alpha, j1, j2", [(ALPHA, 1.0, 1.0), (0.05, 1.5, 2.0), (0.1, 2.0, 1.0)])
+def test_geometry_and_equilibrium_point_are_bit_for_bit_their_transcription(alpha, j1, j2, kind):
+    s1, s2 = model.exponents(j1, j2, alpha)
+    for sigma in _sigmas(kind):
+        cf = spectrum.c_params(sigma, s1, s2, alpha)
+        _, c1, c2, _, excess = _closed_form_transcription(sigma, s1, s2, alpha)
+        r10, r20, energy = _geometry_transcription(sigma, alpha, c1, c2)
+        got = (*spectrum.radii_bohr(cf), spectrum.energy_closed_form(cf))
+        assert list(map(_bits, got)) == list(map(_bits, (r10, r20, energy))), sigma
+        point = spectrum.equilibrium_point(sigma, alpha, j1, j2)
+        want = (sigma, excess, r10 + r20, r10, r20, energy)
+        assert list(map(_bits, point)) == list(map(_bits, want)), sigma
 
 
 def _recorded(f, calls):
