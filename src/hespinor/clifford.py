@@ -1,7 +1,8 @@
 """Gamma-matrix tables and the electron spin projections built from them.
 
 The model is built on five mutually anticommuting, unitary 4x4 matrices
-indexed 0, 1, 2, 3, 5.  They satisfy the all-plus relation
+indexed 0, 1, 2, 3, 5, built from the Pauli matrices in the Dirac block
+convention.  They satisfy the all-plus relation
 
     GAMMA[mu] GAMMA[nu] + GAMMA[nu] GAMMA[mu] = 2 delta_{mu,nu} I
 
@@ -17,55 +18,12 @@ import numpy as np
 
 GAMMA_INDICES = (0, 1, 2, 3, 5)
 
-# Block convention: GAMMA[0] = diag(I2, -I2); GAMMA[k] for k = 1, 2, 3 has
-# upper-right block +i*sigma_k and lower-left block -i*sigma_k with the
-# standard Pauli matrices; GAMMA[5] has identity off-diagonal blocks.
+# Dirac block convention: g0 = diag(I2, -I2), off-diagonal blocks +-i sigma_k for gk, I2 for g5
+pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 GAMMA = {
-    0: np.array(
-        [
-            [1, 0, 0, 0],
-            [0, 1, 0, 0],
-            [0, 0, -1, 0],
-            [0, 0, 0, -1],
-        ],
-        dtype=complex,
-    ),
-    1: np.array(
-        [
-            [0, 0, 0, 1j],
-            [0, 0, 1j, 0],
-            [0, -1j, 0, 0],
-            [-1j, 0, 0, 0],
-        ],
-        dtype=complex,
-    ),
-    2: np.array(
-        [
-            [0, 0, 0, 1],
-            [0, 0, -1, 0],
-            [0, -1, 0, 0],
-            [1, 0, 0, 0],
-        ],
-        dtype=complex,
-    ),
-    3: np.array(
-        [
-            [0, 0, 1j, 0],
-            [0, 0, 0, -1j],
-            [-1j, 0, 0, 0],
-            [0, 1j, 0, 0],
-        ],
-        dtype=complex,
-    ),
-    5: np.array(
-        [
-            [0, 0, 1, 0],
-            [0, 0, 0, 1],
-            [1, 0, 0, 0],
-            [0, 1, 0, 0],
-        ],
-        dtype=complex,
-    ),
+    0: np.kron(pauli[2], np.eye(2)),
+    **{k: np.kron([[0, 1], [-1, 0]], 1j * pauli[k - 1]) for k in (1, 2, 3)},
+    5: np.kron(pauli[0], np.eye(2)),
 }
 
 # Spin projections entering M = Jz + (alpha_1z + alpha_2z)/2, as explicit
@@ -82,4 +40,4 @@ SPIN_SHIFT = (ALPHA_Z[1] + ALPHA_Z[2]) / 2
 
 for table in (*GAMMA.values(), *ALPHA_Z.values(), SPIN_SHIFT):
     table.flags.writeable = False
-del table
+del pauli, table

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hespinor import clifford, verify
+from hespinor import clifford, operators, verify
 from hespinor.model import ModelParams, ParameterError
 from hespinor.operators import (
     CANONICAL_ASSIGNMENT,
@@ -208,6 +208,21 @@ def test_assignment_scan_identifies_commuting_variants():
     assert residuals[E2_EXCHANGED_ASSIGNMENT] > 0
     assert sum(r == 0.0 for _, r in scan) == 16
     assert [r for _, r in scan] == sorted(residuals.values())
+
+
+def test_reversed_alpha2_product_swaps_the_canonical_and_exchanged_classes(monkeypatch):
+    # alpha_2z = -i g2 g1: the reversed product -i g1 g2 flips its sign, and the shift it
+    # gives is the one the exchanged assignment conserves, so the two trade places
+    residuals = dict(scan_derivative_assignments())
+    assert (residuals[CANONICAL_ASSIGNMENT], residuals[E2_EXCHANGED_ASSIGNMENT]) == (0.0, 2.0)
+    g = clifford.GAMMA
+    shift = (clifford.ALPHA_Z[1] - 1j * g[1] @ g[2]) / 2
+    assert np.array_equal(shift, np.diag([0, 0, 1, -1]))
+    monkeypatch.setattr(operators, "SPIN_SHIFT", shift)
+    scan = scan_derivative_assignments()
+    residuals = dict(scan)
+    assert (residuals[CANONICAL_ASSIGNMENT], residuals[E2_EXCHANGED_ASSIGNMENT]) == (2.0, 0.0)
+    assert sum(r == 0.0 for _, r in scan) == 16
 
 
 def _scalar_assignment_scan():

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from hespinor import angular, cli, optimize, radial, spectrum, verify
+from hespinor import angular, cli, clifford, optimize, radial, spectrum, verify
 from hespinor.model import ModelParams
 from hespinor.operators import (
     CANONICAL_ASSIGNMENT,
@@ -182,9 +182,25 @@ def _nan_kernel_angles(monkeypatch):
     monkeypatch.setattr(radial, "indicial_kernel_angles", lambda *a: np.full(2, np.nan))
 
 
-# an upper bound failing the command: test_cli's gamma sign flip, and the
-# comparisons of the commutator, expansion and separation rows below; every FAIL
-# line is listed
+def _scale_gamma1(monkeypatch):
+    # one table off by a relative 2^-44: above every 1e-14 bound, invisible in printed digits
+    monkeypatch.setitem(clifford.GAMMA, 1, clifford.GAMMA[1] * (1 + 2**-44))
+
+
+def _exchanged_spin_shift(monkeypatch):
+    monkeypatch.setattr(verify, "SPIN_SHIFT", np.diag([0, 0, 1, -1]).astype(complex))
+
+
+def _no_root(monkeypatch):
+    # no sign change on the consistency bracket: every root reading raises
+    # NoRootInBracketError, which the default reading reports as inf and the
+    # two rejected readings pass with
+    monkeypatch.setattr(radial, "fundamental_residual", lambda relation, shift: 1.0)
+
+
+# an upper bound failing the command: test_cli's gamma sign flip, the table and
+# root faults above, and the comparisons of the commutator, expansion and
+# separation rows; every FAIL line is listed
 @pytest.mark.parametrize("fault, failed", [
     (_accept_alt_weight, ["[FAIL] alt-weight denominator rejected: value 0.000e+00 > 1e-06"]),
     (_sigma0_at_lower_edge, ["[FAIL] ground-state sigma0 in [0.1765, 0.1785]: "
@@ -200,8 +216,16 @@ def _nan_kernel_angles(monkeypatch):
     (_bias_covariant_row, ["[FAIL] covariant contraction equals g0(H-E): value 1.000e-06"]),
     (_perturb_one_angle, ["[FAIL] angular cancellation spread / field scale: "]),
     (_bias_every_angle, ["[FAIL] radial rows equal angle-frozen evaluation: value 1.000e-06"]),
+    (_scale_gamma1, ["[FAIL] clifford anticommutation, 15 pairs: value 2.274e-13 <= 1e-14 "
+                     "-- worst pair (1,1)",
+                     "[FAIL] gamma unitarity: value 1.137e-13",
+                     "[FAIL] gamma5 product phase: ",
+                     "[FAIL] alpha_z product identities: ",
+                     "[FAIL] canonical assignment in the exact commuting set: "]),
+    (_exchanged_spin_shift, ["[FAIL] spin shift diag(-1,1,0,0): value 1.000e+00"]),
+    (_no_root, ["[FAIL] consistency root vs closed form: value inf <= 1e-06"]),
 ], ids=["lower", "window", "none", "canonical-commutator", "covariant-row", "one-angle",
-        "every-angle"])
+        "every-angle", "gamma1-scale", "spin-shift", "no-root"])
 def test_each_bound_form_fails_the_command(monkeypatch, capsys, fault, failed):
     fault(monkeypatch)
     assert cli.main(["verify"]) == 1
