@@ -23,7 +23,6 @@ m c^2, decay rates and inverse radii in units of m c / hbar.
 """
 
 import math
-from collections import namedtuple
 
 import numpy as np
 
@@ -72,49 +71,18 @@ def indicial_matrix(which: int, j: float, s: float, alpha: float) -> np.ndarray:
     raise ValueError(f"which must be 1 or 2, got {which!r}")
 
 
-class IndicialKernel(namedtuple("IndicialKernel", "ratio ratio_alt second_ratio")):
-    """Coefficient ratios spanning the kernel of one indicial system.
-
-    For which=1 the blocks pair (a100, a300) and (a200, a400); for which=2
-    they pair (a100, a400) and (a200, a300).  ``ratio`` and ``ratio_alt``
-    are the two equivalent closed forms of the first block's ratio, equal
-    exactly when the determinant vanishes.
-    """
-
-    __slots__ = ()
-
-
-def indicial_kernel(which: int, j: float, alpha: float) -> IndicialKernel:
-    """Kernel ratios at the vanishing-determinant exponent."""
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which!r}")
-    s, _ = exponents(j, j, alpha)
-    v = j + s + 0.5
-    u = j - s - 0.5
-    ratio = v / (2 * alpha)          # a300/a100 (which=1) or a400/a100 (which=2)
-    ratio_alt = 2 * alpha / u        # same number via the complementary row
-    if which == 1:
-        second = u / (2 * alpha)     # a400/a200
-    else:
-        second = -u / (2 * alpha)    # a300/a200
-    return IndicialKernel(ratio=ratio, ratio_alt=ratio_alt, second_ratio=second)
-
-
 def indicial_kernel_angles(j1: float, j2: float, alpha: float) -> np.ndarray:
     """Principal angles (radians) between the two 2-D indicial kernels.
 
+    Each kernel is read from its ``indicial_matrix`` at the exponent from
+    ``exponents``: the last two right singular vectors, orthonormal rows.
     The two systems constrain the same leading coefficients; a nonzero
     angle measures how far they are from being jointly solvable (they are
     not, in general: the joint kernel is trivial).
     """
-    k1 = indicial_kernel(1, j1, alpha)
-    k2 = indicial_kernel(2, j2, alpha)
-    basis1 = np.array([[1.0, 0.0, k1.ratio, 0.0], [0.0, 1.0, 0.0, k1.second_ratio]]).T
-    basis2 = np.array([[1.0, 0.0, 0.0, k2.ratio], [0.0, 1.0, k2.second_ratio, 0.0]]).T
-    q1, _ = np.linalg.qr(basis1)
-    q2, _ = np.linalg.qr(basis2)
-    svals = np.clip(np.linalg.svd(q1.T @ q2, compute_uv=False), -1.0, 1.0)
-    return np.arccos(svals)
+    k1, k2 = (np.linalg.svd(indicial_matrix(which, j, s, alpha))[2][2:]
+              for which, j, s in zip((1, 2), (j1, j2), exponents(j1, j2, alpha)))
+    return np.arccos(np.clip(np.linalg.svd(k1 @ k2.T, compute_uv=False), -1.0, 1.0))
 
 
 def first_order_brackets(params: ModelParams) -> tuple:
@@ -174,7 +142,7 @@ def beta1_from_determinant(gamma1, gamma2, sigma, beta2):
     """
     if np.any(sigma >= 1):
         raise ZeroDivisionError("sigma = 1 removes beta1 from the determinant condition")
-    disc = gamma1 * gamma2 - 4 * sigma**2 * beta2**2
+    disc = spectral_quadratic(gamma1, gamma2, sigma, 0.0, beta2)
     if np.any(disc < 0):
         raise NoRealDecayError(f"discriminant {np.min(disc):.3e} is negative")
     return np.sqrt(disc) / (1 - sigma)

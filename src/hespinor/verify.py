@@ -254,16 +254,18 @@ def radial_checks() -> list:
     worst_at = 0.0
     worst_off = math.inf
     for which, j, s_star in zip((1, 2), (1.0, 1.0), exponents(1.0, 1.0, alpha)):
-        worst_at = max(worst_at, abs(np.linalg.det(radial.indicial_matrix(which, j, s_star, alpha))))
+        m = radial.indicial_matrix(which, j, s_star, alpha)
+        if which == 1:  # a300/a100 from the third row (v/2 alpha) and from the first (2 alpha/u)
+            ratio, ratio_alt = -m[2, 0] / m[2, 2], -m[0, 0] / m[0, 2]
+        worst_at = max(worst_at, abs(np.linalg.det(m)))
         for ds in (0.01, -0.01):
             worst_off = min(worst_off, abs(np.linalg.det(
                 radial.indicial_matrix(which, j, s_star + ds, alpha))))
     results.append(CheckResult("indicial determinants vanish at s*", worst_at, hi=1e-12))
     results.append(CheckResult("indicial determinants nonzero at s* +- 0.01", worst_off, lo=1e-5))
 
-    k1 = radial.indicial_kernel(1, 1.0, alpha)
     results.append(CheckResult("indicial kernel two-form agreement",
-                               abs(k1.ratio - k1.ratio_alt) / abs(k1.ratio), hi=1e-10))
+                               abs(ratio - ratio_alt) / abs(ratio), hi=1e-10))
     angles = np.degrees(radial.indicial_kernel_angles(1.0, 1.0, alpha))
     results.append(CheckResult(
         "indicial kernel compatibility angles (deg)", float(angles.max()),

@@ -1,8 +1,8 @@
-"""The records of the model, spectrum, optimize, radial, operators, angular and verify layers."""
+"""The records of the model, spectrum, optimize, operators, angular and verify layers."""
 
 import pytest
 
-from hespinor import angular, model, operators, optimize, radial, spectrum, verify
+from hespinor import angular, model, operators, optimize, spectrum, verify
 from hespinor.model import ModelParams, ParameterError
 
 
@@ -20,7 +20,6 @@ def test_replace_and_make_validate_model_params():
     spectrum.closed_form(0.3),
     spectrum.equilibrium_point(0.3),
     optimize.minimize_delta_e((0.05, 0.5)),
-    radial.indicial_kernel(1, 1.0, model.FINE_STRUCTURE_ALPHA),
     operators.ConfigPoint(1.1, 0.4, -0.8, 0.9),
     operators.SpinorField.plane_wave((0.6, -0.4, 0.3, 0.8), (1, 1, 1, 1)),
     angular.PhaseAssignment.canonical(1.0, 1.0),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -46,7 +47,7 @@ def test_exponents_boundary_error():
         radial.exponents(1.0, 1.0, 0.5)  # 4 alpha^2 = 1 = j^2
     # the library paths that take j and alpha as plain arguments raise the same type
     with pytest.raises(ParameterError, match="j1"):
-        radial.indicial_kernel(1, 1.0, 0.5)
+        radial.indicial_kernel_angles(1.0, 1.0, 0.5)
     with pytest.raises(ParameterError, match="j1"):
         spectrum.ion_limit(0.5, 1.0)
 
@@ -83,11 +84,22 @@ def test_indicial_matrix_which_validation():
         radial.indicial_matrix(3, 1.0, 0.5, ALPHA)
 
 
+def kernel_uv(j, alpha):
+    """u, v = j -+ (s* + 1/2) at the exponent s*, the entries of the closed-form kernel ratios.
+
+    For which=1, v/2a and 2a/u are a300/a100 from the third and first rows
+    and u/2a is a400/a200; for which=2, v/2a is a400/a100 and -u/2a is a300/a200.
+    """
+    s, _ = radial.exponents(j, j, alpha)
+    return j - s - 0.5, j + s + 0.5
+
+
 def test_indicial_kernel_two_equivalent_forms():
-    k = radial.indicial_kernel(1, 1.0, ALPHA)
-    assert k.ratio == pytest.approx(k.ratio_alt, rel=1e-10)
-    assert k.ratio == pytest.approx(137.03, rel=1e-4)
-    kernel_vec = np.array([1.0, 0.0, k.ratio, 0.0])
+    u, v = kernel_uv(1.0, ALPHA)
+    ratio, ratio_alt = v / (2 * ALPHA), 2 * ALPHA / u
+    assert ratio == pytest.approx(ratio_alt, rel=1e-10)
+    assert ratio == pytest.approx(137.03, rel=1e-4)
+    kernel_vec = np.array([1.0, 0.0, ratio, 0.0])
     s_star = -0.5 + math.sqrt(1 - 4 * ALPHA * ALPHA)
     assert np.abs(radial.indicial_matrix(1, 1.0, s_star, ALPHA) @ kernel_vec).max() < 1e-10
 
@@ -95,15 +107,15 @@ def test_indicial_kernel_two_equivalent_forms():
 @pytest.mark.parametrize("alpha", [-0.1, 0.0, math.nan, math.inf, 1e-200,
                                    math.nextafter(2.0**-511, 0)])
 def test_indicial_kernel_checks_alpha(alpha):
-    # the kernel ratios divide by 2 alpha; exponents rejects an alpha outside [2**-511, inf) first
+    # the kernels are read at the exponents; exponents rejects an alpha outside [2**-511, inf)
     with pytest.raises(ParameterError, match="^alpha"):
-        radial.indicial_kernel(1, 1.0, alpha)
+        radial.indicial_kernel_angles(1.0, 1.0, alpha)
 
 
 def test_indicial_kernel_electron2_pairing():
-    k = radial.indicial_kernel(2, 1.0, ALPHA)
+    u, v = kernel_uv(1.0, ALPHA)
     s_star = -0.5 + math.sqrt(1 - 4 * ALPHA * ALPHA)
-    vec = np.array([1.0, 1.0, k.second_ratio, k.ratio])  # (a100, a200, a300, a400)
+    vec = np.array([1.0, 1.0, -u / (2 * ALPHA), v / (2 * ALPHA)])  # (a100, a200, a300, a400)
     assert np.abs(radial.indicial_matrix(2, 1.0, s_star, ALPHA) @ vec).max() < 1e-9
 
 
@@ -113,6 +125,46 @@ def test_indicial_kernel_angles():
     # one near-shared direction, one near-orthogonal pair: joint kernel trivial
     assert angles.min() < 0.1
     assert angles.max() > 89.0
+
+
+def ratio_kernel_angles(j1, j2, alpha):
+    """Principal angles between the kernels spanned by the closed-form ratios v/2a and
+    +-u/2a: a QR basis of each, then the singular values of their product."""
+    (u1, v1), (u2, v2) = kernel_uv(j1, alpha), kernel_uv(j2, alpha)
+    c = 2 * alpha
+    q1, _ = np.linalg.qr(np.array([[1.0, 0.0, v1 / c, 0.0], [0.0, 1.0, 0.0, u1 / c]]).T)
+    q2, _ = np.linalg.qr(np.array([[1.0, 0.0, 0.0, v2 / c], [0.0, 1.0, -u2 / c, 0.0]]).T)
+    return np.arccos(np.clip(np.linalg.svd(q1.T @ q2, compute_uv=False), -1.0, 1.0))
+
+
+def test_indicial_kernel_angles_equal_the_ratio_bases():
+    # the worst gap, about 3e-8 rad at (3, 0.51, 1e-8), is a smaller angle near
+    # arccos's rounding floor on both routes
+    for j1, j2, alpha in itertools.product((0.51, 0.55, 0.6, 1.0, 1.5, 2.0, 3.0, 10.0),
+                                           (0.51, 1.0, 2.0, 5.0),
+                                           (2.0**-500, 1e-8, 1e-4, ALPHA, 0.02, 0.05, 0.1, 0.2)):
+        if min(j1, j2) ** 2 > 4 * alpha**2:
+            angles = radial.indicial_kernel_angles(j1, j2, alpha)
+            assert angles[0] <= angles[1]
+            gap = np.abs(angles - ratio_kernel_angles(j1, j2, alpha)).max()
+            assert gap <= 1e-7, (j1, j2, alpha)
+
+
+def test_indicial_determinants_and_kernel_rank_exact():
+    # the indicial systems on symbols: det I1 = q^2 and det I2 = 16 q^2 with
+    # q = (s + 1/2)^2 - j^2 + 4 alpha^2, and rank 2 at s* = -1/2 + sqrt(j^2 - 4 alpha^2)
+    sp = pytest.importorskip("sympy")
+    j, s, a = sp.symbols("j s alpha", positive=True)
+    q = (s + sp.Rational(1, 2)) ** 2 - j**2 + 4 * a**2
+    s_star = -sp.Rational(1, 2) + sp.sqrt(j**2 - 4 * a**2)
+    for which, scale in ((1, 1), (2, 16)):
+        mat = sp.Matrix(radial.indicial_matrix(which, j, s, a)).applyfunc(sp.nsimplify)
+        assert sp.expand(mat.det() - scale * q**2) == 0
+        at = mat.subs(s, s_star)
+        assert all(sp.expand(at.extract(rows, cols).det()) == 0
+                   for rows in itertools.combinations(range(4), 3)
+                   for cols in itertools.combinations(range(4), 3))
+        assert sp.expand(at.extract([0, 1], [0, 1]).det()) != 0
 
 
 def test_gamma_rho_sum_invariant():

@@ -178,6 +178,14 @@ def _sigma0_at_lower_edge(monkeypatch):
         point=spectrum.equilibrium_point(0.1765)))
 
 
+def _offset_exponents(monkeypatch):
+    # both indicial checks read s* from verify's exponents: off s* the determinant
+    # no longer vanishes, and the two rows' ratios a300/a100 part
+    exponents = verify.exponents
+    monkeypatch.setattr(verify, "exponents",
+                        lambda *args: tuple(s + 1e-6 for s in exponents(*args)))
+
+
 def _nan_kernel_angles(monkeypatch):
     monkeypatch.setattr(radial, "indicial_kernel_angles", lambda *a: np.full(2, np.nan))
 
@@ -198,15 +206,17 @@ def _no_root(monkeypatch):
     monkeypatch.setattr(radial, "fundamental_residual", lambda relation, shift: 1.0)
 
 
-# an upper bound failing the command: test_cli's gamma sign flip, the table and
-# root faults above, and the comparisons of the commutator, expansion and
-# separation rows; every FAIL line is listed
+# an upper bound failing the command: test_cli's gamma sign flip, the table,
+# exponent and root faults above, and the comparisons of the commutator,
+# expansion and separation rows; every FAIL line is listed
 @pytest.mark.parametrize("fault, failed", [
     (_accept_alt_weight, ["[FAIL] alt-weight denominator rejected: value 0.000e+00 > 1e-06"]),
     (_sigma0_at_lower_edge, ["[FAIL] ground-state sigma0 in [0.1765, 0.1785]: "
                              "value 1.765e-01 in (0.1765, 0.1785]",
                              "[FAIL] equilibrium r20 = 0.732 +- 0.005: ",
                              "[FAIL] equilibrium rho0 = 0.862 +- 0.005: "]),
+    (_offset_exponents, ["[FAIL] indicial determinants vanish at s*: value 6.399e-11 <= 1e-12",
+                         "[FAIL] indicial kernel two-form agreement: value 9.477e-03 <= 1e-10"]),
     (_nan_kernel_angles, ["[FAIL] indicial kernel compatibility angles (deg): value nan"]),
     # the limit line fails because 1e3 x 1e-3 over [H,Jz] (0.98 on the fixed points) is
     # above 1; were [H,Jz] above 1 there, this entry would fail two lines
@@ -224,8 +234,8 @@ def _no_root(monkeypatch):
                      "[FAIL] canonical assignment in the exact commuting set: "]),
     (_exchanged_spin_shift, ["[FAIL] spin shift diag(-1,1,0,0): value 1.000e+00"]),
     (_no_root, ["[FAIL] consistency root vs closed form: value inf <= 1e-06"]),
-], ids=["lower", "window", "none", "canonical-commutator", "covariant-row", "one-angle",
-        "every-angle", "gamma1-scale", "spin-shift", "no-root"])
+], ids=["lower", "window", "exponents", "none", "canonical-commutator", "covariant-row",
+        "one-angle", "every-angle", "gamma1-scale", "spin-shift", "no-root"])
 def test_each_bound_form_fails_the_command(monkeypatch, capsys, fault, failed):
     fault(monkeypatch)
     assert cli.main(["verify"]) == 1
@@ -372,6 +382,16 @@ def test_batched_radial_draws_equal_per_draw_loops():
     assert checks["kernel vectors annihilated"] == reference["kernel"]
     assert checks["recurrence reduces to spectral matrix"] == reference["recurrence"]
     assert checks["kernel contraction equals dot product"] == reference["contraction"]
+
+
+def test_two_form_agreement_equals_the_closed_form_ratios():
+    # v/2a from the third row of the first indicial matrix and 2a/u from its first,
+    # with u, v = j -+ (s* + 1/2) at j = 1
+    alpha = verify.FINE_STRUCTURE_ALPHA
+    s, _ = verify.exponents(1.0, 1.0, alpha)
+    ratio, ratio_alt = (1.0 + s + 0.5) / (2 * alpha), 2 * alpha / (1.0 - s - 0.5)
+    checks = {r.name: r.value for r in verify.radial_checks()}
+    assert checks["indicial kernel two-form agreement"] == abs(ratio - ratio_alt) / abs(ratio)
 
 
 @pytest.mark.parametrize("n", [20, 50, 5], ids=["battery", "more-points", "few"])
