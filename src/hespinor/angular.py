@@ -12,9 +12,9 @@ from itertools import product
 
 import numpy as np
 
+from . import radial
 from .model import ModelParams
-from .operators import (ConfigPoint, SpinorField, component_system_residual, gradient,
-                        potential_radii)
+from .operators import ConfigPoint, SpinorField, component_system_residual, gradient
 
 
 class PhaseAssignment(namedtuple("PhaseAssignment", "pairs")):
@@ -131,7 +131,8 @@ def separation_residual(params: ModelParams, assignment: PhaseAssignment, profil
 
 
 def radial_system_residual(params: ModelParams, profiles, energy, rho0, point) -> np.ndarray:
-    """Four rows of the separated radial system, via analytic derivatives.
+    """Four rows of the separated radial system, via analytic derivatives: the
+    operator of ``radial.operator_rows`` on the profiles' values and partials.
 
     Agrees with every angle sample of ``separation_residual`` up to the
     O(step^2) finite-difference error of the latter.  ``point`` is (r1, r2):
@@ -140,23 +141,8 @@ def radial_system_residual(params: ModelParams, profiles, energy, rho0, point) -
     r1, r2 = point
     if np.any(r1 <= 0) or np.any(r2 <= 0):
         raise ValueError("radial evaluation needs r1 > 0 and r2 > 0")
-    s, j1, j2 = params.sigma, params.j1, params.j2
-    phi = potential_radii(params, r1, r2, rho0)
-    qp = (1 + s) + (phi - energy)
-    qm = (1 + s) - (phi - energy)
-    f = [prof.value(r1, r2) for prof in profiles]
-    d1 = [prof.d_r1(r1, r2) for prof in profiles]
-    d2 = [prof.d_r2(r1, r2) for prof in profiles]
-    w1, w2 = 1 - s, 2 * s
-    return np.stack(
-        [
-            qp * f[0] - w1 * (d1[2] - (j1 - 0.5) / r1 * f[2]) - w2 * (d2[3] - (j2 - 0.5) / r2 * f[3]),
-            qp * f[1] + w1 * (d1[3] + (j1 + 0.5) / r1 * f[3]) - w2 * (d2[2] + (j2 + 0.5) / r2 * f[2]),
-            qm * f[2] - w1 * (d1[0] + (j1 + 0.5) / r1 * f[0]) - w2 * (d2[1] - (j2 - 0.5) / r2 * f[1]),
-            qm * f[3] + w1 * (d1[1] - (j1 - 0.5) / r1 * f[1]) - w2 * (d2[0] + (j2 + 0.5) / r2 * f[0]),
-        ],
-        axis=-1,
-    )
+    f, d1, d2 = (np.stack([part(r1, r2) for part in parts], axis=-1) for parts in zip(*profiles))
+    return radial.operator_rows(params, energy, rho0, point, f, d1, d2)
 
 
 def find_cancelling_assignments(j1: float, j2: float) -> list:

@@ -37,38 +37,47 @@ class DegenerateKernelError(ZeroDivisionError):
     """gamma2 = 0 makes the closed-form kernel vectors singular."""
 
 
-def indicial_matrix(which: int, j: float, s: float, alpha: float) -> np.ndarray:
-    """Coefficient matrix of the 1/r_k conditions on (a100, a200, a300, a400).
+# The separated radial operator, stated once.  Electron k contributes
+#     w_k [P_k d/dr_k + (P_k / 2 + j_k Q_k - 2 alpha Z) / r_k],   w1 = 1 - sigma, w2 = 2 sigma,
+# to the rows on (f1, f2, f3, f4), and the energy adds diag(gamma2, gamma2, gamma1, gamma1).
+# Z = diag(1, 1, -1, -1).  P_k and Q_k are signed permutations on one pairing: row i of
+# either reads component _PAIRS[k, i], with the sign in _P_SIGNS[k, i] or _Q_SIGNS[k, i].
+# operator_rows, indicial_matrix and spectral_matrix read it; recurrence_R, kernel_vectors and
+# kernel_contraction stay derived by hand, the second routes of verify's identities.
+_ROWS = np.arange(4)
+_Z = np.array([1.0, 1.0, -1.0, -1.0])
+_PAIRS = np.array([[2, 3, 0, 1], [3, 2, 1, 0]])
+_P_SIGNS = np.array([[-1.0, 1.0, -1.0, 1.0], [-1.0, -1.0, -1.0, -1.0]])
+_Q_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
 
-    which=1 collects the 1/r1 terms (nuclear coupling 2*alpha); which=2
-    collects the 1/r2 terms, where the derivative terms enter with twice
-    the weight of the Coulomb term, giving entries 4*alpha against
-    2*(j -+ (s + 1/2)).  Both determinants vanish exactly at
-    s = -1/2 + sqrt(j^2 - 4 alpha^2).
+
+def operator_rows(params: ModelParams, energy, rho0, point, f, d1, d2) -> np.ndarray:
+    """The separated radial operator on component values ``f`` and their partials ``d1``,
+    ``d2`` along r1 and r2, each of shape S + (4,) at ``point`` = (r1, r2) of shape S."""
+    s, a = params.sigma, params.alpha
+    rows = ((1 + s) - np.multiply.outer(energy - (1 + s) * a / rho0, _Z)) * f
+    coulomb = (2 * a) * _Z * f
+    for k, (w, j, r, d) in enumerate(zip((1 - s, 2 * s), (params.j1, params.j2), point, (d1, d2))):
+        pair, p = _PAIRS[k], _P_SIGNS[k]
+        at_r = (p / 2 + j * _Q_SIGNS[k]) * f[..., pair] - coulomb
+        rows = rows + w * (p * d[..., pair] + at_r / np.expand_dims(r, -1))
+    return rows
+
+
+def indicial_matrix(which: int, j: float, s: float, alpha: float) -> np.ndarray:
+    """Coefficient matrix of the 1/r_k conditions on (a100, a200, a300, a400):
+    which * ((s + 1/2) P_k + j Q_k - 2 alpha Z) from the operator's table.
+
+    The 1/r_k order of the operator on r1^s1 r2^s2 exp(-beta1 r1 - beta2 r2) is
+    (1 - sigma) times the first and sigma times the second.  Both determinants
+    vanish exactly at s = -1/2 + sqrt(j^2 - 4 alpha^2).
     """
-    u = j - s - 0.5
-    v = j + s + 0.5
-    if which == 1:
-        c = 2 * alpha
-        return np.array(
-            [
-                [-c, 0.0, u, 0.0],
-                [0.0, -c, 0.0, v],
-                [-v, 0.0, c, 0.0],
-                [0.0, -u, 0.0, c],
-            ]
-        )
-    if which == 2:
-        c = 4 * alpha
-        return np.array(
-            [
-                [-c, 0.0, 0.0, 2 * u],
-                [0.0, -c, -2 * v, 0.0],
-                [0.0, 2 * u, c, 0.0],
-                [-2 * v, 0.0, 0.0, c],
-            ]
-        )
-    raise ValueError(f"which must be 1 or 2, got {which!r}")
+    if which not in (1, 2):
+        raise ValueError(f"which must be 1 or 2, got {which!r}")
+    m = np.diag(_Z * (-2 * which * alpha))
+    m[_ROWS, _PAIRS[which - 1]] = which * (_P_SIGNS[which - 1] * (s + 0.5)
+                                           + _Q_SIGNS[which - 1] * j)
+    return m
 
 
 def indicial_kernel_angles(j1: float, j2: float, alpha: float) -> np.ndarray:
@@ -120,11 +129,14 @@ def recurrence_R(params: ModelParams, gamma1, gamma2, beta1, beta2, a00,
 
 def spectral_matrix(gamma1, gamma2, sigma, beta1, beta2) -> np.ndarray:
     """4x4 matrix of the power-free conditions on the leading coefficients,
-    shape S + (4, 4) for inputs of shape S."""
+    diag(gamma2, gamma2, gamma1, gamma1) - (1-sigma) beta1 P_1 - 2 sigma beta2 P_2 from the
+    operator's table, shape S + (4, 4) for inputs of shape S."""
     g1, g2, a, b = np.broadcast_arrays(gamma1, gamma2, (1 - sigma) * beta1, 2 * sigma * beta2)
-    z = np.zeros(a.shape)
-    rows = ((g2, z, a, b), (z, g2, b, -a), (a, b, g1, z), (b, -a, z, g1))
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    m = np.zeros(a.shape + (4, 4), np.result_type(g1, g2, a, b))
+    m[..., _ROWS, _ROWS] = np.stack((g2, g2, g1, g1), axis=-1)
+    for k, w_beta in enumerate((a, b)):  # the diagonal, P_1 and P_2 fill disjoint entries
+        m[..., _ROWS, _PAIRS[k]] = np.multiply.outer(w_beta, -_P_SIGNS[k])
+    return m
 
 
 def spectral_quadratic(gamma1, gamma2, sigma, beta1, beta2) -> float:

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from hespinor import radial, spectrum
+from hespinor import angular, radial, spectrum
 from hespinor.model import FINE_STRUCTURE_ALPHA, ModelParams, ParameterError
+from hespinor.operators import potential_radii
 
 ALPHA = FINE_STRUCTURE_ALPHA
 S1_REF = 0.4998934916189415  # -1/2 + sqrt(1 - 4 alpha^2) at the default alpha
@@ -555,3 +556,110 @@ def test_beta1_array_with_one_bad_entry_raises():
     with pytest.raises(ZeroDivisionError):
         radial.beta1_from_determinant(1.0, 1.0, np.array([0.2, 1.0]), 0.1)
     assert radial.beta1_from_determinant(g1v, g2v, 0.5, np.zeros(3))[1] == 0.0
+
+
+# The hand transcriptions the operator's table replaced, kept as the second route:
+# the 1/r_k orders as literal arrays and the four rows of the separated system.
+def indicial_literal(which, j, s, alpha):
+    u = j - s - 0.5
+    v = j + s + 0.5
+    if which == 1:
+        c = 2 * alpha
+        return np.array([[-c, 0.0, u, 0.0], [0.0, -c, 0.0, v],
+                         [-v, 0.0, c, 0.0], [0.0, -u, 0.0, c]])
+    c = 4 * alpha
+    return np.array([[-c, 0.0, 0.0, 2 * u], [0.0, -c, -2 * v, 0.0],
+                     [0.0, 2 * u, c, 0.0], [-2 * v, 0.0, 0.0, c]])
+
+
+def radial_rows_literal(params, profiles, energy, rho0, point):
+    r1, r2 = point
+    s, j1, j2 = params.sigma, params.j1, params.j2
+    phi = potential_radii(params, r1, r2, rho0)
+    qp = (1 + s) + (phi - energy)
+    qm = (1 + s) - (phi - energy)
+    f = [prof.value(r1, r2) for prof in profiles]
+    d1 = [prof.d_r1(r1, r2) for prof in profiles]
+    d2 = [prof.d_r2(r1, r2) for prof in profiles]
+    w1, w2 = 1 - s, 2 * s
+    return np.stack([
+        qp * f[0] - w1 * (d1[2] - (j1 - 0.5) / r1 * f[2]) - w2 * (d2[3] - (j2 - 0.5) / r2 * f[3]),
+        qp * f[1] + w1 * (d1[3] + (j1 + 0.5) / r1 * f[3]) - w2 * (d2[2] + (j2 + 0.5) / r2 * f[2]),
+        qm * f[2] - w1 * (d1[0] + (j1 + 0.5) / r1 * f[0]) - w2 * (d2[1] - (j2 - 0.5) / r2 * f[1]),
+        qm * f[3] + w1 * (d1[1] - (j1 - 0.5) / r1 * f[1]) - w2 * (d2[0] + (j2 + 0.5) / r2 * f[0]),
+    ], axis=-1)
+
+
+SIGMAS = (0.0, 0.1, 0.37, 0.8, 1.0)
+
+
+def _operator_draws(seed, count=40):
+    """Per sigma in SIGMAS, ``count`` draws of (params, s1, s2, beta1, beta2, energy, rho0,
+    the four coefficients and 8 radial points (r1, r2))."""
+    rng = np.random.default_rng(seed)
+    for sigma in SIGMAS:
+        for _ in range(count):
+            j1, j2 = rng.uniform(0.55, 3.0, 2)
+            params = ModelParams(sigma, rng.uniform(1e-3, 0.1), j1, j2)
+            s1, s2 = rng.uniform(-0.4, 3.0, 2)
+            beta1, beta2 = rng.uniform(0.1, 3.0, 2)
+            energy, rho0 = rng.uniform(0.2, 2.5), rng.uniform(0.3, 3.0)
+            yield (params, s1, s2, beta1, beta2, energy, rho0, rng.uniform(-1, 1, 4),
+                   tuple(rng.uniform(0.2, 4.0, (2, 8))))
+
+
+def _ansatz(coefficients, s1, s2, beta1, beta2):
+    return [angular.RadialProfile.power_exponential(c, s1, s2, beta1, beta2)
+            for c in coefficients]
+
+
+def test_table_forms_equal_the_hand_transcriptions():
+    # measured worst: 2.2e-16 of the largest entry for the indicial arrays, 5.1e-15 of
+    # the point's largest row for the rows, where the terms of a row partly cancel
+    rng = np.random.default_rng(41)
+    for j, s, alpha in rng.uniform((0.55, -0.4, 1e-4), (5.0, 5.0, 0.2), (1000, 3)):
+        for which in (1, 2):
+            literal = indicial_literal(which, j, s, alpha)
+            gap = np.abs(radial.indicial_matrix(which, j, s, alpha) - literal).max()
+            assert gap <= 2**-51 * np.abs(literal).max(), (which, j, s, alpha)
+    for params, s1, s2, beta1, beta2, energy, rho0, coefficients, point in _operator_draws(43):
+        profiles = _ansatz(coefficients, s1, s2, beta1, beta2)
+        literal = radial_rows_literal(params, profiles, energy, rho0, point)
+        rows = angular.radial_system_residual(params, profiles, energy, rho0, point)
+        assert np.all(np.abs(rows - literal).max(-1) <= 2e-14 * np.abs(literal).max(-1))
+
+
+def test_residual_orders_are_the_spectral_and_indicial_matrices():
+    # on r1^s1 r2^s2 exp(-beta1 r1 - beta2 r2) A the rows over the envelope are
+    # S A + (1 - sigma) I1 A / r1 + sigma I2 A / r2, the expansion ending at the 1/r
+    # orders; measured worst 1.1e-15 of the largest term (8.1e-16 with the rows written out)
+    for params, s1, s2, beta1, beta2, energy, rho0, coefficients, point in _operator_draws(47):
+        sigma, alpha = params.sigma, params.alpha
+        r1, r2 = point
+        rows = angular.radial_system_residual(params, _ansatz(coefficients, s1, s2, beta1, beta2),
+                                              energy, rho0, point)
+        envelope = r1**s1 * r2**s2 * np.exp(-beta1 * r1 - beta2 * r2)
+        gamma1, gamma2 = gamma_rho(sigma, alpha, energy, rho0)
+        orders = (radial.spectral_matrix(gamma1, gamma2, sigma, beta1, beta2) @ coefficients,
+                  np.multiply.outer((1 - sigma) / r1,
+                                    radial.indicial_matrix(1, params.j1, s1, alpha) @ coefficients),
+                  np.multiply.outer(sigma / r2,
+                                    radial.indicial_matrix(2, params.j2, s2, alpha) @ coefficients))
+        scale = np.abs(np.broadcast_arrays(*orders)).max(axis=(0, -1))
+        gap = np.abs(rows / envelope[:, None] - sum(orders)).max(-1)
+        assert np.all(gap <= 5e-15 * scale), (params, s1, s2)
+
+
+def test_recurrence_first_order_is_the_table_at_the_next_power():
+    # recurrence_R's a_k10 columns are the 1/r orders one power up: (1 - sigma) I1(s1 + 1)
+    # + sigma I2(s2 + 1) at the exponents; measured worst 2.0e-16 of the largest entry
+    rng = np.random.default_rng(53)
+    for params, *_ in _operator_draws(59, count=20):
+        sigma, alpha, j1, j2 = params
+        s1, s2 = radial.exponents(j1, j2, alpha)
+        gamma1, gamma2, beta1, beta2 = rng.uniform(0.2, 2.0, 4)
+        a10 = rng.uniform(-1, 1, 4)
+        rvec = radial.recurrence_R(params, gamma1, gamma2, beta1, beta2, np.zeros(4), *a10)
+        table = ((1 - sigma) * radial.indicial_matrix(1, j1, s1 + 1, alpha)
+                 + sigma * radial.indicial_matrix(2, j2, s2 + 1, alpha)) @ a10
+        assert np.abs(rvec - table).max() <= 1e-15 * np.abs(table).max(), params

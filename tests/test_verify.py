@@ -206,9 +206,26 @@ def _no_root(monkeypatch):
     monkeypatch.setattr(radial, "fundamental_residual", lambda relation, shift: 1.0)
 
 
-# an upper bound failing the command: test_cli's gamma sign flip, the table,
-# exponent and root faults above, and the comparisons of the commutator,
-# expansion and separation rows; every FAIL line is listed
+def _flip_one_table_sign(monkeypatch):
+    # P_1's (row 2, col 0) entry: the residual rows, the electron-1 indicial matrix and
+    # the spectral matrix read it; their second routes (the finite-difference rows,
+    # recurrence_R, kernel_vectors) do not
+    monkeypatch.setattr(radial, "_P_SIGNS", radial._P_SIGNS * [[1, 1, -1, 1], [1, 1, 1, 1]])
+
+
+def _flip_kernel_vector_entry(monkeypatch):
+    kernel_vectors = radial.kernel_vectors
+
+    def flipped(*args):
+        psi1, psi2 = kernel_vectors(*args)
+        return psi1 * [1, -1, 1, 1], psi2
+
+    monkeypatch.setattr(radial, "kernel_vectors", flipped)
+
+
+# an upper bound failing the command: test_cli's gamma sign flip, the gamma table,
+# exponent, root, radial-table and kernel-vector faults above, and the comparisons of
+# the commutator, expansion and separation rows; every FAIL line is listed
 @pytest.mark.parametrize("fault, failed", [
     (_accept_alt_weight, ["[FAIL] alt-weight denominator rejected: value 0.000e+00 > 1e-06"]),
     (_sigma0_at_lower_edge, ["[FAIL] ground-state sigma0 in [0.1765, 0.1785]: "
@@ -234,8 +251,17 @@ def _no_root(monkeypatch):
                      "[FAIL] canonical assignment in the exact commuting set: "]),
     (_exchanged_spin_shift, ["[FAIL] spin shift diag(-1,1,0,0): value 1.000e+00"]),
     (_no_root, ["[FAIL] consistency root vs closed form: value inf <= 1e-06"]),
+    (_flip_one_table_sign, ["[FAIL] radial rows equal angle-frozen evaluation: value 1.724e+00",
+                            "[FAIL] indicial determinants nonzero at s* +- 0.01: value 2.206e-06",
+                            "[FAIL] indicial kernel two-form agreement: value 1.878e+04",
+                            "[FAIL] spectral determinant factorization (100 draws): ",
+                            "[FAIL] kernel vectors annihilated: ",
+                            "[FAIL] recurrence reduces to spectral matrix: "]),
+    (_flip_kernel_vector_entry, ["[FAIL] kernel vectors annihilated: value 1.939e+00",
+                                 "[FAIL] kernel contraction equals dot product: "]),
 ], ids=["lower", "window", "exponents", "none", "canonical-commutator", "covariant-row",
-        "one-angle", "every-angle", "gamma1-scale", "spin-shift", "no-root"])
+        "one-angle", "every-angle", "gamma1-scale", "spin-shift", "no-root", "table-sign",
+        "kernel-vector"])
 def test_each_bound_form_fails_the_command(monkeypatch, capsys, fault, failed):
     fault(monkeypatch)
     assert cli.main(["verify"]) == 1
