@@ -5,8 +5,9 @@ Modules by role:
 * ``model``     -- constants, the parameter domain and the radial exponents
 * ``clifford``  -- gamma-matrix tables and spin projections
 * ``operators`` -- finite-difference Hamiltonian / angular-momentum lab
-* ``angular``   -- phase ansatz and separation into a radial system
-* ``radial``    -- indicial and spectral linear algebra, decay-rate relation
+* ``angular``   -- phase ansatz, separation into a radial system, complex-step radial rows
+* ``radial``    -- the radial operator's table and rows, indicial and spectral
+                   linear algebra, decay-rate relation
 * ``spectrum``  -- closed-form energy, geometry and consistency solver
 * ``optimize``  -- sigma scans and the Brent ground-state search
 * ``verify``    -- the aggregated identity-check battery, gamma algebra included

@@ -4,7 +4,11 @@ Each spinor component is written f_k(r1, r2) * exp(i Phi_k) with phase
 Phi_k = m1_k theta1 + m2_k theta2.  For the accepted coefficient
 assignment the angular dependence cancels row by row from the component
 system (with the interelectron distance frozen), leaving a purely radial
-system whose rows are evaluated here in closed form as well.
+system: the operator of ``radial.operator_rows`` on the profiles.
+
+A radial profile is one callable f(r1, r2), real for real radii and analytic
+in each radius, as numpy arithmetic and ufuncs are (no ``abs``, ``maximum`` or
+``math``): the radial rows take its partials by complex step.
 """
 
 from collections import namedtuple
@@ -62,27 +66,9 @@ class PhaseAssignment(namedtuple("PhaseAssignment", "pairs")):
         )
 
 
-class RadialProfile(namedtuple("RadialProfile", "value d_r1 d_r2")):
-    """Radial factor of one spinor component with its analytic partials.
-
-    The callables map r1, r2 (floats or arrays of one shape) to that shape."""
-
-    __slots__ = ()
-
-    @classmethod
-    def power_exponential(cls, coef, s1, s2, beta1, beta2) -> "RadialProfile":
-        """coef * r1^s1 * r2^s2 * exp(-beta1 r1 - beta2 r2)."""
-
-        def value(r1, r2):
-            return coef * r1**s1 * r2**s2 * np.exp(-beta1 * r1 - beta2 * r2)
-
-        def d_r1(r1, r2):
-            return (s1 / r1 - beta1) * value(r1, r2)
-
-        def d_r2(r1, r2):
-            return (s2 / r2 - beta2) * value(r1, r2)
-
-        return cls(value=value, d_r1=d_r1, d_r2=d_r2)
+def power_exponential(coef, s1, s2, beta1, beta2):
+    """The radial profile coef * r1^s1 * r2^s2 * exp(-beta1 r1 - beta2 r2)."""
+    return lambda r1, r2: coef * r1**s1 * r2**s2 * np.exp(-beta1 * r1 - beta2 * r2)
 
 
 def build_spinor(assignment: PhaseAssignment, profiles) -> SpinorField:
@@ -92,7 +78,7 @@ def build_spinor(assignment: PhaseAssignment, profiles) -> SpinorField:
 
     def fn(p: ConfigPoint) -> np.ndarray:
         r1, r2 = p.r1, p.r2
-        values = np.stack([prof.value(r1, r2) for prof in profiles], axis=-1)
+        values = np.stack([prof(r1, r2) for prof in profiles], axis=-1)
         return values * assignment.phase_vector(p.theta1, p.theta2)
 
     return SpinorField(fn)
@@ -131,18 +117,25 @@ def separation_residual(params: ModelParams, assignment: PhaseAssignment, profil
 
 
 def radial_system_residual(params: ModelParams, profiles, energy, rho0, point) -> np.ndarray:
-    """Four rows of the separated radial system, via analytic derivatives: the
-    operator of ``radial.operator_rows`` on the profiles' values and partials.
+    """Four rows of the separated radial system: the operator of
+    ``radial.operator_rows`` on the profiles' values and partials.
 
-    Agrees with every angle sample of ``separation_residual`` up to the
-    O(step^2) finite-difference error of the latter.  ``point`` is (r1, r2):
-    two floats give shape (4,), two arrays of shape S give S + (4,).
+    Both partials come by complex step, two profile calls per component:
+    f(r1 + ih, r2) holds the value and h d/dr1, f(r1, r2 + ih) holds h d/dr2,
+    exact to rounding for h = 1e-30.  Agrees with every angle sample of
+    ``separation_residual`` up to the O(step^2) finite-difference error of the
+    latter.  ``point`` is (r1, r2): two floats give shape (4,), two arrays of
+    shape S give S + (4,).
     """
-    r1, r2 = point
-    if np.any(r1 <= 0) or np.any(r2 <= 0):
+    # on shape S + (1,): a float point takes numpy's array loops too, since its complex
+    # scalars round a power's imaginary part otherwise (x**0.5 is csqrt only on arrays)
+    r1, r2 = (np.expand_dims(r, -1) for r in point)
+    if not (np.all(r1 > 0) and np.all(r2 > 0)):
         raise ValueError("radial evaluation needs r1 > 0 and r2 > 0")
-    f, d1, d2 = (np.stack([part(r1, r2) for part in parts], axis=-1) for parts in zip(*profiles))
-    return radial.operator_rows(params, energy, rho0, point, f, d1, d2)
+    z1 = np.concatenate([prof(r1 + 1e-30j, r2) for prof in profiles], axis=-1)
+    z2 = np.concatenate([prof(r1, r2 + 1e-30j) for prof in profiles], axis=-1)
+    return radial.operator_rows(params, energy, rho0, point,
+                                z1.real, z1.imag / 1e-30, z2.imag / 1e-30)
 
 
 def find_cancelling_assignments(j1: float, j2: float) -> list:

@@ -1,6 +1,6 @@
-"""Radial power-exponential ansatz: indicial systems, spectral matrix,
-kernel vectors, recurrence functions and the fundamental decay-rate
-relation.
+"""The separated radial operator and its power-exponential ansatz: the
+operator's rows, indicial systems, spectral matrix, kernel vectors,
+recurrence functions and the fundamental decay-rate relation.
 
 Substituting f_k = a_k00 r1^s1 r2^s2 exp(-beta1 r1 - beta2 r2) into the
 separated radial system and sorting by powers produces three layers of
@@ -15,8 +15,13 @@ linear conditions on the leading coefficients:
     relation between beta1 and the energy.
 
 The energy enters as gamma1,2 = (1+sigma) +- (E - (1+sigma) alpha / rho),
-whose sum is the two rest masses 2 (1+sigma).  Each function takes gamma1
-and gamma2 as arrays; the identities ``verify`` checks hold for any pair.
+whose sum is the two rest masses 2 (1+sigma).  The spectral and recurrence
+functions take gamma1 and gamma2 (``kernel_vectors`` and ``kernel_contraction``
+gamma2 only) as floats or arrays of one shape; the identities ``verify``
+checks hold for any pair.  ``operator_rows`` takes component values and
+partials instead, the indicial functions take j, s and alpha
+(``indicial_matrix`` sympy symbols too), and ``fundamental_relation`` a
+closed-form record.
 
 Units are natural with the electron mass m = 1: energies are in units of
 m c^2, decay rates and inverse radii in units of m c / hbar.

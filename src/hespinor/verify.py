@@ -193,18 +193,10 @@ def angular_checks() -> list:
     params = ModelParams(sigma=0.23)
     assignment = angular.PhaseAssignment.canonical(params.j1, params.j2)
     profiles = [
-        angular.RadialProfile(
-            value=lambda r1, r2: np.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
-            d_r1=lambda r1, r2: -(r1 - 1.0) * np.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
-            d_r2=lambda r1, r2: -(r2 - 1.3) * np.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
-        ),
-        angular.RadialProfile.power_exponential(0.8, 1.0, 0.5, 0.9, 0.4),
-        angular.RadialProfile.power_exponential(-0.6, 0.5, 1.0, 0.7, 0.8),
-        angular.RadialProfile(
-            value=lambda r1, r2: np.exp(-0.8 * r1 - 1.1 * r2) * (1 + 0.3 * r2),
-            d_r1=lambda r1, r2: -0.8 * np.exp(-0.8 * r1 - 1.1 * r2) * (1 + 0.3 * r2),
-            d_r2=lambda r1, r2: np.exp(-0.8 * r1 - 1.1 * r2) * (0.3 - 1.1 * (1 + 0.3 * r2)),
-        ),
+        lambda r1, r2: np.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
+        angular.power_exponential(0.8, 1.0, 0.5, 0.9, 0.4),
+        angular.power_exponential(-0.6, 0.5, 1.0, 0.7, 0.8),
+        lambda r1, r2: np.exp(-0.8 * r1 - 1.1 * r2) * (1 + 0.3 * r2),
     ]
     energy = 1.1
     rho0 = 0.86
@@ -212,7 +204,7 @@ def angular_checks() -> list:
     r1, r2 = _box_points(10, [(0.6, 1.6)] * 2).T
     rows = angular.separation_residual(params, assignment, profiles, energy,
                                        angles, (r1, r2), rho0, step)
-    scale = np.max([np.abs(prof.value(r1, r2)) for prof in profiles], axis=0)
+    scale = np.max([np.abs(prof(r1, r2)) for prof in profiles], axis=0)
     worst_rel = np.max(_angle_spread(rows) / scale)
     exact = angular.radial_system_residual(params, profiles, energy, rho0, (r1, r2))
     worst_dev = float(np.abs(rows[:, 0] - exact).max())

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import hand_partials
 from hespinor import angular, clifford, optimize, radial, spectrum, verify
 from hespinor.model import FINE_STRUCTURE_ALPHA, ModelParams
 from hespinor.operators import (
@@ -184,25 +185,12 @@ def test_criterion_09_structural_consistency():
 def test_criterion_10_angular_separation():
     params = ModelParams(sigma=0.23)
     assignment = angular.PhaseAssignment.canonical(params.j1, params.j2)
-    profiles = [
-        angular.RadialProfile(
-            value=lambda r1, r2: np.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
-            d_r1=lambda r1, r2: -(r1 - 1.0) * np.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
-            d_r2=lambda r1, r2: -(r2 - 1.3) * np.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
-        ),
-        angular.RadialProfile.power_exponential(0.8, 1.0, 0.5, 0.9, 0.4),
-        angular.RadialProfile.power_exponential(-0.6, 0.5, 1.0, 0.7, 0.8),
-        angular.RadialProfile(
-            value=lambda r1, r2: np.exp(-0.8 * r1 - 1.1 * r2) * (1 + 0.3 * r2),
-            d_r1=lambda r1, r2: -0.8 * np.exp(-0.8 * r1 - 1.1 * r2) * (1 + 0.3 * r2),
-            d_r2=lambda r1, r2: np.exp(-0.8 * r1 - 1.1 * r2) * (0.3 - 1.1 * (1 + 0.3 * r2)),
-        ),
-    ]
+    profiles = hand_partials.values(hand_partials.SMOOTH)
     angles = [(0.1 + 0.7 * k, 0.4 + 1.1 * k) for k in range(8)]
     rng = np.random.default_rng(7)
     worst = 0.0
     for r1, r2 in rng.uniform(0.6, 1.6, (10, 2)):
-        scale = max(abs(prof.value(r1, r2)) for prof in profiles)
+        scale = max(abs(prof(r1, r2)) for prof in profiles)
         rows = angular.separation_residual(params, assignment, profiles, 1.1,
                                            angles, (float(r1), float(r2)), 0.86, step=1e-5)
         worst = max(worst, float(np.abs(rows - rows[0]).max()) / scale)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import hand_partials
 from hespinor import angular
 from hespinor.model import ModelParams
 from hespinor.operators import apply_M, component_system_residual, gradient
@@ -15,31 +16,15 @@ def params():
 
 
 def unit_profiles():
-    one = angular.RadialProfile(value=lambda r1, r2: 1.0,
-                                d_r1=lambda r1, r2: 0.0,
-                                d_r2=lambda r1, r2: 0.0)
-    return [one] * 4
+    return [lambda r1, r2: 1.0] * 4
 
 
 def smooth_profiles():
     """Generic smooth profiles unrelated to any exact solution."""
-    return [
-        angular.RadialProfile(
-            value=lambda r1, r2: np.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
-            d_r1=lambda r1, r2: -(r1 - 1.0) * np.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
-            d_r2=lambda r1, r2: -(r2 - 1.3) * np.exp(-((r1 - 1.0) ** 2 + (r2 - 1.3) ** 2) / 2),
-        ),
-        angular.RadialProfile.power_exponential(0.8, 1.0, 0.5, 0.9, 0.4),
-        angular.RadialProfile.power_exponential(-0.6, 0.5, 1.0, 0.7, 0.8),
-        angular.RadialProfile(
-            value=lambda r1, r2: np.exp(-0.8 * r1 - 1.1 * r2) * (1 + 0.3 * r2),
-            d_r1=lambda r1, r2: -0.8 * np.exp(-0.8 * r1 - 1.1 * r2) * (1 + 0.3 * r2),
-            d_r2=lambda r1, r2: np.exp(-0.8 * r1 - 1.1 * r2) * (0.3 - 1.1 * (1 + 0.3 * r2)),
-        ),
-    ]
+    return hand_partials.values(hand_partials.SMOOTH)
 
 
-ZERO_PROFILE = angular.RadialProfile.power_exponential(0.0, 0, 0, 0, 0)
+ZERO_PROFILE = angular.power_exponential(0.0, 0, 0, 0, 0)
 ANGLES = [(0.1 + 0.7 * k, 0.4 + 1.1 * k) for k in range(8)]
 
 
@@ -68,7 +53,7 @@ def test_build_spinor_phase_value():
 
 def test_built_spinor_is_m_eigenstate():
     # every component carries M eigenvalue j1 + j2
-    profiles = [angular.RadialProfile.power_exponential(1.0, 0.6, 0.7, 1.0, 0.8)] * 4
+    profiles = [angular.power_exponential(1.0, 0.6, 0.7, 1.0, 0.8)] * 4
     spinor = angular.build_spinor(angular.PhaseAssignment.canonical(1.0, 1.0), profiles)
     p = angular.point_from_polar(0.9, 0.52, 1.2, -1.1)
     out = apply_M(p, *gradient(spinor, p, 1e-5))
@@ -81,7 +66,7 @@ def test_separation_residual_cancels_for_generic_profiles(params):
     assignment = angular.PhaseAssignment.canonical(params.j1, params.j2)
     rng = np.random.default_rng(7)
     for r1, r2 in rng.uniform(0.6, 1.6, (10, 2)):
-        scale = max(abs(prof.value(r1, r2)) for prof in profiles)
+        scale = max(abs(prof(r1, r2)) for prof in profiles)
         rows = angular.separation_residual(params, assignment, profiles, 1.1,
                                            ANGLES, (r1, r2), 0.86, step=1e-5)
         assert rows.shape == (len(ANGLES), 4)
@@ -147,8 +132,7 @@ def test_radial_rows_sigma_one_keeps_only_electron2_terms():
     phi = potential_radii(params1, r1, r2, rho0)
     qp = 2 + (phi - energy)
     qm = 2 - (phi - energy)
-    f = [prof.value(r1, r2) for prof in profiles]
-    d2 = [prof.d_r2(r1, r2) for prof in profiles]
+    f, _, d2 = hand_partials.partials(hand_partials.SMOOTH, r1, r2)
     j2 = params1.j2
     expected = np.array([
         qp * f[0] - 2 * (d2[3] - (j2 - 0.5) / r2 * f[3]),
@@ -169,8 +153,7 @@ def test_radial_rows_sigma_zero_is_one_electron_system():
     phi = potential_radii(params0, r1, r2, rho0)
     qp = 1 + (phi - energy)
     qm = 1 - (phi - energy)
-    f = [prof.value(r1, r2) for prof in profiles]
-    d1 = [prof.d_r1(r1, r2) for prof in profiles]
+    f, d1, _ = hand_partials.partials(hand_partials.SMOOTH, r1, r2)
     j1 = params0.j1
     expected = np.array([
         qp * f[0] - (d1[2] - (j1 - 0.5) / r1 * f[2]),
@@ -182,8 +165,10 @@ def test_radial_rows_sigma_zero_is_one_electron_system():
 
 
 def test_radial_rows_reject_nonpositive_radii(params):
-    with pytest.raises(ValueError):
-        angular.radial_system_residual(params, smooth_profiles(), 1.0, 0.86, (0.0, 1.0))
+    # a NaN radius is no positive radius either
+    for point in ((0.0, 1.0), (math.nan, 1.0), (0.9, math.nan)):
+        with pytest.raises(ValueError, match="r1 > 0 and r2 > 0"):
+            angular.radial_system_residual(params, smooth_profiles(), 1.0, 0.86, point)
 
 
 def test_radial_rows_batch_matches_per_point_loop(params):
@@ -201,7 +186,8 @@ def test_radial_rows_batch_matches_per_point_loop(params):
 
 def test_radial_rows_batch_rejects_one_nonpositive_radius(params):
     radii = np.array([0.8, 1.1, 1.4])
-    for point in ((np.array([0.8, 0.0, 1.4]), radii), (radii, np.array([0.8, 1.1, -0.2]))):
+    for point in ((np.array([0.8, 0.0, 1.4]), radii), (radii, np.array([0.8, 1.1, -0.2])),
+                  (np.array([0.8, math.nan, 1.4]), radii), (radii, np.array([math.nan, 1.1, 1.4]))):
         with pytest.raises(ValueError, match="r1 > 0 and r2 > 0"):
             angular.radial_system_residual(params, smooth_profiles(), 1.0, 0.86, point)
 

@@ -23,7 +23,6 @@ def test_replace_and_make_validate_model_params():
     operators.ConfigPoint(1.1, 0.4, -0.8, 0.9),
     operators.SpinorField.plane_wave((0.6, -0.4, 0.3, 0.8), (1, 1, 1, 1)),
     angular.PhaseAssignment.canonical(1.0, 1.0),
-    angular.RadialProfile.power_exponential(0.8, 1.0, 0.5, 0.9, 0.4),
     verify.CheckResult("c", 0.25, hi=1.0),
     verify.VerifyReport([verify.CheckResult("c", 0.25, hi=1.0)]),
 ], ids=lambda record: type(record).__name__)

@@ -223,9 +223,36 @@ def _flip_kernel_vector_entry(monkeypatch):
     monkeypatch.setattr(radial, "kernel_vectors", flipped)
 
 
+def _scale_closed_form_energy(monkeypatch):
+    # a relative 1e-10 in the closed-form energy: the rebuilt energy and the sigma = 0
+    # reduction read it; the root readings compare with it only to 1e-6 and 1e-9
+    energy = spectrum.energy_closed_form
+    monkeypatch.setattr(spectrum, "energy_closed_form", lambda cf: energy(cf) * (1 + 1e-10))
+
+
+def _default_reads_alt_shift(monkeypatch):
+    # the consistency root and the shifted literal both read the default denominator
+    relation = radial.fundamental_relation
+    monkeypatch.setattr(radial, "fundamental_relation", lambda cf, rho, variant="default": (
+        relation(cf, rho, "alt-shift" if variant == "default" else variant)))
+
+
+def _scale_r10(monkeypatch):
+    # r10 off by a relative 1e-9 while r20 keeps its value: rho0 = r10 + r20 still holds
+    # to rounding, r10 = sigma r20 no longer does
+    radii = spectrum.radii_bohr
+
+    def scaled(cf):
+        r10, r20 = radii(cf)
+        return r10 * (1 + 1e-9), r20
+
+    monkeypatch.setattr(spectrum, "radii_bohr", scaled)
+
+
 # an upper bound failing the command: test_cli's gamma sign flip, the gamma table,
-# exponent, root, radial-table and kernel-vector faults above, and the comparisons of
-# the commutator, expansion and separation rows; every FAIL line is listed
+# exponent, root, radial-table, kernel-vector, closed-form energy, default-denominator
+# and r10 faults above, and the comparisons of the commutator, expansion and separation
+# rows; every FAIL line is listed
 @pytest.mark.parametrize("fault, failed", [
     (_accept_alt_weight, ["[FAIL] alt-weight denominator rejected: value 0.000e+00 > 1e-06"]),
     (_sigma0_at_lower_edge, ["[FAIL] ground-state sigma0 in [0.1765, 0.1785]: "
@@ -259,9 +286,15 @@ def _flip_kernel_vector_entry(monkeypatch):
                             "[FAIL] recurrence reduces to spectral matrix: "]),
     (_flip_kernel_vector_entry, ["[FAIL] kernel vectors annihilated: value 1.939e+00",
                                  "[FAIL] kernel contraction equals dot product: "]),
+    (_scale_closed_form_energy, ["[FAIL] excess energy two-path identity: value 1.000e-10",
+                                 "[FAIL] one-electron reduction at sigma = 0: value 9.999e-11"]),
+    (_default_reads_alt_shift, ["[FAIL] consistency root vs closed form: value 1.454e-04",
+                                "[FAIL] energy relation inner denominator: squared: "
+                                "value 1.454e-04"]),
+    (_scale_r10, ["[FAIL] equilibrium geometry identities: value 1.000e-09"]),
 ], ids=["lower", "window", "exponents", "none", "canonical-commutator", "covariant-row",
         "one-angle", "every-angle", "gamma1-scale", "spin-shift", "no-root", "table-sign",
-        "kernel-vector"])
+        "kernel-vector", "energy-scale", "default-alt-shift", "r10-scale"])
 def test_each_bound_form_fails_the_command(monkeypatch, capsys, fault, failed):
     fault(monkeypatch)
     assert cli.main(["verify"]) == 1
